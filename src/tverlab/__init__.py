@@ -1,8 +1,6 @@
 """tverlab: exact rational search and certification for colorful point
 partitions, k-plane transversals, and chessboard-complex topology."""
 
-from .kernels import backend as kernel_backend
-
 __version__ = "0.1.0"
 
-__all__ = ["kernel_backend", "__version__"]
+__all__ = ["__version__"]

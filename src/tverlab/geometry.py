@@ -4,8 +4,8 @@ Points are tuples of Fraction; nothing in this module ever touches a
 float.  The workhorse is the common-point LP: given finitely many point
 sets ("pieces"), decide whether their convex hulls share a point and
 produce either an exact convex-combination witness or the exact
-phase-1 violation gap.  Feasibility runs on the integer simplex kernel
-(compiled or pure, selected at import) after clearing denominators.
+phase-1 violation gap.  Feasibility runs on the fraction-free integer
+simplex kernel after clearing denominators.
 """
 from __future__ import annotations
 
@@ -38,32 +38,6 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class Subspace:
-    """Linear subspace of R^ambient_dim spanned by an independent basis.
-
-    projection_target marks subspaces used as the target of an
-    orthogonal projection (the role played by the complement of a
-    candidate plane during transversal search).
-    """
-
-    ambient_dim: int
-    basis: tuple[Point, ...]
-    projection_target: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(as_point(v) for v in self.basis))
-        for v in self.basis:
-            if len(v) != self.ambient_dim:
-                raise ValueError("basis vector dimension mismatch")
-        if self.basis and linalg.rank(list(self.basis)) != len(self.basis):
-            raise ValueError("basis vectors must be linearly independent")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-@dataclass(frozen=True)
 class CommonPointWitness:
     """Convex weights per piece, all combining to the same point."""
 
@@ -78,31 +52,6 @@ def affine_dim(points) -> int:
         return -1
     diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
     return linalg.rank(diffs) if diffs else 0
-
-
-def project(points, target: Subspace):
-    """Orthogonally project points onto target, in target-basis coordinates.
-
-    Solves the Gram system B B^T c = B x exactly for each point, so the
-    input is never orthonormalised and stays rational.  Raises on
-    dimension mismatch.
-    """
-    pts = [as_point(p) for p in points]
-    basis = target.basis
-    for p in pts:
-        if len(p) != target.ambient_dim:
-            raise ValueError("point dimension does not match subspace")
-    if not basis:
-        return [() for _ in pts]
-    m = len(basis)
-    gram = [[sum(basis[i][c] * basis[j][c] for c in range(target.ambient_dim)) for j in range(m)] for i in range(m)]
-    out = []
-    for p in pts:
-        rhs = [sum(b[c] * p[c] for c in range(target.ambient_dim)) for b in basis]
-        sol = linalg.solve(gram, rhs)
-        assert sol is not None and not sol[1], "independent basis has invertible Gram matrix"
-        out.append(tuple(sol[0]))
-    return out
 
 
 def lp_solve_eq(rows, rhs):
@@ -189,6 +138,30 @@ def lp_feasible_common_point(pieces):
     return witness
 
 
+def convex_combination_fault(weights, points, target=None) -> str:
+    """Why `weights` fail to combine `points` convexly into `target`; "" if they do.
+
+    Checks, in order: one weight per point ("shape-mismatch"), no
+    negative weight ("negative-weight"), weights summing to one
+    ("weight-sum"), and the combination equalling `target` exactly
+    ("point-mismatch").  With no target only the weights are checked.
+    """
+    if len(weights) != len(points):
+        return "shape-mismatch"
+    if any(w < 0 for w in weights):
+        return "negative-weight"
+    if sum(weights) != 1:
+        return "weight-sum"
+    if target is None:
+        return ""
+    combo = tuple(
+        sum((w * p[c] for w, p in zip(weights, points)), ZERO) for c in range(len(points[0]))
+    )
+    if combo != tuple(target):
+        return "point-mismatch"
+    return ""
+
+
 def verify_common_point_witness(pieces, witness) -> Verdict:
     """Re-check a witness from scratch; malformed input yields a reason code."""
     try:
@@ -201,13 +174,10 @@ def verify_common_point_witness(pieces, witness) -> Verdict:
         return Verdict(False, "shape-mismatch")
     if any(len(p) != len(point) for piece in pcs for p in piece):
         return Verdict(False, "shape-mismatch")
-    for ws in weights:
-        if any(w < 0 for w in ws):
-            return Verdict(False, "negative-weight")
-        if sum(ws) != 1:
-            return Verdict(False, "weight-sum")
-    for ws, piece in zip(weights, pcs):
-        combo = tuple(sum((w * p[c] for w, p in zip(ws, piece)), ZERO) for c in range(len(point)))
-        if combo != point:
-            return Verdict(False, "point-mismatch")
+    # every piece's weights are checked before any piece's combination
+    for target in (None, point):
+        for ws, piece in zip(weights, pcs):
+            fault = convex_combination_fault(ws, piece, target)
+            if fault:
+                return Verdict(False, fault)
     return Verdict(True)

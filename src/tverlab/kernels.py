@@ -1,26 +1,36 @@
-# cython: language_level=3, boundscheck=False, wraparound=False
-"""Compiled twin of simplex_py.phase1.
+"""Pure-Python exact phase-1 simplex on integer data.
 
-Same fraction-free phase-1 simplex, same Bland pivoting, bit-identical
-results; entries stay Python ints so there is no overflow ceiling.  The
-speedup comes from typed loop indices and list fast-paths.
+Decides feasibility of {x >= 0 : A x = b} by minimising a weighted sum
+of artificial variables.  The tableau is kept fraction-free: an integer
+matrix M together with a positive integer divisor D represents the
+rational tableau M/D, and every pivot divides exactly (Edmonds-style
+integer pivoting), so all sign tests and ratio comparisons are plain
+integer comparisons.  Bland's rule on both the entering and the leaving
+choice guarantees termination.
 """
-
-KERNEL_NAME = "compiled"
 
 PIVOT_CAP = 10_000_000
 
 
-def phase1(Py_ssize_t nrows, Py_ssize_t ncols, data, rhs, costs=None):
-    """See simplex_py.phase1; identical contract and pivot sequence."""
-    cdef Py_ssize_t width = ncols + nrows + 1
-    cdef Py_ssize_t rc = ncols + nrows
-    cdef Py_ssize_t i, j, q, p
-    cdef list M = [], row, rowi, rowp, obj, basis, xnum
-    cdef long pivots = 0
+def phase1(nrows, ncols, data, rhs, costs=None):
+    """Run phase-1 simplex on A x = b, x >= 0 with integer A, b (b >= 0).
 
+    data is the matrix as a list of nrows lists of ncols ints, rhs a list
+    of nonnegative ints.  costs optionally weights the artificial of each
+    row in the phase-1 objective (default all 1); weights let callers
+    measure constraint violation in original rather than row-scaled units.
+
+    Returns (feasible, xnum, xden, gapnum, gapden, pivots):
+      feasible  -- True iff the system has a solution
+      xnum/xden -- on success, x[j] = xnum[j]/xden exactly (xden > 0)
+      gap       -- on failure, gapnum/gapden is the positive optimum of
+                   the weighted artificial sum (the violation gap)
+    """
     if costs is None:
         costs = [1] * nrows
+    width = ncols + nrows + 1
+    rc = ncols + nrows  # rhs column
+    M = []
     for i in range(nrows):
         if rhs[i] < 0:
             raise ValueError("rhs entries must be nonnegative")
@@ -43,6 +53,7 @@ def phase1(Py_ssize_t nrows, Py_ssize_t ncols, data, rhs, costs=None):
 
     basis = [ncols + i for i in range(nrows)]
     D = 1
+    pivots = 0
     while True:
         q = -1
         for j in range(rc):
@@ -51,13 +62,13 @@ def phase1(Py_ssize_t nrows, Py_ssize_t ncols, data, rhs, costs=None):
                 break
         if q < 0:
             break
+        # leaving row: minimum ratio rhs/column, ties to smallest basis index
         p = -1
         bn = bd = 0
         for i in range(nrows):
-            rowi = M[i]
-            c = rowi[q]
+            c = M[i][q]
             if c > 0:
-                n = rowi[rc]
+                n = M[i][rc]
                 if p < 0:
                     p, bn, bd = i, n, c
                 else:
@@ -66,8 +77,8 @@ def phase1(Py_ssize_t nrows, Py_ssize_t ncols, data, rhs, costs=None):
                         p, bn, bd = i, n, c
         if p < 0:
             raise ArithmeticError("phase-1 objective unbounded; input invalid")
+        piv = M[p][q]
         rowp = M[p]
-        piv = rowp[q]
         for i in range(nrows + 1):
             if i == p:
                 continue
@@ -88,7 +99,7 @@ def phase1(Py_ssize_t nrows, Py_ssize_t ncols, data, rhs, costs=None):
         if pivots > PIVOT_CAP:
             raise ArithmeticError("pivot cap exceeded")
 
-    wnum = -obj[rc]
+    wnum = -obj[rc]  # optimum = wnum / D >= 0
     if wnum == 0:
         xnum = [0] * ncols
         for i in range(nrows):

@@ -1,4 +1,5 @@
-"""Small exact linear algebra over Fraction: elimination, solves, kernels.
+"""Small exact linear algebra over Fraction: elimination, solves, kernels,
+plus the primality test shared by the model and topology layers.
 
 Everything here is dense and desk-scale; no pivoting heuristics beyond
 "first nonzero" so results are deterministic.
@@ -95,3 +96,15 @@ def det(matrix):
             a[i][k] = ZERO
         prev = a[k][k]
     return sign * a[n - 1][n - 1] if n else ONE
+
+
+def is_prime(n: int) -> bool:
+    """Trial division; the moduli and piece counts here are small."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True

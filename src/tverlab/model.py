@@ -17,19 +17,9 @@ from fractions import Fraction
 
 from . import geometry
 from .geometry import Point, as_point
+from .linalg import is_prime
 
 ZERO = Fraction(0)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -136,7 +126,7 @@ def validate(instance: ProblemInstance) -> HypothesisReport:
         if over:
             class_bound_ok = False
             notes.append(f"collection {ell}: class sizes {over} exceed r-1={r - 1}")
-        if not _is_prime(r):
+        if not is_prime(r):
             prime_ok = False
             notes.append(f"collection {ell}: r={r} is not prime")
     parity_ok = instance.k == 0 or all(

@@ -24,7 +24,14 @@ from math import gcd
 
 from . import linalg
 from .errors import CapExceeded, DegenerateIntersection, PreconditionError
-from .geometry import Point, Verdict, as_point, common_point_gap, lp_solve_eq
+from .geometry import (
+    Point,
+    Verdict,
+    as_point,
+    common_point_gap,
+    convex_combination_fault,
+    lp_solve_eq,
+)
 from .model import (
     ColoredConfig,
     PartitionTuple,
@@ -618,18 +625,9 @@ def verify_tverberg(config: ColoredConfig, r: int, cert) -> Verdict:
     if len(point) != config.dim:
         return Verdict(False, "shape-mismatch")
     for piece, w in zip(part.pieces, cert.weights):
-        if len(w) != len(piece):
-            return Verdict(False, "shape-mismatch")
-        if any(v < 0 for v in w):
-            return Verdict(False, "negative-weight")
-        if sum(w) != 1:
-            return Verdict(False, "weight-sum")
-        combo = tuple(
-            sum((wi * config.points[i][c] for wi, i in zip(w, piece)), ZERO)
-            for c in range(config.dim)
-        )
-        if combo != point:
-            return Verdict(False, "point-mismatch")
+        fault = convex_combination_fault(w, [config.points[i] for i in piece], point)
+        if fault:
+            return Verdict(False, fault)
     return Verdict(True)
 
 
@@ -664,18 +662,9 @@ def verify_transversal(instance: ProblemInstance, cert) -> Verdict:
         if len(ws) != len(part.pieces) or len(pts) != len(part.pieces):
             return Verdict(False, "shape-mismatch")
         for piece, w, x in zip(part.pieces, ws, pts):
-            if len(w) != len(piece):
-                return Verdict(False, "shape-mismatch")
-            if any(v < 0 for v in w):
-                return Verdict(False, "negative-weight")
-            if sum(w) != 1:
-                return Verdict(False, "weight-sum")
-            combo = tuple(
-                sum((wi * cfg.points[i][c] for wi, i in zip(w, piece)), ZERO)
-                for c in range(d)
-            )
-            if combo != tuple(x):
-                return Verdict(False, "point-mismatch")
+            fault = convex_combination_fault(w, [cfg.points[i] for i in piece], x)
+            if fault:
+                return Verdict(False, fault)
             if not plane.contains(x):
                 return Verdict(False, "witness-off-plane")
     return Verdict(True)

@@ -152,50 +152,9 @@ def boundary_matrix(complex_: SimplicialComplex, d: int):
     return mat
 
 
-@dataclass(frozen=True)
-class ChainComplexModP:
-    """Boundary matrices over GF(p), with the composite checked to be zero."""
-
-    p: int
-    face_counts: tuple[int, ...]
-    boundaries: tuple  # boundaries[i] maps i-faces to (i-1)-faces, i >= 1
-
-    def __post_init__(self):
-        for d in range(2, len(self.face_counts)):
-            a = self.boundaries[d - 1]
-            b = self.boundaries[d]
-            if not a or not b:
-                continue
-            for j in range(len(b[0])):
-                col = [sum(a[i][t] * b[t][j] for t in range(len(b))) % self.p for i in range(len(a))]
-                if any(col):
-                    raise AssertionError("boundary of boundary is nonzero")
-
-
-def chain_complex_mod_p(complex_: SimplicialComplex, p: int) -> ChainComplexModP:
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    counts = complex_.f_vector()
-    boundaries = [None]
-    for d in range(1, complex_.dim + 1):
-        boundaries.append(boundary_matrix(complex_, d))
-    return ChainComplexModP(p, counts, tuple(boundaries))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def homology_mod_p(complex_: SimplicialComplex, p: int) -> tuple[int, ...]:
     """Unreduced Betti numbers over GF(p), dimensions 0..dim."""
-    if not _is_prime(p):
+    if not linalg.is_prime(p):
         raise ValueError(f"{p} is not prime")
     counts = complex_.f_vector()
     ranks = [0] * (complex_.dim + 2)
@@ -470,7 +429,7 @@ class DegreeReport:
 def _primes_from(start: int):
     n = start
     while True:
-        if _is_prime(n):
+        if linalg.is_prime(n):
             yield n
         n += 1
 

@@ -1,12 +1,20 @@
 """Independent reference implementations used only to validate the package.
 
 Nothing here imports the kernel or geometry internals: the simplex
-reference keeps a plain Fraction tableau, and the hull-intersection
-oracle enumerates simplex supports and solves square-ish linear systems
-with its own Gaussian elimination.
+reference keeps a plain Fraction tableau, the hull-intersection oracle
+enumerates simplex supports and solves square-ish linear systems with
+its own Gaussian elimination, and the orthogonal projection solves its
+Gram systems the same way.  The mod-p chain complex is the one check
+built on package functions: it composes `topology.boundary_matrix` with
+itself to confirm that the boundary of a boundary vanishes, and takes
+its primality test from `linalg`.
 """
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+
+from tverlab import topology
+from tverlab.linalg import is_prime
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -143,3 +151,69 @@ def caratheodory_feasible(pieces):
         if unique and all(v >= 0 for v in x):
             return True
     return False
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """Linear subspace of R^ambient_dim spanned by an independent basis."""
+
+    ambient_dim: int
+    basis: tuple
+
+    def __post_init__(self):
+        basis = tuple(tuple(Fraction(c) for c in v) for v in self.basis)
+        object.__setattr__(self, "basis", basis)
+        if any(len(v) != self.ambient_dim for v in basis):
+            raise ValueError("basis vector dimension mismatch")
+        if basis and not _gauss_solve(self.gram(), [ZERO] * len(basis))[1]:
+            raise ValueError("basis vectors must be linearly independent")
+
+    def gram(self):
+        return [[sum(a * b for a, b in zip(u, v)) for v in self.basis] for u in self.basis]
+
+
+def project(points, target: Subspace):
+    """Orthogonally project points onto target, in target-basis coordinates.
+
+    Solves the Gram system B B^T c = B x exactly for each point, so the
+    basis is never orthonormalised and everything stays rational.
+    """
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    if any(len(p) != target.ambient_dim for p in pts):
+        raise ValueError("point dimension does not match subspace")
+    gram = target.gram()
+    out = []
+    for p in pts:
+        rhs = [sum(b * c for b, c in zip(v, p)) for v in target.basis]
+        out.append(tuple(_gauss_solve(gram, rhs)[0]) if target.basis else ())
+    return out
+
+
+@dataclass(frozen=True)
+class ChainComplexModP:
+    """Boundary matrices over GF(p), with the composite checked to be zero."""
+
+    p: int
+    face_counts: tuple[int, ...]
+    boundaries: tuple  # boundaries[i] maps i-faces to (i-1)-faces, i >= 1
+
+    def __post_init__(self):
+        for d in range(2, len(self.face_counts)):
+            a = self.boundaries[d - 1]
+            b = self.boundaries[d]
+            if not a or not b:
+                continue
+            for j in range(len(b[0])):
+                col = [sum(a[i][t] * b[t][j] for t in range(len(b))) % self.p for i in range(len(a))]
+                if any(col):
+                    raise AssertionError("boundary of boundary is nonzero")
+
+
+def chain_complex_mod_p(complex_, p: int) -> ChainComplexModP:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    counts = complex_.f_vector()
+    boundaries = [None]
+    for d in range(1, complex_.dim + 1):
+        boundaries.append(topology.boundary_matrix(complex_, d))
+    return ChainComplexModP(p, counts, tuple(boundaries))

@@ -1,4 +1,4 @@
-"""Geometry layer: common-point LP vs the brute-force oracle, projections."""
+"""Geometry layer: common-point LP vs the brute-force oracle; the projection oracle."""
 import random
 from fractions import Fraction
 
@@ -7,16 +7,14 @@ import pytest
 from tverlab import geometry
 from tverlab.geometry import (
     CommonPointWitness,
-    Subspace,
     affine_dim,
     as_point,
     common_point_gap,
     lp_feasible_common_point,
-    project,
     verify_common_point_witness,
 )
 
-from oracles import caratheodory_feasible
+from oracles import Subspace, caratheodory_feasible, project
 
 F = Fraction
 

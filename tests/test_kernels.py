@@ -4,16 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from tverlab.kernels import simplex_py
-
-try:
-    from tverlab.kernels import _speed
-except ImportError:
-    _speed = None
+from tverlab import kernels
 
 from oracles import phase1_reference
-
-KERNELS = [simplex_py] + ([_speed] if _speed else [])
 
 
 def run_both(kernel, nrows, ncols, data, rhs, costs=None):
@@ -29,7 +22,8 @@ def run_both(kernel, nrows, ncols, data, rhs, costs=None):
     return got
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.KERNEL_NAME)
+# A single parameter keeps the recorded "[pure]" test ids stable.
+@pytest.mark.parametrize("kernel", [kernels], ids=["pure"])
 class TestPhase1:
     def test_single_equation(self, kernel):
         feasible, xnum, xden, *_ = kernel.phase1(1, 1, [[1]], [1])
@@ -98,16 +92,3 @@ class TestPhase1:
         b = kernel.phase1(2, 3, [r[:] for r in data], [4, 1])
         assert a == b
 
-
-@pytest.mark.skipif(_speed is None, reason="compiled kernel not built")
-def test_twins_bit_identical():
-    rng = random.Random(99)
-    for _ in range(150):
-        nrows = rng.randint(1, 6)
-        ncols = rng.randint(1, 8)
-        data = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
-        rhs = [rng.randint(0, 9) for _ in range(nrows)]
-        costs = [rng.randint(1, 5) for _ in range(nrows)]
-        pure = simplex_py.phase1(nrows, ncols, [r[:] for r in data], rhs[:], costs[:])
-        fast = _speed.phase1(nrows, ncols, [r[:] for r in data], rhs[:], costs[:])
-        assert pure == fast

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from tverlab import serialize, svg
+from tverlab import serialize, solver, svg
 from tverlab.geometry import lp_feasible_common_point, lp_solve_eq
 from tverlab.solver import KPlane
+
+from oracles import Subspace, project
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -96,3 +98,16 @@ def test_halton_values_lie_in_unit_interval(index, base):
     value = _halton(index, base)
     assert 0 <= value < 1
     assert _halton(index, base) == value
+
+
+@given(st.sampled_from(((2, 1), (3, 1), (3, 2), (4, 1), (4, 2))), st.data())
+def test_solver_projection_matches_gram_oracle(dk, data):
+    d, k = dk
+    params = [data.draw(rationals) for _ in range(k * (d - k))]
+    q = solver._quotient_from_params(d, k, params)
+    assert len(q) == d - k
+    for i, u in enumerate(q):
+        for j, v in enumerate(q):
+            assert sum(a * b for a, b in zip(u, v)) == (1 if i == j else 0)
+    x = tuple(data.draw(rationals) for _ in range(d))
+    assert solver._project(q, x) == project([x], Subspace(d, q))[0]

