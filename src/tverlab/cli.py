@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
-from . import serialize, svg, topology
+from . import serialize, svg
 from .errors import CapExceeded, DegenerateIntersection, ParseError, PreconditionError
 from .model import default_profile, tightness_instance, validate
 from .solver import (
@@ -64,6 +65,11 @@ def _profile_list(text: str) -> tuple[tuple[int, ...], ...]:
 def _usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_HYPOTHESIS
+
+
+def _given(**flags) -> dict:
+    """The flags that were set, as keyword arguments; callees default the rest."""
+    return {name: value for name, value in flags.items() if value is not None}
 
 
 def _point_str(point) -> str:
@@ -136,8 +142,10 @@ def cmd_partition(args) -> int:
 
 
 def cmd_transversal(args) -> int:
-    sampling_flags = [args.samples, args.refine, args.seed]
-    if args.exact_hyperplane and any(v is not None for v in sampling_flags):
+    sampling = _given(
+        samples=args.samples, refinement_depth=args.refine, seed=args.seed
+    )
+    if args.exact_hyperplane and sampling:
         return _usage("--exact-hyperplane does not take --samples/--refine/--seed")
     if args.cap is not None and not args.exact_hyperplane:
         return _usage("--cap only applies to --exact-hyperplane")
@@ -145,15 +153,11 @@ def cmd_transversal(args) -> int:
     if instance.k < 1:
         return _usage("transversal requires k >= 1 (use partition for k = 0)")
     if args.exact_hyperplane:
-        cap = args.cap if args.cap is not None else 5_000_000
-        report = solve_hyperplane_transversal_exact(instance, choice_cap=cap)
-    else:
-        budget = SearchBudget(
-            samples=args.samples if args.samples is not None else 10_000,
-            refinement_depth=args.refine if args.refine is not None else 6,
-            seed=args.seed if args.seed is not None else 0,
+        report = solve_hyperplane_transversal_exact(
+            instance, **_given(choice_cap=args.cap)
         )
-        report = solve_transversal(instance, budget)
+    else:
+        report = solve_transversal(instance, replace(SearchBudget(), **sampling))
     if report.certified:
         cert = report.certificate
         print(f"certified: plane base {_point_str(cert.plane.base)}")
@@ -177,14 +181,8 @@ def cmd_transversal(args) -> int:
     return EXIT_NO_CERTIFICATE
 
 
-def _apply_cap(args) -> None:
-    if getattr(args, "cap", None):
-        topology.FACET_CAP = args.cap
-
-
 def cmd_top_fvector(args) -> int:
-    _apply_cap(args)
-    complex_ = chessboard_complex(args.r, args.n)
+    complex_ = chessboard_complex(args.r, args.n, **_given(cap=args.cap))
     print(f"f-vector: {complex_.f_vector()}")
     print(f"dimension: {complex_.dim}")
     print(f"euler characteristic: {complex_.euler_characteristic()}")
@@ -192,16 +190,15 @@ def cmd_top_fvector(args) -> int:
 
 
 def cmd_top_homology(args) -> int:
-    _apply_cap(args)
-    complex_ = chessboard_complex(args.r, args.n)
+    complex_ = chessboard_complex(args.r, args.n, **_given(cap=args.cap))
     betti = homology_mod_p(complex_, args.p)
     print(f"betti numbers (mod {args.p}): {betti}")
     return EXIT_OK
 
 
 def cmd_top_pseudo(args) -> int:
-    _apply_cap(args)
-    report = is_pseudo_manifold(chessboard_complex(args.r, args.n))
+    complex_ = chessboard_complex(args.r, args.n, **_given(cap=args.cap))
+    report = is_pseudo_manifold(complex_)
     print(f"pure: {'yes' if report.pure else 'no'}")
     print(f"ridges in exactly two facets: {'yes' if not report.bad_ridges else 'no'}")
     print(f"facet graph connected: {'yes' if report.connected else 'no'}")
@@ -210,8 +207,7 @@ def cmd_top_pseudo(args) -> int:
 
 
 def cmd_top_orient(args) -> int:
-    _apply_cap(args)
-    complex_ = chessboard_complex(args.r, args.n)
+    complex_ = chessboard_complex(args.r, args.n, **_given(cap=args.cap))
     orientation = orient(complex_)
     if orientation is None:
         print("orientable: no")
@@ -224,10 +220,10 @@ def cmd_top_orient(args) -> int:
 
 
 def cmd_top_free(args) -> int:
-    _apply_cap(args)
-    complex_ = chessboard_complex(args.r, args.n)
+    cap_kw = _given(cap=args.cap)
+    complex_ = board = chessboard_complex(args.r, args.n, **cap_kw)
     for _ in range(args.copies - 1):
-        complex_ = join(complex_, chessboard_complex(args.r, args.n))
+        complex_ = join(complex_, board, **cap_kw)
     action = cyclic_row_action(args.r, args.n, copies=args.copies)
     free = is_free_action(complex_, action)
     print(f"cyclic row action free: {'yes' if free else 'no'}")
@@ -235,8 +231,9 @@ def cmd_top_free(args) -> int:
 
 
 def cmd_top_degree(args) -> int:
-    _apply_cap(args)
-    report = test_map_degree(args.r, args.d, max_attempts=args.attempts)
+    report = test_map_degree(
+        args.r, args.d, max_attempts=args.attempts, **_given(cap=args.cap)
+    )
     print(f"degree magnitude: {abs(report.degree)}")
     print(
         f"residue mod {report.modulus}: {report.residue} "
@@ -293,9 +290,9 @@ def cmd_sweep(args) -> int:
     profiles = args.profiles
     if profiles is None:
         profiles = tuple(default_profile(args.d, args.k, r) for r in args.rs)
-    budget = SearchBudget(
-        samples=args.samples if args.samples is not None else 10_000,
-        refinement_depth=args.refine if args.refine is not None else 6,
+    budget = replace(
+        SearchBudget(),
+        **_given(samples=args.samples, refinement_depth=args.refine),
         seed=args.seed,
     )
     report = sweep(
@@ -477,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    saved_cap = topology.FACET_CAP
     try:
         return args.func(args)
     except ParseError as exc:
@@ -489,10 +485,6 @@ def main(argv=None) -> int:
     except (PreconditionError, DegenerateIntersection, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    finally:
-        # --cap overrides the module-level facet cap; undo it so main()
-        # stays reentrant when driven as a library.
-        topology.FACET_CAP = saved_cap
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ repeats the search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
@@ -318,9 +318,19 @@ def _build_certificate(instance, q_rows, combo, witness) -> TransversalCertifica
         base = tuple(particular)
         dirs = tuple(tuple(v) for v in null)
     plane = KPlane(base=base, directions=dirs)
+    return _certificate(instance, plane, combo, witness.weights)
+
+
+def _certificate(instance, plane, combo, piece_weights) -> TransversalCertificate:
+    """Certificate for `plane` from one weight vector per piece of `combo`.
+
+    piece_weights runs over the pieces collection by collection; each
+    witness point is the convex combination of its piece's points.
+    """
+    d = instance.d
     weights = []
     points = []
-    flat = iter(witness.weights)
+    flat = iter(piece_weights)
     for ell, part in enumerate(combo):
         cfg = instance.collections[ell]
         col_w = []
@@ -570,38 +580,18 @@ def _hyperplane_lp(piece_pts, pairs, unit, stats):
 
 
 def _hyperplane_certificate(instance, combo, piece_pts, pairs, a_vec, beta):
-    d = instance.d
     particular, null = linalg.solve([list(a_vec)], [beta])
     plane = KPlane(base=tuple(particular), directions=tuple(tuple(v) for v in null))
-    weights = []
-    points = []
-    j = 0
-    for ell, part in enumerate(combo):
-        col_w = []
-        col_p = []
-        for piece in part.pieces:
-            pts = piece_pts[j]
-            lo, hi = pairs[j]
-            vlo, vhi = pts[lo], pts[hi]
-            alo = sum(a * v for a, v in zip(a_vec, vlo))
-            ahi = sum(a * v for a, v in zip(a_vec, vhi))
-            t = ZERO if ahi == alo else (beta - alo) / (ahi - alo)
-            w = [ZERO] * len(pts)
-            w[lo] += 1 - t
-            w[hi] += t
-            col_w.append(tuple(w))
-            col_p.append(
-                tuple(vlo[c] + t * (vhi[c] - vlo[c]) for c in range(d))
-            )
-            j += 1
-        weights.append(tuple(col_w))
-        points.append(tuple(col_p))
-    return TransversalCertificate(
-        plane=plane,
-        partitions=tuple(combo),
-        weights=tuple(weights),
-        witness_points=tuple(points),
-    )
+    piece_weights = []
+    for pts, (lo, hi) in zip(piece_pts, pairs):
+        alo = sum(a * v for a, v in zip(a_vec, pts[lo]))
+        ahi = sum(a * v for a, v in zip(a_vec, pts[hi]))
+        t = ZERO if ahi == alo else (beta - alo) / (ahi - alo)
+        w = [ZERO] * len(pts)
+        w[lo] += 1 - t
+        w[hi] += t
+        piece_weights.append(w)
+    return _certificate(instance, plane, combo, piece_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -791,11 +781,7 @@ def sweep(
             report = solve_hyperplane_transversal_exact(inst)
         else:
             trial_budget = budget or SearchBudget()
-            trial_budget = SearchBudget(
-                samples=trial_budget.samples,
-                refinement_depth=trial_budget.refinement_depth,
-                seed=trial_budget.seed + i,
-            )
+            trial_budget = replace(trial_budget, seed=trial_budget.seed + i)
             report = solve_transversal(inst, trial_budget)
         label = {
             "certified": "certified",

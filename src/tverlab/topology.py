@@ -10,6 +10,7 @@ preimages of one regular value; no floating point, no normalisation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,30 +20,51 @@ from .errors import CapExceeded, PreconditionError
 FACET_CAP = 10**7
 
 
+def _check_cap(count: int, cap: int) -> None:
+    if count > cap:
+        raise CapExceeded(f"facet count {count} exceeds cap {cap}")
+
+
+def _is_inclusion_maximal(canon) -> bool:
+    """No facet of canon (distinct sorted tuples) is a face of another.
+
+    Distinct facets of one size never nest, so a pure list passes at once;
+    otherwise each facet's faces of every smaller facet size are looked up.
+    """
+    sizes = sorted({len(f) for f in canon})
+    if len(sizes) == 1:
+        return True
+    present = set(canon)
+    for f in canon:
+        for size in sizes:
+            if size >= len(f):
+                break
+            if any(face in present for face in itertools.combinations(f, size)):
+                return False
+    return True
+
+
 class SimplicialComplex:
     """Finite abstract simplicial complex given by its facets.
 
     Vertices are 0..n_vertices-1.  Facets must be inclusion-maximal;
-    faces of every dimension are derived on demand and cached.
+    faces of every dimension are derived on demand and cached.  More than
+    `cap` distinct facets raise CapExceeded.
     """
 
-    def __init__(self, n_vertices: int, facets):
+    def __init__(self, n_vertices: int, facets, cap: int = FACET_CAP):
         self.n_vertices = n_vertices
         canon = sorted({tuple(sorted(f)) for f in facets})
         if not canon:
             raise ValueError("a complex needs at least one facet")
-        if len(canon) > FACET_CAP:
-            raise CapExceeded(f"facet count {len(canon)} exceeds cap {FACET_CAP}")
+        _check_cap(len(canon), cap)
         for f in canon:
             if any(v < 0 or v >= n_vertices for v in f):
                 raise ValueError("facet vertex out of range")
             if len(set(f)) != len(f):
                 raise ValueError("facet repeats a vertex")
-        sets = [frozenset(f) for f in canon]
-        for i, fi in enumerate(sets):
-            for j, fj in enumerate(sets):
-                if i != j and fi < fj:
-                    raise ValueError("facet list is not inclusion-maximal")
+        if not _is_inclusion_maximal(canon):
+            raise ValueError("facet list is not inclusion-maximal")
         self.facets = tuple(canon)
         self._faces: dict[int, tuple] | None = None
 
@@ -80,14 +102,16 @@ class SimplicialComplex:
         return f"SimplicialComplex(n={self.n_vertices}, facets={len(self.facets)}, dim={self.dim})"
 
 
-def chessboard_complex(rows: int, cols: int) -> SimplicialComplex:
+def chessboard_complex(rows: int, cols: int, cap: int = FACET_CAP) -> SimplicialComplex:
     """Complex of non-attacking rook placements on a rows x cols board.
 
     Vertex (i, j) gets id i*cols + j.  Faces are partial matchings; the
-    facets are the placements of min(rows, cols) rooks.
+    facets are the placements of min(rows, cols) rooks.  The facet count
+    is checked against `cap` before any facet is generated.
     """
     if rows < 1 or cols < 1:
         raise ValueError("board sides must be positive")
+    _check_cap(math.perm(max(rows, cols), min(rows, cols)), cap)
     facets = []
     if cols <= rows:
         for perm in itertools.permutations(range(rows), cols):
@@ -95,20 +119,19 @@ def chessboard_complex(rows: int, cols: int) -> SimplicialComplex:
     else:
         for perm in itertools.permutations(range(cols), rows):
             facets.append(tuple(sorted(i * cols + perm[i] for i in range(rows))))
-    return SimplicialComplex(rows * cols, facets)
+    return SimplicialComplex(rows * cols, facets, cap)
 
 
-def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
+def join(a: SimplicialComplex, b: SimplicialComplex, cap: int = FACET_CAP) -> SimplicialComplex:
     """Simplicial join; b's vertices are shifted past a's."""
+    _check_cap(len(a.facets) * len(b.facets), cap)
     off = a.n_vertices
     facets = [
         fa + tuple(v + off for v in fb)
         for fa in a.facets
         for fb in b.facets
     ]
-    if len(facets) > FACET_CAP:
-        raise CapExceeded("join facet count exceeds cap")
-    return SimplicialComplex(a.n_vertices + b.n_vertices, facets)
+    return SimplicialComplex(a.n_vertices + b.n_vertices, facets, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -346,36 +369,25 @@ class PLMap:
             raise ValueError("image point dimension mismatch")
 
 
-def test_map_complex(r: int, d: int):
+def test_map_complex(r: int, d: int, cap: int = FACET_CAP):
     """(d+1)-fold join of the r x (r-1) chessboard complex, with vertex info.
 
     Returns (complex, info) where info[v] = (factor, row, col).  Vertex
-    ids are factor-major, then row-major.
+    ids are factor-major, then row-major.  The facet count of the whole
+    join is checked against `cap` before any facet is generated.
     """
     if r < 2 or d < 0:
         raise ValueError("need r >= 2 and d >= 0")
-    per = r * (r - 1)
-    n = (d + 1) * per
-    factor_facets = []
-    for perm in itertools.permutations(range(r), r - 1):
-        factor_facets.append(tuple(sorted(perm[j] * (r - 1) + j for j in range(r - 1))))
-    if len(factor_facets) ** (d + 1) > FACET_CAP:
-        raise CapExceeded("join facet count exceeds cap")
-    facets = []
-    for combo in itertools.product(factor_facets, repeat=d + 1):
-        facets.append(
-            tuple(
-                ell * per + v
-                for ell, ff in enumerate(combo)
-                for v in ff
-            )
-        )
+    _check_cap(math.perm(r, r - 1) ** (d + 1), cap)
+    complex_ = board = chessboard_complex(r, r - 1, cap)
+    for _ in range(d):
+        complex_ = join(complex_, board, cap)
     info = []
     for ell in range(d + 1):
         for i in range(r):
             for j in range(r - 1):
                 info.append((ell, i, j))
-    return SimplicialComplex(n, facets), tuple(info)
+    return complex_, tuple(info)
 
 
 def _weight_coords(r: int, row: int):
@@ -386,7 +398,7 @@ def _weight_coords(r: int, row: int):
     ]
 
 
-def test_map(r: int, d: int) -> PLMap:
+def test_map(r: int, d: int, cap: int = FACET_CAP) -> PLMap:
     """The canonical weight map on the (d+1)-fold chessboard join.
 
     Factor 0 plays the role of the class sent to -(e_1+...+e_d); factor
@@ -394,7 +406,7 @@ def test_map(r: int, d: int) -> PLMap:
     projected c-weighted piece masses, so the image lies in a product of
     d+1 sum-zero hyperplanes, dimension (r-1)(d+1).
     """
-    complex_, info = test_map_complex(r, d)
+    complex_, info = test_map_complex(r, d, cap)
     target_dim = (r - 1) * (d + 1)
     images = []
     for ell, i, _j in info:
@@ -434,7 +446,9 @@ def _primes_from(start: int):
         n += 1
 
 
-def test_map_degree(r: int, d: int, max_attempts: int = 64, initial_nudges: int = 0) -> DegreeReport:
+def test_map_degree(
+    r: int, d: int, max_attempts: int = 64, initial_nudges: int = 0, cap: int = FACET_CAP
+) -> DegreeReport:
     """Exact degree of the weight map by signed preimage counting.
 
     Orients the join (it must be an orientable pseudo-manifold), picks
@@ -446,9 +460,10 @@ def test_map_degree(r: int, d: int, max_attempts: int = 64, initial_nudges: int 
     it is nudged by 1/q along successive axes with q running through
     primes from 1009 upward, and the scan restarts.  `initial_nudges`
     starts that schedule further along, which must not change the
-    degree; it exists so the invariance can be exercised directly.
+    degree; it exists so the invariance can be exercised directly.  `cap`
+    bounds the facet count of the join.
     """
-    plm = test_map(r, d)
+    plm = test_map(r, d, cap)
     complex_ = plm.complex_
     ori = orient(complex_)
     if ori is None:
@@ -508,13 +523,16 @@ class DimsReport:
     complement_rank: int
 
 
-def dims_report(profile, r: int, d: int, k: int, cross_check: bool = True) -> DimsReport:
+def dims_report(
+    profile, r: int, d: int, k: int, cross_check: bool = True, cap: int = FACET_CAP
+) -> DimsReport:
     """Dimensions of the join complexes and bundle ranks for (profile, r, d, k).
 
     profile lists the class sizes c_0..c_m (each at most r-1).  The join
     over the classes has dimension sum(c_i) - 1; the matched-size join of
     full r x (r-1) boards has dimension (r-1)(m+1) - 1.  Small profiles
-    are cross-checked against explicitly constructed complexes.
+    are cross-checked against explicitly constructed complexes, whose
+    facet counts are bounded by `cap`.
     """
     profile = tuple(profile)
     if not profile or any(not 0 < c <= r - 1 for c in profile):
@@ -534,7 +552,8 @@ def dims_report(profile, r: int, d: int, k: int, cross_check: bool = True) -> Di
     if cross_check and s <= 12:
         k_complex = None
         for c in profile:
-            factor = chessboard_complex(r, c)
-            k_complex = factor if k_complex is None else join(k_complex, factor)
-        assert k_complex.dim == report.join_dim
+            factor = chessboard_complex(r, c, cap)
+            k_complex = factor if k_complex is None else join(k_complex, factor, cap)
+        if k_complex.dim != report.join_dim:
+            raise RuntimeError(f"class join has dimension {k_complex.dim}, not {report.join_dim}")
     return report

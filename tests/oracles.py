@@ -4,10 +4,11 @@ Nothing here imports the kernel or geometry internals: the simplex
 reference keeps a plain Fraction tableau, the hull-intersection oracle
 enumerates simplex supports and solves square-ish linear systems with
 its own Gaussian elimination, and the orthogonal projection solves its
-Gram systems the same way.  The mod-p chain complex is the one check
-built on package functions: it composes `topology.boundary_matrix` with
-itself to confirm that the boundary of a boundary vanishes, and takes
-its primality test from `linalg`.
+Gram systems the same way.  The facet-maximality reference compares
+every pair of facets.  The mod-p chain complex is the one check built on
+package functions: it composes `topology.boundary_matrix` with itself to
+confirm that the boundary of a boundary vanishes, and takes its
+primality test from `linalg`.
 """
 import itertools
 from dataclasses import dataclass
@@ -187,6 +188,16 @@ def project(points, target: Subspace):
         rhs = [sum(b * c for b, c in zip(v, p)) for v in target.basis]
         out.append(tuple(_gauss_solve(gram, rhs)[0]) if target.basis else ())
     return out
+
+
+def inclusion_maximal(facets) -> bool:
+    """True iff no facet is a proper subset of another, by comparing all pairs."""
+    sets = [frozenset(f) for f in {tuple(sorted(f)) for f in facets}]
+    for i, fi in enumerate(sets):
+        for j, fj in enumerate(sets):
+            if i != j and fi < fj:
+                return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -261,6 +261,14 @@ def test_topology_degree_cap(capsys):
     assert code == 4
 
 
+def test_topology_cap_zero_is_honoured(capsys):
+    code, _, err = run(
+        capsys, "topology", "fvector", "--r", "3", "--n", "2", "--cap", "0"
+    )
+    assert code == 4
+    assert "cap 0" in err
+
+
 def test_topology_dims(capsys):
     code, out, _ = run(
         capsys, "topology", "dims", "--r", "3", "--d", "2", "--k", "1"

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from tverlab import serialize, solver, svg
 from tverlab.geometry import lp_feasible_common_point, lp_solve_eq
 from tverlab.solver import KPlane
+from tverlab.topology import SimplicialComplex
 
-from oracles import Subspace, project
+from oracles import Subspace, inclusion_maximal, project
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -111,3 +112,26 @@ def test_solver_projection_matches_gram_oracle(dk, data):
             assert sum(a * b for a, b in zip(u, v)) == (1 if i == j else 0)
     x = tuple(data.draw(rationals) for _ in range(d))
     assert solver._project(q, x) == project([x], Subspace(d, q))[0]
+
+
+@given(
+    st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=4), min_size=1, max_size=6),
+    st.data(),
+)
+@settings(max_examples=300)
+def test_facet_maximality_matches_pairwise_oracle(facets, data):
+    # faces of drawn facets (nested lists) and reversed copies (duplicates)
+    derived = []
+    picks = st.lists(st.tuples(st.integers(0, 5), st.integers(1, 15)), max_size=2)
+    for i, mask in data.draw(picks):
+        facet = sorted(facets[i % len(facets)])
+        face = [v for bit, v in enumerate(facet) if mask >> bit & 1]
+        derived.append(face or facet[::-1])
+    facets = [sorted(f) for f in facets] + derived
+    try:
+        SimplicialComplex(10, facets)
+        accepted = True
+    except ValueError as exc:
+        assert "inclusion-maximal" in str(exc)
+        accepted = False
+    assert accepted == inclusion_maximal(facets)

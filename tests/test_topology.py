@@ -349,9 +349,26 @@ def test_dims_report_rejects_oversized_class():
         tp.dims_report([1, 1], 2, 1, 2)
 
 
-def test_caps_are_enforced(monkeypatch):
-    monkeypatch.setattr(tp, "FACET_CAP", 10)
+def test_caps_are_enforced():
     with pytest.raises(CapExceeded):
-        tp.chessboard_complex(5, 4)
+        tp.chessboard_complex(5, 4, cap=10)
     with pytest.raises(CapExceeded):
-        tp.test_map_complex(3, 2)
+        tp.test_map_complex(3, 2, cap=10)
+    board = tp.chessboard_complex(3, 2)
+    with pytest.raises(CapExceeded):
+        tp.join(board, board, cap=35)
+    assert len(tp.join(board, board, cap=36).facets) == 36
+    with pytest.raises(CapExceeded):
+        tp.dims_report([2, 2], 3, 2, 0, cap=35)
+
+
+def test_default_cap_fires_before_facets_are_generated(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("facets were enumerated past the cap")
+
+    monkeypatch.setattr(tp.itertools, "permutations", no_enumeration)
+    # 11! = 39,916,800 rook placements, 6^10 join facets: both above 10^7
+    with pytest.raises(CapExceeded):
+        tp.chessboard_complex(11, 11)
+    with pytest.raises(CapExceeded):
+        tp.test_map_complex(3, 9)
