@@ -28,19 +28,25 @@ def _check_cap(count: int, cap: int) -> None:
 def _is_inclusion_maximal(canon) -> bool:
     """No facet of canon (distinct sorted tuples) is a face of another.
 
-    Distinct facets of one size never nest, so a pure list passes at once;
-    otherwise each facet's faces of every smaller facet size are looked up.
+    Distinct facets of one size never nest, so only facets below the top
+    size are checked (none, for a pure list), each against the larger
+    facets through its rarest vertex, which any facet containing it has.
     """
-    sizes = sorted({len(f) for f in canon})
-    if len(sizes) == 1:
+    top = max(len(f) for f in canon)
+    smaller = [g for g in canon if len(g) < top]
+    if not smaller:
         return True
-    present = set(canon)
+    by_vertex: dict[int, list] = {}
     for f in canon:
-        for size in sizes:
-            if size >= len(f):
-                break
-            if any(face in present for face in itertools.combinations(f, size)):
-                return False
+        for v in f:
+            by_vertex.setdefault(v, []).append(f)
+    for g in smaller:
+        if not g:
+            return False  # the empty face lies in every other facet
+        rarest = min(g, key=lambda v: len(by_vertex[v]))
+        members = set(g)
+        if any(len(f) > len(g) and members.issubset(f) for f in by_vertex[rarest]):
+            return False
     return True
 
 
@@ -48,16 +54,14 @@ class SimplicialComplex:
     """Finite abstract simplicial complex given by its facets.
 
     Vertices are 0..n_vertices-1.  Facets must be inclusion-maximal;
-    faces of every dimension are derived on demand and cached.  More than
-    `cap` distinct facets raise CapExceeded.
+    faces of every dimension are derived on demand and cached.
     """
 
-    def __init__(self, n_vertices: int, facets, cap: int = FACET_CAP):
+    def __init__(self, n_vertices: int, facets):
         self.n_vertices = n_vertices
         canon = sorted({tuple(sorted(f)) for f in facets})
         if not canon:
             raise ValueError("a complex needs at least one facet")
-        _check_cap(len(canon), cap)
         for f in canon:
             if any(v < 0 or v >= n_vertices for v in f):
                 raise ValueError("facet vertex out of range")
@@ -119,7 +123,7 @@ def chessboard_complex(rows: int, cols: int, cap: int = FACET_CAP) -> Simplicial
     else:
         for perm in itertools.permutations(range(cols), rows):
             facets.append(tuple(sorted(i * cols + perm[i] for i in range(rows))))
-    return SimplicialComplex(rows * cols, facets, cap)
+    return SimplicialComplex(rows * cols, facets)
 
 
 def join(a: SimplicialComplex, b: SimplicialComplex, cap: int = FACET_CAP) -> SimplicialComplex:
@@ -131,7 +135,7 @@ def join(a: SimplicialComplex, b: SimplicialComplex, cap: int = FACET_CAP) -> Si
         for fa in a.facets
         for fb in b.facets
     ]
-    return SimplicialComplex(a.n_vertices + b.n_vertices, facets, cap)
+    return SimplicialComplex(a.n_vertices + b.n_vertices, facets)
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +527,13 @@ class DimsReport:
     complement_rank: int
 
 
-def dims_report(
-    profile, r: int, d: int, k: int, cross_check: bool = True, cap: int = FACET_CAP
-) -> DimsReport:
+def dims_report(profile, r: int, d: int, k: int, cross_check: bool = True) -> DimsReport:
     """Dimensions of the join complexes and bundle ranks for (profile, r, d, k).
 
     profile lists the class sizes c_0..c_m (each at most r-1).  The join
     over the classes has dimension sum(c_i) - 1; the matched-size join of
     full r x (r-1) boards has dimension (r-1)(m+1) - 1.  Small profiles
-    are cross-checked against explicitly constructed complexes, whose
-    facet counts are bounded by `cap`.
+    are cross-checked against explicitly constructed complexes.
     """
     profile = tuple(profile)
     if not profile or any(not 0 < c <= r - 1 for c in profile):
@@ -552,8 +553,8 @@ def dims_report(
     if cross_check and s <= 12:
         k_complex = None
         for c in profile:
-            factor = chessboard_complex(r, c, cap)
-            k_complex = factor if k_complex is None else join(k_complex, factor, cap)
+            factor = chessboard_complex(r, c)
+            k_complex = factor if k_complex is None else join(k_complex, factor)
         if k_complex.dim != report.join_dim:
             raise RuntimeError(f"class join has dimension {k_complex.dim}, not {report.join_dim}")
     return report

@@ -349,6 +349,14 @@ def test_dims_report_rejects_oversized_class():
         tp.dims_report([1, 1], 2, 1, 2)
 
 
+def test_mixed_size_facet_check_needs_no_face_enumeration():
+    # C(30, 15) faces of the larger facet would be listed by a face lookup
+    c = tp.SimplicialComplex(45, [tuple(range(30)), tuple(range(30, 45))])
+    assert len(c.facets) == 2
+    with pytest.raises(ValueError, match="inclusion-maximal"):
+        tp.SimplicialComplex(45, [tuple(range(30)), tuple(range(15))])
+
+
 def test_caps_are_enforced():
     with pytest.raises(CapExceeded):
         tp.chessboard_complex(5, 4, cap=10)
@@ -358,8 +366,6 @@ def test_caps_are_enforced():
     with pytest.raises(CapExceeded):
         tp.join(board, board, cap=35)
     assert len(tp.join(board, board, cap=36).facets) == 36
-    with pytest.raises(CapExceeded):
-        tp.dims_report([2, 2], 3, 2, 0, cap=35)
 
 
 def test_default_cap_fires_before_facets_are_generated(monkeypatch):
