@@ -72,6 +72,11 @@ def _given(**flags) -> dict:
     return {name: value for name, value in flags.items() if value is not None}
 
 
+def _board(args):
+    """The chessboard complex named by a board subcommand's --r, --n and --cap."""
+    return chessboard_complex(args.r, args.n, **_given(cap=args.cap))
+
+
 def _point_str(point) -> str:
     return "(" + ", ".join(str(c) for c in point) + ")"
 
@@ -182,7 +187,7 @@ def cmd_transversal(args) -> int:
 
 
 def cmd_top_fvector(args) -> int:
-    complex_ = chessboard_complex(args.r, args.n, **_given(cap=args.cap))
+    complex_ = _board(args)
     print(f"f-vector: {complex_.f_vector()}")
     print(f"dimension: {complex_.dim}")
     print(f"euler characteristic: {complex_.euler_characteristic()}")
@@ -190,14 +195,14 @@ def cmd_top_fvector(args) -> int:
 
 
 def cmd_top_homology(args) -> int:
-    complex_ = chessboard_complex(args.r, args.n, **_given(cap=args.cap))
+    complex_ = _board(args)
     betti = homology_mod_p(complex_, args.p)
     print(f"betti numbers (mod {args.p}): {betti}")
     return EXIT_OK
 
 
 def cmd_top_pseudo(args) -> int:
-    complex_ = chessboard_complex(args.r, args.n, **_given(cap=args.cap))
+    complex_ = _board(args)
     report = is_pseudo_manifold(complex_)
     print(f"pure: {'yes' if report.pure else 'no'}")
     print(f"ridges in exactly two facets: {'yes' if not report.bad_ridges else 'no'}")
@@ -207,7 +212,7 @@ def cmd_top_pseudo(args) -> int:
 
 
 def cmd_top_orient(args) -> int:
-    complex_ = chessboard_complex(args.r, args.n, **_given(cap=args.cap))
+    complex_ = _board(args)
     orientation = orient(complex_)
     if orientation is None:
         print("orientable: no")
@@ -220,10 +225,9 @@ def cmd_top_orient(args) -> int:
 
 
 def cmd_top_free(args) -> int:
-    cap_kw = _given(cap=args.cap)
-    complex_ = board = chessboard_complex(args.r, args.n, **cap_kw)
+    complex_ = board = _board(args)
     for _ in range(args.copies - 1):
-        complex_ = join(complex_, board, **cap_kw)
+        complex_ = join(complex_, board, **_given(cap=args.cap))
     action = cyclic_row_action(args.r, args.n, copies=args.copies)
     free = is_free_action(complex_, action)
     print(f"cyclic row action free: {'yes' if free else 'no'}")
@@ -342,6 +346,16 @@ def cmd_plot(args) -> int:
 # parser
 
 
+def _board_parser(tsub, name: str, help_text: str, func):
+    """A topology subcommand that builds the chessboard complex --r x --n."""
+    q = tsub.add_parser(name, help=help_text)
+    q.add_argument("--r", type=int, required=True, help="rows")
+    q.add_argument("--n", type=int, required=True, help="columns")
+    q.add_argument("--cap", type=int, help="facet cap override")
+    q.set_defaults(func=func)
+    return q
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tverlab",
@@ -382,37 +396,15 @@ def build_parser() -> argparse.ArgumentParser:
     top = sub.add_parser("topology", help="combinatorial reports")
     tsub = top.add_subparsers(dest="subcommand", required=True)
 
-    q = tsub.add_parser("fvector", help="face counts of a chessboard complex")
-    q.add_argument("--r", type=int, required=True, help="rows")
-    q.add_argument("--n", type=int, required=True, help="columns")
-    q.add_argument("--cap", type=int, help="facet cap override")
-    q.set_defaults(func=cmd_top_fvector)
-
-    q = tsub.add_parser("homology", help="mod-p betti numbers")
-    q.add_argument("--r", type=int, required=True, help="rows")
-    q.add_argument("--n", type=int, required=True, help="columns")
+    _board_parser(
+        tsub, "fvector", "face counts of a chessboard complex", cmd_top_fvector
+    )
+    q = _board_parser(tsub, "homology", "mod-p betti numbers", cmd_top_homology)
     q.add_argument("--p", type=int, required=True, help="coefficient prime")
-    q.add_argument("--cap", type=int, help="facet cap override")
-    q.set_defaults(func=cmd_top_homology)
-
-    q = tsub.add_parser("pseudo", help="pseudo-manifold check")
-    q.add_argument("--r", type=int, required=True, help="rows")
-    q.add_argument("--n", type=int, required=True, help="columns")
-    q.add_argument("--cap", type=int, help="facet cap override")
-    q.set_defaults(func=cmd_top_pseudo)
-
-    q = tsub.add_parser("orient", help="orient a pseudo-manifold")
-    q.add_argument("--r", type=int, required=True, help="rows")
-    q.add_argument("--n", type=int, required=True, help="columns")
-    q.add_argument("--cap", type=int, help="facet cap override")
-    q.set_defaults(func=cmd_top_orient)
-
-    q = tsub.add_parser("free", help="check the cyclic row action is free")
-    q.add_argument("--r", type=int, required=True, help="rows")
-    q.add_argument("--n", type=int, required=True, help="columns")
+    _board_parser(tsub, "pseudo", "pseudo-manifold check", cmd_top_pseudo)
+    _board_parser(tsub, "orient", "orient a pseudo-manifold", cmd_top_orient)
+    q = _board_parser(tsub, "free", "check the cyclic row action is free", cmd_top_free)
     q.add_argument("--copies", type=int, default=1, help="join copies")
-    q.add_argument("--cap", type=int, help="facet cap override")
-    q.set_defaults(func=cmd_top_free)
 
     q = tsub.add_parser("degree", help="signed crossing count of the canonical map")
     q.add_argument("--r", type=int, required=True, help="pieces")

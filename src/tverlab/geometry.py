@@ -126,9 +126,7 @@ def common_point_gap(pieces):
     if x is None:
         return None, gap
     weights = tuple(tuple(x[offs[j]:offs[j + 1]]) for j in range(len(pcs)))
-    point = tuple(
-        sum((w * p[c] for w, p in zip(weights[0], pcs[0])), ZERO) for c in range(dim)
-    )
+    point = convex_combination(weights[0], pcs[0])
     return CommonPointWitness(point=point, weights=weights), ZERO
 
 
@@ -136,6 +134,13 @@ def lp_feasible_common_point(pieces):
     """Exact witness that all pieces' hulls share a point, or None."""
     witness, _ = common_point_gap(pieces)
     return witness
+
+
+def convex_combination(weights, points) -> Point:
+    """The point sum(w_i * p_i), each coordinate summed in order from 0."""
+    return tuple(
+        sum((w * p[c] for w, p in zip(weights, points)), ZERO) for c in range(len(points[0]))
+    )
 
 
 def convex_combination_fault(weights, points, target=None) -> str:
@@ -154,10 +159,7 @@ def convex_combination_fault(weights, points, target=None) -> str:
         return "weight-sum"
     if target is None:
         return ""
-    combo = tuple(
-        sum((w * p[c] for w, p in zip(weights, points)), ZERO) for c in range(len(points[0]))
-    )
-    if combo != tuple(target):
+    if convex_combination(weights, points) != tuple(target):
         return "point-mismatch"
     return ""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 from . import linalg
 from .errors import CapExceeded, DegenerateIntersection, PreconditionError
@@ -29,6 +29,7 @@ from .geometry import (
     Verdict,
     as_point,
     common_point_gap,
+    convex_combination,
     convex_combination_fault,
     lp_solve_eq,
 )
@@ -140,12 +141,43 @@ class SolveReport:
 # exhaustive common-point search (0-dimensional planes)
 
 
+def _least(best, gap):
+    """The smaller of two gaps, where a best of None means none seen yet."""
+    return gap if best is None or gap < best else best
+
+
+def _first_feasible(solve, candidates, stats):
+    """Solve `(key, lp)` candidates in order until one is feasible.
+
+    `solve(lp)` returns (hit, gap) with hit None when infeasible.  Returns
+    ((key, hit), 0) for the first feasible candidate, else (None, least
+    gap), which is None when there were no candidates.
+    """
+    best = None
+    for key, lp in candidates:
+        hit, gap = solve(lp)
+        stats["lps"] += 1
+        if hit is not None:
+            return (key, hit), ZERO
+        best = _least(best, gap)
+    return None, best
+
+
 def _nonempty_partitions(config: ColoredConfig, r: int):
-    return [
+    return (
         part
         for part in enumerate_colorful_partitions(config, r)
         if all(part.pieces)
+    )
+
+
+def _partition_lists(instance: ProblemInstance):
+    """Nonempty colorful partitions per collection; None if one has none."""
+    lists = [
+        list(_nonempty_partitions(cfg, r))
+        for cfg, r in zip(instance.collections, instance.rs)
     ]
+    return lists if all(lists) else None
 
 
 def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
@@ -153,24 +185,21 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     if r < 2:
         raise ValueError("need at least two pieces")
     stats = {"partitions": 0, "lps": 0}
-    best_gap = None
-    for part in enumerate_colorful_partitions(config, r):
-        if not all(part.pieces):
-            continue
-        stats["partitions"] += 1
-        pieces = [[config.points[i] for i in piece] for piece in part.pieces]
-        witness, gap = common_point_gap(pieces)
-        stats["lps"] += 1
-        if witness is not None:
-            cert = TverbergCertificate(
-                point=witness.point, partition=part, weights=witness.weights
-            )
-            return SolveReport("certified", cert, ZERO, stats)
-        if best_gap is None or gap < best_gap:
-            best_gap = gap
-    if stats["partitions"] == 0:
+    candidates = (
+        (part, [[config.points[i] for i in piece] for piece in part.pieces])
+        for part in _nonempty_partitions(config, r)
+    )
+    hit, gap = _first_feasible(common_point_gap, candidates, stats)
+    stats["partitions"] = stats["lps"]  # one LP per partition
+    if hit is not None:
+        part, witness = hit
+        cert = TverbergCertificate(
+            point=witness.point, partition=part, weights=witness.weights
+        )
+        return SolveReport("certified", cert, ZERO, stats)
+    if gap is None:
         return SolveReport("no-valid-partition", None, None, stats)
-    return SolveReport("infeasible-exhausted", None, best_gap, stats)
+    return SolveReport("infeasible-exhausted", None, gap, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +209,10 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
 def _halton(index: int, base: int) -> Fraction:
     f = ONE
     r = ZERO
-    i = index
-    while i > 0:
+    while index > 0:
         f /= base
-        r += f * (i % base)
-        i //= base
+        r += f * (index % base)
+        index //= base
     return r
 
 
@@ -241,8 +269,7 @@ def _snap_quotients(instance: ProblemInstance):
         if ux == 0 and uy == 0:
             continue
         row = (-uy, ux)
-        scale = gcd(row[0].denominator, row[1].denominator)
-        scale = (row[0].denominator * row[1].denominator) // scale
+        scale = lcm(row[0].denominator, row[1].denominator)
         ints = [int(v * scale) for v in row]
         g = gcd(ints[0], ints[1])
         ints = [v // g for v in ints]
@@ -258,6 +285,15 @@ def _snap_quotients(instance: ProblemInstance):
     return out
 
 
+def _combo_pieces(point_lists, combo):
+    """The point list of every piece of `combo`, collection by collection."""
+    return [
+        [pts[i] for i in piece]
+        for pts, part in zip(point_lists, combo)
+        for piece in part.pieces
+    ]
+
+
 def _evaluate_direction(q_rows, collections, partitions_per_col, stats):
     """(certificate pieces, gap) for one quotient; gap 0 on success.
 
@@ -270,8 +306,7 @@ def _evaluate_direction(q_rows, collections, partitions_per_col, stats):
         [_project(q_rows, p) for p in cfg.points] for cfg in collections
     ]
     survivors = []
-    prefail_gap = ZERO
-    failed = False
+    misses = []  # least gap of each collection with no surviving partition
     for ell, plist in enumerate(partitions_per_col):
         good = []
         gmin = None
@@ -281,27 +316,17 @@ def _evaluate_direction(q_rows, collections, partitions_per_col, stats):
             stats["lps"] += 1
             if witness is not None:
                 good.append(part)
-            elif gmin is None or gap < gmin:
-                gmin = gap
+            else:
+                gmin = _least(gmin, gap)
         survivors.append(good)
         if not good:
-            failed = True
-            prefail_gap += gmin
-    if failed:
-        return None, prefail_gap
-    best = None
-    for combo in itertools.product(*survivors):
-        pooled = []
-        for ell, part in enumerate(combo):
-            for piece in part.pieces:
-                pooled.append([proj[ell][i] for i in piece])
-        witness, gap = common_point_gap(pooled)
-        stats["lps"] += 1
-        if witness is not None:
-            return (combo, witness), ZERO
-        if best is None or gap < best:
-            best = gap
-    return None, best
+            misses.append(gmin)
+    if misses:
+        return None, sum(misses, ZERO)
+    pooled = (
+        (combo, _combo_pieces(proj, combo)) for combo in itertools.product(*survivors)
+    )
+    return _first_feasible(common_point_gap, pooled, stats)
 
 
 def _build_certificate(instance, q_rows, combo, witness) -> TransversalCertificate:
@@ -327,32 +352,51 @@ def _certificate(instance, plane, combo, piece_weights) -> TransversalCertificat
     piece_weights runs over the pieces collection by collection; each
     witness point is the convex combination of its piece's points.
     """
-    d = instance.d
+    point_lists = [cfg.points for cfg in instance.collections]
+    flat = iter(zip(piece_weights, _combo_pieces(point_lists, combo)))
     weights = []
     points = []
-    flat = iter(piece_weights)
-    for ell, part in enumerate(combo):
-        cfg = instance.collections[ell]
-        col_w = []
-        col_p = []
-        for piece in part.pieces:
-            w = next(flat)
-            col_w.append(tuple(w))
-            pts = [cfg.points[i] for i in piece]
-            col_p.append(
-                tuple(
-                    sum((wi * p[c] for wi, p in zip(w, pts)), ZERO)
-                    for c in range(d)
-                )
-            )
-        weights.append(tuple(col_w))
-        points.append(tuple(col_p))
+    for part in combo:
+        col = [next(flat) for _ in part.pieces]
+        weights.append(tuple(tuple(w) for w, _ in col))
+        points.append(tuple(convex_combination(w, pts) for w, pts in col))
     return TransversalCertificate(
         plane=plane,
         partitions=tuple(combo),
         weights=tuple(weights),
         witness_points=tuple(points),
     )
+
+
+def _sampled_params(nparams: int, budget: SearchBudget, best: dict, stats):
+    """Direction parameters for the sampler, in the order they are tried.
+
+    Halton points come in blocks of _BLOCK.  After each block, while
+    rounds remain, a refinement round tries +-step on each coordinate of
+    best["params"], the caller's best sample so far (read afresh for each
+    tweak), then halves step.  Rounds left over follow the last block.
+    """
+    bases = _FIRST_BASES[:nparams]
+    step = Fraction(1, 4)
+    rounds_left = budget.refinement_depth
+    emitted = 0
+    while True:
+        block = min(_BLOCK, budget.samples - emitted)
+        for i in range(block):
+            idx = budget.seed + emitted + i + 1
+            stats["halton_samples"] += 1
+            yield tuple(2 * _halton(idx, b) - 1 for b in bases)
+        emitted += block
+        if rounds_left > 0 and best["params"] is not None:
+            rounds_left -= 1
+            stats["refinement_rounds"] += 1
+            for a, sgn in itertools.product(range(nparams), (1, -1)):
+                tweaked = list(best["params"])
+                tweaked[a] += sgn * step
+                yield tuple(tweaked)
+            step /= 2
+        elif emitted >= budget.samples:
+            return
 
 
 def solve_transversal(
@@ -375,92 +419,33 @@ def solve_transversal(
         "halton_samples": 0,
         "refinement_rounds": 0,
     }
-    partitions_per_col = [
-        _nonempty_partitions(cfg, r)
-        for cfg, r in zip(instance.collections, instance.rs)
-    ]
-    if any(not plist for plist in partitions_per_col):
+    partitions_per_col = _partition_lists(instance)
+    if partitions_per_col is None:
         return SolveReport("no-valid-partition", None, None, stats)
 
+    nparams = k * (d - k)
+    best = {"gap": None, "params": None}  # best sampled direction so far
+    # with no parameters (a 0-plane, or the whole space) there is one direction
+    sampled = [()] if nparams == 0 else _sampled_params(nparams, budget, best, stats)
+    candidates = itertools.chain(
+        ((q_rows, None) for q_rows in _snap_quotients(instance)),
+        ((_quotient_from_params(d, k, params), params) for params in sampled),
+    )
     best_gap = None
-
-    def attempt(q_rows):
-        nonlocal best_gap
+    for q_rows, params in candidates:
         stats["directions"] += 1
+        if params is None:
+            stats["snap_directions"] += 1
         hit, gap = _evaluate_direction(
             q_rows, instance.collections, partitions_per_col, stats
         )
         if hit is not None:
             combo, witness = hit
             cert = _build_certificate(instance, q_rows, combo, witness)
-            return SolveReport("certified", cert, ZERO, stats), ZERO
-        if best_gap is None or gap < best_gap:
-            best_gap = gap
-        return None, gap
-
-    nparams = k * (d - k)
-    if nparams == 0:
-        # a 0-plane in the full quotient, or the whole space: one direction
-        report, _ = attempt(_quotient_from_params(d, k, ()))
-        return report or SolveReport("budget-exhausted", None, best_gap, stats)
-
-    for q_rows in _snap_quotients(instance):
-        stats["snap_directions"] += 1
-        report, _ = attempt(q_rows)
-        if report:
-            return report
-
-    bases = _FIRST_BASES[:nparams]
-    best_params = None
-    best_param_gap = None
-
-    def attempt_params(params):
-        nonlocal best_params, best_param_gap
-        report, gap = attempt(_quotient_from_params(d, k, params))
-        if report:
-            return report
-        if best_param_gap is None or gap < best_param_gap:
-            best_param_gap = gap
-            best_params = params
-        return None
-
-    emitted = 0
-    step = Fraction(1, 4)
-    rounds_left = budget.refinement_depth
-
-    def refine_round():
-        nonlocal step
-        stats["refinement_rounds"] += 1
-        for a in range(nparams):
-            for sgn in (1, -1):
-                tweaked = list(best_params)
-                tweaked[a] += sgn * step
-                report = attempt_params(tuple(tweaked))
-                if report:
-                    return report
-        step /= 2
-        return None
-
-    while emitted < budget.samples:
-        block = min(_BLOCK, budget.samples - emitted)
-        for i in range(block):
-            idx = budget.seed + emitted + i + 1
-            params = tuple(2 * _halton(idx, b) - 1 for b in bases)
-            stats["halton_samples"] += 1
-            report = attempt_params(params)
-            if report:
-                return report
-        emitted += block
-        if rounds_left > 0 and best_params is not None:
-            rounds_left -= 1
-            report = refine_round()
-            if report:
-                return report
-    while rounds_left > 0 and best_params is not None:
-        rounds_left -= 1
-        report = refine_round()
-        if report:
-            return report
+            return SolveReport("certified", cert, ZERO, stats)
+        best_gap = _least(best_gap, gap)
+        if params is not None and (best["gap"] is None or gap < best["gap"]):
+            best["gap"], best["params"] = gap, params
     return SolveReport("budget-exhausted", None, best_gap, stats)
 
 
@@ -485,53 +470,44 @@ def solve_hyperplane_transversal_exact(
     if k != d - 1:
         raise PreconditionError("complete search needs plane codimension one")
     stats = {"lps": 0, "combos": 0}
-    partitions_per_col = [
-        _nonempty_partitions(cfg, r)
-        for cfg, r in zip(instance.collections, instance.rs)
-    ]
-    if any(not plist for plist in partitions_per_col):
+    partitions_per_col = _partition_lists(instance)
+    if partitions_per_col is None:
         return SolveReport("no-valid-partition", None, None, stats)
     total = d
     for plist in partitions_per_col:
-        per_col = 0
-        for part in plist:
-            w = 1
-            for piece in part.pieces:
-                w *= len(piece) ** 2
-            per_col += w
-        total *= per_col
+        total *= sum(prod(len(piece) ** 2 for piece in part.pieces) for part in plist)
     if total > choice_cap:
         raise CapExceeded(
             f"hyperplane search needs {total} disjuncts, cap is {choice_cap}"
         )
 
+    points = [cfg.points for cfg in instance.collections]
     best_gap = None
     for combo in itertools.product(*partitions_per_col):
         stats["combos"] += 1
-        piece_pts = []
-        for ell, part in enumerate(combo):
-            cfg = instance.collections[ell]
-            for piece in part.pieces:
-                piece_pts.append([cfg.points[i] for i in piece])
+        piece_pts = _combo_pieces(points, combo)
         pair_ranges = [
             itertools.product(range(len(pts)), repeat=2) for pts in piece_pts
         ]
-        for pairs in itertools.product(*[list(r) for r in pair_ranges]):
-            for unit in range(d):
-                hit, gap = _hyperplane_lp(piece_pts, pairs, unit, stats)
-                if hit is not None:
-                    a_vec, beta = hit
-                    cert = _hyperplane_certificate(
-                        instance, combo, piece_pts, pairs, a_vec, beta
-                    )
-                    return SolveReport("certified", cert, ZERO, stats)
-                if gap is not None and (best_gap is None or gap < best_gap):
-                    best_gap = gap
+        disjuncts = (
+            (pairs, (piece_pts, pairs, unit))
+            for pairs in itertools.product(*pair_ranges)
+            for unit in range(d)
+        )
+        hit, gap = _first_feasible(_hyperplane_lp, disjuncts, stats)
+        if hit is not None:
+            pairs, (a_vec, beta) = hit
+            cert = _hyperplane_certificate(
+                instance, combo, piece_pts, pairs, a_vec, beta
+            )
+            return SolveReport("certified", cert, ZERO, stats)
+        best_gap = _least(best_gap, gap)
     return SolveReport("infeasible-exhausted", None, best_gap, stats)
 
 
-def _hyperplane_lp(piece_pts, pairs, unit, stats):
+def _hyperplane_lp(disjunct):
     """Feasibility of one disjunct; returns ((a, beta), None) or (None, gap)."""
+    piece_pts, pairs, unit = disjunct
     d = len(piece_pts[0][0])
     other = [c for c in range(d) if c != unit]
     m = len(piece_pts)
@@ -568,7 +544,6 @@ def _hyperplane_lp(piece_pts, pairs, unit, stats):
         rows.append(row)
         rhs.append(vhi[unit] - sum(vhi[c] for c in other))
     x, gap = lp_solve_eq(rows, rhs)
-    stats["lps"] += 1
     if x is None:
         return None, gap
     a_vec = [ZERO] * d

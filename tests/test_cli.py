@@ -278,6 +278,16 @@ def test_topology_dims(capsys):
     assert "complement rank: 2" in out
 
 
+def test_topology_dims_builds_no_complex(capsys):
+    # the class join here would have 25,401,600 facets, past the default cap
+    code, out, _ = run(
+        capsys, "topology", "dims", "--r", "7", "--d", "2", "--k", "1",
+        "--profile", "6,6",
+    )
+    assert code == 0
+    assert "join dimension: 11" in out
+
+
 # ---------------------------------------------------------------------------
 # tightness
 

@@ -181,6 +181,59 @@ def test_transversal_budget_exhausted_on_tight_configuration():
     assert report.stats["refinement_rounds"] == 2
 
 
+@pytest.fixture
+def sampled_params(monkeypatch):
+    """The params of every sampled direction, in the order they are tried."""
+    calls = []
+    quotient = solver._quotient_from_params
+
+    def recording(d, k, params):
+        calls.append(tuple(params))
+        return quotient(d, k, params)
+
+    monkeypatch.setattr(solver, "_quotient_from_params", recording)
+    return calls
+
+
+def test_transversal_sampler_order_across_blocks(sampled_params):
+    # 600 samples span two blocks of 512, so refinement rounds run after
+    # each block and the third one after the last block
+    calls = sampled_params
+    inst = tightness_instance(2, 1, (2, 2), 0)
+    budget = SearchBudget(samples=600, refinement_depth=3, seed=2)
+    report = solve_transversal(inst, budget)
+
+    def halton(index):  # base-2 radical inverse, mapped to [-1, 1)
+        digits = bin(index)[:1:-1]
+        return (2 * Fraction(int(digits, 2), 2 ** len(digits)) - 1,)
+
+    center = Fraction(1, 512)  # the best sample, found in the first block
+    assert len(calls) == 606
+    assert calls[:512] == [halton(i) for i in range(3, 515)]
+    assert (center,) in calls[:512]
+    assert calls[512:514] == [(center + Fraction(1, 4),), (center - Fraction(1, 4),)]
+    assert calls[514:602] == [halton(i) for i in range(515, 603)]
+    assert calls[602:604] == [(center + Fraction(1, 8),), (center - Fraction(1, 8),)]
+    assert calls[604:] == [(center + Fraction(1, 16),), (center - Fraction(1, 16),)]
+    assert report.status == "budget-exhausted"
+    assert report.stats == {
+        "lps": 6144,
+        "directions": 612,
+        "snap_directions": 6,
+        "halton_samples": 600,
+        "refinement_rounds": 3,
+    }
+
+
+def test_transversal_refinement_tweaks_the_current_best(sampled_params):
+    # the +1/4 tweak of the best sample -1/2 improves on it, so the -1/4
+    # tweak is taken around -1/4 and lands back on -1/2
+    inst = tightness_instance(2, 1, (2, 2), 1)
+    solve_transversal(inst, SearchBudget(samples=4, refinement_depth=1, seed=0))
+    quarters = [Fraction(n, 4) for n in (0, -2, 2, -3, -1, -2)]
+    assert sampled_params == [(t,) for t in quarters]
+
+
 def test_transversal_deterministic():
     inst = tightness_instance(2, 1, (2, 2), 0)
     budget = SearchBudget(samples=16, refinement_depth=1, seed=5)

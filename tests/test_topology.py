@@ -340,6 +340,16 @@ def test_dims_report_transversal_case():
     assert rep.complement_rank == 1
 
 
+@pytest.mark.parametrize(
+    "profile, r", [([2, 2, 2, 1], 3), ([1, 1, 1], 2), ([3, 2], 4), ([2], 3)]
+)
+def test_dims_report_join_dim_matches_built_class_join(profile, r):
+    k_complex = tp.chessboard_complex(r, profile[0])
+    for c in profile[1:]:
+        k_complex = tp.join(k_complex, tp.chessboard_complex(r, c))
+    assert k_complex.dim == tp.dims_report(profile, r, 2, 0).join_dim
+
+
 def test_dims_report_rejects_oversized_class():
     with pytest.raises(ValueError):
         tp.dims_report([3, 1], 3, 2, 0)
