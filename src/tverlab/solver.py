@@ -3,14 +3,20 @@
 Three search modes, all exact:
 
 * `solve_tverberg` — exhaustive over colorful partitions of one collection,
-  one rational LP per partition; complete.
+  one rational LP per partition up to relabelling pieces; complete.
 * `solve_transversal` — samples direction subspaces for a k-plane (rational
   rotations from a low-discrepancy stream), then certifies membership per
   direction with one joint LP per partition combination; augmented with
-  exact snap directions through point pairs and a local refinement loop.
-  Incomplete by nature, but every returned certificate is exact.
+  exact snap directions through d input points for hyperplanes and a
+  local refinement loop.  Incomplete by nature, but every returned
+  certificate is exact.
 * `solve_hyperplane_transversal_exact` — complete disjunctive search when
   the plane has codimension one.
+
+Whether piece hulls share a point or meet a plane does not depend on how
+the pieces are numbered, so every search runs over one partition per
+S_r orbit (`_nonempty_partitions`); counts of ordered partitions and
+combinations covered still include the whole orbit.
 
 Certificates carry convex weights and witness points so verification never
 repeats the search.
@@ -20,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from . import linalg
 from .errors import CapExceeded, DegenerateIntersection, PreconditionError
@@ -37,7 +43,6 @@ from .model import (
     ColoredConfig,
     PartitionTuple,
     ProblemInstance,
-    enumerate_colorful_partitions,
     validate,
 )
 
@@ -164,15 +169,47 @@ def _first_feasible(solve, candidates, stats):
 
 
 def _nonempty_partitions(config: ColoredConfig, r: int):
-    return (
-        part
-        for part in enumerate_colorful_partitions(config, r)
-        if all(part.pieces)
-    )
+    """Nonempty colorful r-partitions, one per relabelling of the pieces.
+
+    Reading the classes in order, piece j opens (takes its first point)
+    before piece j+1: restricted-growth labels.  Every S_r orbit of
+    nonempty ordered tuples holds exactly one such tuple, r! in all, and
+    it is the orbit's first member in `enumerate_colorful_partitions`
+    order, so the representatives come out in that order too.  No search
+    here depends on piece labels, so a search over them is complete and
+    stops at the same first hit as one over every ordered tuple.
+    """
+    classes = config.classes
+    # points in classes c.. ; a branch dies once they cannot open the rest
+    left = [sum(len(cls) for cls in classes[c:]) for c in range(len(classes) + 1)]
+    label = [0] * config.size
+
+    def extend(c, opened):
+        if opened + left[c] < r:
+            return
+        if c == len(classes):
+            pieces = [[] for _ in range(r)]
+            for i, j in enumerate(label):
+                pieces[j].append(i)
+            yield PartitionTuple(tuple(map(tuple, pieces)))
+            return
+        cls = classes[c]
+        for assign in itertools.permutations(range(min(r, opened + len(cls))), len(cls)):
+            now = opened
+            for j in assign:
+                if j > now:
+                    break
+                now += j == now
+            else:
+                for i, j in zip(cls, assign):
+                    label[i] = j
+                yield from extend(c + 1, now)
+
+    return extend(0, 0)
 
 
 def _partition_lists(instance: ProblemInstance):
-    """Nonempty colorful partitions per collection; None if one has none."""
+    """Partition representatives per collection; None if one has none."""
     lists = [
         list(_nonempty_partitions(cfg, r))
         for cfg, r in zip(instance.collections, instance.rs)
@@ -190,7 +227,8 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
         for part in _nonempty_partitions(config, r)
     )
     hit, gap = _first_feasible(common_point_gap, candidates, stats)
-    stats["partitions"] = stats["lps"]  # one LP per partition
+    # one LP per representative decides its r! ordered tuples
+    stats["partitions"] = stats["lps"] * factorial(r)
     if hit is not None:
         part, witness = hit
         cert = TverbergCertificate(
@@ -251,31 +289,31 @@ def _project(q_rows, point):
 
 
 def _snap_quotients(instance: ProblemInstance):
-    """Exact line directions through pairs of input points (planar case).
+    """Exact hyperplane normals through d input points (codimension one).
 
-    Only for d=2, k=1: a transversal line that must pass through two of
-    the input points has an isolated direction that no amount of
-    sampling hits, so those directions are enumerated outright.  Each
-    pair yields the quotient row orthogonal to the connecting segment,
-    reduced to a primitive integer vector.
+    Only for k = d-1 >= 1: a transversal hyperplane that must pass
+    through d of the input points has an isolated direction that no
+    amount of sampling hits, so those directions are enumerated
+    outright.  Each d-subset whose differences span a hyperplane yields
+    its normal as the one quotient row, reduced to a primitive integer
+    vector whose first nonzero entry is positive.
     """
-    if instance.d != 2 or instance.k != 1:
+    d = instance.d
+    if d < 2 or instance.k != d - 1:
         return []
     pts = [p for cfg in instance.collections for p in cfg.points]
     seen = set()
     out = []
-    for a, b in itertools.combinations(pts, 2):
-        ux, uy = a[0] - b[0], a[1] - b[1]
-        if ux == 0 and uy == 0:
+    for first, *rest in itertools.combinations(pts, d):
+        null = linalg.nullspace([[a - b for a, b in zip(p, first)] for p in rest])
+        if len(null) != 1:
             continue
-        row = (-uy, ux)
-        scale = lcm(row[0].denominator, row[1].denominator)
+        (row,) = null
+        scale = lcm(*(v.denominator for v in row))
         ints = [int(v * scale) for v in row]
-        g = gcd(ints[0], ints[1])
-        ints = [v // g for v in ints]
-        if ints[0] < 0 or (ints[0] == 0 and ints[1] < 0):
-            ints = [-v for v in ints]
-        key = tuple(ints)
+        g = gcd(*ints)
+        sign = 1 if next(v for v in ints if v) > 0 else -1
+        key = tuple(sign * v // g for v in ints)
         if key in seen:
             continue
         seen.add(key)
@@ -473,6 +511,7 @@ def solve_hyperplane_transversal_exact(
     partitions_per_col = _partition_lists(instance)
     if partitions_per_col is None:
         return SolveReport("no-valid-partition", None, None, stats)
+    orbit = prod(factorial(r) for r in instance.rs)  # ordered combos per one tried
     total = d
     for plist in partitions_per_col:
         total *= sum(prod(len(piece) ** 2 for piece in part.pieces) for part in plist)
@@ -484,7 +523,7 @@ def solve_hyperplane_transversal_exact(
     points = [cfg.points for cfg in instance.collections]
     best_gap = None
     for combo in itertools.product(*partitions_per_col):
-        stats["combos"] += 1
+        stats["combos"] += orbit
         piece_pts = _combo_pieces(points, combo)
         pair_ranges = [
             itertools.product(range(len(pts)), repeat=2) for pts in piece_pts

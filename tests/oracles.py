@@ -8,14 +8,17 @@ Gram systems the same way.  The facet-maximality reference compares
 every pair of facets.  The mod-p chain complex is the one check built on
 package functions: it composes `topology.boundary_matrix` with itself to
 confirm that the boundary of a boundary vanishes, and takes its
-primality test from `linalg`.
+primality test from `linalg`.  The ordered partition filter draws on
+`model.enumerate_colorful_partitions`, the enumeration it stands for.
 """
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from tverlab import topology
 from tverlab.linalg import is_prime
+from tverlab.model import enumerate_colorful_partitions
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -228,3 +231,46 @@ def chain_complex_mod_p(complex_, p: int) -> ChainComplexModP:
     for d in range(1, complex_.dim + 1):
         boundaries.append(topology.boundary_matrix(complex_, d))
     return ChainComplexModP(p, counts, tuple(boundaries))
+
+
+def ordered_nonempty_partitions(config, r):
+    """Every ordered colorful r-partition with no empty piece, in enumeration order.
+
+    The partitions the searches ran over before they were quotiented by
+    relabelling pieces; `solver._nonempty_partitions` is checked against it.
+    """
+    return (p for p in enumerate_colorful_partitions(config, r) if all(p.pieces))
+
+
+def orbit_key(config, partition):
+    """Piece labels of the points read class by class, renumbered by first use.
+
+    Two partitions get the same key iff they differ only by relabelling
+    their pieces.
+    """
+    label = {i: j for j, piece in enumerate(partition.pieces) for i in piece}
+    first = {}
+    return tuple(first.setdefault(label[i], len(first)) for cls in config.classes for i in cls)
+
+
+def pair_snap_quotients(instance):
+    """Planar snap rows: the normal of every segment between two input points.
+
+    Primitive integer normals with first nonzero entry positive, in pair
+    order, first occurrence kept.
+    """
+    pts = [p for cfg in instance.collections for p in cfg.points]
+    seen = []
+    for a, b in itertools.combinations(pts, 2):
+        ux, uy = a[0] - b[0], a[1] - b[1]
+        if ux == 0 and uy == 0:
+            continue
+        scale = math.lcm(ux.denominator, uy.denominator)
+        row = (-uy * scale, ux * scale)
+        g = math.gcd(int(row[0]), int(row[1]))
+        row = tuple(int(v) // g for v in row)
+        if row[0] < 0 or (row[0] == 0 and row[1] < 0):
+            row = (-row[0], -row[1])
+        if row not in seen:
+            seen.append(row)
+    return [[[Fraction(v) for v in row]] for row in seen]

@@ -2,14 +2,16 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tverlab import serialize, solver, svg
 from tverlab.geometry import lp_feasible_common_point, lp_solve_eq
+from tverlab.model import ColoredConfig, ProblemInstance
 from tverlab.solver import KPlane
 from tverlab.topology import SimplicialComplex
 
-from oracles import Subspace, inclusion_maximal, project
+from oracles import Subspace, inclusion_maximal, ordered_nonempty_partitions, project
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -135,3 +137,61 @@ def test_facet_maximality_matches_pairwise_oracle(facets, data):
         assert "inclusion-maximal" in str(exc)
         accepted = False
     assert accepted == inclusion_maximal(facets)
+
+
+@st.composite
+def colored_configs(draw, d, r, max_points):
+    """r to max_points points on a small grid, classes of size at most r."""
+    n = draw(st.integers(r, max_points))
+    points = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=n, max_size=n))
+    classes, start = [], 0
+    while start < n:
+        size = draw(st.integers(1, min(r, n - start)))
+        classes.append(tuple(range(start, start + size)))
+        start += size
+    return ColoredConfig(dim=d, points=points, classes=classes)
+
+
+def quotient_matching_ordered(search):
+    """search() over one partition per relabelling, checked against every ordered one.
+
+    Both must give the same status and certificate bytes.  Gaps may
+    differ: the common-point LP is not symmetric in the piece labels.
+    """
+    quotient = search()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_nonempty_partitions", ordered_nonempty_partitions)
+        ordered = search()
+    assert quotient.status == ordered.status
+    cert_bytes = [
+        rep.certificate and serialize.canonical_bytes(serialize.certificate_to_json(rep.certificate))
+        for rep in (quotient, ordered)
+    ]
+    assert cert_bytes[0] == cert_bytes[1]
+    return quotient
+
+
+def ordered_count(cfg, r):
+    return sum(1 for _ in ordered_nonempty_partitions(cfg, r))
+
+
+@given(st.sampled_from(((1, 2), (2, 2), (1, 3), (2, 3), (1, 4))), st.data())
+@settings(max_examples=40)
+def test_quotient_tverberg_search_matches_ordered_search(dr, data):
+    d, r = dr
+    cfg = data.draw(colored_configs(d, r, (r - 1) * (d + 1) + 1))
+    quotient = quotient_matching_ordered(lambda: solver.solve_tverberg(cfg, r))
+    if quotient.status == "infeasible-exhausted":
+        assert quotient.stats["partitions"] == ordered_count(cfg, r)
+
+
+@given(st.sampled_from(((2, 2), (2, 3))), st.data())
+@settings(max_examples=20)
+def test_quotient_hyperplane_search_matches_ordered_search(rs, data):
+    # at most six points in all keep the ordered search near a second
+    first = data.draw(colored_configs(2, rs[0], 3))
+    second = data.draw(colored_configs(2, rs[1], 6 - first.size))
+    inst = ProblemInstance(d=2, k=1, rs=rs, collections=(first, second))
+    quotient = quotient_matching_ordered(lambda: solver.solve_hyperplane_transversal_exact(inst))
+    if quotient.status == "infeasible-exhausted":
+        assert quotient.stats["combos"] == ordered_count(first, rs[0]) * ordered_count(second, rs[1])

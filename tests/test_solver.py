@@ -1,6 +1,8 @@
 """Tests for the certificate searches, verification, and restriction."""
 import dataclasses
+import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -29,6 +31,8 @@ from tverlab.solver import (
     verify_transversal,
     verify_tverberg,
 )
+
+from oracles import orbit_key, ordered_nonempty_partitions, pair_snap_quotients
 
 
 def crossing_instance():
@@ -77,6 +81,35 @@ def test_kplane_rejects_dependent_directions():
         KPlane(base=(0, 0), directions=((1, 1), (2, 2)))
     with pytest.raises(ValueError):
         KPlane(base=(0, 0), directions=((1, 0, 0),))
+
+
+# ---------------------------------------------------------------------------
+# partitions up to relabelling pieces
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_representatives_are_first_of_their_relabelling_orbits(r):
+    profiles = [
+        p
+        for n in (1, 2, 3, 4)
+        for p in itertools.product(range(1, r + 2), repeat=n)
+        if sum(p) <= 6
+    ]
+    for profile in profiles:
+        starts = [sum(profile[:c]) for c in range(len(profile))]
+        cfg = ColoredConfig(
+            dim=1,
+            points=[(i,) for i in range(sum(profile))],
+            classes=[range(a, a + size) for a, size in zip(starts, profile)],
+        )
+        reps = list(solver._nonempty_partitions(cfg, r))
+        ordered = list(ordered_nonempty_partitions(cfg, r))
+        assert len({orbit_key(cfg, p) for p in reps}) == len(reps)
+        first = {}
+        for part in ordered:
+            first.setdefault(orbit_key(cfg, part), part)
+        assert reps == list(first.values())
+        assert len(reps) * factorial(r) == len(ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +187,24 @@ def test_transversal_pinned_lines_found_by_snap_directions():
     assert hits >= 7
 
 
+def test_transversal_snaps_through_three_points_certify_planes_in_space():
+    # these planes pass through one input point of every collection, a
+    # direction that samples never hit but a snap through three points does
+    for seed in (0, 1):
+        inst = random_instance(3, 2, (2, 2, 2), seed=seed)
+        report = solve_transversal(inst, SearchBudget(16, 1, 0))
+        assert report.certified
+        assert report.stats["snap_directions"] >= 1
+        assert verify_transversal(inst, report.certificate)
+
+
+def test_planar_snaps_match_the_pair_formula():
+    cohort = [singleton_transversal_instance(seed) for seed in range(12)]
+    tight = [tightness_instance(2, 1, (2, 2), ell) for ell in (0, 1)]
+    for inst in cohort + tight:
+        assert solver._snap_quotients(inst) == pair_snap_quotients(inst)
+
+
 def test_transversal_open_solution_set_via_snaps():
     inst = crossing_instance()
     report = solve_transversal(inst)
@@ -207,7 +258,9 @@ def test_transversal_sampler_order_across_blocks(sampled_params):
         digits = bin(index)[:1:-1]
         return (2 * Fraction(int(digits, 2), 2 ** len(digits)) - 1,)
 
-    center = Fraction(1, 512)  # the best sample, found in the first block
+    # the best sample, found in the first block (the least gap is taken
+    # over one partition per relabelling of pieces)
+    center = Fraction(-1, 256)
     assert len(calls) == 606
     assert calls[:512] == [halton(i) for i in range(3, 515)]
     assert (center,) in calls[:512]
@@ -217,7 +270,7 @@ def test_transversal_sampler_order_across_blocks(sampled_params):
     assert calls[604:] == [(center + Fraction(1, 16),), (center - Fraction(1, 16),)]
     assert report.status == "budget-exhausted"
     assert report.stats == {
-        "lps": 6144,
+        "lps": 3066,
         "directions": 612,
         "snap_directions": 6,
         "halton_samples": 600,
