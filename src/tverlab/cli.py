@@ -161,20 +161,19 @@ def cmd_transversal(args) -> int:
         report = solve_hyperplane_transversal_exact(
             instance, **_given(choice_cap=args.cap)
         )
+        work = f"candidate planes checked: {report.stats['planes']}"
     else:
         report = solve_transversal(instance, replace(SearchBudget(), **sampling))
+        work = f"subproblems solved: {report.stats['lps']}"
     if report.certified:
         cert = report.certificate
         print(f"certified: plane base {_point_str(cert.plane.base)}")
         for v in cert.plane.directions:
             print(f"direction: {_point_str(v)}")
-        print(f"subproblems solved: {report.stats['lps']}")
+        print(work)
         return _save_and_verify(args, instance, cert)
     if report.status == "infeasible-exhausted":
-        print(
-            f"infeasible: search space exhausted "
-            f"({report.stats['lps']} subproblems, best gap {report.gap})"
-        )
+        print(f"infeasible: search space exhausted ({work}, best gap {report.gap})")
     elif report.status == "budget-exhausted":
         print(
             f"budget exhausted: best gap {report.gap} "
@@ -384,9 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--exact-hyperplane",
         action="store_true",
-        help="complete disjunction solver (k = d-1 only)",
+        help="complete hyperplane solver (k = d-1 only)",
     )
-    p.add_argument("--cap", type=int, help="disjunct cap for --exact-hyperplane")
+    p.add_argument(
+        "--cap", type=int, help="plane check cap for --exact-hyperplane"
+    )
     p.add_argument("--out", metavar="FILE", help="write the certificate as JSON")
     p.add_argument(
         "--verify", action="store_true", help="re-load and re-check the certificate"

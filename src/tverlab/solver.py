@@ -10,8 +10,9 @@ Three search modes, all exact:
   exact snap directions through d input points for hyperplanes and a
   local refinement loop.  Incomplete by nature, but every returned
   certificate is exact.
-* `solve_hyperplane_transversal_exact` — complete disjunctive search when
-  the plane has codimension one.
+* `solve_hyperplane_transversal_exact` — complete search when the plane
+  has codimension one: a scan of the hyperplanes through d input points
+  (the arrangement vertices), each checked per collection with no LP.
 
 Whether piece hulls share a point or meet a plane does not depend on how
 the pieces are numbered, so every search runs over one partition per
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from . import linalg
 from .errors import CapExceeded, DegenerateIntersection, PreconditionError
@@ -37,7 +38,6 @@ from .geometry import (
     common_point_gap,
     convex_combination,
     convex_combination_fault,
-    lp_solve_eq,
 )
 from .model import (
     ColoredConfig,
@@ -288,15 +288,31 @@ def _project(q_rows, point):
     )
 
 
+def _primitive(row):
+    """Integer multiple of a nonzero rational vector: coprime, first nonzero > 0."""
+    scale = lcm(*(v.denominator for v in row))
+    ints = [int(v * scale) for v in row]
+    g = gcd(*ints)
+    sign = 1 if next(v for v in ints if v) > 0 else -1
+    return tuple(sign * v // g for v in ints)
+
+
+def _flat_normals(points, d):
+    """(first point, primitive normal) per d-subset spanning a hyperplane, in order."""
+    for first, *rest in itertools.combinations(points, d):
+        diffs = [[a - b for a, b in zip(p, first)] for p in rest]
+        null = linalg.nullspace(diffs or [[ZERO] * d])  # d = 1: the plane {x = v}
+        if len(null) == 1:
+            yield first, _primitive(null[0])
+
+
 def _snap_quotients(instance: ProblemInstance):
     """Exact hyperplane normals through d input points (codimension one).
 
     Only for k = d-1 >= 1: a transversal hyperplane that must pass
     through d of the input points has an isolated direction that no
     amount of sampling hits, so those directions are enumerated
-    outright.  Each d-subset whose differences span a hyperplane yields
-    its normal as the one quotient row, reduced to a primitive integer
-    vector whose first nonzero entry is positive.
+    outright, each distinct normal once, as the one quotient row.
     """
     d = instance.d
     if d < 2 or instance.k != d - 1:
@@ -304,16 +320,7 @@ def _snap_quotients(instance: ProblemInstance):
     pts = [p for cfg in instance.collections for p in cfg.points]
     seen = set()
     out = []
-    for first, *rest in itertools.combinations(pts, d):
-        null = linalg.nullspace([[a - b for a, b in zip(p, first)] for p in rest])
-        if len(null) != 1:
-            continue
-        (row,) = null
-        scale = lcm(*(v.denominator for v in row))
-        ints = [int(v * scale) for v in row]
-        g = gcd(*ints)
-        sign = 1 if next(v for v in ints if v) > 0 else -1
-        key = tuple(sign * v // g for v in ints)
+    for _, key in _flat_normals(pts, d):
         if key in seen:
             continue
         seen.add(key)
@@ -494,117 +501,108 @@ def solve_transversal(
 def solve_hyperplane_transversal_exact(
     instance: ProblemInstance, choice_cap: int = 5_000_000
 ) -> SolveReport:
-    """Complete hyperplane-transversal search via a finite disjunction.
+    """Complete hyperplane-transversal search over arrangement vertices.
 
-    A hyperplane {a.x = b} meets a hull iff some ordered vertex pair
-    (v-, v+) satisfies a.v- <= b <= a.v+, and the normal can be scaled
-    so its largest coordinate is +1 (ordered pairs absorb the sign
-    flip).  Enumerating the pair per piece, the unit coordinate, and the
-    partition combination leaves small LPs over the remaining normal
-    coordinates in [-1,1] and the free offset.  Raises CapExceeded when
-    the number of disjuncts would pass `choice_cap`.
+    {a.x = b} meets a hull iff a.v - b over its points is not all of one
+    strict sign.  As points (a, b), the feasible hyperplanes are closed
+    cells of the arrangement of the planes {b = a.v}, one per input
+    point v, and zeroing signs keeps pieces met, so if any hyperplane
+    works, a cell vertex does: a plane through d affinely independent
+    input points, or one holding them all when they do not span R^d.
+    Each candidate is checked with no LP: per collection, the first
+    representative whose pieces all have points on both closed sides.
+    Raises CapExceeded when the C(N, d) candidates through N input
+    points times the representatives of all collections would pass
+    `choice_cap`.  The refutation gap is the least
+    total miss over candidates, normals scaled to max |a_i| = 1.
     """
     d, k = instance.d, instance.k
     if k != d - 1:
         raise PreconditionError("complete search needs plane codimension one")
-    stats = {"lps": 0, "combos": 0}
+    stats = {"planes": 0, "combos": 0}
     partitions_per_col = _partition_lists(instance)
     if partitions_per_col is None:
         return SolveReport("no-valid-partition", None, None, stats)
-    orbit = prod(factorial(r) for r in instance.rs)  # ordered combos per one tried
-    total = d
-    for plist in partitions_per_col:
-        total *= sum(prod(len(piece) ** 2 for piece in part.pieces) for part in plist)
+    points = [cfg.points for cfg in instance.collections]
+    pooled = [p for pts in points for p in pts]
+    # each candidate plane may check every representative of every collection
+    total = comb(len(pooled), d) * sum(map(len, partitions_per_col))
     if total > choice_cap:
         raise CapExceeded(
-            f"hyperplane search needs {total} disjuncts, cap is {choice_cap}"
+            f"hyperplane search needs {total} plane checks, cap is {choice_cap}"
         )
 
-    points = [cfg.points for cfg in instance.collections]
     best_gap = None
-    for combo in itertools.product(*partitions_per_col):
-        stats["combos"] += orbit
-        piece_pts = _combo_pieces(points, combo)
-        pair_ranges = [
-            itertools.product(range(len(pts)), repeat=2) for pts in piece_pts
-        ]
-        disjuncts = (
-            (pairs, (piece_pts, pairs, unit))
-            for pairs in itertools.product(*pair_ranges)
-            for unit in range(d)
-        )
-        hit, gap = _first_feasible(_hyperplane_lp, disjuncts, stats)
-        if hit is not None:
-            pairs, (a_vec, beta) = hit
-            cert = _hyperplane_certificate(
-                instance, combo, piece_pts, pairs, a_vec, beta
-            )
+    for normal, offset in _candidate_planes(pooled, d):
+        stats["planes"] += 1
+        sides = [[_dot(normal, v) - offset for v in pts] for pts in points]
+        found = [_first_met(s, plist) for s, plist in zip(sides, partitions_per_col)]
+        combo = [part for part, _ in found]
+        if None not in combo:
+            cert = _hyperplane_certificate(instance, combo, sides, normal, offset)
             return SolveReport("certified", cert, ZERO, stats)
-        best_gap = _least(best_gap, gap)
+        miss = sum((m for _, m in found), ZERO) / max(map(abs, normal))
+        best_gap = _least(best_gap, miss)
+    # each representative combination ruled out stands for its whole orbit
+    stats["combos"] = prod(
+        len(plist) * factorial(r) for plist, r in zip(partitions_per_col, instance.rs)
+    )
     return SolveReport("infeasible-exhausted", None, best_gap, stats)
 
 
-def _hyperplane_lp(disjunct):
-    """Feasibility of one disjunct; returns ((a, beta), None) or (None, gap)."""
-    piece_pts, pairs, unit = disjunct
-    d = len(piece_pts[0][0])
-    other = [c for c in range(d) if c != unit]
-    m = len(piece_pts)
-    # variables: u_c (shifted normal coords), s_c (their upper-bound
-    # slacks), beta+, beta-, then lower/upper slacks per piece
-    width = 2 * len(other) + 2 + 2 * m
-    rows = []
-    rhs = []
-    for ci, _c in enumerate(other):
-        row = [ZERO] * width
-        row[ci] = ONE
-        row[len(other) + ci] = ONE
-        rows.append(row)
-        rhs.append(Fraction(2))
-    bp = 2 * len(other)
-    bm = bp + 1
-    for j, (lo, hi) in enumerate(pairs):
-        vlo = piece_pts[j][lo]
-        vhi = piece_pts[j][hi]
-        row = [ZERO] * width
-        for ci, c in enumerate(other):
-            row[ci] = vlo[c]
-        row[bp] = -ONE
-        row[bm] = ONE
-        row[bp + 2 + 2 * j] = ONE
-        rows.append(row)
-        rhs.append(sum(vlo[c] for c in other) - vlo[unit])
-        row = [ZERO] * width
-        for ci, c in enumerate(other):
-            row[ci] = -vhi[c]
-        row[bp] = ONE
-        row[bm] = -ONE
-        row[bp + 2 + 2 * j + 1] = ONE
-        rows.append(row)
-        rhs.append(vhi[unit] - sum(vhi[c] for c in other))
-    x, gap = lp_solve_eq(rows, rhs)
-    if x is None:
-        return None, gap
-    a_vec = [ZERO] * d
-    a_vec[unit] = ONE
-    for ci, c in enumerate(other):
-        a_vec[c] = x[ci] - 1
-    beta = x[bp] - x[bm]
-    return (tuple(a_vec), beta), None
+def _dot(normal, point):
+    return sum(a * c for a, c in zip(normal, point))
 
 
-def _hyperplane_certificate(instance, combo, piece_pts, pairs, a_vec, beta):
-    particular, null = linalg.solve([list(a_vec)], [beta])
+def _candidate_planes(points, d):
+    """(primitive normal, offset) of each distinct candidate hyperplane."""
+    null = linalg.nullspace([[a - b for a, b in zip(p, points[0])] for p in points])
+    if null:  # the points do not span R^d: one plane holds them all
+        normal = _primitive(null[0])
+        yield normal, _dot(normal, points[0])
+        return
+    seen = set()
+    for first, normal in _flat_normals(points, d):
+        plane = (normal, _dot(normal, first))
+        if plane not in seen:
+            seen.add(plane)
+            yield plane
+
+
+def _first_met(side, plist):
+    """(first partition whose pieces all meet the plane, 0), else (None, least miss).
+
+    side[i] is a.v_i - b; a piece strictly on one side misses by its
+    least |a.v - b|.
+    """
+    best = None
+    for part in plist:
+        miss = sum(
+            (max(min(side[i] for i in piece), -max(side[i] for i in piece), 0)
+             for piece in part.pieces),
+            ZERO,
+        )
+        if miss == 0:
+            return part, ZERO
+        best = _least(best, miss)
+    return None, best
+
+
+def _hyperplane_certificate(instance, combo, sides, normal, offset):
+    """Each witness mixes its piece's first points on the two closed sides."""
+    particular, null = linalg.solve([list(normal)], [offset])
     plane = KPlane(base=tuple(particular), directions=tuple(tuple(v) for v in null))
     piece_weights = []
-    for pts, (lo, hi) in zip(piece_pts, pairs):
-        alo = sum(a * v for a, v in zip(a_vec, pts[lo]))
-        ahi = sum(a * v for a, v in zip(a_vec, pts[hi]))
-        t = ZERO if ahi == alo else (beta - alo) / (ahi - alo)
-        w = [ZERO] * len(pts)
-        w[lo] += 1 - t
-        w[hi] += t
-        piece_weights.append(w)
+    for side, part in zip(sides, combo):
+        for piece in part.pieces:
+            vals = [side[i] for i in piece]
+            lo = next(j for j, s in enumerate(vals) if s <= 0)
+            hi = next(j for j, s in enumerate(vals) if s >= 0)
+            t = ZERO if lo == hi else vals[lo] / (vals[lo] - vals[hi])
+            w = [ZERO] * len(piece)
+            w[lo] += 1 - t
+            w[hi] += t
+            piece_weights.append(w)
     return _certificate(instance, plane, combo, piece_weights)
 
 

@@ -10,6 +10,9 @@ package functions: it composes `topology.boundary_matrix` with itself to
 confirm that the boundary of a boundary vanishes, and takes its
 primality test from `linalg`.  The ordered partition filter draws on
 `model.enumerate_colorful_partitions`, the enumeration it stands for.
+The disjunctive hyperplane search is the exception to the first rule:
+it is the LP search the complete hyperplane solver replaced, and solves
+its LPs with `geometry.lp_solve_eq`.
 """
 import itertools
 import math
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tverlab import topology
+from tverlab.geometry import lp_solve_eq
 from tverlab.linalg import is_prime
 from tverlab.model import enumerate_colorful_partitions
 
@@ -274,3 +278,66 @@ def pair_snap_quotients(instance):
         if row not in seen:
             seen.append(row)
     return [[[Fraction(v) for v in row]] for row in seen]
+
+
+def hyperplane_disjunct_search(instance):
+    """Whether some hyperplane meets every piece hull of one partition per collection.
+
+    A hyperplane {a.x = b} meets a hull iff some ordered vertex pair
+    (v-, v+) has a.v- <= b <= a.v+, and a can be scaled so one unit
+    coordinate is +1 and the rest lie in [-1, 1] (ordered pairs absorb
+    the sign flip).  One LP per ordered partition combination, vertex
+    pair per piece and unit coordinate.  Returns (found, ordered
+    combinations tried).
+    """
+    lists = [
+        list(ordered_nonempty_partitions(cfg, r))
+        for cfg, r in zip(instance.collections, instance.rs)
+    ]
+    tried = 0
+    for combo in itertools.product(*lists):
+        tried += 1
+        pieces = [
+            [cfg.points[i] for i in piece]
+            for cfg, part in zip(instance.collections, combo)
+            for piece in part.pieces
+        ]
+        pair_ranges = [itertools.product(range(len(p)), repeat=2) for p in pieces]
+        for pairs in itertools.product(*pair_ranges):
+            for unit in range(instance.d):
+                if _hyperplane_disjunct_feasible(pieces, pairs, unit):
+                    return True, tried
+    return False, tried
+
+
+def _hyperplane_disjunct_feasible(pieces, pairs, unit):
+    d = len(pieces[0][0])
+    other = [c for c in range(d) if c != unit]
+    m = len(pieces)
+    # variables: u_c (shifted normal coords), s_c (their upper-bound
+    # slacks), beta+, beta-, then lower/upper slacks per piece
+    width = 2 * len(other) + 2 + 2 * m
+    rows, rhs = [], []
+    for ci in range(len(other)):
+        row = [ZERO] * width
+        row[ci] = ONE
+        row[len(other) + ci] = ONE
+        rows.append(row)
+        rhs.append(Fraction(2))
+    bp = 2 * len(other)
+    bm = bp + 1
+    for j, (lo, hi) in enumerate(pairs):
+        vlo, vhi = pieces[j][lo], pieces[j][hi]
+        row = [ZERO] * width
+        for ci, c in enumerate(other):
+            row[ci] = vlo[c]
+        row[bp], row[bm], row[bp + 2 + 2 * j] = -ONE, ONE, ONE
+        rows.append(row)
+        rhs.append(sum(vlo[c] for c in other) - vlo[unit])
+        row = [ZERO] * width
+        for ci, c in enumerate(other):
+            row[ci] = -vhi[c]
+        row[bp], row[bm], row[bp + 2 + 2 * j + 1] = ONE, -ONE, ONE
+        rows.append(row)
+        rhs.append(vhi[unit] - sum(vhi[c] for c in other))
+    return lp_solve_eq(rows, rhs)[0] is not None

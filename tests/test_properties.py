@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tverlab import serialize, solver, svg
 from tverlab.geometry import lp_feasible_common_point, lp_solve_eq
@@ -11,7 +11,13 @@ from tverlab.model import ColoredConfig, ProblemInstance
 from tverlab.solver import KPlane
 from tverlab.topology import SimplicialComplex
 
-from oracles import Subspace, inclusion_maximal, ordered_nonempty_partitions, project
+from oracles import (
+    Subspace,
+    hyperplane_disjunct_search,
+    inclusion_maximal,
+    ordered_nonempty_partitions,
+    project,
+)
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -195,3 +201,47 @@ def test_quotient_hyperplane_search_matches_ordered_search(rs, data):
     quotient = quotient_matching_ordered(lambda: solver.solve_hyperplane_transversal_exact(inst))
     if quotient.status == "infeasible-exhausted":
         assert quotient.stats["combos"] == ordered_count(first, rs[0]) * ordered_count(second, rs[1])
+
+
+def singleton_classes(d, *point_lists):
+    """A codimension-one instance, r = 2, one collection per list, one class per point."""
+    collections = tuple(
+        ColoredConfig(dim=d, points=pts, classes=[(i,) for i in range(len(pts))])
+        for pts in point_lists
+    )
+    return ProblemInstance(d=d, k=d - 1, rs=(2,) * d, collections=collections)
+
+
+@st.composite
+def hyperplane_instances(draw):
+    """Codimension-one instances on a small grid, with collinear, coplanar
+    and repeated points; the point budget keeps the reference's ordered
+    LP search near a second."""
+    d, rs = draw(st.sampled_from(
+        ((1, (2,)), (1, (3,)), (2, (2, 2)), (2, (2, 3)), (3, (2, 2, 2)))
+    ))
+    budget = 7 if d == 3 else 6
+    collections = []
+    for ell, r in enumerate(rs):
+        room = budget - sum(cfg.size for cfg in collections) - sum(rs[ell + 1:])
+        collections.append(draw(colored_configs(d, r, room)))
+    return ProblemInstance(d=d, k=d - 1, rs=rs, collections=tuple(collections))
+
+
+# every transversal through two input points is parallel to an earlier
+# candidate line, so a scan that keeps one plane per normal refutes it
+@example(singleton_classes(2, [(0, 2), (2, -2), (1, 2)], [(-1, 2), (2, -1), (1, -2)]))
+# on the line a hyperplane is one point {x = v}, through one input point
+@example(singleton_classes(1, [(0,), (1,), (2,), (3,)]))
+@given(hyperplane_instances())
+@settings(max_examples=40)
+def test_hyperplane_plane_scan_matches_disjunct_lps(inst):
+    report = solver.solve_hyperplane_transversal_exact(inst)
+    found, tried = hyperplane_disjunct_search(inst)
+    assert report.certified == found
+    if report.certified:
+        assert solver.verify_transversal(inst, report.certificate)
+    else:
+        assert report.status == "infeasible-exhausted"
+        assert report.stats["combos"] == tried
+        assert report.gap > 0

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from tverlab import solver
+from tverlab import geometry, kernels, solver
 from tverlab.errors import CapExceeded, DegenerateIntersection, PreconditionError
 from tverlab.geometry import CommonPointWitness, verify_common_point_witness
 from tverlab.model import (
@@ -364,6 +364,56 @@ def test_hyperplane_choice_cap():
     inst = singleton_transversal_instance(3)
     with pytest.raises(CapExceeded):
         solve_hyperplane_transversal_exact(inst, choice_cap=10)
+
+
+def test_hyperplane_refutes_three_piece_tightness():
+    inst = tightness_instance(2, 1, (3, 3), 0)
+    report = solve_hyperplane_transversal_exact(inst)
+    assert report.status == "infeasible-exhausted"
+    assert report.stats["combos"] == 8100
+    assert report.gap > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hyperplane_certifies_three_piece_instances(seed):
+    inst = random_instance(2, 1, (3, 3), seed=seed)
+    report = solve_hyperplane_transversal_exact(inst)
+    assert report.certified
+    assert verify_transversal(inst, report.certificate)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_hyperplane_through_points_that_do_not_span(d):
+    # every point on one line: the one candidate plane holds them all
+    def on_line(t):
+        return (t, 2 * t + 1, -t)[:d]
+
+    classes = [(0,), (1,), (2,)]
+    collections = tuple(
+        ColoredConfig(dim=d, points=[on_line(3 * ell + i) for i in range(3)], classes=classes)
+        for ell in range(d)
+    )
+    inst = ProblemInstance(d=d, k=d - 1, rs=(2,) * d, collections=collections)
+    report = solve_hyperplane_transversal_exact(inst)
+    assert report.certified
+    assert report.stats["planes"] == 1
+    assert verify_transversal(inst, report.certificate)
+    assert all(report.certificate.plane.contains(p) for cfg in collections for p in cfg.points)
+
+
+def test_hyperplane_search_solves_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the complete hyperplane search solved an LP")
+
+    monkeypatch.setattr(geometry, "lp_solve_eq", no_lp)
+    monkeypatch.setattr(kernels, "phase1", no_lp)
+    for seed in range(12):
+        inst = singleton_transversal_instance(seed)
+        report = solve_hyperplane_transversal_exact(inst)
+        assert report.certified
+        assert verify_transversal(inst, report.certificate)
+    refuted = solve_hyperplane_transversal_exact(tightness_instance(2, 1, (2, 2), 0))
+    assert refuted.status == "infeasible-exhausted"
 
 
 # ---------------------------------------------------------------------------
