@@ -1,15 +1,16 @@
 """Exact convex-position primitives.
 
-Points are tuples of Fraction; nothing in this module ever touches a
-float.  The workhorse is the common-point LP: given finitely many point
-sets ("pieces"), decide whether their convex hulls share a point and
-produce either an exact convex-combination witness or the exact
-phase-1 violation gap.  Feasibility runs on the fraction-free integer
-simplex kernel after clearing denominators.
+Points are tuples of Fraction at the API; nothing in this module ever
+touches a float.  The workhorse is the common-point LP: given finitely
+many point sets ("pieces"), decide whether their convex hulls share a
+point and produce either an exact convex-combination witness or the
+exact phase-1 violation gap.  A search scales its points to integers
+once (`integer_points`), builds each LP's rows as plain ints
+(`lp_solve_eq`) for the fraction-free integer simplex kernel, and makes
+Fractions only for the returned weights and gap.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -19,7 +20,6 @@ from . import kernels, linalg
 Point = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def as_point(coords) -> Point:
@@ -54,63 +54,60 @@ def affine_dim(points) -> int:
     return linalg.rank(diffs) if diffs else 0
 
 
-def lp_solve_eq(rows, rhs):
-    """Exact feasibility of {x >= 0 : rows . x = rhs}.
+def integer_points(points):
+    """(integer points, scale): every point times one positive integer scale.
 
-    Returns (x, gap): on success x is the rational solution and gap is 0;
-    otherwise x is None and gap is the minimum total constraint violation
-    measured in the original (unscaled) row units.
+    scale is the lcm of all coordinate denominators, so one scale serves
+    the whole set and pieces drawn from it share the LP's units.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    idata, irhs, scales = [], [], []
-    for row, b in zip(rows, rhs):
-        s = lcm(*(v.denominator for v in itertools.chain(row, [b])), 1)
-        srow = [int(v * s) for v in row]
-        sb = int(b * s)
-        if sb < 0:
-            srow = [-v for v in srow]
-            sb = -sb
-        idata.append(srow)
-        irhs.append(sb)
-        scales.append(s)
-    total = lcm(*scales, 1)
-    costs = [total // s for s in scales]
-    feasible, xnum, xden, gapnum, gapden, _ = kernels.phase1(nrows, ncols, idata, irhs, costs)
-    if feasible:
-        return [Fraction(n, xden) for n in xnum], ZERO
-    return None, Fraction(gapnum, gapden * total)
+    scale = lcm(*(c.denominator for p in points for c in p), 1)
+    return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points], scale
 
 
-def _common_point_rows(pieces):
-    """Equality system for 'all pieces' hulls share a point'.
+def lp_solve_eq(pieces, scale):
+    """Common-point LP on integer pieces: (weights per piece, 0) or (None, gap).
 
-    Variables are the concatenated per-piece weights; the shared point is
-    eliminated by equating piece 0's combination with every other one.
+    `pieces` hold points of `integer_points` with their `scale`.  The
+    variables are the concatenated per-piece weights, and the shared
+    point is eliminated: each piece's weights sum to 1, and piece 0's
+    combination equals every other piece's, coordinate by coordinate.
+    The rows go to the kernel as ints.  Weight rows cost `scale` and
+    coordinate rows 1, so the phase-1 optimum is `scale` times the
+    total violation in the original units, and gap is in those units.
+    A positive scale on a row changes no Bland choice, so weights and
+    gap equal those of the rational system.
     """
     dim = len(pieces[0][0])
-    sizes = [len(p) for p in pieces]
-    offs = [0]
-    for s in sizes:
-        offs.append(offs[-1] + s)
-    nvars = offs[-1]
-    rows, rhs = [], []
-    for j in range(len(pieces)):
-        row = [ZERO] * nvars
-        for i in range(sizes[j]):
-            row[offs[j] + i] = ONE
+    sizes = [len(piece) for piece in pieces]
+    nvars = sum(sizes)
+    rows = []
+    off = 0
+    for size in sizes:
+        row = [0] * nvars
+        row[off:off + size] = [1] * size
         rows.append(row)
-        rhs.append(ONE)
-    for j in range(1, len(pieces)):
+        off += size
+    first, n0 = pieces[0], sizes[0]
+    off = n0
+    for piece in pieces[1:]:
         for c in range(dim):
-            row = [ZERO] * nvars
-            for i, p in enumerate(pieces[0]):
-                row[offs[0] + i] = p[c]
-            for i, p in enumerate(pieces[j]):
-                row[offs[j] + i] = -p[c]
+            row = [0] * nvars
+            row[:n0] = [p[c] for p in first]
+            row[off:off + len(piece)] = [-p[c] for p in piece]
             rows.append(row)
-            rhs.append(ZERO)
-    return rows, rhs, offs
+        off += len(piece)
+    ncoord = len(rows) - len(pieces)
+    rhs = [1] * len(pieces) + [0] * ncoord
+    costs = [scale] * len(pieces) + [1] * ncoord
+    feasible, xnum, xden, gapnum, gapden, _ = kernels.phase1(len(rows), nvars, rows, rhs, costs)
+    if not feasible:
+        return None, Fraction(gapnum, gapden * scale)
+    weights = []
+    off = 0
+    for size in sizes:
+        weights.append(tuple(Fraction(v, xden) for v in xnum[off:off + size]))
+        off += size
+    return tuple(weights), ZERO
 
 
 def common_point_gap(pieces):
@@ -121,11 +118,11 @@ def common_point_gap(pieces):
     dim = len(pcs[0][0])
     if any(len(p) != dim for piece in pcs for p in piece):
         raise ValueError("mismatched point dimensions")
-    rows, rhs, offs = _common_point_rows(pcs)
-    x, gap = lp_solve_eq(rows, rhs)
-    if x is None:
+    ints, scale = integer_points([p for piece in pcs for p in piece])
+    flat = iter(ints)
+    weights, gap = lp_solve_eq([[next(flat) for _ in piece] for piece in pcs], scale)
+    if weights is None:
         return None, gap
-    weights = tuple(tuple(x[offs[j]:offs[j + 1]]) for j in range(len(pcs)))
     point = convex_combination(weights[0], pcs[0])
     return CommonPointWitness(point=point, weights=weights), ZERO
 

@@ -27,17 +27,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, perm, prod
 
 from . import linalg
 from .errors import CapExceeded, DegenerateIntersection, PreconditionError
 from .geometry import (
+    CommonPointWitness,
     Point,
     Verdict,
     as_point,
-    common_point_gap,
     convex_combination,
     convex_combination_fault,
+    integer_points,
+    lp_solve_eq,
 )
 from .model import (
     ColoredConfig,
@@ -208,6 +210,20 @@ def _nonempty_partitions(config: ColoredConfig, r: int):
     return extend(0, 0)
 
 
+def _representative_count(config: ColoredConfig, r: int) -> int:
+    """How many partitions `_nonempty_partitions` yields, in closed form.
+
+    Inclusion-exclusion over j pieces forced empty counts the colorful
+    ordered tuples with no empty piece (each class puts its points in
+    distinct pieces); S_r permutes those freely, so r! divides the count.
+    """
+    ordered = sum(
+        (-1) ** j * comb(r, j) * prod(perm(r - j, len(cls)) for cls in config.classes)
+        for j in range(r + 1)
+    )
+    return ordered // factorial(r)
+
+
 def _partition_lists(instance: ProblemInstance):
     """Partition representatives per collection; None if one has none."""
     lists = [
@@ -222,18 +238,18 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     if r < 2:
         raise ValueError("need at least two pieces")
     stats = {"partitions": 0, "lps": 0}
+    ints, scale = integer_points(config.points)
     candidates = (
-        (part, [[config.points[i] for i in piece] for piece in part.pieces])
+        (part, [[ints[i] for i in piece] for piece in part.pieces])
         for part in _nonempty_partitions(config, r)
     )
-    hit, gap = _first_feasible(common_point_gap, candidates, stats)
+    hit, gap = _first_feasible(lambda pieces: lp_solve_eq(pieces, scale), candidates, stats)
     # one LP per representative decides its r! ordered tuples
     stats["partitions"] = stats["lps"] * factorial(r)
     if hit is not None:
-        part, witness = hit
-        cert = TverbergCertificate(
-            point=witness.point, partition=part, weights=witness.weights
-        )
+        part, weights = hit
+        point = convex_combination(weights[0], [config.points[i] for i in part.pieces[0]])
+        cert = TverbergCertificate(point=point, partition=part, weights=weights)
         return SolveReport("certified", cert, ZERO, stats)
     if gap is None:
         return SolveReport("no-valid-partition", None, None, stats)
@@ -340,7 +356,7 @@ def _combo_pieces(point_lists, combo):
 
 
 def _evaluate_direction(q_rows, collections, partitions_per_col, stats):
-    """(certificate pieces, gap) for one quotient; gap 0 on success.
+    """((combination, witness), 0) for one quotient, else (None, gap).
 
     Prefilters each collection alone, then runs one joint LP per
     combination of surviving partitions.  The returned gap is the sum of
@@ -350,16 +366,20 @@ def _evaluate_direction(q_rows, collections, partitions_per_col, stats):
     proj = [
         [_project(q_rows, p) for p in cfg.points] for cfg in collections
     ]
+    # one scale for all collections: joint LPs pool their pieces
+    ints, scale = integer_points([p for pts in proj for p in pts])
+    flat = iter(ints)
+    iproj = [[next(flat) for _ in pts] for pts in proj]
     survivors = []
     misses = []  # least gap of each collection with no surviving partition
     for ell, plist in enumerate(partitions_per_col):
         good = []
         gmin = None
         for part in plist:
-            pieces = [[proj[ell][i] for i in piece] for piece in part.pieces]
-            witness, gap = common_point_gap(pieces)
+            pieces = [[iproj[ell][i] for i in piece] for piece in part.pieces]
+            weights, gap = lp_solve_eq(pieces, scale)
             stats["lps"] += 1
-            if witness is not None:
+            if weights is not None:
                 good.append(part)
             else:
                 gmin = _least(gmin, gap)
@@ -369,9 +389,14 @@ def _evaluate_direction(q_rows, collections, partitions_per_col, stats):
     if misses:
         return None, sum(misses, ZERO)
     pooled = (
-        (combo, _combo_pieces(proj, combo)) for combo in itertools.product(*survivors)
+        (combo, _combo_pieces(iproj, combo)) for combo in itertools.product(*survivors)
     )
-    return _first_feasible(common_point_gap, pooled, stats)
+    hit, gap = _first_feasible(lambda pieces: lp_solve_eq(pieces, scale), pooled, stats)
+    if hit is None:
+        return None, gap
+    combo, weights = hit
+    point = convex_combination(weights[0], _combo_pieces(proj, combo)[0])
+    return (combo, CommonPointWitness(point=point, weights=weights)), ZERO
 
 
 def _build_certificate(instance, q_rows, combo, witness) -> TransversalCertificate:
@@ -520,17 +545,20 @@ def solve_hyperplane_transversal_exact(
     if k != d - 1:
         raise PreconditionError("complete search needs plane codimension one")
     stats = {"planes": 0, "combos": 0}
-    partitions_per_col = _partition_lists(instance)
-    if partitions_per_col is None:
+    counts = [
+        _representative_count(cfg, r) for cfg, r in zip(instance.collections, instance.rs)
+    ]
+    if not all(counts):
         return SolveReport("no-valid-partition", None, None, stats)
     points = [cfg.points for cfg in instance.collections]
     pooled = [p for pts in points for p in pts]
     # each candidate plane may check every representative of every collection
-    total = comb(len(pooled), d) * sum(map(len, partitions_per_col))
+    total = comb(len(pooled), d) * sum(counts)
     if total > choice_cap:
         raise CapExceeded(
             f"hyperplane search needs {total} plane checks, cap is {choice_cap}"
         )
+    partitions_per_col = _partition_lists(instance)
 
     best_gap = None
     for normal, offset in _candidate_planes(pooled, d):
@@ -544,9 +572,7 @@ def solve_hyperplane_transversal_exact(
         miss = sum((m for _, m in found), ZERO) / max(map(abs, normal))
         best_gap = _least(best_gap, miss)
     # each representative combination ruled out stands for its whole orbit
-    stats["combos"] = prod(
-        len(plist) * factorial(r) for plist, r in zip(partitions_per_col, instance.rs)
-    )
+    stats["combos"] = prod(n * factorial(r) for n, r in zip(counts, instance.rs))
     return SolveReport("infeasible-exhausted", None, best_gap, stats)
 
 
@@ -572,20 +598,26 @@ def _candidate_planes(points, d):
 def _first_met(side, plist):
     """(first partition whose pieces all meet the plane, 0), else (None, least miss).
 
-    side[i] is a.v_i - b; a piece strictly on one side misses by its
-    least |a.v - b|.
+    side[i] is a.v_i - b.  A piece meets the plane when it has points on
+    both closed sides; one strictly on one side misses by its least
+    |a.v - b|.  Misses are summed only when no partition meets the plane.
     """
-    best = None
+    below = [s <= 0 for s in side]
+    above = [s >= 0 for s in side]
     for part in plist:
-        miss = sum(
+        if all(
+            any(below[i] for i in piece) and any(above[i] for i in piece)
+            for piece in part.pieces
+        ):
+            return part, ZERO
+    return None, min(
+        sum(
             (max(min(side[i] for i in piece), -max(side[i] for i in piece), 0)
              for piece in part.pieces),
             ZERO,
         )
-        if miss == 0:
-            return part, ZERO
-        best = _least(best, miss)
-    return None, best
+        for part in plist
+    )
 
 
 def _hyperplane_certificate(instance, combo, sides, normal, offset):

@@ -1,26 +1,30 @@
 """Independent reference implementations used only to validate the package.
 
-Nothing here imports the kernel or geometry internals: the simplex
-reference keeps a plain Fraction tableau, the hull-intersection oracle
-enumerates simplex supports and solves square-ish linear systems with
-its own Gaussian elimination, and the orthogonal projection solves its
-Gram systems the same way.  The facet-maximality reference compares
-every pair of facets.  The mod-p chain complex is the one check built on
-package functions: it composes `topology.boundary_matrix` with itself to
-confirm that the boundary of a boundary vanishes, and takes its
-primality test from `linalg`.  The ordered partition filter draws on
-`model.enumerate_colorful_partitions`, the enumeration it stands for.
-The disjunctive hyperplane search is the exception to the first rule:
-it is the LP search the complete hyperplane solver replaced, and solves
-its LPs with `geometry.lp_solve_eq`.
+Nothing here imports the kernel or geometry internals, with the
+exceptions named below: the simplex reference keeps a plain Fraction
+tableau, the hull-intersection oracle enumerates simplex supports and
+solves square-ish linear systems with its own Gaussian elimination, and
+the orthogonal projection solves its Gram systems the same way.  The
+facet-maximality reference compares every pair of facets.  The mod-p
+chain complex is the one check built on package functions: it composes
+`topology.boundary_matrix` with itself to confirm that the boundary of a
+boundary vanishes, and takes its primality test from `linalg`.  The
+ordered partition filter draws on `model.enumerate_colorful_partitions`,
+the enumeration it stands for.  The rational LP path
+(`rational_lp_solve_eq`, `common_point_rows`) is the row assembly the
+integer common-point LP replaced: Fraction rows, each cleared of
+denominators by its own lcm, on `kernels.phase1`, so a comparison with
+it checks assembly and gap units, while `phase1_reference` checks the
+pivoting.  The disjunctive hyperplane search is the LP search the
+complete hyperplane solver replaced, and solves its LPs on that rational
+path.
 """
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tverlab import topology
-from tverlab.geometry import lp_solve_eq
+from tverlab import kernels, topology
 from tverlab.linalg import is_prime
 from tverlab.model import enumerate_colorful_partitions
 
@@ -83,6 +87,66 @@ def phase1_reference(nrows, ncols, data, rhs, costs=None):
                 x[basis[i]] = M[i][rc]
         return True, x, ZERO, pivots
     return False, None, w, pivots
+
+
+def rational_lp_solve_eq(rows, rhs):
+    """Exact feasibility of {x >= 0 : rows . x = rhs} for Fraction rows.
+
+    Returns (x, gap): on success x is the rational solution and gap is 0;
+    otherwise x is None and gap is the minimum total constraint violation
+    measured in the original (unscaled) row units.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    idata, irhs, scales = [], [], []
+    for row, b in zip(rows, rhs):
+        s = math.lcm(*(v.denominator for v in itertools.chain(row, [b])), 1)
+        srow = [int(v * s) for v in row]
+        sb = int(b * s)
+        if sb < 0:
+            srow = [-v for v in srow]
+            sb = -sb
+        idata.append(srow)
+        irhs.append(sb)
+        scales.append(s)
+    total = math.lcm(*scales, 1)
+    costs = [total // s for s in scales]
+    feasible, xnum, xden, gapnum, gapden, _ = kernels.phase1(nrows, ncols, idata, irhs, costs)
+    if feasible:
+        return [Fraction(n, xden) for n in xnum], ZERO
+    return None, Fraction(gapnum, gapden * total)
+
+
+def common_point_rows(pieces):
+    """Equality system for 'all pieces' hulls share a point', in Fractions.
+
+    Variables are the concatenated per-piece weights; the shared point is
+    eliminated by equating piece 0's combination with every other one.
+    Returns (rows, rhs, offsets of each piece's weights).
+    """
+    dim = len(pieces[0][0])
+    sizes = [len(p) for p in pieces]
+    offs = [0]
+    for s in sizes:
+        offs.append(offs[-1] + s)
+    nvars = offs[-1]
+    rows, rhs = [], []
+    for j in range(len(pieces)):
+        row = [ZERO] * nvars
+        for i in range(sizes[j]):
+            row[offs[j] + i] = ONE
+        rows.append(row)
+        rhs.append(ONE)
+    for j in range(1, len(pieces)):
+        for c in range(dim):
+            row = [ZERO] * nvars
+            for i, p in enumerate(pieces[0]):
+                row[offs[0] + i] = p[c]
+            for i, p in enumerate(pieces[j]):
+                row[offs[j] + i] = -p[c]
+            rows.append(row)
+            rhs.append(ZERO)
+    return rows, rhs, offs
 
 
 def _gauss_solve(matrix, rhs):
@@ -340,4 +404,4 @@ def _hyperplane_disjunct_feasible(pieces, pairs, unit):
         row[bp], row[bm], row[bp + 2 + 2 * j + 1] = ONE, -ONE, ONE
         rows.append(row)
         rhs.append(vhi[unit] - sum(vhi[c] for c in other))
-    return lp_solve_eq(rows, rhs)[0] is not None
+    return rational_lp_solve_eq(rows, rhs)[0] is not None

@@ -21,6 +21,8 @@ from tverlab.model import (
     validate,
 )
 
+from oracles import rational_lp_solve_eq
+
 F = Fraction
 
 
@@ -195,7 +197,7 @@ class TestLift:
         n = cluster.size
         rows = [[Fraction(1)] * n, [p[-1] for p in cluster.points]]
         rhs = [Fraction(1), Fraction(0)]
-        x, gap = geometry.lp_solve_eq(rows, rhs)
+        x, gap = rational_lp_solve_eq(rows, rhs)
         assert x is None and gap > 0
 
     def test_cluster_points_distinct_and_curved(self):

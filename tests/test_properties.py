@@ -6,17 +6,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tverlab import serialize, solver, svg
-from tverlab.geometry import lp_feasible_common_point, lp_solve_eq
+from tverlab.geometry import (
+    common_point_gap,
+    integer_points,
+    lp_feasible_common_point,
+    lp_solve_eq,
+    verify_common_point_witness,
+)
 from tverlab.model import ColoredConfig, ProblemInstance
 from tverlab.solver import KPlane
 from tverlab.topology import SimplicialComplex
 
 from oracles import (
     Subspace,
+    common_point_rows,
     hyperplane_disjunct_search,
     inclusion_maximal,
     ordered_nonempty_partitions,
     project,
+    rational_lp_solve_eq,
 )
 
 settings.register_profile("suite", max_examples=60, deadline=None)
@@ -42,11 +50,47 @@ def test_lp_finds_planted_solutions(nrows, ncols, data):
     ]
     planted = [Fraction(data.draw(st.integers(0, 6))) for _ in range(ncols)]
     rhs = [sum(a * v for a, v in zip(row, planted)) for row in rows]
-    x, gap = lp_solve_eq(rows, rhs)
+    x, gap = rational_lp_solve_eq(rows, rhs)
     assert gap == 0
     assert all(v >= 0 for v in x)
     for row, b in zip(rows, rhs):
         assert sum(a * v for a, v in zip(row, x)) == b
+
+
+@st.composite
+def rational_pieces(draw):
+    """One to four pieces of one to four points in R^d, d = 1..3."""
+    d = draw(st.integers(1, 3))
+    point = st.tuples(*[rationals] * d)
+    return draw(st.lists(st.lists(point, min_size=1, max_size=4), min_size=1, max_size=4))
+
+
+# infeasible with scale 6, so gap units and weight-row costs both show
+@example([[(Fraction(1, 2),)], [(Fraction(1, 3),)]])
+@given(rational_pieces())
+@settings(max_examples=200)
+def test_integer_common_point_lp_matches_rational_rows(pieces):
+    flat = [p for piece in pieces for p in piece]
+    ints, scale = integer_points(flat)
+    assert scale > 0
+    assert all(a == c * scale for p, q in zip(flat, ints) for c, a in zip(p, q))
+    it = iter(ints)
+    weights, gap = lp_solve_eq([[next(it) for _ in piece] for piece in pieces], scale)
+
+    rows, rhs, offs = common_point_rows(pieces)
+    x, ref_gap = rational_lp_solve_eq(rows, rhs)
+    assert gap == ref_gap
+    if x is None:
+        assert weights is None and gap > 0
+    else:
+        assert weights == tuple(tuple(x[offs[j]:offs[j + 1]]) for j in range(len(pieces)))
+
+    witness, api_gap = common_point_gap(pieces)
+    assert api_gap == ref_gap
+    assert (witness is None) == (x is None)
+    if witness is not None:
+        assert witness.weights == weights
+        assert verify_common_point_witness(pieces, witness)
 
 
 @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=8))

@@ -87,8 +87,8 @@ def test_kplane_rejects_dependent_directions():
 # partitions up to relabelling pieces
 
 
-@pytest.mark.parametrize("r", [2, 3, 4])
-def test_representatives_are_first_of_their_relabelling_orbits(r):
+def small_profile_configs(r):
+    """One config per class profile of at most 6 points, classes up to r + 1."""
     profiles = [
         p
         for n in (1, 2, 3, 4)
@@ -97,11 +97,16 @@ def test_representatives_are_first_of_their_relabelling_orbits(r):
     ]
     for profile in profiles:
         starts = [sum(profile[:c]) for c in range(len(profile))]
-        cfg = ColoredConfig(
+        yield ColoredConfig(
             dim=1,
             points=[(i,) for i in range(sum(profile))],
             classes=[range(a, a + size) for a, size in zip(starts, profile)],
         )
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_representatives_are_first_of_their_relabelling_orbits(r):
+    for cfg in small_profile_configs(r):
         reps = list(solver._nonempty_partitions(cfg, r))
         ordered = list(ordered_nonempty_partitions(cfg, r))
         assert len({orbit_key(cfg, p) for p in reps}) == len(reps)
@@ -110,6 +115,16 @@ def test_representatives_are_first_of_their_relabelling_orbits(r):
             first.setdefault(orbit_key(cfg, part), part)
         assert reps == list(first.values())
         assert len(reps) * factorial(r) == len(ordered)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_representative_count_matches_enumeration(r):
+    counts = []
+    for cfg in small_profile_configs(r):
+        count = solver._representative_count(cfg, r)
+        assert count == sum(1 for _ in solver._nonempty_partitions(cfg, r))
+        counts.append(count)
+    assert 0 in counts and max(counts) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +381,24 @@ def test_hyperplane_choice_cap():
         solve_hyperplane_transversal_exact(inst, choice_cap=10)
 
 
+def test_hyperplane_cap_fires_before_enumerating(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("partitions enumerated before the cap was read")
+
+    monkeypatch.setattr(solver, "_nonempty_partitions", no_enumeration)
+    points = [(i, i * i) for i in range(10)]
+    collection = ColoredConfig(dim=2, points=points, classes=[(i,) for i in range(10)])
+    inst = ProblemInstance(d=2, k=1, rs=(5, 5), collections=(collection, collection))
+    # C(20, 2) candidate planes times 42,525 representatives per collection
+    with pytest.raises(CapExceeded, match="needs 16159500 plane checks"):
+        solve_hyperplane_transversal_exact(inst)
+    # a collection with no partition at all is reported before the cap
+    one_class = ColoredConfig(dim=2, points=points[:3], classes=[(0, 1, 2)])
+    inst = ProblemInstance(d=2, k=1, rs=(5, 2), collections=(collection, one_class))
+    report = solve_hyperplane_transversal_exact(inst, choice_cap=0)
+    assert report.status == "no-valid-partition"
+
+
 def test_hyperplane_refutes_three_piece_tightness():
     inst = tightness_instance(2, 1, (3, 3), 0)
     report = solve_hyperplane_transversal_exact(inst)
@@ -406,6 +439,7 @@ def test_hyperplane_search_solves_no_lp(monkeypatch):
         raise AssertionError("the complete hyperplane search solved an LP")
 
     monkeypatch.setattr(geometry, "lp_solve_eq", no_lp)
+    monkeypatch.setattr(solver, "lp_solve_eq", no_lp)
     monkeypatch.setattr(kernels, "phase1", no_lp)
     for seed in range(12):
         inst = singleton_transversal_instance(seed)
