@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import serialize, svg
 from .errors import CapExceeded, DegenerateIntersection, ParseError, PreconditionError
@@ -20,9 +19,7 @@ from .solver import (
     SearchBudget,
     TransversalCertificate,
     TverbergCertificate,
-    solve_hyperplane_transversal_exact,
-    solve_transversal,
-    solve_tverberg,
+    solve,
     sweep,
     verify_transversal,
     verify_tverberg,
@@ -128,8 +125,7 @@ def cmd_partition(args) -> int:
     instance = serialize.load_instance(args.instance)
     if instance.k != 0:
         return _usage("partition requires a k = 0 instance (use transversal)")
-    config, r = instance.collections[0], instance.rs[0]
-    report = solve_tverberg(config, r)
+    report = solve(instance)
     if report.certified:
         cert = report.certificate
         print(f"certified: common point {_point_str(cert.point)}")
@@ -147,23 +143,21 @@ def cmd_partition(args) -> int:
 
 
 def cmd_transversal(args) -> int:
-    sampling = _given(
-        samples=args.samples, refinement_depth=args.refine, seed=args.seed
-    )
-    if args.exact_hyperplane and sampling:
-        return _usage("--exact-hyperplane does not take --samples/--refine/--seed")
-    if args.cap is not None and not args.exact_hyperplane:
-        return _usage("--cap only applies to --exact-hyperplane")
     instance = serialize.load_instance(args.instance)
     if instance.k < 1:
         return _usage("transversal requires k >= 1 (use partition for k = 0)")
-    if args.exact_hyperplane:
-        report = solve_hyperplane_transversal_exact(
-            instance, **_given(choice_cap=args.cap)
-        )
+    sampling = _given(
+        samples=args.samples, refinement_depth=args.refine, seed=args.seed
+    )
+    exact = instance.k == instance.d - 1
+    if exact and sampling:
+        return _usage("k = d-1 runs the complete scan: no --samples/--refine/--seed")
+    if args.cap is not None and not exact:
+        return _usage("--cap only applies when k = d-1")
+    report = solve(instance, SearchBudget(**sampling), **_given(choice_cap=args.cap))
+    if exact:
         work = f"candidate planes checked: {report.stats['planes']}"
     else:
-        report = solve_transversal(instance, replace(SearchBudget(), **sampling))
         work = f"subproblems solved: {report.stats['lps']}"
     if report.certified:
         cert = report.certificate
@@ -274,14 +268,10 @@ def cmd_tightness(args) -> int:
         )
     if not args.verify:
         return EXIT_OK
-    if args.k == 0:
-        report = solve_tverberg(instance.collections[0], instance.rs[0])
-        checked = report.stats.get("partitions", 0)
-    elif args.k == args.d - 1:
-        report = solve_hyperplane_transversal_exact(instance)
-        checked = report.stats.get("combos", 0)
-    else:
+    if 0 < args.k < args.d - 1:
         return _usage("--verify needs k = 0 or k = d-1 (complete solvers only)")
+    report = solve(instance)
+    checked = report.stats.get("partitions", report.stats.get("combos"))
     if report.status in ("infeasible-exhausted", "no-valid-partition"):
         print(f"verified infeasible: {checked} cases exhausted (gap {report.gap})")
         return EXIT_OK
@@ -293,10 +283,8 @@ def cmd_sweep(args) -> int:
     profiles = args.profiles
     if profiles is None:
         profiles = tuple(default_profile(args.d, args.k, r) for r in args.rs)
-    budget = replace(
-        SearchBudget(),
-        **_given(samples=args.samples, refinement_depth=args.refine),
-        seed=args.seed,
+    budget = SearchBudget(
+        **_given(samples=args.samples, refinement_depth=args.refine), seed=args.seed
     )
     report = sweep(
         args.d,
@@ -307,7 +295,6 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
         budget=budget,
         jitter_q=args.jitter_q,
-        method=args.method,
     )
     for label in sorted(report.counts):
         print(f"{label}: {report.counts[label]}/{args.trials}")
@@ -323,7 +310,6 @@ def cmd_sweep(args) -> int:
             "samples": budget.samples,
             "refine": budget.refinement_depth,
             "jitter_q": args.jitter_q,
-            "method": args.method,
         }
         serialize.write_json(args.out, serialize.sweep_report_to_json(report, params))
         print(f"wrote {args.out}")
@@ -377,17 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transversal", help="search for a k-plane transversal")
     p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--samples", type=int, help="direction sample budget")
-    p.add_argument("--refine", type=int, help="refinement rounds between blocks")
-    p.add_argument("--seed", type=int, help="sampling seed")
-    p.add_argument(
-        "--exact-hyperplane",
-        action="store_true",
-        help="complete hyperplane solver (k = d-1 only)",
-    )
-    p.add_argument(
-        "--cap", type=int, help="plane check cap for --exact-hyperplane"
-    )
+    p.add_argument("--samples", type=int, help="direction sample budget (k < d-1)")
+    p.add_argument("--refine", type=int, help="refinement rounds (k < d-1)")
+    p.add_argument("--seed", type=int, help="sampling seed (k < d-1)")
+    p.add_argument("--cap", type=int, help="plane check cap (k = d-1 only)")
     p.add_argument("--out", metavar="FILE", help="write the certificate as JSON")
     p.add_argument(
         "--verify", action="store_true", help="re-load and re-check the certificate"
@@ -446,12 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, help="per-trial direction samples")
     p.add_argument("--refine", type=int, help="per-trial refinement rounds")
     p.add_argument("--jitter-q", type=int, help="rational jitter denominator")
-    p.add_argument(
-        "--method",
-        choices=("auto", "sample", "exact"),
-        default="auto",
-        help="solver selection",
-    )
     p.add_argument("--out", metavar="FILE", help="write the report as JSON")
     p.set_defaults(func=cmd_sweep)
 

@@ -1,6 +1,6 @@
 """Searches for common points and transversal planes, with exact certificates.
 
-Three search modes, all exact:
+Three search modes, all exact; `solve` picks one from the plane dimension:
 
 * `solve_tverberg` — exhaustive over colorful partitions of one collection,
   one rational LP per partition up to relabelling pieces; complete.
@@ -53,6 +53,7 @@ ONE = Fraction(1)
 
 _BLOCK = 512
 _SNAP_CAP = 4096
+CHOICE_CAP = 5_000_000  # plane checks the complete hyperplane scan may make
 _FIRST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -121,6 +122,11 @@ class SearchBudget:
     samples: int = 10_000
     refinement_depth: int = 6
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("samples", "refinement_depth", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0")
 
 
 @dataclass
@@ -524,7 +530,7 @@ def solve_transversal(
 
 
 def solve_hyperplane_transversal_exact(
-    instance: ProblemInstance, choice_cap: int = 5_000_000
+    instance: ProblemInstance, choice_cap: int = CHOICE_CAP
 ) -> SolveReport:
     """Complete hyperplane-transversal search over arrangement vertices.
 
@@ -559,17 +565,23 @@ def solve_hyperplane_transversal_exact(
             f"hyperplane search needs {total} plane checks, cap is {choice_cap}"
         )
     partitions_per_col = _partition_lists(instance)
+    # in units of 1/scale, sides a.v - b and misses are ints
+    ints, scale = integer_points(pooled)
+    flat = iter(ints)
+    int_points = [[next(flat) for _ in pts] for pts in points]
 
     best_gap = None
-    for normal, offset in _candidate_planes(pooled, d):
+    for normal, offset in _candidate_planes(ints, d):
         stats["planes"] += 1
-        sides = [[_dot(normal, v) - offset for v in pts] for pts in points]
+        sides = [[_dot(normal, v) - offset for v in pts] for pts in int_points]
         found = [_first_met(s, plist) for s, plist in zip(sides, partitions_per_col)]
         combo = [part for part, _ in found]
         if None not in combo:
-            cert = _hyperplane_certificate(instance, combo, sides, normal, offset)
+            cert = _hyperplane_certificate(
+                instance, combo, sides, normal, Fraction(offset, scale)
+            )
             return SolveReport("certified", cert, ZERO, stats)
-        miss = sum((m for _, m in found), ZERO) / max(map(abs, normal))
+        miss = Fraction(sum(m for _, m in found), scale * max(map(abs, normal)))
         best_gap = _least(best_gap, miss)
     # each representative combination ruled out stands for its whole orbit
     stats["combos"] = prod(n * factorial(r) for n, r in zip(counts, instance.rs))
@@ -609,12 +621,11 @@ def _first_met(side, plist):
             any(below[i] for i in piece) and any(above[i] for i in piece)
             for piece in part.pieces
         ):
-            return part, ZERO
+            return part, 0
     return None, min(
         sum(
-            (max(min(side[i] for i in piece), -max(side[i] for i in piece), 0)
-             for piece in part.pieces),
-            ZERO,
+            max(min(side[i] for i in piece), -max(side[i] for i in piece), 0)
+            for piece in part.pieces
         )
         for part in plist
     )
@@ -630,12 +641,29 @@ def _hyperplane_certificate(instance, combo, sides, normal, offset):
             vals = [side[i] for i in piece]
             lo = next(j for j, s in enumerate(vals) if s <= 0)
             hi = next(j for j, s in enumerate(vals) if s >= 0)
-            t = ZERO if lo == hi else vals[lo] / (vals[lo] - vals[hi])
+            t = ZERO if lo == hi else Fraction(vals[lo], vals[lo] - vals[hi])
             w = [ZERO] * len(piece)
             w[lo] += 1 - t
             w[hi] += t
             piece_weights.append(w)
     return _certificate(instance, plane, combo, piece_weights)
+
+
+def solve(
+    instance: ProblemInstance,
+    budget: SearchBudget | None = None,
+    choice_cap: int = CHOICE_CAP,
+) -> SolveReport:
+    """The search for the instance's k: complete for k = 0 and k = d-1.
+
+    k = 0 runs `solve_tverberg`, k = d-1 the arrangement scan (capped by
+    choice_cap), and any other k the sampler (bounded by budget).
+    """
+    if instance.k == 0:
+        return solve_tverberg(instance.collections[0], instance.rs[0])
+    if instance.k == instance.d - 1:
+        return solve_hyperplane_transversal_exact(instance, choice_cap)
+    return solve_transversal(instance, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -801,32 +829,24 @@ def sweep(
     seed: int = 0,
     budget: SearchBudget | None = None,
     jitter_q: int | None = None,
-    method: str = "auto",
 ) -> SweepReport:
     """Solve `trials` seeded random instances and tally labeled outcomes.
 
-    Trial i uses seed+i, so a sweep is reproducible and individual
-    trials can be re-run alone.  Labels append "-beyond-theorem" when an
-    instance violates the guarantee hypotheses, since a miss there is
-    expected rather than diagnostic.
+    Each trial runs `solve`.  Trial i uses seed+i, and budget.seed+i when
+    it samples, so a sweep is reproducible and individual trials can be
+    re-run alone.  Labels append "-beyond-theorem" when an instance
+    violates the guarantee hypotheses, since a miss there is expected
+    rather than diagnostic.
     """
     from .model import random_instance
 
-    if method not in ("auto", "sample", "exact"):
-        raise ValueError("method must be auto, sample, or exact")
+    budget = budget or SearchBudget()
     outcomes = []
     counts: dict[str, int] = {}
     for i in range(trials):
         inst = random_instance(d, k, rs, profiles, seed=seed + i, jitter_q=jitter_q)
         hyp_ok = validate(inst).all_ok
-        if k == 0 and method in ("auto", "exact"):
-            report = solve_tverberg(inst.collections[0], rs[0])
-        elif method == "exact":
-            report = solve_hyperplane_transversal_exact(inst)
-        else:
-            trial_budget = budget or SearchBudget()
-            trial_budget = replace(trial_budget, seed=trial_budget.seed + i)
-            report = solve_transversal(inst, trial_budget)
+        report = solve(inst, replace(budget, seed=budget.seed + i))
         label = {
             "certified": "certified",
             "infeasible-exhausted": "refuted",

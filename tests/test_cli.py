@@ -138,11 +138,11 @@ def test_transversal_sampled_with_certificate(
 
 
 def test_transversal_exact_hyperplane(capsys, singleton_line_instance):
-    code, out, _ = run(
-        capsys, "transversal", singleton_line_instance, "--exact-hyperplane"
-    )
+    # k = d-1 runs the complete scan
+    code, out, _ = run(capsys, "transversal", singleton_line_instance)
     assert code == 0
     assert "certified" in out
+    assert "candidate planes checked" in out
 
 
 def test_transversal_whole_space_when_k_equals_d(capsys, tmp_path):
@@ -155,7 +155,7 @@ def test_transversal_whole_space_when_k_equals_d(capsys, tmp_path):
 
 def test_transversal_budget_exhausted(capsys, tmp_path):
     path = tmp_path / "tight.json"
-    serialize.save_instance(str(path), tightness_instance(2, 1, (2, 2), 0))
+    serialize.save_instance(str(path), tightness_instance(3, 1, (2, 2), 0))
     code, out, _ = run(
         capsys, "transversal", str(path), "--samples", "1", "--refine", "0"
     )
@@ -166,26 +166,48 @@ def test_transversal_budget_exhausted(capsys, tmp_path):
 def test_transversal_exact_refutes_tightness(capsys, tmp_path):
     path = tmp_path / "tight.json"
     serialize.save_instance(str(path), tightness_instance(2, 1, (2, 2), 0))
-    code, out, _ = run(capsys, "transversal", str(path), "--exact-hyperplane")
+    code, out, _ = run(capsys, "transversal", str(path))
     assert code == 1
     assert "infeasible" in out
 
 
-def test_transversal_flag_conflicts(capsys, singleton_line_instance):
+def test_transversal_refutes_three_piece_tightness(capsys, tmp_path):
+    path = tmp_path / "tight33.json"
+    serialize.save_instance(str(path), tightness_instance(2, 1, (3, 3), 0))
+    code, out, _ = run(capsys, "transversal", str(path))
+    assert code == 1
+    assert out == (
+        "infeasible: search space exhausted "
+        "(candidate planes checked: 11, best gap 419/453)\n"
+    )
+
+
+def test_transversal_flag_conflicts(capsys, singleton_line_instance, tmp_path):
+    # sampling flags are for k < d-1, the plane check cap for k = d-1
     code, _, err = run(
-        capsys,
-        "transversal",
-        singleton_line_instance,
-        "--exact-hyperplane",
-        "--samples",
-        "5",
+        capsys, "transversal", singleton_line_instance, "--samples", "5"
     )
     assert code == 2
-    assert "--exact-hyperplane" in err
-    code, _, err = run(
-        capsys, "transversal", singleton_line_instance, "--cap", "10"
-    )
+    assert "--samples" in err
+    path = tmp_path / "d3k1.json"
+    serialize.save_instance(str(path), random_instance(3, 1, (2, 2), seed=0))
+    code, _, err = run(capsys, "transversal", str(path), "--cap", "10")
     assert code == 2
+    assert "--cap" in err
+
+
+@pytest.mark.parametrize(
+    "flag",
+    (["--samples", "-3"], ["--refine", "-1"], ["--seed", "-5"]),
+    ids=lambda flag: flag[0],
+)
+def test_transversal_rejects_negative_budget(capsys, tmp_path, flag):
+    path = tmp_path / "d3k1.json"
+    serialize.save_instance(str(path), random_instance(3, 1, (2, 2), seed=0))
+    code, out, err = run(capsys, "transversal", str(path), *flag)
+    assert code == 2
+    assert out == ""
+    assert "must be at least 0" in err
 
 
 def test_transversal_cap_exceeded(capsys, singleton_line_instance):
@@ -193,7 +215,6 @@ def test_transversal_cap_exceeded(capsys, singleton_line_instance):
         capsys,
         "transversal",
         singleton_line_instance,
-        "--exact-hyperplane",
         "--cap",
         "10",
     )
@@ -373,7 +394,6 @@ def test_sweep_exact_method(capsys, tmp_path):
         "--d", "2", "--k", "1", "--rs", "2,2",
         "--profiles", "1,1,1;1,1,1",
         "--trials", "2",
-        "--method", "exact",
     )
     assert code == 0
     assert "certified: 2/2" in out

@@ -24,6 +24,7 @@ from tverlab.solver import (
     TransversalCertificate,
     TverbergCertificate,
     restrict_solution,
+    solve,
     solve_hyperplane_transversal_exact,
     solve_transversal,
     solve_tverberg,
@@ -434,6 +435,39 @@ def test_hyperplane_through_points_that_do_not_span(d):
     assert all(report.certificate.plane.contains(p) for cfg in collections for p in cfg.points)
 
 
+def moved(inst, a=Fraction(9, 7), b=Fraction(-5, 3)):
+    """The instance under x -> a x + b in every coordinate."""
+    return dataclasses.replace(
+        inst,
+        collections=tuple(
+            dataclasses.replace(cfg, points=[tuple(a * c + b for c in p) for p in cfg.points])
+            for cfg in inst.collections
+        ),
+    )
+
+
+def test_hyperplane_scan_on_rational_points():
+    # the scan works on the points times one integer scale; a homothety
+    # with fractional coefficients must move planes and gaps along with it
+    instances = [tightness_instance(2, 1, rs, 0) for rs in ((2, 2), (3, 3))]
+    instances += [singleton_transversal_instance(seed) for seed in range(6)]
+    instances += [random_instance(2, 1, (3, 3), seed=seed) for seed in range(2)]
+    instances += [random_instance(3, 2, (2, 2, 2), seed=seed) for seed in range(2)]
+    statuses = set()
+    for inst in instances:
+        report = solve_hyperplane_transversal_exact(inst)
+        inst2 = moved(inst)
+        report2 = solve_hyperplane_transversal_exact(inst2)
+        statuses.add(report.status)
+        assert report2.status == report.status
+        assert report2.stats == report.stats
+        assert report2.gap == Fraction(9, 7) * report.gap
+        if report.certified:
+            assert report2.certificate.partitions == report.certificate.partitions
+            assert verify_transversal(inst2, report2.certificate)
+    assert statuses == {"certified", "infeasible-exhausted"}
+
+
 def test_hyperplane_search_solves_no_lp(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("the complete hyperplane search solved an LP")
@@ -640,6 +674,45 @@ def test_restrict_keeps_higher_k_planes():
 
 
 # ---------------------------------------------------------------------------
+# dispatch
+
+
+@pytest.mark.parametrize(
+    "inst, direct",
+    [
+        (
+            random_instance(2, 0, (3,), seed=4),
+            lambda inst: solve_tverberg(inst.collections[0], inst.rs[0]),
+        ),
+        (singleton_transversal_instance(2), solve_hyperplane_transversal_exact),
+        (
+            random_instance(3, 1, (2, 2), seed=0),
+            lambda inst: solve_transversal(inst, SearchBudget(8, 1, 0)),
+        ),
+        (
+            random_instance(2, 2, (2, 2, 2), seed=3),
+            lambda inst: solve_transversal(inst, SearchBudget(8, 1, 0)),
+        ),
+    ],
+    ids=["k=0", "k=d-1", "0<k<d-1", "k=d"],
+)
+def test_solve_picks_the_search_from_k(inst, direct):
+    report = solve(inst, SearchBudget(8, 1, 0))
+    expected = direct(inst)
+    assert report.status == expected.status
+    assert report.gap == expected.gap
+    assert report.stats == expected.stats
+    assert report.certificate == expected.certificate
+
+
+@pytest.mark.parametrize("field", ["samples", "refinement_depth", "seed"])
+def test_search_budget_rejects_negative_values(field):
+    assert getattr(SearchBudget(**{field: 0}), field) == 0
+    with pytest.raises(ValueError, match=field):
+        SearchBudget(**{field: -1})
+
+
+# ---------------------------------------------------------------------------
 # sweeps
 
 
@@ -651,10 +724,12 @@ def test_sweep_extremal_tverberg_all_certified():
 
 
 def test_sweep_exact_hyperplane_method():
-    report = sweep(
-        2, 1, (2, 2), [(1, 1, 1), (1, 1, 1)], trials=3, seed=7, method="exact"
-    )
+    profiles = [(1, 1, 1), (1, 1, 1)]
+    report = sweep(2, 1, (2, 2), profiles, trials=3, seed=7)
     assert report.counts.get("certified", 0) == 3
+    for o in report.outcomes:
+        inst = random_instance(2, 1, (2, 2), profiles, seed=o.seed)
+        assert o.status == solve_hyperplane_transversal_exact(inst).status
 
 
 def test_sweep_flags_beyond_theorem():
@@ -662,8 +737,3 @@ def test_sweep_flags_beyond_theorem():
     report = sweep(1, 0, (4,), [(3, 3, 1)], trials=1, seed=0)
     (label,) = report.counts
     assert label.endswith("-beyond-theorem")
-
-
-def test_sweep_rejects_bad_method():
-    with pytest.raises(ValueError):
-        sweep(2, 0, (3,), [default_profile(2, 0, 3)], trials=1, method="guess")
