@@ -256,6 +256,8 @@ def cmd_top_dims(args) -> int:
 
 def cmd_tightness(args) -> int:
     rs = args.rs
+    if args.verify and 0 < args.k < args.d - 1:
+        return _usage("--verify needs k = 0 or k = d-1 (complete solvers only)")
     instance = tightness_instance(args.d, args.k, rs, args.ell)
     sizes = tuple(cfg.size for cfg in instance.collections)
     print(f"built instance: d={args.d} k={args.k} rs={rs} sizes={sizes}")
@@ -268,8 +270,6 @@ def cmd_tightness(args) -> int:
         )
     if not args.verify:
         return EXIT_OK
-    if 0 < args.k < args.d - 1:
-        return _usage("--verify needs k = 0 or k = d-1 (complete solvers only)")
     report = solve(instance)
     checked = report.stats.get("partitions", report.stats.get("combos"))
     if report.status in ("infeasible-exhausted", "no-valid-partition"):

@@ -5,7 +5,7 @@ touches a float.  The workhorse is the common-point LP: given finitely
 many point sets ("pieces"), decide whether their convex hulls share a
 point and produce either an exact convex-combination witness or the
 exact phase-1 violation gap.  A search scales its points to integers
-once (`integer_points`), builds each LP's rows as plain ints
+once (`linalg.integer_points`), builds each LP's rows as plain ints
 (`lp_solve_eq`) for the fraction-free integer simplex kernel, and makes
 Fractions only for the returned weights and gap.
 """
@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import kernels, linalg
+from .linalg import integer_points
 
 Point = tuple[Fraction, ...]
 
@@ -52,16 +52,6 @@ def affine_dim(points) -> int:
         return -1
     diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
     return linalg.rank(diffs) if diffs else 0
-
-
-def integer_points(points):
-    """(integer points, scale): every point times one positive integer scale.
-
-    scale is the lcm of all coordinate denominators, so one scale serves
-    the whole set and pieces drawn from it share the LP's units.
-    """
-    scale = lcm(*(c.denominator for p in points for c in p), 1)
-    return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points], scale
 
 
 def lp_solve_eq(pieces, scale):

@@ -3,13 +3,37 @@
 Decides feasibility of {x >= 0 : A x = b} by minimising a weighted sum
 of artificial variables.  The tableau is kept fraction-free: an integer
 matrix M together with a positive integer divisor D represents the
-rational tableau M/D, and every pivot divides exactly (Edmonds-style
-integer pivoting), so all sign tests and ratio comparisons are plain
-integer comparisons.  Bland's rule on both the entering and the leaving
-choice guarantees termination.
+rational tableau M/D, and every `pivot` divides exactly (Edmonds-style
+integer pivoting; `linalg` eliminates with it too), so all sign tests
+and ratio comparisons are plain integer comparisons.  Bland's rule on
+both the entering and the leaving choice guarantees termination.
 """
 
 PIVOT_CAP = 10_000_000
+
+
+def pivot(rows, p, q, D):
+    """Pivot rows/D on entry (p, q) in place; returns piv = rows[p][q], the new D.
+
+    Row p stays; every other row becomes (piv * row - row[q] * rows[p]) / D.
+    """
+    piv = rows[p][q]
+    rowp = rows[p]
+    width = len(rowp)
+    for i, rowi in enumerate(rows):
+        if i == p:
+            continue
+        f = rowi[q]
+        if f == 0:
+            if piv != D:
+                for j in range(width):
+                    v = rowi[j]
+                    if v:
+                        rowi[j] = (piv * v) // D
+        else:
+            for j in range(width):
+                rowi[j] = (piv * rowi[j] - f * rowp[j]) // D
+    return piv
 
 
 def phase1(nrows, ncols, data, rhs, costs=None):
@@ -77,23 +101,7 @@ def phase1(nrows, ncols, data, rhs, costs=None):
                         p, bn, bd = i, n, c
         if p < 0:
             raise ArithmeticError("phase-1 objective unbounded; input invalid")
-        piv = M[p][q]
-        rowp = M[p]
-        for i in range(nrows + 1):
-            if i == p:
-                continue
-            rowi = M[i]
-            f = rowi[q]
-            if f == 0:
-                if piv != D:
-                    for j in range(width):
-                        v = rowi[j]
-                        if v:
-                            rowi[j] = (piv * v) // D
-            else:
-                for j in range(width):
-                    rowi[j] = (piv * rowi[j] - f * rowp[j]) // D
-        D = piv
+        D = pivot(M, p, q, D)
         basis[p] = q
         pivots += 1
         if pivots > PIVOT_CAP:

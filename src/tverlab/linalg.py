@@ -1,42 +1,59 @@
-"""Small exact linear algebra over Fraction: elimination, solves, kernels,
-plus the primality test shared by the model and topology layers.
+"""Small exact linear algebra: elimination, solves, kernels, determinants,
+plus the integer scaling and primality test shared by other layers.
 
-Everything here is dense and desk-scale; no pivoting heuristics beyond
-"first nonzero" so results are deterministic.
+Everything here is dense and desk-scale.  A matrix is scaled to integers
+once and row-reduced with the kernel's fraction-free `pivot`; the pivot
+row is the first nonzero one, so results are deterministic.
 """
 from fractions import Fraction
+from math import lcm
+
+from .kernels import pivot
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _echelon(rows, width):
-    """Row-reduce in place; returns list of (row_index, pivot_col)."""
+def integer_points(points):
+    """(integer points, scale): every point times one positive integer scale.
+
+    scale is the lcm of all coordinate denominators, so one scale serves
+    the whole set and pieces drawn from it share the LP's units.
+    """
+    scale = lcm(*(c.denominator for p in points for c in p), 1)
+    return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points], scale
+
+
+def _echelon(matrix, width):
+    """Gauss-Jordan on the first `width` columns: (rows, pivots, D, det).
+
+    rows/D is the reduced row echelon form of `matrix`, pivots the
+    (row, column) of each pivot, and det the determinant of a square
+    `matrix` (0 when singular): the row-swap sign times D / scale**width.
+    """
+    ints, scale = integer_points(matrix)
+    rows = [list(row) for row in ints]
     pivots = []
+    D = sign = 1
     r = 0
     for c in range(width):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
+        D = pivot(rows, r, c, D)
         pivots.append((r, c))
         r += 1
         if r == len(rows):
             break
-    return pivots
+    square = len(pivots) == width == len(rows)
+    return rows, pivots, D, Fraction(sign * D, scale**width) if square else ZERO
 
 
 def rank(matrix):
-    if not matrix:
-        return 0
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    return len(_echelon(rows, len(rows[0])))
+    return len(_echelon(matrix, len(matrix[0]))[1]) if matrix else 0
 
 
 def solve(matrix, rhs):
@@ -47,15 +64,13 @@ def solve(matrix, rhs):
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    rows = [[Fraction(v) for v in matrix[i]] + [Fraction(rhs[i])] for i in range(m)]
-    pivots = _echelon(rows, n)
-    for i in range(len(pivots), m):
-        if rows[i][n] != 0:
-            return None
+    rows, pivots, D, _ = _echelon([list(matrix[i]) + [rhs[i]] for i in range(m)], n)
+    if any(rows[i][n] for i in range(len(pivots), m)):
+        return None
     pivot_cols = {c for _, c in pivots}
     x = [ZERO] * n
     for r, c in pivots:
-        x[c] = rows[r][n]
+        x[c] = Fraction(rows[r][n], D)
     basis = []
     for free in range(n):
         if free in pivot_cols:
@@ -63,39 +78,19 @@ def solve(matrix, rhs):
         v = [ZERO] * n
         v[free] = ONE
         for r, c in pivots:
-            v[c] = -rows[r][free]
+            v[c] = Fraction(-rows[r][free], D)
         basis.append(v)
     return x, basis
 
 
 def nullspace(matrix):
     """Basis of {x : M x = 0}."""
-    if not matrix:
-        return []
-    res = solve(matrix, [ZERO] * len(matrix))
-    assert res is not None
-    return res[1]
+    return solve(matrix, [0] * len(matrix))[1] if matrix else []
 
 
 def det(matrix):
-    """Determinant of a square matrix (fraction-free Bareiss)."""
-    n = len(matrix)
-    a = [[Fraction(v) for v in row] for row in matrix]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pr is None:
-                return ZERO
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev
-            a[i][k] = ZERO
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else ONE
+    """Determinant of a square matrix."""
+    return _echelon(matrix, len(matrix))[3]
 
 
 def is_prime(n: int) -> bool:

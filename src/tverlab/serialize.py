@@ -312,8 +312,11 @@ def canonical_bytes(data) -> bytes:
 def write_bytes_atomic(path: str, payload: bytes) -> None:
     """Write via a sibling temp file and rename, so readers never see a torn file."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0o600
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
         os.replace(tmp, path)

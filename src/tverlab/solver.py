@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, perm, prod
+from math import comb, factorial, gcd, perm, prod
 
 from . import linalg
 from .errors import CapExceeded, DegenerateIntersection, PreconditionError
@@ -312,8 +312,7 @@ def _project(q_rows, point):
 
 def _primitive(row):
     """Integer multiple of a nonzero rational vector: coprime, first nonzero > 0."""
-    scale = lcm(*(v.denominator for v in row))
-    ints = [int(v * scale) for v in row]
+    (ints,), _ = integer_points([row])
     g = gcd(*ints)
     sign = 1 if next(v for v in ints if v) > 0 else -1
     return tuple(sign * v // g for v in ints)

@@ -276,10 +276,6 @@ def orient(complex_: SimplicialComplex):
                 stack.append(other)
             elif signs[other] != want:
                 return None
-    for pairs in ridge_map.values():
-        total = sum(signs[fi] * inc for fi, inc in pairs)
-        if total != 0:
-            return None
     return Orientation(signs=tuple(signs))
 
 

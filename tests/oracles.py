@@ -3,8 +3,11 @@
 Nothing here imports the kernel or geometry internals, with the
 exceptions named below: the simplex reference keeps a plain Fraction
 tableau, the hull-intersection oracle enumerates simplex supports and
-solves square-ish linear systems with its own Gaussian elimination, and
-the orthogonal projection solves its Gram systems the same way.  The
+solves square-ish linear systems with `rational_solve`, and the
+orthogonal projection solves its Gram systems the same way.
+`rational_echelon`/`rational_solve` (Fraction Gauss-Jordan) and
+`rational_det` (Fraction Bareiss) are the eliminations `linalg` replaced
+with integer pivoting, and its property test compares the two.  The
 facet-maximality reference compares every pair of facets.  The mod-p
 chain complex is the one check built on package functions: it composes
 `topology.boundary_matrix` with itself to confirm that the boundary of a
@@ -149,32 +152,72 @@ def common_point_rows(pieces):
     return rows, rhs, offs
 
 
-def _gauss_solve(matrix, rhs):
-    """Returns (solution, unique) or None if inconsistent."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    rows = [[Fraction(v) for v in matrix[i]] + [Fraction(rhs[i])] for i in range(m)]
-    piv_cols = []
+def rational_echelon(rows, width):
+    """Fraction Gauss-Jordan in place; returns list of (row_index, pivot_col)."""
+    pivots = []
     r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
+    for c in range(width):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        rows[r] = [v / rows[r][c] for v in rows[r]]
-        for i in range(m):
+        inv = ONE / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        piv_cols.append(c)
+        pivots.append((r, c))
         r += 1
-    for i in range(r, m):
+        if r == len(rows):
+            break
+    return pivots
+
+
+def rational_solve(matrix, rhs):
+    """Solve M x = rhs over Fraction: (particular, nullspace_basis) or None."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    rows = [[Fraction(v) for v in matrix[i]] + [Fraction(rhs[i])] for i in range(m)]
+    pivots = rational_echelon(rows, n)
+    for i in range(len(pivots), m):
         if rows[i][n] != 0:
             return None
+    pivot_cols = {c for _, c in pivots}
     x = [ZERO] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = rows[i][n]
-    return x, len(piv_cols) == n
+    for r, c in pivots:
+        x[c] = rows[r][n]
+    basis = []
+    for free in range(n):
+        if free in pivot_cols:
+            continue
+        v = [ZERO] * n
+        v[free] = ONE
+        for r, c in pivots:
+            v[c] = -rows[r][free]
+        basis.append(v)
+    return x, basis
+
+
+def rational_det(matrix):
+    """Determinant of a square matrix by Fraction Bareiss elimination."""
+    n = len(matrix)
+    a = [[Fraction(v) for v in row] for row in matrix]
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pr = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pr is None:
+                return ZERO
+            a[k], a[pr] = a[pr], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev
+            a[i][k] = ZERO
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else ONE
 
 
 def caratheodory_feasible(pieces):
@@ -216,11 +259,11 @@ def caratheodory_feasible(pieces):
                     row[offs[j] + t] = -pieces[j][idx][c]
                 rows.append(row)
                 rhs.append(ZERO)
-        sol = _gauss_solve(rows, rhs)
+        sol = rational_solve(rows, rhs)
         if sol is None:
             continue
-        x, unique = sol
-        if unique and all(v >= 0 for v in x):
+        x, null = sol
+        if not null and all(v >= 0 for v in x):
             return True
     return False
 
@@ -237,7 +280,7 @@ class Subspace:
         object.__setattr__(self, "basis", basis)
         if any(len(v) != self.ambient_dim for v in basis):
             raise ValueError("basis vector dimension mismatch")
-        if basis and not _gauss_solve(self.gram(), [ZERO] * len(basis))[1]:
+        if basis and rational_solve(self.gram(), [ZERO] * len(basis))[1]:
             raise ValueError("basis vectors must be linearly independent")
 
     def gram(self):
@@ -257,7 +300,7 @@ def project(points, target: Subspace):
     out = []
     for p in pts:
         rhs = [sum(b * c for b, c in zip(v, p)) for v in target.basis]
-        out.append(tuple(_gauss_solve(gram, rhs)[0]) if target.basis else ())
+        out.append(tuple(rational_solve(gram, rhs)[0]) if target.basis else ())
     return out
 
 

@@ -357,6 +357,20 @@ def test_tightness_verify_needs_complete_solver(capsys):
     assert "k = d-1" in err
 
 
+def test_tightness_verify_rejects_middle_k_before_writing(capsys, tmp_path):
+    out_path = tmp_path / "t31.json"
+    code, out, _ = run(
+        capsys,
+        "tightness",
+        "--d", "3", "--k", "1", "--rs", "2,2",
+        "--out", str(out_path),
+        "--verify",
+    )
+    assert code == 2
+    assert out == ""
+    assert not out_path.exists()
+
+
 def test_tightness_invalid_parameters(capsys):
     code, _, err = run(capsys, "tightness", "--d", "2", "--k", "2", "--rs", "2,2,2")
     assert code == 2

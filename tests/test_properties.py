@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tverlab import serialize, solver, svg
+from tverlab import linalg, serialize, solver, svg
 from tverlab.geometry import (
     common_point_gap,
     integer_points,
@@ -24,7 +24,10 @@ from oracles import (
     inclusion_maximal,
     ordered_nonempty_partitions,
     project,
+    rational_det,
+    rational_echelon,
     rational_lp_solve_eq,
+    rational_solve,
 )
 
 settings.register_profile("suite", max_examples=60, deadline=None)
@@ -91,6 +94,37 @@ def test_integer_common_point_lp_matches_rational_rows(pieces):
     if witness is not None:
         assert witness.weights == weights
         assert verify_common_point_witness(pieces, witness)
+
+
+@st.composite
+def rational_systems(draw):
+    """A 1-5 x 1-5 matrix of zeros, ints and Fractions, some rows
+    combinations of earlier ones, and a right-hand side."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), coords, rationals)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    for i in range(1, m):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            s, t = draw(rationals), draw(rationals)
+            rows[i] = [s * u + t * v for u, v in zip(rows[a], rows[b])]
+    return rows, draw(st.lists(entry, min_size=m, max_size=m))
+
+
+# one row swap and scale 2: det -3/2
+@example(([[0, Fraction(1, 2)], [3, 1]], [1, 1]))
+@given(rational_systems())
+@settings(max_examples=200)
+def test_integer_linalg_matches_fraction_reference(system):
+    matrix, rhs = system
+    n = len(matrix[0])
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    assert linalg.rank(matrix) == len(rational_echelon(rows, n))
+    assert linalg.solve(matrix, rhs) == rational_solve(matrix, rhs)
+    assert linalg.nullspace(matrix) == rational_solve(matrix, [0] * len(matrix))[1]
+    k = min(len(matrix), n)
+    square = [row[:k] for row in matrix[:k]]
+    assert linalg.det(square) == rational_det(square)
 
 
 @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=8))

@@ -1,5 +1,7 @@
 """Round-trip and rejection tests for the JSON file formats."""
 
+import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -238,6 +240,17 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     serialize.write_json(str(path), {"a": 2})
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
     assert serialize.read_json(str(path)) == {"a": 2}
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_atomic_write_gives_the_umask_mode(tmp_path, umask, mode):
+    path = tmp_path / "out.json"
+    old = os.umask(umask)
+    try:
+        serialize.write_json(str(path), {"a": 1})
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
 
 
 def test_canonical_bytes_sorted_and_compact():
