@@ -609,25 +609,23 @@ def _candidate_planes(points, d):
 def _first_met(side, plist):
     """(first partition whose pieces all meet the plane, 0), else (None, least miss).
 
-    side[i] is a.v_i - b.  A piece meets the plane when it has points on
-    both closed sides; one strictly on one side misses by its least
-    |a.v - b|.  Misses are summed only when no partition meets the plane.
+    side[i] is a.v_i - b.  A piece misses the plane by max(min side,
+    -max side, 0), its least |a.v - b| when all its points lie strictly
+    on one side, and meets it iff that is 0.  Each distinct piece's miss
+    is computed once per plane.
     """
-    below = [s <= 0 for s in side]
-    above = [s >= 0 for s in side]
+    misses = {}
+
+    def miss(piece):
+        if piece not in misses:
+            vals = [side[i] for i in piece]
+            misses[piece] = max(min(vals), -max(vals), 0)
+        return misses[piece]
+
     for part in plist:
-        if all(
-            any(below[i] for i in piece) and any(above[i] for i in piece)
-            for piece in part.pieces
-        ):
+        if not any(map(miss, part.pieces)):
             return part, 0
-    return None, min(
-        sum(
-            max(min(side[i] for i in piece), -max(side[i] for i in piece), 0)
-            for piece in part.pieces
-        )
-        for part in plist
-    )
+    return None, min(sum(map(miss, part.pieces)) for part in plist)
 
 
 def _hyperplane_certificate(instance, combo, sides, normal, offset):

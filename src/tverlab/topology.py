@@ -142,41 +142,43 @@ def join(a: SimplicialComplex, b: SimplicialComplex, cap: int = FACET_CAP) -> Si
 # homology mod p
 
 
-def _rank_mod_p(rows, p):
-    """Rank of an integer matrix over GF(p); rows is a list of lists."""
-    if not rows or not rows[0]:
-        return 0
-    m = [[v % p for v in row] for row in rows]
-    ncols = len(m[0])
-    rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        m[rank] = [(v * inv) % p for v in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+def _ridges_of(facet):
+    for pos in range(len(facet)):
+        yield facet[:pos] + facet[pos + 1 :]
+
+
+def _rank_mod_p(columns, p):
+    """Rank over GF(p) of sparse columns {row: value}, by column reduction.
+
+    A column is reduced by the stored one with the same lowest row until
+    it is zero or its lowest row is new, then stored with that entry 1.
+    """
+    stored: dict[int, dict[int, int]] = {}
+    for column in columns:
+        col = {i: v % p for i, v in column.items() if v % p}
+        while col:
+            low = max(col)
+            pivot = stored.get(low)
+            if pivot is None:
+                inv = pow(col[low], -1, p)
+                stored[low] = {i: v * inv % p for i, v in col.items()}
+                break
+            f = col[low]
+            for i, v in pivot.items():
+                col[i] = (col.get(i, 0) - f * v) % p
+            col = {i: v for i, v in col.items() if v}
+    return len(stored)
 
 
 def boundary_matrix(complex_: SimplicialComplex, d: int):
-    """Matrix of the boundary map from d-faces to (d-1)-faces (integer signs)."""
+    """Sparse boundary columns, one per d-face in faces_by_dim()[d] order:
+    {index in faces_by_dim()[d-1] of the face without vertex pos: (-1)^pos}."""
     faces = complex_.faces_by_dim()
     lower = {f: i for i, f in enumerate(faces[d - 1])}
-    upper = faces[d]
-    mat = [[0] * len(upper) for _ in range(len(lower))]
-    for j, face in enumerate(upper):
-        for pos in range(len(face)):
-            sub = face[:pos] + face[pos + 1 :]
-            mat[lower[sub]][j] = (-1) ** pos
-    return mat
+    return [
+        {lower[ridge]: (-1) ** pos for pos, ridge in enumerate(_ridges_of(face))}
+        for face in faces[d]
+    ]
 
 
 def homology_mod_p(complex_: SimplicialComplex, p: int) -> tuple[int, ...]:
@@ -205,11 +207,6 @@ class PseudoManifoldReport:
 
     def __bool__(self):
         return self.ok
-
-
-def _ridges_of(facet):
-    for pos in range(len(facet)):
-        yield facet[:pos] + facet[pos + 1 :]
 
 
 def is_pseudo_manifold(complex_: SimplicialComplex) -> PseudoManifoldReport:

@@ -10,17 +10,18 @@ orthogonal projection solves its Gram systems the same way.
 with integer pivoting, and its property test compares the two.  The
 facet-maximality reference compares every pair of facets.  The mod-p
 chain complex is the one check built on package functions: it composes
-`topology.boundary_matrix` with itself to confirm that the boundary of a
-boundary vanishes, and takes its primality test from `linalg`.  The
-ordered partition filter draws on `model.enumerate_colorful_partitions`,
-the enumeration it stands for.  The rational LP path
-(`rational_lp_solve_eq`, `common_point_rows`) is the row assembly the
-integer common-point LP replaced: Fraction rows, each cleared of
-denominators by its own lcm, on `kernels.phase1`, so a comparison with
-it checks assembly and gap units, while `phase1_reference` checks the
-pivoting.  The disjunctive hyperplane search is the LP search the
+the sparse columns of `topology.boundary_matrix` to confirm that the
+boundary of a boundary vanishes, and takes its primality test from
+`linalg`.  The ordered partition filter draws on
+`model.enumerate_colorful_partitions`, the enumeration it stands for.
+The rational LP path (`rational_lp_solve_eq`, `common_point_rows`) is
+the row assembly the integer common-point LP replaced: Fraction rows,
+each cleared of denominators by its own lcm, on `kernels.phase1`, so a
+comparison with it checks assembly and gap units, while
+`phase1_reference` checks the pivoting.  The disjunctive hyperplane search is the LP search the
 complete hyperplane solver replaced, and solves its LPs on that rational
-path.
+path; `first_met_flags` is the per-point side-flag test and miss sum
+that the scan's memoised piece misses replaced.
 """
 import itertools
 import math
@@ -316,21 +317,21 @@ def inclusion_maximal(facets) -> bool:
 
 @dataclass(frozen=True)
 class ChainComplexModP:
-    """Boundary matrices over GF(p), with the composite checked to be zero."""
+    """Sparse boundary columns over GF(p), with the composite checked to be zero."""
 
     p: int
     face_counts: tuple[int, ...]
-    boundaries: tuple  # boundaries[i] maps i-faces to (i-1)-faces, i >= 1
+    boundaries: tuple  # boundaries[i]: one {(i-1)-face index: sign} per i-face, i >= 1
 
     def __post_init__(self):
         for d in range(2, len(self.face_counts)):
             a = self.boundaries[d - 1]
-            b = self.boundaries[d]
-            if not a or not b:
-                continue
-            for j in range(len(b[0])):
-                col = [sum(a[i][t] * b[t][j] for t in range(len(b))) % self.p for i in range(len(a))]
-                if any(col):
+            for column in self.boundaries[d]:
+                total = {}
+                for t, sign in column.items():
+                    for i, v in a[t].items():
+                        total[i] = total.get(i, 0) + sign * v
+                if any(v % self.p for v in total.values()):
                     raise AssertionError("boundary of boundary is nonzero")
 
 
@@ -385,6 +386,30 @@ def pair_snap_quotients(instance):
         if row not in seen:
             seen.append(row)
     return [[[Fraction(v) for v in row]] for row in seen]
+
+
+def first_met_flags(side, plist):
+    """(first partition whose pieces all meet the plane, 0), else (None, least miss).
+
+    Side flags per point: a piece meets the plane when one of its points
+    has side <= 0 and one has side >= 0.  When no partition meets it, each
+    partition's pieces' misses are summed afresh and the least sum taken.
+    """
+    below = [s <= 0 for s in side]
+    above = [s >= 0 for s in side]
+    for part in plist:
+        if all(
+            any(below[i] for i in piece) and any(above[i] for i in piece)
+            for piece in part.pieces
+        ):
+            return part, 0
+    return None, min(
+        sum(
+            max(min(side[i] for i in piece), -max(side[i] for i in piece), 0)
+            for piece in part.pieces
+        )
+        for part in plist
+    )
 
 
 def hyperplane_disjunct_search(instance):

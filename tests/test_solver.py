@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tverlab import geometry, kernels, solver
 from tverlab.errors import CapExceeded, DegenerateIntersection, PreconditionError
@@ -33,7 +34,7 @@ from tverlab.solver import (
     verify_tverberg,
 )
 
-from oracles import orbit_key, ordered_nonempty_partitions, pair_snap_quotients
+from oracles import first_met_flags, orbit_key, ordered_nonempty_partitions, pair_snap_quotients
 
 
 def crossing_instance():
@@ -116,6 +117,17 @@ def test_representatives_are_first_of_their_relabelling_orbits(r):
             first.setdefault(orbit_key(cfg, part), part)
         assert reps == list(first.values())
         assert len(reps) * factorial(r) == len(ordered)
+
+
+@given(st.sampled_from((2, 3, 4)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_first_met_matches_flag_reference(r, data):
+    configs = [cfg for cfg in small_profile_configs(r) if solver._representative_count(cfg, r)]
+    cfg = data.draw(st.sampled_from(configs))
+    plist = list(solver._nonempty_partitions(cfg, r))
+    n = len(cfg.points)
+    side = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    assert solver._first_met(side, plist) == first_met_flags(side, plist)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])

@@ -3,6 +3,7 @@ import math
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
@@ -34,14 +35,23 @@ def projective_plane():
 
 
 def betti_via_sympy(complex_, p):
-    """Independent Betti computation: sympy rref ranks over GF(p)."""
+    """Independent Betti computation: sympy rref ranks over GF(p).
+
+    The dense boundary matrix is built here from the face lists: entry
+    (f, g) is (-1)^pos when f is g without its vertex at position pos.
+    """
+    faces = complex_.faces_by_dim()
     counts = complex_.f_vector()
     ranks = [0] * (complex_.dim + 2)
     for d in range(1, complex_.dim + 1):
-        mat = tp.boundary_matrix(complex_, d)
-        dm = DomainMatrix.from_list(
-            [[sympy.Integer(x) for x in row] for row in mat], GF(p)
-        )
+        mat = []
+        for f in faces[d - 1]:
+            row = []
+            for g in faces[d]:
+                extra = set(g) - set(f)
+                row.append((-1) ** g.index(extra.pop()) if len(extra) == 1 else 0)
+            mat.append([sympy.Integer(x) for x in row])
+        dm = DomainMatrix.from_list(mat, GF(p))
         _, pivots = dm.rref()
         ranks[d] = len(pivots)
     return tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(complex_.dim + 1))
@@ -113,6 +123,7 @@ def test_betti_goldens():
     for p in (2, 3):
         assert tp.homology_mod_p(tp.chessboard_complex(3, 2), p) == (1, 1)
         assert tp.homology_mod_p(tp.chessboard_complex(4, 3), p) == (1, 2, 1)
+        assert tp.homology_mod_p(tp.chessboard_complex(7, 5), p) == (1, 0, 0, 98, 132)
 
 
 @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 2), (4, 3)])
@@ -128,6 +139,27 @@ def test_homology_matches_sympy_on_projective_plane():
         assert tp.homology_mod_p(c, p) == betti_via_sympy(c, p)
     assert tp.homology_mod_p(c, 2) == (1, 1, 1)
     assert tp.homology_mod_p(c, 3) == (1, 0, 0)
+
+
+@st.composite
+def sparse_columns(draw):
+    """p, and integer columns {row: value} with multiples of p, empty and repeated columns."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    nrows = draw(st.integers(1, 6))
+    column = st.dictionaries(st.integers(0, nrows - 1), st.integers(-2 * p, 2 * p), max_size=nrows)
+    columns = draw(st.lists(column, min_size=1, max_size=8))
+    columns += draw(st.lists(st.sampled_from(columns), max_size=3))
+    return p, nrows, draw(st.permutations(columns))
+
+
+@example((3, 2, [{0: 3, 1: 6}, {}, {1: 1}]))
+@example((2, 2, [{0: 1, 1: 1}, {1: 1}, {0: 1}]))
+@given(sparse_columns())
+@settings(max_examples=200, deadline=None)
+def test_sparse_rank_matches_sympy(case):
+    p, nrows, columns = case
+    dense = [[sympy.Integer(col.get(i, 0)) for col in columns] for i in range(nrows)]
+    assert tp._rank_mod_p(columns, p) == DomainMatrix.from_list(dense, GF(p)).rank()
 
 
 def test_euler_characteristic_consistency():
@@ -146,7 +178,7 @@ def test_suspension_shifts_betti():
     hexagon = tp.chessboard_complex(3, 2)
     susp = tp.join(hexagon, tp.chessboard_complex(2, 1))
     for p in (2, 3):
-        assert tp.homology_mod_p(susp, p) == (1, 0, 1)
+        assert tp.homology_mod_p(susp, p) == (1, 0, 1) == betti_via_sympy(susp, p)
 
 
 def test_homology_requires_prime():
