@@ -126,16 +126,20 @@ def cmd_partition(args) -> int:
     if instance.k != 0:
         return _usage("partition requires a k = 0 instance (use transversal)")
     report = solve(instance)
+    work = (
+        f"subproblems solved: {report.stats['lps']} full, "
+        f"{report.stats['pair_lps']} piece-pair"
+    )
     if report.certified:
         cert = report.certificate
         print(f"certified: common point {_point_str(cert.point)}")
         print(f"partition: {tuple(cert.partition.pieces)}")
-        print(f"subproblems solved: {report.stats['lps']}")
+        print(work)
         return _save_and_verify(args, instance, cert)
     if report.status == "infeasible-exhausted":
         print(
             f"infeasible: {report.stats['partitions']} partition tuples "
-            f"exhausted (best gap {report.gap})"
+            f"exhausted (best gap {report.gap}; {work})"
         )
     else:
         print("infeasible: no colorful partition shape exists")

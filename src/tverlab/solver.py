@@ -3,7 +3,8 @@
 Three search modes, all exact; `solve` picks one from the plane dimension:
 
 * `solve_tverberg` — exhaustive over colorful partitions of one collection,
-  one rational LP per partition up to relabelling pieces; complete.
+  up to relabelling pieces; complete.  Memoised two-piece LPs rule
+  partitions out before their full rational LP.
 * `solve_transversal` — samples direction subspaces for a k-plane (rational
   rotations from a low-discrepancy stream), then certifies membership per
   direction with one joint LP per partition combination; augmented with
@@ -159,23 +160,6 @@ def _least(best, gap):
     return gap if best is None or gap < best else best
 
 
-def _first_feasible(solve, candidates, stats):
-    """Solve `(key, lp)` candidates in order until one is feasible.
-
-    `solve(lp)` returns (hit, gap) with hit None when infeasible.  Returns
-    ((key, hit), 0) for the first feasible candidate, else (None, least
-    gap), which is None when there were no candidates.
-    """
-    best = None
-    for key, lp in candidates:
-        hit, gap = solve(lp)
-        stats["lps"] += 1
-        if hit is not None:
-            return (key, hit), ZERO
-        best = _least(best, gap)
-    return None, best
-
-
 def _nonempty_partitions(config: ColoredConfig, r: int):
     """Nonempty colorful r-partitions, one per relabelling of the pieces.
 
@@ -240,26 +224,73 @@ def _partition_lists(instance: ProblemInstance):
 
 
 def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
-    """Try every nonempty colorful partition; complete, deterministic."""
+    """Try every nonempty colorful partition; complete, deterministic.
+
+    For r >= 3, two pieces whose hulls miss rule a partition out, so
+    two-piece LPs, memoised per search, defer its full LP; the first hit
+    is unchanged.  The (piece 0, piece j) LP is a row-and-column
+    subsystem of the full LP, so its gap bounds the full gap from below.
+    After a search with no hit, a deferred full LP runs only when all
+    those bounds lie below the least gap so far.  stats: "lps" full LPs,
+    "pair_lps" two-piece LPs, "partitions" ordered tuples covered.
+    """
     if r < 2:
         raise ValueError("need at least two pieces")
-    stats = {"partitions": 0, "lps": 0}
+    stats = {"partitions": 0, "lps": 0, "pair_lps": 0}
     ints, scale = integer_points(config.points)
-    candidates = (
-        (part, [[ints[i] for i in piece] for piece in part.pieces])
-        for part in _nonempty_partitions(config, r)
-    )
-    hit, gap = _first_feasible(lambda pieces: lp_solve_eq(pieces, scale), candidates, stats)
-    # one LP per representative decides its r! ordered tuples
-    stats["partitions"] = stats["lps"] * factorial(r)
+    n = config.size
+    pair_gaps = {}  # mask(a) << n | mask(b) -> gap of the LP on pieces (a, b)
+    pairs = list(itertools.combinations(range(r), 2))  # (0, j) first
+
+    def lp(pieces):
+        return lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale)
+
+    def pairs_of(part):
+        masks = [sum(1 << i for i in piece) for piece in part.pieces]
+        return [(masks[i] << n | masks[j], part.pieces[i], part.pieces[j]) for i, j in pairs]
+
+    def pair_gap(key, a, b):
+        if key not in pair_gaps:
+            stats["pair_lps"] += 1
+            pair_gaps[key] = lp((a, b))[1]
+        return pair_gaps[key]
+
+    def known_miss(part_pairs):
+        return any(pair_gaps.get(key) for key, _, _ in part_pairs)
+
+    hit = best = None
+    covered = deferred = 0
+    for part in _nonempty_partitions(config, r):
+        covered += 1
+        if r > 2:
+            part_pairs = pairs_of(part)
+            if known_miss(part_pairs) or any(pair_gap(*p) for p in part_pairs):
+                deferred += 1
+                continue
+        stats["lps"] += 1
+        weights, gap = lp(part.pieces)
+        if weights is not None:
+            hit = part, weights
+            break
+        best = _least(best, gap)
+    if hit is None and deferred:
+        for part in _nonempty_partitions(config, r):
+            part_pairs = pairs_of(part)
+            if not known_miss(part_pairs):
+                continue  # not deferred: its full LP ran above
+            if best is None or all(pair_gap(*p) < best for p in part_pairs[:r - 1]):
+                stats["lps"] += 1
+                best = _least(best, lp(part.pieces)[1])
+    # each representative decides its r! ordered tuples
+    stats["partitions"] = covered * factorial(r)
     if hit is not None:
         part, weights = hit
         point = convex_combination(weights[0], [config.points[i] for i in part.pieces[0]])
         cert = TverbergCertificate(point=point, partition=part, weights=weights)
         return SolveReport("certified", cert, ZERO, stats)
-    if gap is None:
+    if best is None:
         return SolveReport("no-valid-partition", None, None, stats)
-    return SolveReport("infeasible-exhausted", None, gap, stats)
+    return SolveReport("infeasible-exhausted", None, best, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +424,15 @@ def _evaluate_direction(q_rows, collections, partitions_per_col, stats):
             misses.append(gmin)
     if misses:
         return None, sum(misses, ZERO)
-    pooled = (
-        (combo, _combo_pieces(iproj, combo)) for combo in itertools.product(*survivors)
-    )
-    hit, gap = _first_feasible(lambda pieces: lp_solve_eq(pieces, scale), pooled, stats)
-    if hit is None:
-        return None, gap
-    combo, weights = hit
-    point = convex_combination(weights[0], _combo_pieces(proj, combo)[0])
-    return (combo, CommonPointWitness(point=point, weights=weights)), ZERO
+    best = None
+    for combo in itertools.product(*survivors):
+        weights, gap = lp_solve_eq(_combo_pieces(iproj, combo), scale)
+        stats["lps"] += 1
+        if weights is not None:
+            point = convex_combination(weights[0], _combo_pieces(proj, combo)[0])
+            return (combo, CommonPointWitness(point=point, weights=weights)), ZERO
+        best = _least(best, gap)
+    return None, best
 
 
 def _build_certificate(instance, q_rows, combo, witness) -> TransversalCertificate:

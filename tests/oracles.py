@@ -21,14 +21,18 @@ comparison with it checks assembly and gap units, while
 `phase1_reference` checks the pivoting.  The disjunctive hyperplane search is the LP search the
 complete hyperplane solver replaced, and solves its LPs on that rational
 path; `first_met_flags` is the per-point side-flag test and miss sum
-that the scan's memoised piece misses replaced.
+that the scan's memoised piece misses replaced.  `unfiltered_tverberg`
+is the partition search before its piece-pair filter: one full LP per
+representative, on the solver's own enumeration and LP, so a comparison
+with it checks the filter alone.
 """
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tverlab import kernels, topology
+from tverlab import kernels, solver, topology
+from tverlab.geometry import convex_combination, integer_points, lp_solve_eq
 from tverlab.linalg import is_prime
 from tverlab.model import enumerate_colorful_partitions
 
@@ -352,6 +356,30 @@ def ordered_nonempty_partitions(config, r):
     relabelling pieces; `solver._nonempty_partitions` is checked against it.
     """
     return (p for p in enumerate_colorful_partitions(config, r) if all(p.pieces))
+
+
+def unfiltered_tverberg(config, r):
+    """`solver.solve_tverberg` with one full common-point LP per representative.
+
+    Same first hit, certificate, gap and "partitions" count as the
+    filtered search; its "lps" counts every representative it tried.
+    """
+    ints, scale = integer_points(config.points)
+    lps, best = 0, None
+    for part in solver._nonempty_partitions(config, r):
+        lps += 1
+        weights, gap = lp_solve_eq([[ints[i] for i in piece] for piece in part.pieces], scale)
+        if weights is not None:
+            break
+        best = gap if best is None or gap < best else best
+    stats = {"partitions": lps * math.factorial(r), "lps": lps}
+    if lps == 0:
+        return solver.SolveReport("no-valid-partition", None, None, stats)
+    if weights is None:
+        return solver.SolveReport("infeasible-exhausted", None, best, stats)
+    point = convex_combination(weights[0], [config.points[i] for i in part.pieces[0]])
+    cert = solver.TverbergCertificate(point=point, partition=part, weights=weights)
+    return solver.SolveReport("certified", cert, ZERO, stats)
 
 
 def orbit_key(config, partition):

@@ -132,7 +132,8 @@ def test_criterion_4_desk_scale_partition_sweep(capsys):
         inst = random_instance(2, 0, (3,), [(2, 2, 2, 1)], seed=seed)
         config = inst.collections[0]
         report = solve_tverberg(config, 3)
-        max_lps = max(max_lps, report.stats["lps"])
+        # full and piece-pair LPs both count against the cap
+        max_lps = max(max_lps, report.stats["lps"] + report.stats["pair_lps"])
         if report.certified and verify_tverberg(config, 3, report.certificate):
             wins += 1
     elapsed = time.perf_counter() - start

@@ -13,7 +13,7 @@ from tverlab.geometry import (
     lp_solve_eq,
     verify_common_point_witness,
 )
-from tverlab.model import ColoredConfig, ProblemInstance
+from tverlab.model import ColoredConfig, ProblemInstance, random_instance, tightness_instance
 from tverlab.solver import KPlane
 from tverlab.topology import SimplicialComplex
 
@@ -28,6 +28,7 @@ from oracles import (
     rational_echelon,
     rational_lp_solve_eq,
     rational_solve,
+    unfiltered_tverberg,
 )
 
 settings.register_profile("suite", max_examples=60, deadline=None)
@@ -224,10 +225,10 @@ def test_facet_maximality_matches_pairwise_oracle(facets, data):
 
 
 @st.composite
-def colored_configs(draw, d, r, max_points):
-    """r to max_points points on a small grid, classes of size at most r."""
+def colored_configs(draw, d, r, max_points, span=3):
+    """r to max_points points on the grid [-span, span]^d, classes of size at most r."""
     n = draw(st.integers(r, max_points))
-    points = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=n, max_size=n))
+    points = draw(st.lists(st.tuples(*[st.integers(-span, span)] * d), min_size=n, max_size=n))
     classes, start = [], 0
     while start < n:
         size = draw(st.integers(1, min(r, n - start)))
@@ -267,6 +268,45 @@ def test_quotient_tverberg_search_matches_ordered_search(dr, data):
     quotient = quotient_matching_ordered(lambda: solver.solve_tverberg(cfg, r))
     if quotient.status == "infeasible-exhausted":
         assert quotient.stats["partitions"] == ordered_count(cfg, r)
+
+
+@st.composite
+def tverberg_cases(draw):
+    """(configuration, r) for r in {2, 3, 4} and d in {1, 2, 3} on [-2, 2]^d.
+
+    Up to seven points (d + 3 at r = 2) allow extremal sizes, which
+    certify, beside smaller ones, which mostly refute; the coarse grid
+    often repeats a point or puts three on a line or four on a plane.
+    """
+    d, r = draw(st.sampled_from([(d, r) for r in (2, 3, 4) for d in (1, 2, 3)]))
+    return draw(colored_configs(d, r, 7 if r > 2 else d + 3, span=2)), r
+
+
+# ((0,), (1, 3), (2,)) has full gap 1/2 but a (piece 1, piece 2) gap of 1:
+# only pairs holding piece 0 bound the full LP's gap from below
+@example((ColoredConfig(3, [(0, 0, 0), (0, 1, -1), (0, 0, 0), (0, 0, 1)], [(0,), (1,), (2,), (3,)]),
+          3))
+@example((tightness_instance(2, 0, (3,), 0).collections[0], 3))
+@example((random_instance(2, 0, (3,), seed=3).collections[0], 3))
+@example((random_instance(1, 0, (4,), seed=0).collections[0], 4))
+@given(tverberg_cases())
+def test_pair_filtered_tverberg_search_matches_unfiltered(case):
+    cfg, r = case
+    report = solver.solve_tverberg(cfg, r)
+    expected = unfiltered_tverberg(cfg, r)
+    assert report.status == expected.status
+    assert report.certificate == expected.certificate
+    cert_bytes = [
+        rep.certificate and serialize.canonical_bytes(serialize.certificate_to_json(rep.certificate))
+        for rep in (report, expected)
+    ]
+    assert cert_bytes[0] == cert_bytes[1]
+    assert report.gap == expected.gap
+    assert report.stats["partitions"] == expected.stats["partitions"]
+    # a full LP is solved at most once per representative, never at r = 2
+    assert report.stats["lps"] <= expected.stats["lps"]
+    if r == 2:
+        assert report.stats == {**expected.stats, "pair_lps": 0}
 
 
 @given(st.sampled_from(((2, 2), (2, 3))), st.data())

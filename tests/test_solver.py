@@ -1,6 +1,7 @@
 """Tests for the certificate searches, verification, and restriction."""
 import dataclasses
 import itertools
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -150,11 +151,28 @@ def test_solve_tverberg_extremal_instances_certify():
         cfg = inst.collections[0]
         report = solve_tverberg(cfg, 3)
         assert report.certified
-        assert report.stats["lps"] <= 648
+        assert report.stats["lps"] + report.stats["pair_lps"] <= 648
         cert = report.certificate
         pieces = [[cfg.points[i] for i in piece] for piece in cert.partition.pieces]
         witness = CommonPointWitness(point=cert.point, weights=cert.weights)
         assert verify_common_point_witness(pieces, witness)
+
+
+def test_solve_tverberg_five_pieces_by_piece_pairs():
+    # the search covers 56,540 representatives; piece-pair LPs rule out
+    # all but 86 of them before their full LP
+    inst = random_instance(2, 0, (5,), (default_profile(2, 0, 5),), seed=0)
+    cfg = inst.collections[0]
+    start = time.perf_counter()
+    report = solve_tverberg(cfg, 5)
+    elapsed = time.perf_counter() - start
+    assert report.certified
+    assert report.stats["partitions"] == 6784800
+    assert report.certificate.partition.pieces == (
+        (0, 5, 8), (1, 7, 11), (2, 6, 9), (3, 10, 12), (4,)
+    )
+    assert verify_tverberg(cfg, 5, report.certificate)
+    assert elapsed < 15
 
 
 def test_solve_tverberg_segment_case():
