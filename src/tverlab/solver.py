@@ -239,32 +239,32 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     stats = {"partitions": 0, "lps": 0, "pair_lps": 0}
     ints, scale = integer_points(config.points)
     n = config.size
+    bit = [1 << i for i in range(n)]
     pair_gaps = {}  # mask(a) << n | mask(b) -> gap of the LP on pieces (a, b)
     pairs = list(itertools.combinations(range(r), 2))  # (0, j) first
 
     def lp(pieces):
         return lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale)
 
-    def pairs_of(part):
-        masks = [sum(1 << i for i in piece) for piece in part.pieces]
-        return [(masks[i] << n | masks[j], part.pieces[i], part.pieces[j]) for i, j in pairs]
+    def keys_of(part):
+        masks = [sum(map(bit.__getitem__, piece)) for piece in part.pieces]
+        return [masks[i] << n | masks[j] for i, j in pairs]
 
-    def pair_gap(key, a, b):
+    def pair_gap(part, key, pair):
         if key not in pair_gaps:
             stats["pair_lps"] += 1
-            pair_gaps[key] = lp((a, b))[1]
+            pair_gaps[key] = lp([part.pieces[i] for i in pair])[1]
         return pair_gaps[key]
-
-    def known_miss(part_pairs):
-        return any(pair_gaps.get(key) for key, _, _ in part_pairs)
 
     hit = best = None
     covered = deferred = 0
     for part in _nonempty_partitions(config, r):
         covered += 1
         if r > 2:
-            part_pairs = pairs_of(part)
-            if known_miss(part_pairs) or any(pair_gap(*p) for p in part_pairs):
+            keys = keys_of(part)
+            # fewest points first: the cheapest pair LPs, and the likeliest to miss
+            by_size = sorted(zip(keys, pairs), key=lambda kp: kp[0].bit_count())
+            if any(map(pair_gaps.get, keys)) or any(pair_gap(part, *kp) for kp in by_size):
                 deferred += 1
                 continue
         stats["lps"] += 1
@@ -275,10 +275,10 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
         best = _least(best, gap)
     if hit is None and deferred:
         for part in _nonempty_partitions(config, r):
-            part_pairs = pairs_of(part)
-            if not known_miss(part_pairs):
+            keys = keys_of(part)
+            if not any(map(pair_gaps.get, keys)):
                 continue  # not deferred: its full LP ran above
-            if best is None or all(pair_gap(*p) < best for p in part_pairs[:r - 1]):
+            if best is None or all(pair_gap(part, *kp) < best for kp in zip(keys, pairs[:r - 1])):
                 stats["lps"] += 1
                 best = _least(best, lp(part.pieces)[1])
     # each representative decides its r! ordered tuples

@@ -108,7 +108,7 @@ def test_partition_tightness_file_is_infeasible(capsys, tmp_path):
     assert code == 1
     assert (
         "infeasible: 486 partition tuples exhausted "
-        "(best gap 1/3; subproblems solved: 39 full, 201 piece-pair)"
+        "(best gap 1/3; subproblems solved: 39 full, 209 piece-pair)"
     ) in out
 
 
