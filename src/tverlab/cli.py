@@ -2,8 +2,8 @@
 
 Exit codes are script-friendly: 0 on success (certificate found,
 report printed, or an asserted infeasibility confirmed), 1 when no
-certificate could be produced (budget exhausted or proven infeasible
-where one was requested), 2 on usage or hypothesis violations, 3 on
+certificate could be produced (candidate directions exhausted or proven
+infeasible where one was requested), 2 on usage or hypothesis violations, 3 on
 file parse errors, and 4 when an internal cap was hit.
 """
 
@@ -16,7 +16,6 @@ from . import serialize, svg
 from .errors import CapExceeded, DegenerateIntersection, ParseError, PreconditionError
 from .model import default_profile, tightness_instance, validate
 from .solver import (
-    SearchBudget,
     TransversalCertificate,
     TverbergCertificate,
     solve,
@@ -150,15 +149,10 @@ def cmd_transversal(args) -> int:
     instance = serialize.load_instance(args.instance)
     if instance.k < 1:
         return _usage("transversal requires k >= 1 (use partition for k = 0)")
-    sampling = _given(
-        samples=args.samples, refinement_depth=args.refine, seed=args.seed
-    )
     exact = instance.k == instance.d - 1
-    if exact and sampling:
-        return _usage("k = d-1 runs the complete scan: no --samples/--refine/--seed")
     if args.cap is not None and not exact:
         return _usage("--cap only applies when k = d-1")
-    report = solve(instance, SearchBudget(**sampling), **_given(choice_cap=args.cap))
+    report = solve(instance, **_given(choice_cap=args.cap))
     if exact:
         work = f"candidate planes checked: {report.stats['planes']}"
     else:
@@ -176,7 +170,7 @@ def cmd_transversal(args) -> int:
         print(
             f"budget exhausted: best gap {report.gap} "
             f"({report.stats['lps']} subproblems, "
-            f"{report.stats['halton_samples']} samples)"
+            f"{report.stats['directions']} candidate directions)"
         )
     else:
         print("infeasible: no colorful partition shape exists")
@@ -287,18 +281,8 @@ def cmd_sweep(args) -> int:
     profiles = args.profiles
     if profiles is None:
         profiles = tuple(default_profile(args.d, args.k, r) for r in args.rs)
-    budget = SearchBudget(
-        **_given(samples=args.samples, refinement_depth=args.refine), seed=args.seed
-    )
     report = sweep(
-        args.d,
-        args.k,
-        args.rs,
-        profiles,
-        args.trials,
-        seed=args.seed,
-        budget=budget,
-        jitter_q=args.jitter_q,
+        args.d, args.k, args.rs, profiles, args.trials, seed=args.seed, jitter_q=args.jitter_q
     )
     for label in sorted(report.counts):
         print(f"{label}: {report.counts[label]}/{args.trials}")
@@ -311,8 +295,6 @@ def cmd_sweep(args) -> int:
             "profiles": [list(p) for p in profiles],
             "trials": args.trials,
             "seed": args.seed,
-            "samples": budget.samples,
-            "refine": budget.refinement_depth,
             "jitter_q": args.jitter_q,
         }
         serialize.write_json(args.out, serialize.sweep_report_to_json(report, params))
@@ -367,9 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transversal", help="search for a k-plane transversal")
     p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--samples", type=int, help="direction sample budget (k < d-1)")
-    p.add_argument("--refine", type=int, help="refinement rounds (k < d-1)")
-    p.add_argument("--seed", type=int, help="sampling seed (k < d-1)")
     p.add_argument("--cap", type=int, help="plane check cap (k = d-1 only)")
     p.add_argument("--out", metavar="FILE", help="write the certificate as JSON")
     p.add_argument(
@@ -426,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=int, required=True, help="number of instances")
     p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--samples", type=int, help="per-trial direction samples")
-    p.add_argument("--refine", type=int, help="per-trial refinement rounds")
     p.add_argument("--jitter-q", type=int, help="rational jitter denominator")
     p.add_argument("--out", metavar="FILE", help="write the report as JSON")
     p.set_defaults(func=cmd_sweep)

@@ -5,12 +5,11 @@ Three search modes, all exact; `solve` picks one from the plane dimension:
 * `solve_tverberg` — exhaustive over colorful partitions of one collection,
   up to relabelling pieces; complete.  Memoised two-piece LPs rule
   partitions out before their full rational LP.
-* `solve_transversal` — samples direction subspaces for a k-plane (rational
-  rotations from a low-discrepancy stream), then certifies membership per
-  direction with one joint LP per partition combination; augmented with
-  exact snap directions through d input points for hyperplanes and a
-  local refinement loop.  Incomplete by nature, but every returned
-  certificate is exact.
+* `solve_transversal` — scans a finite list of exact candidate direction
+  subspaces for a k-plane (each the intersection of d-k hyperplanes
+  through one k-subset of the input points), then certifies membership
+  per direction with one joint LP per partition combination.
+  Incomplete, but every returned certificate is exact.
 * `solve_hyperplane_transversal_exact` — complete search when the plane
   has codimension one: a scan of the hyperplanes through d input points
   (the arrangement vertices), each checked per collection with no LP.
@@ -26,7 +25,7 @@ repeats the search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, gcd, perm, prod
 
@@ -52,10 +51,8 @@ from .model import (
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_BLOCK = 512
-_SNAP_CAP = 4096
+_SNAP_CAP = 4096  # candidate directions `solve_transversal` may try
 CHOICE_CAP = 5_000_000  # plane checks the complete hyperplane scan may make
-_FIRST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,11 @@ class TransversalCertificate:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Knobs for the sampling search; exhaustive modes ignore it."""
+    """Former knobs of the sampling search, still accepted and validated.
+
+    No search reads them: `solve_transversal` takes one as its second
+    argument and ignores it, so callers that still pass one keep working.
+    """
 
     samples: int = 10_000
     refinement_depth: int = 6
@@ -135,7 +136,8 @@ class SolveReport:
     """Outcome of one search: status, certificate if any, best gap, stats.
 
     status is one of "certified", "infeasible-exhausted" (complete search
-    ruled a certificate out), "budget-exhausted" (sampling gave up), or
+    ruled a certificate out), "budget-exhausted" (`solve_transversal`
+    tried every candidate direction; not a proof that none exists), or
     "no-valid-partition" (some collection has no nonempty colorful
     partition at all).  gap is the smallest constraint violation seen,
     zero when certified.
@@ -294,45 +296,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# direction sampling machinery
-
-
-def _halton(index: int, base: int) -> Fraction:
-    f = ONE
-    r = ZERO
-    while index > 0:
-        f /= base
-        r += f * (index % base)
-        index //= base
-    return r
-
-
-def _rotation_matrix(d: int, k: int, params) -> list[list[Fraction]]:
-    """Orthogonal d x d matrix from tan-half-angle plane rotations.
-
-    One parameter per (row-block, column-block) pair, so the first k
-    columns sweep the full space of k-dimensional direction subspaces.
-    """
-    m = [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
-    idx = 0
-    for i in range(k):
-        for j in range(k, d):
-            t = params[idx]
-            idx += 1
-            den = 1 + t * t
-            c = (1 - t * t) / den
-            s = 2 * t / den
-            for row in m:
-                a, b = row[i], row[j]
-                row[i] = a * c + b * s
-                row[j] = b * c - a * s
-    return m
-
-
-def _quotient_from_params(d: int, k: int, params):
-    """Rows spanning the orthogonal complement of the sampled subspace."""
-    m = _rotation_matrix(d, k, params)
-    return [[m[coord][k + c] for coord in range(d)] for c in range(d - k)]
+# candidate direction scan
 
 
 def _project(q_rows, point):
@@ -350,36 +314,55 @@ def _primitive(row):
 
 
 def _flat_normals(points, d):
-    """(first point, primitive normal) per d-subset spanning a hyperplane, in order."""
-    for first, *rest in itertools.combinations(points, d):
+    """(index d-subset, primitive normal) per d-subset spanning a hyperplane, in order."""
+    for subset in itertools.combinations(range(len(points)), d):
+        first, *rest = (points[i] for i in subset)
         diffs = [[a - b for a, b in zip(p, first)] for p in rest]
         null = linalg.nullspace(diffs or [[ZERO] * d])  # d = 1: the plane {x = v}
         if len(null) == 1:
-            yield first, _primitive(null[0])
+            yield subset, _primitive(null[0])
 
 
-def _snap_quotients(instance: ProblemInstance):
-    """Exact hyperplane normals through d input points (codimension one).
+def _candidate_quotients(instance: ProblemInstance):
+    """Quotient rows of every candidate direction subspace, in scan order.
 
-    Only for k = d-1 >= 1: a transversal hyperplane that must pass
-    through d of the input points has an isolated direction that no
-    amount of sampling hits, so those directions are enumerated
-    outright, each distinct normal once, as the one quotient row.
+    A k-plane's direction subspace is the nullspace of its d-k quotient
+    rows.  k = 0 has the one candidate with the identity rows, and k = d
+    the one with no rows.  Otherwise, for each k-subset A of the pooled
+    points (in `combinations` order), the candidates are the planes
+    through A cut out by d-k independent hyperplanes, each through A and
+    d-k further input points: every (d-k)-combination of rank d-k of the
+    distinct normals through A, in subset order.  Each row space is kept
+    once, at most _SNAP_CAP in all.  At k = d-1 these are the distinct
+    normals through d input points.  Extremal transversals are pinned by
+    input points, so their directions have measure zero; a pinned one
+    with an irrational direction is not on the list.
     """
-    d = instance.d
-    if d < 2 or instance.k != d - 1:
-        return []
+    d, k = instance.d, instance.k
+    if k == 0:
+        yield [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
+        return
+    if k == d:
+        yield []
+        return
     pts = [p for cfg in instance.collections for p in cfg.points]
+    normals = dict(_flat_normals(pts, d))
     seen = set()
-    out = []
-    for _, key in _flat_normals(pts, d):
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append([[Fraction(v) for v in key]])
-        if len(out) >= _SNAP_CAP:
-            break
-    return out
+    for base in itertools.combinations(range(len(pts)), k):
+        rest = [i for i in range(len(pts)) if i not in base]
+        subsets = (tuple(sorted(base + extra)) for extra in itertools.combinations(rest, d - k))
+        through = dict.fromkeys(normals[s] for s in subsets if s in normals)
+        for rows in itertools.combinations(through, d - k):
+            q_rows = [[Fraction(v) for v in row] for row in rows]
+            # the nullspace basis comes from the reduced echelon form,
+            # so it names the row space
+            key = tuple(map(tuple, linalg.nullspace(q_rows)))
+            if len(key) != k or key in seen:
+                continue
+            seen.add(key)
+            yield q_rows
+            if len(seen) >= _SNAP_CAP:
+                return
 
 
 def _combo_pieces(point_lists, combo):
@@ -474,74 +457,24 @@ def _certificate(instance, plane, combo, piece_weights) -> TransversalCertificat
     )
 
 
-def _sampled_params(nparams: int, budget: SearchBudget, best: dict, stats):
-    """Direction parameters for the sampler, in the order they are tried.
-
-    Halton points come in blocks of _BLOCK.  After each block, while
-    rounds remain, a refinement round tries +-step on each coordinate of
-    best["params"], the caller's best sample so far (read afresh for each
-    tweak), then halves step.  Rounds left over follow the last block.
-    """
-    bases = _FIRST_BASES[:nparams]
-    step = Fraction(1, 4)
-    rounds_left = budget.refinement_depth
-    emitted = 0
-    while True:
-        block = min(_BLOCK, budget.samples - emitted)
-        for i in range(block):
-            idx = budget.seed + emitted + i + 1
-            stats["halton_samples"] += 1
-            yield tuple(2 * _halton(idx, b) - 1 for b in bases)
-        emitted += block
-        if rounds_left > 0 and best["params"] is not None:
-            rounds_left -= 1
-            stats["refinement_rounds"] += 1
-            for a, sgn in itertools.product(range(nparams), (1, -1)):
-                tweaked = list(best["params"])
-                tweaked[a] += sgn * step
-                yield tuple(tweaked)
-            step /= 2
-        elif emitted >= budget.samples:
-            return
-
-
 def solve_transversal(
     instance: ProblemInstance, budget: SearchBudget | None = None
 ) -> SolveReport:
-    """Sampled search for a k-plane meeting one piece hull per partition slot.
+    """Scan candidate directions for a k-plane meeting one piece hull per slot.
 
-    Snap directions run first (they are exact and cover planes pinned to
-    point pairs), then low-discrepancy direction samples in blocks, with
-    a halving local refinement around the best near-miss between blocks.
-    A returned certificate is exact regardless of how its direction was
-    found; failure only means the budget ran out.
+    The candidates are `_candidate_quotients`, a finite, deterministic
+    list.  A returned certificate is exact; "budget-exhausted" means the
+    list ran out, not that no plane exists.  budget is ignored: it is
+    kept so that callers passing a `SearchBudget` still work.
     """
-    budget = budget or SearchBudget()
-    d, k = instance.d, instance.k
-    stats = {
-        "lps": 0,
-        "directions": 0,
-        "snap_directions": 0,
-        "halton_samples": 0,
-        "refinement_rounds": 0,
-    }
+    stats = {"lps": 0, "directions": 0}
     partitions_per_col = _partition_lists(instance)
     if partitions_per_col is None:
         return SolveReport("no-valid-partition", None, None, stats)
 
-    nparams = k * (d - k)
-    best = {"gap": None, "params": None}  # best sampled direction so far
-    # with no parameters (a 0-plane, or the whole space) there is one direction
-    sampled = [()] if nparams == 0 else _sampled_params(nparams, budget, best, stats)
-    candidates = itertools.chain(
-        ((q_rows, None) for q_rows in _snap_quotients(instance)),
-        ((_quotient_from_params(d, k, params), params) for params in sampled),
-    )
     best_gap = None
-    for q_rows, params in candidates:
+    for q_rows in _candidate_quotients(instance):
         stats["directions"] += 1
-        if params is None:
-            stats["snap_directions"] += 1
         hit, gap = _evaluate_direction(
             q_rows, instance.collections, partitions_per_col, stats
         )
@@ -550,8 +483,6 @@ def solve_transversal(
             cert = _build_certificate(instance, q_rows, combo, witness)
             return SolveReport("certified", cert, ZERO, stats)
         best_gap = _least(best_gap, gap)
-        if params is not None and (best["gap"] is None or gap < best["gap"]):
-            best["gap"], best["params"] = gap, params
     return SolveReport("budget-exhausted", None, best_gap, stats)
 
 
@@ -630,8 +561,8 @@ def _candidate_planes(points, d):
         yield normal, _dot(normal, points[0])
         return
     seen = set()
-    for first, normal in _flat_normals(points, d):
-        plane = (normal, _dot(normal, first))
+    for subset, normal in _flat_normals(points, d):
+        plane = (normal, _dot(normal, points[subset[0]]))
         if plane not in seen:
             seen.add(plane)
             yield plane
@@ -677,21 +608,17 @@ def _hyperplane_certificate(instance, combo, sides, normal, offset):
     return _certificate(instance, plane, combo, piece_weights)
 
 
-def solve(
-    instance: ProblemInstance,
-    budget: SearchBudget | None = None,
-    choice_cap: int = CHOICE_CAP,
-) -> SolveReport:
+def solve(instance: ProblemInstance, choice_cap: int = CHOICE_CAP) -> SolveReport:
     """The search for the instance's k: complete for k = 0 and k = d-1.
 
     k = 0 runs `solve_tverberg`, k = d-1 the arrangement scan (capped by
-    choice_cap), and any other k the sampler (bounded by budget).
+    choice_cap), and any other k the candidate-direction scan.
     """
     if instance.k == 0:
         return solve_tverberg(instance.collections[0], instance.rs[0])
     if instance.k == instance.d - 1:
         return solve_hyperplane_transversal_exact(instance, choice_cap)
-    return solve_transversal(instance, budget)
+    return solve_transversal(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -855,26 +782,25 @@ def sweep(
     profiles,
     trials: int,
     seed: int = 0,
-    budget: SearchBudget | None = None,
     jitter_q: int | None = None,
 ) -> SweepReport:
     """Solve `trials` seeded random instances and tally labeled outcomes.
 
-    Each trial runs `solve`.  Trial i uses seed+i, and budget.seed+i when
-    it samples, so a sweep is reproducible and individual trials can be
-    re-run alone.  Labels append "-beyond-theorem" when an instance
+    Each trial runs `solve` on the instance of seed seed+i, so a sweep is
+    reproducible and individual trials can be re-run alone.  A
+    "budget-exhausted" trial (candidate directions ran out) is labeled
+    "undetermined".  Labels append "-beyond-theorem" when an instance
     violates the guarantee hypotheses, since a miss there is expected
     rather than diagnostic.
     """
     from .model import random_instance
 
-    budget = budget or SearchBudget()
     outcomes = []
     counts: dict[str, int] = {}
     for i in range(trials):
         inst = random_instance(d, k, rs, profiles, seed=seed + i, jitter_q=jitter_q)
         hyp_ok = validate(inst).all_ok
-        report = solve(inst, replace(budget, seed=budget.seed + i))
+        report = solve(inst)
         label = {
             "certified": "certified",
             "infeasible-exhausted": "refuted",

@@ -24,7 +24,10 @@ path; `first_met_flags` is the per-point side-flag test and miss sum
 that the scan's memoised piece misses replaced.  `unfiltered_tverberg`
 is the partition search before its piece-pair filter: one full LP per
 representative, on the solver's own enumeration and LP, so a comparison
-with it checks the filter alone.
+with it checks the filter alone.  `snap_quotients` is the codimension-one
+direction list the candidate scan generalised: the distinct normals
+through d input points, from the solver's own `_flat_normals`, so a
+comparison with it checks the scan's order and deduplication.
 """
 import itertools
 import math
@@ -391,6 +394,28 @@ def orbit_key(config, partition):
     label = {i: j for j, piece in enumerate(partition.pieces) for i in piece}
     first = {}
     return tuple(first.setdefault(label[i], len(first)) for cls in config.classes for i in cls)
+
+
+def snap_quotients(instance):
+    """Exact hyperplane normals through d input points (codimension one).
+
+    Only for k = d-1 >= 1: each distinct normal once, in d-subset order,
+    as the one quotient row, at most `solver._SNAP_CAP` of them.
+    """
+    d = instance.d
+    if d < 2 or instance.k != d - 1:
+        return []
+    pts = [p for cfg in instance.collections for p in cfg.points]
+    seen = set()
+    out = []
+    for _, key in solver._flat_normals(pts, d):
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append([[Fraction(v) for v in key]])
+        if len(out) >= solver._SNAP_CAP:
+            break
+    return out
 
 
 def pair_snap_quotients(instance):

@@ -152,7 +152,7 @@ def test_transversal_exact_hyperplane(capsys, singleton_line_instance):
 def test_transversal_whole_space_when_k_equals_d(capsys, tmp_path):
     path = tmp_path / "kd.json"
     serialize.save_instance(str(path), random_instance(2, 2, (2, 2, 2), seed=3))
-    code, out, _ = run(capsys, "transversal", str(path), "--samples", "1")
+    code, out, _ = run(capsys, "transversal", str(path))
     assert code == 0
     assert "certified" in out
 
@@ -160,11 +160,10 @@ def test_transversal_whole_space_when_k_equals_d(capsys, tmp_path):
 def test_transversal_budget_exhausted(capsys, tmp_path):
     path = tmp_path / "tight.json"
     serialize.save_instance(str(path), tightness_instance(3, 1, (2, 2), 0))
-    code, out, _ = run(
-        capsys, "transversal", str(path), "--samples", "1", "--refine", "0"
-    )
+    code, out, _ = run(capsys, "transversal", str(path))
     assert code == 1
     assert "budget exhausted" in out
+    assert "528 candidate directions" in out
 
 
 def test_transversal_exact_refutes_tightness(capsys, tmp_path):
@@ -186,32 +185,13 @@ def test_transversal_refutes_three_piece_tightness(capsys, tmp_path):
     )
 
 
-def test_transversal_flag_conflicts(capsys, singleton_line_instance, tmp_path):
-    # sampling flags are for k < d-1, the plane check cap for k = d-1
-    code, _, err = run(
-        capsys, "transversal", singleton_line_instance, "--samples", "5"
-    )
-    assert code == 2
-    assert "--samples" in err
+def test_transversal_flag_conflicts(capsys, tmp_path):
+    # the plane check cap is for k = d-1 only
     path = tmp_path / "d3k1.json"
     serialize.save_instance(str(path), random_instance(3, 1, (2, 2), seed=0))
     code, _, err = run(capsys, "transversal", str(path), "--cap", "10")
     assert code == 2
     assert "--cap" in err
-
-
-@pytest.mark.parametrize(
-    "flag",
-    (["--samples", "-3"], ["--refine", "-1"], ["--seed", "-5"]),
-    ids=lambda flag: flag[0],
-)
-def test_transversal_rejects_negative_budget(capsys, tmp_path, flag):
-    path = tmp_path / "d3k1.json"
-    serialize.save_instance(str(path), random_instance(3, 1, (2, 2), seed=0))
-    code, out, err = run(capsys, "transversal", str(path), *flag)
-    assert code == 2
-    assert out == ""
-    assert "must be at least 0" in err
 
 
 def test_transversal_cap_exceeded(capsys, singleton_line_instance):

@@ -18,16 +18,15 @@ from tverlab.solver import KPlane
 from tverlab.topology import SimplicialComplex
 
 from oracles import (
-    Subspace,
     common_point_rows,
     hyperplane_disjunct_search,
     inclusion_maximal,
     ordered_nonempty_partitions,
-    project,
     rational_det,
     rational_echelon,
     rational_lp_solve_eq,
     rational_solve,
+    snap_quotients,
     unfiltered_tverberg,
 )
 
@@ -177,28 +176,6 @@ def test_plane_contains_its_own_combinations(base, ts):
     assert plane.contains(point)
     off = (point[0], point[1], point[2] + Fraction(1, 3))
     assert not plane.contains(off)
-
-
-@given(st.integers(0, 10**6), st.sampled_from((2, 3, 5, 7)))
-def test_halton_values_lie_in_unit_interval(index, base):
-    from tverlab.solver import _halton
-
-    value = _halton(index, base)
-    assert 0 <= value < 1
-    assert _halton(index, base) == value
-
-
-@given(st.sampled_from(((2, 1), (3, 1), (3, 2), (4, 1), (4, 2))), st.data())
-def test_solver_projection_matches_gram_oracle(dk, data):
-    d, k = dk
-    params = [data.draw(rationals) for _ in range(k * (d - k))]
-    q = solver._quotient_from_params(d, k, params)
-    assert len(q) == d - k
-    for i, u in enumerate(q):
-        for j, v in enumerate(q):
-            assert sum(a * b for a, b in zip(u, v)) == (1 if i == j else 0)
-    x = tuple(data.draw(rationals) for _ in range(d))
-    assert solver._project(q, x) == project([x], Subspace(d, q))[0]
 
 
 @given(
@@ -363,3 +340,11 @@ def test_hyperplane_plane_scan_matches_disjunct_lps(inst):
         assert report.status == "infeasible-exhausted"
         assert report.stats["combos"] == tried
         assert report.gap > 0
+
+
+# coincident points, and three points on a line, in the plane and in space
+@example(singleton_classes(2, [(0, 0), (0, 0), (1, 1)], [(2, 2), (3, 0), (3, 0)]))
+@example(singleton_classes(3, [(0, 0, 0), (1, 1, 1), (2, 2, 2)], [(0, 0, 0), (1, 0, 0)], [(0, 1, 0), (1, 0, 0)]))
+@given(hyperplane_instances().filter(lambda inst: inst.d > 1))
+def test_candidate_quotients_match_the_snap_reference(inst):
+    assert list(solver._candidate_quotients(inst)) == snap_quotients(inst)

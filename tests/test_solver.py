@@ -41,8 +41,8 @@ from oracles import first_met_flags, orbit_key, ordered_nonempty_partitions, pai
 def crossing_instance():
     """Two collections of crossing segments, all hulls through the origin.
 
-    Every direction admits a transversal line, so sampling succeeds
-    immediately; useful for exercising the search paths deterministically.
+    Every direction admits a transversal line, so the first candidate
+    certifies; useful for exercising the search paths deterministically.
     """
     c0 = ColoredConfig(
         dim=2,
@@ -215,32 +215,30 @@ def test_solve_tverberg_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# sampled transversal search
+# candidate-direction transversal search
 
 
 def test_transversal_pinned_lines_found_by_snap_directions():
-    # keep the fallback sampling small: the point of the test is that
-    # the snap directions already land these pinned-line instances
-    budget = SearchBudget(samples=64, refinement_depth=1)
+    # the normals through two input points land these pinned-line instances
     hits = 0
     for seed in range(8):
         inst = singleton_transversal_instance(seed)
-        report = solve_transversal(inst, budget)
+        report = solve_transversal(inst)
         if report.certified:
             hits += 1
             assert verify_transversal(inst, report.certificate)
-            assert report.stats["snap_directions"] >= 1
+            assert report.stats["directions"] >= 1
     assert hits >= 7
 
 
 def test_transversal_snaps_through_three_points_certify_planes_in_space():
     # these planes pass through one input point of every collection, a
-    # direction that samples never hit but a snap through three points does
+    # pinned direction: the normal through three input points
     for seed in (0, 1):
         inst = random_instance(3, 2, (2, 2, 2), seed=seed)
-        report = solve_transversal(inst, SearchBudget(16, 1, 0))
+        report = solve_transversal(inst)
         assert report.certified
-        assert report.stats["snap_directions"] >= 1
+        assert report.stats["directions"] >= 1
         assert verify_transversal(inst, report.certificate)
 
 
@@ -248,7 +246,7 @@ def test_planar_snaps_match_the_pair_formula():
     cohort = [singleton_transversal_instance(seed) for seed in range(12)]
     tight = [tightness_instance(2, 1, (2, 2), ell) for ell in (0, 1)]
     for inst in cohort + tight:
-        assert solver._snap_quotients(inst) == pair_snap_quotients(inst)
+        assert list(solver._candidate_quotients(inst)) == pair_snap_quotients(inst)
 
 
 def test_transversal_open_solution_set_via_snaps():
@@ -258,86 +256,48 @@ def test_transversal_open_solution_set_via_snaps():
     assert verify_transversal(inst, report.certificate)
 
 
-def test_transversal_halton_path(monkeypatch):
-    monkeypatch.setattr(solver, "_snap_quotients", lambda inst: [])
-    inst = crossing_instance()
+def test_transversal_lines_in_space_certify_on_candidate_flats():
+    # d=3 k=1: lines through one input point that meet two segments, or
+    # through two input points
+    for seed in range(7):
+        inst = random_instance(3, 1, (2, 2), seed=seed)
+        report = solve(inst)
+        assert report.certified
+        assert verify_transversal(inst, report.certificate)
+
+
+def test_transversal_irrational_line_exhausts_the_candidates():
+    # seed 7's only transversal line is irrational, so no rational
+    # candidate direction can certify it
+    inst = random_instance(3, 1, (2, 2), seed=7)
     report = solve_transversal(inst)
-    assert report.certified
-    assert report.stats["halton_samples"] >= 1
-    assert report.stats["snap_directions"] == 0
-    assert verify_transversal(inst, report.certificate)
+    assert report.status == "budget-exhausted"
+    assert report.gap > 0
+    assert report.stats["directions"] == 868
+
+
+def test_transversal_candidate_cap(monkeypatch):
+    monkeypatch.setattr(solver, "_SNAP_CAP", 5)
+    report = solve_transversal(random_instance(3, 1, (2, 2), seed=7))
+    assert report.status == "budget-exhausted"
+    assert report.stats["directions"] == 5
 
 
 def test_transversal_budget_exhausted_on_tight_configuration():
-    inst = tightness_instance(2, 1, (2, 2), 0)
-    budget = SearchBudget(samples=32, refinement_depth=2, seed=0)
-    report = solve_transversal(inst, budget)
-    assert report.status == "budget-exhausted"
-    assert report.gap is not None and report.gap > 0
-    assert report.stats["halton_samples"] == 32
-    assert report.stats["refinement_rounds"] == 2
-
-
-@pytest.fixture
-def sampled_params(monkeypatch):
-    """The params of every sampled direction, in the order they are tried."""
-    calls = []
-    quotient = solver._quotient_from_params
-
-    def recording(d, k, params):
-        calls.append(tuple(params))
-        return quotient(d, k, params)
-
-    monkeypatch.setattr(solver, "_quotient_from_params", recording)
-    return calls
-
-
-def test_transversal_sampler_order_across_blocks(sampled_params):
-    # 600 samples span two blocks of 512, so refinement rounds run after
-    # each block and the third one after the last block
-    calls = sampled_params
-    inst = tightness_instance(2, 1, (2, 2), 0)
-    budget = SearchBudget(samples=600, refinement_depth=3, seed=2)
-    report = solve_transversal(inst, budget)
-
-    def halton(index):  # base-2 radical inverse, mapped to [-1, 1)
-        digits = bin(index)[:1:-1]
-        return (2 * Fraction(int(digits, 2), 2 ** len(digits)) - 1,)
-
-    # the best sample, found in the first block (the least gap is taken
-    # over one partition per relabelling of pieces)
-    center = Fraction(-1, 256)
-    assert len(calls) == 606
-    assert calls[:512] == [halton(i) for i in range(3, 515)]
-    assert (center,) in calls[:512]
-    assert calls[512:514] == [(center + Fraction(1, 4),), (center - Fraction(1, 4),)]
-    assert calls[514:602] == [halton(i) for i in range(515, 603)]
-    assert calls[602:604] == [(center + Fraction(1, 8),), (center - Fraction(1, 8),)]
-    assert calls[604:] == [(center + Fraction(1, 16),), (center - Fraction(1, 16),)]
-    assert report.status == "budget-exhausted"
-    assert report.stats == {
-        "lps": 3066,
-        "directions": 612,
-        "snap_directions": 6,
-        "halton_samples": 600,
-        "refinement_rounds": 3,
-    }
-
-
-def test_transversal_refinement_tweaks_the_current_best(sampled_params):
-    # the +1/4 tweak of the best sample -1/2 improves on it, so the -1/4
-    # tweak is taken around -1/4 and lands back on -1/2
-    inst = tightness_instance(2, 1, (2, 2), 1)
-    solve_transversal(inst, SearchBudget(samples=4, refinement_depth=1, seed=0))
-    quarters = [Fraction(n, 4) for n in (0, -2, 2, -3, -1, -2)]
-    assert sampled_params == [(t,) for t in quarters]
+    # one point short of extremal, so no line meets a piece hull of each
+    # partition slot, and the scan tries all 528 candidates
+    for ell in (0, 1):
+        inst = tightness_instance(3, 1, (2, 2), ell)
+        report = solve_transversal(inst)
+        assert report.status == "budget-exhausted"
+        assert report.gap is not None and report.gap > 0
+        assert report.stats["directions"] == 528
 
 
 def test_transversal_deterministic():
     inst = tightness_instance(2, 1, (2, 2), 0)
-    budget = SearchBudget(samples=16, refinement_depth=1, seed=5)
-    a = solve_transversal(inst, budget)
-    b = solve_transversal(inst, budget)
+    a = solve_transversal(inst)
+    b = solve_transversal(inst)
     assert (a.status, a.gap, a.stats) == (b.status, b.gap, b.stats)
 
 
@@ -394,7 +354,7 @@ def test_hyperplane_agrees_with_sampling():
     sampled = solve_transversal(inst)
     exact = solve_hyperplane_transversal_exact(inst)
     assert exact.certified
-    # sampling may or may not land a certificate, but must never claim
+    # the candidate scan may or may not land a certificate, but must never claim
     # one on an instance the complete search refutes
     if sampled.certified:
         assert verify_transversal(inst, sampled.certificate)
@@ -715,24 +675,25 @@ def test_restrict_keeps_higher_k_planes():
             lambda inst: solve_tverberg(inst.collections[0], inst.rs[0]),
         ),
         (singleton_transversal_instance(2), solve_hyperplane_transversal_exact),
-        (
-            random_instance(3, 1, (2, 2), seed=0),
-            lambda inst: solve_transversal(inst, SearchBudget(8, 1, 0)),
-        ),
-        (
-            random_instance(2, 2, (2, 2, 2), seed=3),
-            lambda inst: solve_transversal(inst, SearchBudget(8, 1, 0)),
-        ),
+        (random_instance(3, 1, (2, 2), seed=0), solve_transversal),
+        (random_instance(2, 2, (2, 2, 2), seed=3), solve_transversal),
     ],
     ids=["k=0", "k=d-1", "0<k<d-1", "k=d"],
 )
 def test_solve_picks_the_search_from_k(inst, direct):
-    report = solve(inst, SearchBudget(8, 1, 0))
+    report = solve(inst)
     expected = direct(inst)
     assert report.status == expected.status
     assert report.gap == expected.gap
     assert report.stats == expected.stats
     assert report.certificate == expected.certificate
+
+
+def test_transversal_ignores_the_search_budget():
+    inst = random_instance(3, 2, (2, 2, 2), seed=0)
+    a = solve_transversal(inst, SearchBudget(samples=16, refinement_depth=1, seed=0))
+    b = solve_transversal(inst)
+    assert (a.status, a.certificate, a.stats) == (b.status, b.certificate, b.stats)
 
 
 @pytest.mark.parametrize("field", ["samples", "refinement_depth", "seed"])
