@@ -117,12 +117,6 @@ def common_point_gap(pieces):
     return CommonPointWitness(point=point, weights=weights), ZERO
 
 
-def lp_feasible_common_point(pieces):
-    """Exact witness that all pieces' hulls share a point, or None."""
-    witness, _ = common_point_gap(pieces)
-    return witness
-
-
 def convex_combination(weights, points) -> Point:
     """The point sum(w_i * p_i), each coordinate summed in order from 0."""
     return tuple(
@@ -150,23 +144,3 @@ def convex_combination_fault(weights, points, target=None) -> str:
         return "point-mismatch"
     return ""
 
-
-def verify_common_point_witness(pieces, witness) -> Verdict:
-    """Re-check a witness from scratch; malformed input yields a reason code."""
-    try:
-        pcs = [[as_point(p) for p in piece] for piece in pieces]
-        point = as_point(witness.point)
-        weights = [[Fraction(w) for w in ws] for ws in witness.weights]
-    except (TypeError, ValueError, AttributeError):
-        return Verdict(False, "malformed")
-    if len(weights) != len(pcs) or any(len(w) != len(p) for w, p in zip(weights, pcs)):
-        return Verdict(False, "shape-mismatch")
-    if any(len(p) != len(point) for piece in pcs for p in piece):
-        return Verdict(False, "shape-mismatch")
-    # every piece's weights are checked before any piece's combination
-    for target in (None, point):
-        for ws, piece in zip(weights, pcs):
-            fault = convex_combination_fault(ws, piece, target)
-            if fault:
-                return Verdict(False, fault)
-    return Verdict(True)

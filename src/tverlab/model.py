@@ -2,9 +2,10 @@
 
 A ColoredConfig is a finite rational point set with a partition into
 color classes; a ProblemInstance stacks k+1 of them for the k-plane
-transversal problem.  Partition enumeration is lazy and deterministic:
-per class, injections into the piece set in lexicographic order, classes
-combined in index order.  Generators produce the matched-size instances
+transversal problem.  Partition enumeration is lazy and deterministic,
+and yields one nonempty colorful partition per relabelling of the
+pieces: the set every search runs over, with its closed-form count.
+Generators produce the matched-size instances
 (sizes (r-1)(d-k+1)+1), the tightness counterexamples with one oversized
 class, and random seeded instances.
 """
@@ -14,6 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, factorial, perm, prod
 
 from . import geometry
 from .geometry import Point, as_point
@@ -158,35 +160,59 @@ def partition_is_valid(config: ColoredConfig, partition: PartitionTuple, r: int)
 
 
 def count_colorful_partitions(config: ColoredConfig, r: int) -> int:
-    """Closed-form count: product over classes of r!/(r-|class|)!."""
-    total = 1
-    for c in config.classes:
-        if len(c) > r:
-            return 0
-        f = 1
-        for t in range(len(c)):
-            f *= r - t
-        total *= f
-    return total
+    """How many partitions `enumerate_colorful_partitions` yields, in closed form.
+
+    Inclusion-exclusion over j pieces forced empty counts the colorful
+    ordered tuples with no empty piece (each class puts its points in
+    distinct pieces); S_r permutes those freely, so r! divides the count.
+    """
+    ordered = sum(
+        (-1) ** j * comb(r, j) * prod(perm(r - j, len(cls)) for cls in config.classes)
+        for j in range(r + 1)
+    )
+    return ordered // factorial(r)
 
 
 def enumerate_colorful_partitions(config: ColoredConfig, r: int):
-    """Yield every ordered colorful partition tuple, lazily, in a fixed order.
+    """Nonempty colorful r-partitions, one per relabelling of the pieces.
 
-    Pieces may come out empty (they count in the closed form as well);
-    solvers skip those since an empty hull supports no certificate.
+    Reading the classes in order, piece j opens (takes its first point)
+    before piece j+1: restricted-growth labels.  Every S_r orbit of
+    nonempty ordered tuples holds exactly one such tuple, r! in all, and
+    it is the orbit's first member when ordered tuples are listed by
+    their piece labels read class by class, lexicographically; the
+    representatives come out in that order too.  Whether piece hulls
+    share a point or meet a plane does not depend on the labels, so a
+    search over these is complete and stops at the same first hit as one
+    over every ordered tuple.
     """
-    if any(len(c) > r for c in config.classes):
-        return
-    injections = [
-        list(itertools.permutations(range(r), len(c))) for c in config.classes
-    ]
-    for combo in itertools.product(*injections):
-        pieces: list[list[int]] = [[] for _ in range(r)]
-        for cls, assign in zip(config.classes, combo):
-            for point_idx, piece_idx in zip(cls, assign):
-                pieces[piece_idx].append(point_idx)
-        yield PartitionTuple(tuple(tuple(p) for p in pieces))
+    classes = config.classes
+    # points in classes c.. ; a branch dies once they cannot open the rest
+    left = [sum(len(cls) for cls in classes[c:]) for c in range(len(classes) + 1)]
+    label = [0] * config.size
+
+    def extend(c, opened):
+        if opened + left[c] < r:
+            return
+        if c == len(classes):
+            pieces = [[] for _ in range(r)]
+            for i, j in enumerate(label):
+                pieces[j].append(i)
+            yield PartitionTuple(tuple(map(tuple, pieces)))
+            return
+        cls = classes[c]
+        for assign in itertools.permutations(range(min(r, opened + len(cls))), len(cls)):
+            now = opened
+            for j in assign:
+                if j > now:
+                    break
+                now += j == now
+            else:
+                for i, j in zip(cls, assign):
+                    label[i] = j
+                yield from extend(c + 1, now)
+
+    return extend(0, 0)
 
 
 def default_profile(d: int, k: int, r: int) -> tuple[int, ...]:

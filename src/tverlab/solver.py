@@ -16,8 +16,8 @@ Three search modes, all exact; `solve` picks one from the plane dimension:
 
 Whether piece hulls share a point or meet a plane does not depend on how
 the pieces are numbered, so every search runs over one partition per
-S_r orbit (`_nonempty_partitions`); counts of ordered partitions and
-combinations covered still include the whole orbit.
+S_r orbit (`model.enumerate_colorful_partitions`); counts of ordered
+partitions and combinations covered still include the whole orbit.
 
 Certificates carry convex weights and witness points so verification never
 repeats the search.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, gcd, perm, prod
+from math import comb, factorial, gcd, prod
 
 from . import linalg
 from .errors import CapExceeded, DegenerateIntersection, PreconditionError
@@ -45,6 +45,9 @@ from .model import (
     ColoredConfig,
     PartitionTuple,
     ProblemInstance,
+    count_colorful_partitions,
+    enumerate_colorful_partitions,
+    partition_is_valid,
     validate,
 )
 
@@ -162,64 +165,10 @@ def _least(best, gap):
     return gap if best is None or gap < best else best
 
 
-def _nonempty_partitions(config: ColoredConfig, r: int):
-    """Nonempty colorful r-partitions, one per relabelling of the pieces.
-
-    Reading the classes in order, piece j opens (takes its first point)
-    before piece j+1: restricted-growth labels.  Every S_r orbit of
-    nonempty ordered tuples holds exactly one such tuple, r! in all, and
-    it is the orbit's first member in `enumerate_colorful_partitions`
-    order, so the representatives come out in that order too.  No search
-    here depends on piece labels, so a search over them is complete and
-    stops at the same first hit as one over every ordered tuple.
-    """
-    classes = config.classes
-    # points in classes c.. ; a branch dies once they cannot open the rest
-    left = [sum(len(cls) for cls in classes[c:]) for c in range(len(classes) + 1)]
-    label = [0] * config.size
-
-    def extend(c, opened):
-        if opened + left[c] < r:
-            return
-        if c == len(classes):
-            pieces = [[] for _ in range(r)]
-            for i, j in enumerate(label):
-                pieces[j].append(i)
-            yield PartitionTuple(tuple(map(tuple, pieces)))
-            return
-        cls = classes[c]
-        for assign in itertools.permutations(range(min(r, opened + len(cls))), len(cls)):
-            now = opened
-            for j in assign:
-                if j > now:
-                    break
-                now += j == now
-            else:
-                for i, j in zip(cls, assign):
-                    label[i] = j
-                yield from extend(c + 1, now)
-
-    return extend(0, 0)
-
-
-def _representative_count(config: ColoredConfig, r: int) -> int:
-    """How many partitions `_nonempty_partitions` yields, in closed form.
-
-    Inclusion-exclusion over j pieces forced empty counts the colorful
-    ordered tuples with no empty piece (each class puts its points in
-    distinct pieces); S_r permutes those freely, so r! divides the count.
-    """
-    ordered = sum(
-        (-1) ** j * comb(r, j) * prod(perm(r - j, len(cls)) for cls in config.classes)
-        for j in range(r + 1)
-    )
-    return ordered // factorial(r)
-
-
 def _partition_lists(instance: ProblemInstance):
     """Partition representatives per collection; None if one has none."""
     lists = [
-        list(_nonempty_partitions(cfg, r))
+        list(enumerate_colorful_partitions(cfg, r))
         for cfg, r in zip(instance.collections, instance.rs)
     ]
     return lists if all(lists) else None
@@ -260,7 +209,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
 
     hit = best = None
     covered = deferred = 0
-    for part in _nonempty_partitions(config, r):
+    for part in enumerate_colorful_partitions(config, r):
         covered += 1
         if r > 2:
             keys = keys_of(part)
@@ -276,7 +225,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
             break
         best = _least(best, gap)
     if hit is None and deferred:
-        for part in _nonempty_partitions(config, r):
+        for part in enumerate_colorful_partitions(config, r):
             keys = keys_of(part)
             if not any(map(pair_gaps.get, keys)):
                 continue  # not deferred: its full LP ran above
@@ -513,7 +462,7 @@ def solve_hyperplane_transversal_exact(
         raise PreconditionError("complete search needs plane codimension one")
     stats = {"planes": 0, "combos": 0}
     counts = [
-        _representative_count(cfg, r) for cfg, r in zip(instance.collections, instance.rs)
+        count_colorful_partitions(cfg, r) for cfg, r in zip(instance.collections, instance.rs)
     ]
     if not all(counts):
         return SolveReport("no-valid-partition", None, None, stats)
@@ -625,33 +574,46 @@ def solve(instance: ProblemInstance, choice_cap: int = CHOICE_CAP) -> SolveRepor
 # verification
 
 
+def _collection_fault(config: ColoredConfig, r: int, part, weights, points) -> str:
+    """Why one collection's part of a certificate fails; "" if it holds.
+
+    Checks, in order: a valid colorful r-partition ("bad-partition"), no
+    empty piece ("empty-piece"), one weight vector and one witness point
+    per piece and witnesses in R^d ("shape-mismatch"), then each piece's
+    weights combining its points into its witness, piece by piece
+    (`convex_combination_fault`).
+    """
+    if not partition_is_valid(config, part, r):
+        return "bad-partition"
+    if not all(part.pieces):
+        return "empty-piece"
+    if len(weights) != len(part.pieces) or len(points) != len(part.pieces):
+        return "shape-mismatch"
+    points = [as_point(x) for x in points]
+    if any(len(x) != config.dim for x in points):
+        return "shape-mismatch"
+    for piece, w, x in zip(part.pieces, weights, points):
+        fault = convex_combination_fault(w, [config.points[i] for i in piece], x)
+        if fault:
+            return fault
+    return ""
+
+
 def verify_tverberg(config: ColoredConfig, r: int, cert) -> Verdict:
     """Re-check a common-point certificate from scratch, exactly."""
-    from .model import partition_is_valid
-
     if not isinstance(cert, TverbergCertificate):
         return Verdict(False, "malformed")
     part = cert.partition
-    if not partition_is_valid(config, part, r):
-        return Verdict(False, "bad-partition")
-    if not all(part.pieces):
-        return Verdict(False, "empty-piece")
-    if len(cert.weights) != len(part.pieces):
-        return Verdict(False, "shape-mismatch")
-    point = as_point(cert.point)
-    if len(point) != config.dim:
-        return Verdict(False, "shape-mismatch")
-    for piece, w in zip(part.pieces, cert.weights):
-        fault = convex_combination_fault(w, [config.points[i] for i in piece], point)
-        if fault:
-            return Verdict(False, fault)
-    return Verdict(True)
+    fault = _collection_fault(config, r, part, cert.weights, [cert.point] * len(part.pieces))
+    return Verdict(not fault, fault)
 
 
 def verify_transversal(instance: ProblemInstance, cert) -> Verdict:
-    """Re-check a transversal certificate from scratch, exactly."""
-    from .model import partition_is_valid
+    """Re-check a transversal certificate from scratch, exactly.
 
+    Each collection passes `_collection_fault`, and then its witness
+    points must lie on the plane ("witness-off-plane").
+    """
     d, k = instance.d, instance.k
     if not isinstance(cert, TransversalCertificate):
         return Verdict(False, "malformed")
@@ -667,23 +629,14 @@ def verify_transversal(instance: ProblemInstance, cert) -> Verdict:
         or len(cert.witness_points) != k + 1
     ):
         return Verdict(False, "shape-mismatch")
-    for ell in range(k + 1):
-        cfg = instance.collections[ell]
-        part = cert.partitions[ell]
-        if not partition_is_valid(cfg, part, instance.rs[ell]):
-            return Verdict(False, "bad-partition")
-        if not all(part.pieces):
-            return Verdict(False, "empty-piece")
-        ws = cert.weights[ell]
-        pts = cert.witness_points[ell]
-        if len(ws) != len(part.pieces) or len(pts) != len(part.pieces):
-            return Verdict(False, "shape-mismatch")
-        for piece, w, x in zip(part.pieces, ws, pts):
-            fault = convex_combination_fault(w, [cfg.points[i] for i in piece], x)
-            if fault:
-                return Verdict(False, fault)
-            if not plane.contains(x):
-                return Verdict(False, "witness-off-plane")
+    for cfg, r, part, ws, pts in zip(
+        instance.collections, instance.rs, cert.partitions, cert.weights, cert.witness_points
+    ):
+        fault = _collection_fault(cfg, r, part, ws, pts)
+        if fault:
+            return Verdict(False, fault)
+        if not all(map(plane.contains, pts)):
+            return Verdict(False, "witness-off-plane")
     return Verdict(True)
 
 

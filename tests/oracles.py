@@ -2,9 +2,8 @@
 
 Nothing here imports the kernel or geometry internals, with the
 exceptions named below: the simplex reference keeps a plain Fraction
-tableau, the hull-intersection oracle enumerates simplex supports and
-solves square-ish linear systems with `rational_solve`, and the
-orthogonal projection solves its Gram systems the same way.
+tableau, and the hull-intersection oracle enumerates simplex supports
+and solves square-ish linear systems with `rational_solve`.
 `rational_echelon`/`rational_solve` (Fraction Gauss-Jordan) and
 `rational_det` (Fraction Bareiss) are the eliminations `linalg` replaced
 with integer pivoting, and its property test compares the two.  The
@@ -12,8 +11,14 @@ facet-maximality reference compares every pair of facets.  The mod-p
 chain complex is the one check built on package functions: it composes
 the sparse columns of `topology.boundary_matrix` to confirm that the
 boundary of a boundary vanishes, and takes its primality test from
-`linalg`.  The ordered partition filter draws on
-`model.enumerate_colorful_partitions`, the enumeration it stands for.
+`linalg`.  `ordered_colorful_partitions` is the product-order
+enumeration of every ordered colorful tuple, empty pieces included, that
+the searches ran over before they were quotiented by relabelling
+pieces; `ordered_nonempty_partitions` filters it, and
+`model.enumerate_colorful_partitions` is checked against that.
+`verify_common_point_witness` re-checks a bare common-point witness
+with `geometry.convex_combination_fault`, the package's one
+convex-combination check.
 The rational LP path (`rational_lp_solve_eq`, `common_point_rows`) is
 the row assembly the integer common-point LP replaced: Fraction rows,
 each cleared of denominators by its own lcm, on `kernels.phase1`, so a
@@ -35,9 +40,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tverlab import kernels, solver, topology
-from tverlab.geometry import convex_combination, integer_points, lp_solve_eq
+from tverlab.geometry import (
+    Verdict,
+    as_point,
+    convex_combination,
+    convex_combination_fault,
+    integer_points,
+    lp_solve_eq,
+)
 from tverlab.linalg import is_prime
-from tverlab.model import enumerate_colorful_partitions
+from tverlab.model import PartitionTuple, enumerate_colorful_partitions
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -276,40 +288,25 @@ def caratheodory_feasible(pieces):
     return False
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Linear subspace of R^ambient_dim spanned by an independent basis."""
-
-    ambient_dim: int
-    basis: tuple
-
-    def __post_init__(self):
-        basis = tuple(tuple(Fraction(c) for c in v) for v in self.basis)
-        object.__setattr__(self, "basis", basis)
-        if any(len(v) != self.ambient_dim for v in basis):
-            raise ValueError("basis vector dimension mismatch")
-        if basis and rational_solve(self.gram(), [ZERO] * len(basis))[1]:
-            raise ValueError("basis vectors must be linearly independent")
-
-    def gram(self):
-        return [[sum(a * b for a, b in zip(u, v)) for v in self.basis] for u in self.basis]
-
-
-def project(points, target: Subspace):
-    """Orthogonally project points onto target, in target-basis coordinates.
-
-    Solves the Gram system B B^T c = B x exactly for each point, so the
-    basis is never orthonormalised and everything stays rational.
-    """
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    if any(len(p) != target.ambient_dim for p in pts):
-        raise ValueError("point dimension does not match subspace")
-    gram = target.gram()
-    out = []
-    for p in pts:
-        rhs = [sum(b * c for b, c in zip(v, p)) for v in target.basis]
-        out.append(tuple(rational_solve(gram, rhs)[0]) if target.basis else ())
-    return out
+def verify_common_point_witness(pieces, witness) -> Verdict:
+    """Re-check a common-point witness from scratch; malformed input yields a reason code."""
+    try:
+        pcs = [[as_point(p) for p in piece] for piece in pieces]
+        point = as_point(witness.point)
+        weights = [[Fraction(w) for w in ws] for ws in witness.weights]
+    except (TypeError, ValueError, AttributeError):
+        return Verdict(False, "malformed")
+    if len(weights) != len(pcs) or any(len(w) != len(p) for w, p in zip(weights, pcs)):
+        return Verdict(False, "shape-mismatch")
+    if any(len(p) != len(point) for piece in pcs for p in piece):
+        return Verdict(False, "shape-mismatch")
+    # every piece's weights are checked before any piece's combination
+    for target in (None, point):
+        for ws, piece in zip(weights, pcs):
+            fault = convex_combination_fault(ws, piece, target)
+            if fault:
+                return Verdict(False, fault)
+    return Verdict(True)
 
 
 def inclusion_maximal(facets) -> bool:
@@ -352,13 +349,37 @@ def chain_complex_mod_p(complex_, p: int) -> ChainComplexModP:
     return ChainComplexModP(p, counts, tuple(boundaries))
 
 
+def ordered_colorful_partitions(config, r):
+    """Every ordered colorful r-partition tuple, lazily, in product order.
+
+    Per class, the injections of its points into the pieces in
+    lexicographic order; classes combined in index order, the last
+    varying fastest.  Pieces may come out empty.
+    """
+    if any(len(c) > r for c in config.classes):
+        return
+    injections = [list(itertools.permutations(range(r), len(c))) for c in config.classes]
+    for combo in itertools.product(*injections):
+        pieces = [[] for _ in range(r)]
+        for cls, assign in zip(config.classes, combo):
+            for point_idx, piece_idx in zip(cls, assign):
+                pieces[piece_idx].append(point_idx)
+        yield PartitionTuple(tuple(tuple(p) for p in pieces))
+
+
+def ordered_colorful_count(config, r):
+    """How many tuples `ordered_colorful_partitions` yields: prod r!/(r-|class|)!."""
+    return math.prod(math.perm(r, len(c)) for c in config.classes)
+
+
 def ordered_nonempty_partitions(config, r):
-    """Every ordered colorful r-partition with no empty piece, in enumeration order.
+    """Every ordered colorful r-partition with no empty piece, in product order.
 
     The partitions the searches ran over before they were quotiented by
-    relabelling pieces; `solver._nonempty_partitions` is checked against it.
+    relabelling pieces; `model.enumerate_colorful_partitions` is checked
+    against it.
     """
-    return (p for p in enumerate_colorful_partitions(config, r) if all(p.pieces))
+    return (p for p in ordered_colorful_partitions(config, r) if all(p.pieces))
 
 
 def unfiltered_tverberg(config, r):
@@ -369,7 +390,7 @@ def unfiltered_tverberg(config, r):
     """
     ints, scale = integer_points(config.points)
     lps, best = 0, None
-    for part in solver._nonempty_partitions(config, r):
+    for part in enumerate_colorful_partitions(config, r):
         lps += 1
         weights, gap = lp_solve_eq([[ints[i] for i in piece] for piece in part.pieces], scale)
         if weights is not None:

@@ -13,8 +13,8 @@ from math import factorial
 
 import pytest
 
-from oracles import caratheodory_feasible
-from tverlab.geometry import lp_feasible_common_point, verify_common_point_witness
+from oracles import caratheodory_feasible, verify_common_point_witness
+from tverlab.geometry import common_point_gap
 from tverlab.model import lift_instance, random_instance, tightness_instance
 from tverlab.solver import (
     TverbergCertificate,
@@ -231,7 +231,7 @@ def test_criterion_8_oracle_equivalences(capsys, transversal_cohort):
     bad_witnesses = 0
     for _ in range(500):
         pieces = _random_piece_system(rng)
-        witness = lp_feasible_common_point(pieces)
+        witness = common_point_gap(pieces)[0]
         if witness is not None and not verify_common_point_witness(pieces, witness):
             bad_witnesses += 1
         if (witness is not None) != caratheodory_feasible(pieces):

@@ -1,4 +1,4 @@
-"""Geometry layer: common-point LP vs the brute-force oracle; the projection oracle."""
+"""Geometry layer: common-point LP vs the brute-force oracle; the witness verifier oracle."""
 import random
 from fractions import Fraction
 
@@ -10,11 +10,9 @@ from tverlab.geometry import (
     affine_dim,
     as_point,
     common_point_gap,
-    lp_feasible_common_point,
-    verify_common_point_witness,
 )
 
-from oracles import Subspace, caratheodory_feasible, project
+from oracles import caratheodory_feasible, verify_common_point_witness
 
 F = Fraction
 
@@ -26,7 +24,7 @@ def pt(*coords):
 class TestCommonPoint:
     def test_square_diagonals(self):
         pieces = [[pt(0, 0), pt(1, 1)], [pt(1, 0), pt(0, 1)]]
-        w = lp_feasible_common_point(pieces)
+        w = common_point_gap(pieces)[0]
         assert w is not None
         assert w.point == pt(F(1, 2), F(1, 2))
         assert verify_common_point_witness(pieces, w)
@@ -42,21 +40,21 @@ class TestCommonPoint:
         tri = [pt(0, 0), pt(4, 0), pt(0, 4)]
         center = pt(F(4, 3), F(4, 3))
         pieces = [tri, list(tri), [center]]
-        w = lp_feasible_common_point(pieces)
+        w = common_point_gap(pieces)[0]
         assert w is not None
         assert w.point == center
         assert caratheodory_feasible(pieces)
 
     def test_empty_piece_rejected(self):
         with pytest.raises(ValueError):
-            lp_feasible_common_point([[pt(0, 0)], []])
+            common_point_gap([[pt(0, 0)], []])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            lp_feasible_common_point([[pt(0, 0)], [pt(1, 0, 0)]])
+            common_point_gap([[pt(0, 0)], [pt(1, 0, 0)]])
 
     def test_single_piece(self):
-        w = lp_feasible_common_point([[pt(3, 5), pt(7, 1)]])
+        w = common_point_gap([[pt(3, 5), pt(7, 1)]])[0]
         assert w is not None
         assert verify_common_point_witness([[pt(3, 5), pt(7, 1)]], w)
 
@@ -74,7 +72,7 @@ class TestCommonPoint:
                 [pt(*[rng.randint(-4, 4) for _ in range(d)]) for _ in range(s)]
                 for s in sizes
             ]
-            w = lp_feasible_common_point(pieces)
+            w = common_point_gap(pieces)[0]
             expect = caratheodory_feasible(pieces)
             assert (w is not None) == expect
             if w is not None:
@@ -90,13 +88,13 @@ class TestCommonPoint:
 
     def test_determinism_of_witness(self):
         pieces = [[pt(0, 0), pt(2, 0), pt(0, 2)], [pt(1, 1), pt(-1, 1)]]
-        assert lp_feasible_common_point(pieces) == lp_feasible_common_point(pieces)
+        assert common_point_gap(pieces)[0] == common_point_gap(pieces)[0]
 
 
 class TestVerifyWitness:
     def test_tampered_weight(self):
         pieces = [[pt(0, 0), pt(1, 1)], [pt(1, 0), pt(0, 1)]]
-        w = lp_feasible_common_point(pieces)
+        w = common_point_gap(pieces)[0]
         bad = CommonPointWitness(point=w.point, weights=((F(2), F(-1)), w.weights[1]))
         v = verify_common_point_witness(pieces, bad)
         assert not v and v.reason == "negative-weight"
@@ -122,44 +120,6 @@ class TestVerifyWitness:
     def test_malformed(self):
         v = verify_common_point_witness([[pt(0, 0)]], object())
         assert not v and v.reason == "malformed"
-
-
-class TestProject:
-    def test_drop_to_first_axis(self):
-        target = Subspace(2, (pt(1, 0),))
-        assert project([pt(3, 5)], target) == [pt(3)]
-
-    def test_diagonal_line(self):
-        target = Subspace(2, (pt(1, 1),))
-        assert project([pt(1, 1), pt(2, 2)], target) == [pt(1), pt(2)]
-
-    def test_identity_on_standard_basis(self):
-        target = Subspace(3, (pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)))
-        p = pt(F(1, 3), F(-2, 7), 5)
-        assert project([p], target) == [p]
-
-    def test_rank_deficient_basis_rejected(self):
-        with pytest.raises(ValueError):
-            Subspace(2, (pt(1, 1), pt(2, 2)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            project([pt(1, 2, 3)], Subspace(2, (pt(1, 0),)))
-
-    def test_linearity(self):
-        rng = random.Random(11)
-        target = Subspace(3, (pt(1, 2, 0), pt(0, 1, -1)))
-        for _ in range(25):
-            x = pt(*[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)])
-            y = pt(*[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)])
-            a = F(rng.randint(-3, 3), rng.randint(1, 4))
-            lin = tuple(a * xi + yi for xi, yi in zip(x, y))
-            px, py, plin = project([x, y, lin], target)
-            assert plin == tuple(a * xi + yi for xi, yi in zip(px, py))
-
-    def test_zero_dim_target(self):
-        target = Subspace(2, ())
-        assert project([pt(1, 2)], target) == [()]
 
 
 class TestAffineDim:

@@ -21,7 +21,7 @@ from tverlab.model import (
     validate,
 )
 
-from oracles import rational_lp_solve_eq
+from oracles import ordered_colorful_count, ordered_colorful_partitions, rational_lp_solve_eq
 
 F = Fraction
 
@@ -84,28 +84,34 @@ class TestValidate:
 
 
 class TestEnumeration:
+    """The oracle's ordered tuples (empty pieces included), then the
+    model's representatives, one per relabelling of the pieces."""
+
     def test_extremal_count_is_648(self):
         cfg = config_from_profile((2, 2, 2, 1))
-        assert count_colorful_partitions(cfg, 3) == 648
-        tuples = list(enumerate_colorful_partitions(cfg, 3))
+        assert ordered_colorful_count(cfg, 3) == 648
+        tuples = list(ordered_colorful_partitions(cfg, 3))
         assert len(tuples) == 648
         assert len(set(tuples)) == 648
 
     def test_single_point_two_pieces(self):
         cfg = config_from_profile((1,), d=1)
-        assert [t.pieces for t in enumerate_colorful_partitions(cfg, 2)] == [
+        assert [t.pieces for t in ordered_colorful_partitions(cfg, 2)] == [
             ((0,), ()),
             ((), (0,)),
         ]
-
-    def test_oversized_class_enumerates_nothing(self):
-        cfg = config_from_profile((3,), d=1)
+        # both leave a piece empty, so there is no representative
         assert count_colorful_partitions(cfg, 2) == 0
         assert list(enumerate_colorful_partitions(cfg, 2)) == []
 
+    def test_oversized_class_enumerates_nothing(self):
+        cfg = config_from_profile((3,), d=1)
+        assert ordered_colorful_count(cfg, 2) == 0
+        assert list(ordered_colorful_partitions(cfg, 2)) == []
+
     def test_every_tuple_valid(self):
         cfg = config_from_profile((2, 2, 1), d=2)
-        for t in enumerate_colorful_partitions(cfg, 3):
+        for t in ordered_colorful_partitions(cfg, 3):
             assert partition_is_valid(cfg, t, 3)
             assert is_colorful(cfg, t.pieces)
 
@@ -118,9 +124,18 @@ class TestEnumeration:
             if sum(profile) > 8:
                 continue
             cfg = config_from_profile(profile, d=2, seed=rng.randint(0, 99))
-            assert count_colorful_partitions(cfg, r) == sum(
-                1 for _ in enumerate_colorful_partitions(cfg, r)
+            assert ordered_colorful_count(cfg, r) == sum(
+                1 for _ in ordered_colorful_partitions(cfg, r)
             )
+
+    def test_extremal_representatives(self):
+        # 600 of the 648 ordered tuples have no empty piece: 600 / 3! orbits
+        cfg = config_from_profile((2, 2, 2, 1))
+        reps = list(enumerate_colorful_partitions(cfg, 3))
+        assert len(reps) == count_colorful_partitions(cfg, 3) == 100
+        assert len(set(reps)) == 100
+        # the singleton class is left to open the third piece
+        assert reps[0].pieces == ((0, 2, 4), (1, 3, 5), (6,))
 
 
 class TestTightness:

@@ -6,13 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tverlab import linalg, serialize, solver, svg
-from tverlab.geometry import (
-    common_point_gap,
-    integer_points,
-    lp_feasible_common_point,
-    lp_solve_eq,
-    verify_common_point_witness,
-)
+from tverlab.geometry import common_point_gap, integer_points, lp_solve_eq
 from tverlab.model import ColoredConfig, ProblemInstance, random_instance, tightness_instance
 from tverlab.solver import KPlane
 from tverlab.topology import SimplicialComplex
@@ -28,6 +22,7 @@ from oracles import (
     rational_solve,
     snap_quotients,
     unfiltered_tverberg,
+    verify_common_point_witness,
 )
 
 settings.register_profile("suite", max_examples=60, deadline=None)
@@ -150,16 +145,16 @@ def test_hull_contains_inputs_and_is_order_independent(points):
 )
 def test_common_point_feasibility_is_translation_invariant(pieces, shift):
     moved = [[(p[0] + shift[0], p[1] + shift[1]) for p in piece] for piece in pieces]
-    got = lp_feasible_common_point(pieces)
-    got_moved = lp_feasible_common_point(moved)
+    got = common_point_gap(pieces)[0]
+    got_moved = common_point_gap(moved)[0]
     assert (got is None) == (got_moved is None)
     if got is not None:
         expected = tuple(c + s for c, s in zip(got.point, shift))
         # witnesses may differ, but the translated witness must still work
         assert got_moved.point is not None
-        moved_hulls_feasible = lp_feasible_common_point(
+        moved_hulls_feasible = common_point_gap(
             [[expected]] + [list(piece) for piece in moved]
-        )
+        )[0]
         assert moved_hulls_feasible is not None
 
 
@@ -222,7 +217,7 @@ def quotient_matching_ordered(search):
     """
     quotient = search()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_nonempty_partitions", ordered_nonempty_partitions)
+        mp.setattr(solver, "enumerate_colorful_partitions", ordered_nonempty_partitions)
         ordered = search()
     assert quotient.status == ordered.status
     cert_bytes = [

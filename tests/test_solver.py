@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from tverlab import geometry, kernels, solver
 from tverlab.errors import CapExceeded, DegenerateIntersection, PreconditionError
-from tverlab.geometry import CommonPointWitness, verify_common_point_witness
+from tverlab.geometry import CommonPointWitness
 from tverlab.model import (
     ColoredConfig,
     PartitionTuple,
     ProblemInstance,
+    count_colorful_partitions,
     default_profile,
+    enumerate_colorful_partitions,
     lift_instance,
     random_instance,
     tightness_instance,
@@ -35,7 +37,13 @@ from tverlab.solver import (
     verify_tverberg,
 )
 
-from oracles import first_met_flags, orbit_key, ordered_nonempty_partitions, pair_snap_quotients
+from oracles import (
+    first_met_flags,
+    orbit_key,
+    ordered_nonempty_partitions,
+    pair_snap_quotients,
+    verify_common_point_witness,
+)
 
 
 def crossing_instance():
@@ -110,7 +118,7 @@ def small_profile_configs(r):
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_representatives_are_first_of_their_relabelling_orbits(r):
     for cfg in small_profile_configs(r):
-        reps = list(solver._nonempty_partitions(cfg, r))
+        reps = list(enumerate_colorful_partitions(cfg, r))
         ordered = list(ordered_nonempty_partitions(cfg, r))
         assert len({orbit_key(cfg, p) for p in reps}) == len(reps)
         first = {}
@@ -123,9 +131,9 @@ def test_representatives_are_first_of_their_relabelling_orbits(r):
 @given(st.sampled_from((2, 3, 4)), st.data())
 @settings(max_examples=200, deadline=None)
 def test_first_met_matches_flag_reference(r, data):
-    configs = [cfg for cfg in small_profile_configs(r) if solver._representative_count(cfg, r)]
+    configs = [cfg for cfg in small_profile_configs(r) if count_colorful_partitions(cfg, r)]
     cfg = data.draw(st.sampled_from(configs))
-    plist = list(solver._nonempty_partitions(cfg, r))
+    plist = list(enumerate_colorful_partitions(cfg, r))
     n = len(cfg.points)
     side = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
     assert solver._first_met(side, plist) == first_met_flags(side, plist)
@@ -135,8 +143,8 @@ def test_first_met_matches_flag_reference(r, data):
 def test_representative_count_matches_enumeration(r):
     counts = []
     for cfg in small_profile_configs(r):
-        count = solver._representative_count(cfg, r)
-        assert count == sum(1 for _ in solver._nonempty_partitions(cfg, r))
+        count = count_colorful_partitions(cfg, r)
+        assert count == sum(1 for _ in enumerate_colorful_partitions(cfg, r))
         counts.append(count)
     assert 0 in counts and max(counts) > 1
 
@@ -376,7 +384,7 @@ def test_hyperplane_cap_fires_before_enumerating(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("partitions enumerated before the cap was read")
 
-    monkeypatch.setattr(solver, "_nonempty_partitions", no_enumeration)
+    monkeypatch.setattr(solver, "enumerate_colorful_partitions", no_enumeration)
     points = [(i, i * i) for i in range(10)]
     collection = ColoredConfig(dim=2, points=points, classes=[(i,) for i in range(10)])
     inst = ProblemInstance(d=2, k=1, rs=(5, 5), collections=(collection, collection))
