@@ -216,6 +216,8 @@ def cmd_top_orient(args) -> int:
 
 
 def cmd_top_free(args) -> int:
+    if args.copies < 1:
+        return _usage("--copies must be at least 1")
     complex_ = board = _board(args)
     for _ in range(args.copies - 1):
         complex_ = join(complex_, board, **_given(cap=args.cap))
@@ -226,6 +228,8 @@ def cmd_top_free(args) -> int:
 
 
 def cmd_top_degree(args) -> int:
+    if args.attempts < 1:
+        return _usage("--attempts must be at least 1")
     report = test_map_degree(
         args.r, args.d, max_attempts=args.attempts, **_given(cap=args.cap)
     )

@@ -209,6 +209,40 @@ class PseudoManifoldReport:
         return self.ok
 
 
+def _facet_walk(complex_: SimplicialComplex):
+    """(bad_ridges, signs, coherent) from one DFS over the facet-ridge graph.
+
+    Signs spread from facet 0 across ridges in exactly two facets so that
+    the two incidences (-1)^position cancel.  bad_ridges lists the other
+    ridges, signs[i] is 0 on facets never reached, and coherent is False
+    if some ridge's incidences failed to cancel.
+    """
+    ridge_map: dict[tuple, list[tuple[int, int]]] = {}
+    for fi, facet in enumerate(complex_.facets):
+        for pos, ridge in enumerate(_ridges_of(facet)):
+            ridge_map.setdefault(ridge, []).append((fi, (-1) ** pos))
+    bad = tuple(sorted(r for r, incs in ridge_map.items() if len(incs) != 2))
+    signs = [0] * len(complex_.facets)
+    signs[0] = 1
+    coherent = True
+    stack = [0]
+    while stack:
+        fi = stack.pop()
+        for ridge in _ridges_of(complex_.facets[fi]):
+            incs = ridge_map[ridge]
+            if len(incs) != 2:
+                continue
+            (a, sa), (b, sb) = incs
+            other, inc_self, inc_other = (b, sa, sb) if a == fi else (a, sb, sa)
+            want = -signs[fi] * inc_self * inc_other
+            if signs[other] == 0:
+                signs[other] = want
+                stack.append(other)
+            elif signs[other] != want:
+                coherent = False
+    return bad, signs, coherent
+
+
 def is_pseudo_manifold(complex_: SimplicialComplex) -> PseudoManifoldReport:
     """Pure, every ridge in exactly two facets, facet-ridge graph connected.
 
@@ -217,24 +251,8 @@ def is_pseudo_manifold(complex_: SimplicialComplex) -> PseudoManifoldReport:
     """
     if not complex_.is_pure():
         return PseudoManifoldReport(ok=False, pure=False, connected=False)
-    ridge_map: dict[tuple, list[int]] = {}
-    for fi, facet in enumerate(complex_.facets):
-        for ridge in _ridges_of(facet):
-            ridge_map.setdefault(ridge, []).append(fi)
-    bad = tuple(sorted(r for r, fs in ridge_map.items() if len(fs) != 2))
-    adj: dict[int, set[int]] = {i: set() for i in range(len(complex_.facets))}
-    for fs in ridge_map.values():
-        if len(fs) == 2:
-            adj[fs[0]].add(fs[1])
-            adj[fs[1]].add(fs[0])
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    connected = len(seen) == len(complex_.facets)
+    bad, signs, _coherent = _facet_walk(complex_)
+    connected = 0 not in signs
     return PseudoManifoldReport(ok=not bad and connected, pure=True, connected=connected, bad_ridges=bad)
 
 
@@ -248,32 +266,15 @@ class Orientation:
 def orient(complex_: SimplicialComplex):
     """Coherent facet orientation by spanning-tree propagation, or None.
 
-    Raises PreconditionError unless the complex is a pseudo-manifold.
-    The incidence sign of a ridge in a facet is (-1)^position on the
-    sorted vertex list; coherence means the two incidences cancel.
+    Raises PreconditionError unless the complex is a pseudo-manifold,
+    even one a sign conflict has already shown non-orientable.  The
+    incidence sign of a ridge in a facet is (-1)^position on the sorted
+    vertex list; coherence means the two incidences cancel.
     """
-    pm = is_pseudo_manifold(complex_)
-    if not pm:
+    bad, signs, coherent = _facet_walk(complex_)
+    if not complex_.is_pure() or bad or 0 in signs:
         raise PreconditionError("orientation needs a pseudo-manifold")
-    ridge_map: dict[tuple, list[tuple[int, int]]] = {}
-    for fi, facet in enumerate(complex_.facets):
-        for pos, ridge in enumerate(_ridges_of(facet)):
-            ridge_map.setdefault(ridge, []).append((fi, (-1) ** pos))
-    signs = [0] * len(complex_.facets)
-    signs[0] = 1
-    stack = [0]
-    while stack:
-        fi = stack.pop()
-        for ridge in _ridges_of(complex_.facets[fi]):
-            (a, sa), (b, sb) = ridge_map[ridge]
-            other, inc_self, inc_other = (b, sa, sb) if a == fi else (a, sb, sa)
-            want = -signs[fi] * inc_self * inc_other
-            if signs[other] == 0:
-                signs[other] = want
-                stack.append(other)
-            elif signs[other] != want:
-                return None
-    return Orientation(signs=tuple(signs))
+    return Orientation(signs=tuple(signs)) if coherent else None
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +444,34 @@ def _primes_from(start: int):
         n += 1
 
 
-def test_map_degree(
-    r: int, d: int, max_attempts: int = 64, initial_nudges: int = 0, cap: int = FACET_CAP
-) -> DegreeReport:
+def _signed_crossings(plm: PLMap, signs, value):
+    """(degree, crossings) of plm at value, or None if value is not regular.
+
+    A facet whose image cone holds value with positive weights counts as
+    its sign times its image determinant's sign; `det` runs on no other.
+    """
+    n = plm.target_dim
+    degree = 0
+    crossings = 0
+    for sign, facet in zip(signs, plm.complex_.facets):
+        cols = [plm.images[v] for v in facet]
+        matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
+        sol = linalg.solve(matrix, value)
+        if sol is None:
+            continue  # value is outside this image's span entirely
+        mu, null = sol
+        if null:
+            return None  # value meets the span of a degenerate image
+        if any(v < 0 for v in mu):
+            continue  # the ray misses this image cone
+        if any(v == 0 for v in mu):
+            return None  # the ray grazes the image boundary
+        degree += sign * (1 if linalg.det(matrix) > 0 else -1)
+        crossings += 1
+    return degree, crossings
+
+
+def test_map_degree(r: int, d: int, max_attempts: int = 64, cap: int = FACET_CAP) -> DegreeReport:
     """Exact degree of the weight map by signed preimage counting.
 
     Orients the join (it must be an orientable pseudo-manifold), picks
@@ -454,57 +480,24 @@ def test_map_degree(
     facet orientation times image determinant sign.  Cone membership is
     a rational linear solve; no normalisation onto the sphere is needed.
     If the value turns out non-regular (a zero or dependent solution),
-    it is nudged by 1/q along successive axes with q running through
-    primes from 1009 upward, and the scan restarts.  `initial_nudges`
-    starts that schedule further along, which must not change the
-    degree; it exists so the invariance can be exercised directly.  `cap`
-    bounds the facet count of the join.
+    attempt t >= 1 adds 1/q to coordinate (t-1) mod target_dim, with q
+    the t-th prime from 1009 upward, and the scan restarts; CapExceeded
+    is raised after `max_attempts` scans.  `cap` bounds the facet count
+    of the join.
     """
     plm = test_map(r, d, cap)
-    complex_ = plm.complex_
-    ori = orient(complex_)
+    ori = orient(plm.complex_)
     if ori is None:
         raise PreconditionError("weight-map complex is not orientable")
-    n = plm.target_dim
-    base = [Fraction(1)] * (r - 1) + [Fraction(0)] * ((r - 1) * d)
-    nudges: list[int] = []
-    prime_iter = _primes_from(1009)
-    for t in range(initial_nudges, initial_nudges + max_attempts):
-        while len(nudges) < t:
-            nudges.append(next(prime_iter))
-        # attempt t applies the first t nudges; attempt 0 is the clean value
-        value = list(base)
-        for idx in range(t):
-            value[idx % n] += Fraction(1, nudges[idx])
-        total = 0
-        crossings = 0
-        regular = True
-        for fi, facet in enumerate(complex_.facets):
-            cols = [plm.images[v] for v in facet]
-            matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-            sol = linalg.solve(matrix, value)
-            if sol is None:
-                continue  # value is outside this image's span entirely
-            mu, null = sol
-            if null:
-                regular = False  # value meets the span of a degenerate image
-                break
-            if any(v < 0 for v in mu):
-                continue  # the ray misses this image cone
-            if any(v == 0 for v in mu):
-                regular = False  # the ray grazes the image boundary
-                break
-            s = 1 if linalg.det(matrix) > 0 else -1
-            total += ori.signs[fi] * s
-            crossings += 1
-        if regular:
-            return DegreeReport(
-                degree=total,
-                modulus=r,
-                crossings=crossings,
-                facets=len(complex_.facets),
-                regular_value_attempts=t + 1,
-            )
+    value = [Fraction(1)] * (r - 1) + [Fraction(0)] * ((r - 1) * d)
+    primes = _primes_from(1009)
+    for t in range(max_attempts):
+        if t:
+            value[(t - 1) % plm.target_dim] += Fraction(1, next(primes))
+        counted = _signed_crossings(plm, ori.signs, value)
+        if counted is not None:
+            degree, crossings = counted
+            return DegreeReport(degree, r, crossings, len(plm.complex_.facets), t + 1)
     raise CapExceeded("no regular value found within the perturbation budget")
 
 

@@ -11,7 +11,11 @@ facet-maximality reference compares every pair of facets.  The mod-p
 chain complex is the one check built on package functions: it composes
 the sparse columns of `topology.boundary_matrix` to confirm that the
 boundary of a boundary vanishes, and takes its primality test from
-`linalg`.  `ordered_colorful_partitions` is the product-order
+`linalg`.  `pseudo_manifold_reference` and `orient_reference` are the
+pseudo-manifold check and orientation before they shared one facet
+walk: a ridge map and DFS each, with orientation checking the complex
+first and stopping at the first sign conflict.
+`ordered_colorful_partitions` is the product-order
 enumeration of every ordered colorful tuple, empty pieces included, that
 the searches ran over before they were quotiented by relabelling
 pieces; `ordered_nonempty_partitions` filters it, and
@@ -40,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tverlab import kernels, solver, topology
+from tverlab.errors import PreconditionError
 from tverlab.geometry import (
     Verdict,
     as_point,
@@ -347,6 +352,63 @@ def chain_complex_mod_p(complex_, p: int) -> ChainComplexModP:
     for d in range(1, complex_.dim + 1):
         boundaries.append(topology.boundary_matrix(complex_, d))
     return ChainComplexModP(p, counts, tuple(boundaries))
+
+
+def pseudo_manifold_reference(complex_) -> topology.PseudoManifoldReport:
+    """Pure, every ridge in exactly two facets, facet graph connected, by its own DFS."""
+    if not complex_.is_pure():
+        return topology.PseudoManifoldReport(ok=False, pure=False, connected=False)
+    ridge_map = {}
+    for fi, facet in enumerate(complex_.facets):
+        for pos in range(len(facet)):
+            ridge_map.setdefault(facet[:pos] + facet[pos + 1 :], []).append(fi)
+    bad = tuple(sorted(r for r, fs in ridge_map.items() if len(fs) != 2))
+    adj = {i: set() for i in range(len(complex_.facets))}
+    for fs in ridge_map.values():
+        if len(fs) == 2:
+            adj[fs[0]].add(fs[1])
+            adj[fs[1]].add(fs[0])
+    seen = {0}
+    stack = [0]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    connected = len(seen) == len(complex_.facets)
+    return topology.PseudoManifoldReport(
+        ok=not bad and connected, pure=True, connected=connected, bad_ridges=bad
+    )
+
+
+def orient_reference(complex_):
+    """Coherent facet signs by DFS from facet 0, None at the first conflict.
+
+    Raises PreconditionError unless `pseudo_manifold_reference` accepts
+    the complex, checked before any sign is propagated.
+    """
+    if not pseudo_manifold_reference(complex_):
+        raise PreconditionError("orientation needs a pseudo-manifold")
+    ridge_map = {}
+    for fi, facet in enumerate(complex_.facets):
+        for pos in range(len(facet)):
+            ridge_map.setdefault(facet[:pos] + facet[pos + 1 :], []).append((fi, (-1) ** pos))
+    signs = [0] * len(complex_.facets)
+    signs[0] = 1
+    stack = [0]
+    while stack:
+        fi = stack.pop()
+        facet = complex_.facets[fi]
+        for pos in range(len(facet)):
+            (a, sa), (b, sb) = ridge_map[facet[:pos] + facet[pos + 1 :]]
+            other, inc_self, inc_other = (b, sa, sb) if a == fi else (a, sb, sa)
+            want = -signs[fi] * inc_self * inc_other
+            if signs[other] == 0:
+                signs[other] = want
+                stack.append(other)
+            elif signs[other] != want:
+                return None
+    return topology.Orientation(signs=tuple(signs))
 
 
 def ordered_colorful_partitions(config, r):

@@ -259,6 +259,22 @@ def test_topology_degree(capsys):
     assert "residue mod 3: 1 (is +-1)" in out
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("free", "--r", "3", "--n", "2", "--copies", "0"), "--copies"),
+        (("free", "--r", "3", "--n", "2", "--copies", "-1"), "--copies"),
+        (("degree", "--r", "3", "--d", "1", "--attempts", "0"), "--attempts"),
+        (("degree", "--r", "3", "--d", "1", "--attempts", "-2"), "--attempts"),
+    ],
+)
+def test_topology_counts_below_one_are_usage_errors(capsys, argv, flag):
+    code, out, err = run(capsys, "topology", *argv)
+    assert code == 2
+    assert flag in err
+    assert out == ""
+
+
 def test_topology_degree_cap(capsys):
     code, _, err = run(
         capsys, "topology", "degree", "--r", "3", "--d", "2", "--cap", "10"

@@ -1,5 +1,7 @@
 """Tests for chessboard complexes, homology, orientation, and the map degree."""
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -10,7 +12,7 @@ from sympy.polys.matrices import DomainMatrix
 from tverlab import topology as tp
 from tverlab.errors import CapExceeded, PreconditionError
 
-from oracles import chain_complex_mod_p
+from oracles import chain_complex_mod_p, orient_reference, pseudo_manifold_reference
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -236,6 +238,85 @@ def test_disconnected_pair_of_edges():
     assert report.bad_ridges  # free endpoints
 
 
+def tetrahedron_boundary(offset=0):
+    return [tuple(v + offset for v in f) for f in itertools.combinations(range(4), 3)]
+
+
+def outcome(orient, complex_):
+    """An orientation's signs, None, or "raise" for a PreconditionError."""
+    try:
+        ori = orient(complex_)
+    except PreconditionError:
+        return "raise"
+    return None if ori is None else ori.signs
+
+
+def assert_matches_oracles(complex_):
+    assert tp.is_pseudo_manifold(complex_) == pseudo_manifold_reference(complex_)
+    assert outcome(tp.orient, complex_) == outcome(orient_reference, complex_)
+
+
+@pytest.mark.parametrize(
+    "complex_, expected",
+    [
+        (mobius_band(), "raise"),
+        (projective_plane(), None),
+        # disconnected and non-orientable: the walk meets the conflict first
+        (tp.SimplicialComplex(10, projective_plane().facets + tuple(tetrahedron_boundary(6))), "raise"),
+        (tp.SimplicialComplex(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)]), "raise"),
+        (tp.SimplicialComplex(6, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5)]), "raise"),
+        # only the three-facet ridge (0, 1) links (0, 1, 2) to the rest
+        (tp.SimplicialComplex(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 3, 4)]), "raise"),
+        (tp.SimplicialComplex(4, tetrahedron_boundary()), (1, -1, 1, -1)),
+    ],
+    ids=[
+        "mobius", "rp2", "rp2-beside-tetrahedron", "edge-in-three", "edge-in-four",
+        "linked-by-edge-in-three", "tetrahedron",
+    ],
+)
+def test_facet_walk_matches_oracles_on_named_complexes(complex_, expected):
+    assert_matches_oracles(complex_)
+    assert outcome(tp.orient, complex_) == expected
+
+
+CLOSED_PARTS = (
+    tuple(tetrahedron_boundary()),
+    tp.SimplicialComplex(6, [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]).facets,
+    projective_plane().facets,
+    tp.chessboard_complex(3, 2).facets,
+    tp.chessboard_complex(4, 3).facets,
+    ((0,), (1,)),
+)
+
+
+@st.composite
+def small_complexes(draw):
+    """Relabelled complexes of one or two disjoint parts: random facet sets,
+    pure or mixed-size, and closed pseudo-manifolds, whole or with facets removed."""
+    facets, n = [], 0
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            part = list(draw(st.sampled_from(CLOSED_PARTS)))
+            keep = draw(st.lists(st.booleans(), min_size=len(part), max_size=len(part)))
+            part = [f for f, k in zip(part, keep) if k] or part[:1]
+        else:
+            size = draw(st.integers(1, 6))
+            dims = st.just(draw(st.integers(1, 3))) if draw(st.booleans()) else st.integers(1, 4)
+            drawn = draw(st.lists(st.tuples(dims, st.permutations(range(size))), min_size=1, max_size=8))
+            sets = {frozenset(perm[: min(k, size)]) for k, perm in drawn}
+            part = [tuple(f) for f in sets if not any(f < g for g in sets)]
+        facets += [tuple(v + n for v in f) for f in part]
+        n += max(max(f) for f in part) + 1
+    relabel = draw(st.permutations(range(n)))
+    return tp.SimplicialComplex(n, [tuple(relabel[v] for v in f) for f in facets])
+
+
+@given(small_complexes())
+@settings(max_examples=300, deadline=None)
+def test_facet_walk_matches_oracles(complex_):
+    assert_matches_oracles(complex_)
+
+
 def test_orientation_signs_cancel_on_ridges():
     c = tp.chessboard_complex(3, 2)
     ori = tp.orient(c)
@@ -323,12 +404,40 @@ def test_degree_values(r, d):
     assert rep.crossings == expected
 
 
+def clean_value(r, d):
+    return [Fraction(1)] * (r - 1) + [Fraction(0)] * ((r - 1) * d)
+
+
 def test_degree_invariant_under_value_perturbation():
     for (r, d) in [(2, 1), (3, 0), (3, 1)]:
-        clean = tp.test_map_degree(r, d)
-        nudged = tp.test_map_degree(r, d, initial_nudges=3)
-        assert nudged.degree == clean.degree
-        assert nudged.regular_value_attempts >= 4
+        plm = tp.test_map(r, d)
+        value = clean_value(r, d)
+        for axis, q in enumerate((1009, 1013, 1019)):
+            value[axis % plm.target_dim] += Fraction(1, q)
+        counted = tp._signed_crossings(plm, tp.orient(plm.complex_).signs, value)
+        assert counted is not None
+        assert counted[0] == tp.test_map_degree(r, d).degree
+
+
+def test_non_regular_values_are_nudged_on_the_prime_schedule(monkeypatch):
+    seen = []
+
+    def regular_on_fourth(plm, signs, value):
+        seen.append(list(value))
+        return (7, 9) if len(seen) == 4 else None
+
+    monkeypatch.setattr(tp, "_signed_crossings", regular_on_fourth)
+    rep = tp.test_map_degree(3, 1)
+    expected = [clean_value(3, 1)]
+    for axis, q in enumerate((1009, 1013, 1019)):
+        expected.append(list(expected[-1]))
+        expected[-1][axis] += Fraction(1, q)
+    assert seen == expected
+    assert (rep.degree, rep.crossings, rep.regular_value_attempts) == (7, 9, 4)
+    seen.clear()
+    with pytest.raises(CapExceeded):
+        tp.test_map_degree(3, 1, max_attempts=3)
+    assert len(seen) == 3
 
 
 def test_degree_deterministic():
