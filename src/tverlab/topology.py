@@ -380,12 +380,11 @@ def test_map_complex(r: int, d: int, cap: int = FACET_CAP):
     complex_ = board = chessboard_complex(r, r - 1, cap)
     for _ in range(d):
         complex_ = join(complex_, board, cap)
-    info = []
-    for ell in range(d + 1):
-        for i in range(r):
-            for j in range(r - 1):
-                info.append((ell, i, j))
-    return complex_, tuple(info)
+    return complex_, _vertex_info(r, d)
+
+
+def _vertex_info(r: int, d: int):
+    return tuple(itertools.product(range(d + 1), range(r), range(r - 1)))
 
 
 def _weight_coords(r: int, row: int):
@@ -396,6 +395,20 @@ def _weight_coords(r: int, row: int):
     ]
 
 
+def _factor_vector(d: int, ell: int):
+    """c_ell = (1, f_ell), with f_0 = -(e_1+...+e_d) and f_ell = e_ell."""
+    return [Fraction(1)] + [Fraction(-1 if ell == 0 else int(c == ell - 1)) for c in range(d)]
+
+
+def _weight_images(r: int, d: int):
+    """c_ell (x) b_i for each vertex (ell, i, j): block c is c_ell[c] b_i,
+    where b_i = _weight_coords(r, i)."""
+    return tuple(
+        tuple(c * b for c in _factor_vector(d, ell) for b in _weight_coords(r, i))
+        for ell, i, _j in _vertex_info(r, d)
+    )
+
+
 def test_map(r: int, d: int, cap: int = FACET_CAP) -> PLMap:
     """The canonical weight map on the (d+1)-fold chessboard join.
 
@@ -404,19 +417,8 @@ def test_map(r: int, d: int, cap: int = FACET_CAP) -> PLMap:
     projected c-weighted piece masses, so the image lies in a product of
     d+1 sum-zero hyperplanes, dimension (r-1)(d+1).
     """
-    complex_, info = test_map_complex(r, d, cap)
-    target_dim = (r - 1) * (d + 1)
-    images = []
-    for ell, i, _j in info:
-        base = _weight_coords(r, i)
-        fvec = [Fraction(-1)] * d if ell == 0 else [
-            Fraction(1 if c == ell - 1 else 0) for c in range(d)
-        ]
-        point = list(base)
-        for c in range(d):
-            point.extend(fvec[c] * b for b in base)
-        images.append(tuple(point))
-    return PLMap(complex_=complex_, images=tuple(images), target_dim=target_dim)
+    complex_, _info = test_map_complex(r, d, cap)
+    return PLMap(complex_=complex_, images=_weight_images(r, d), target_dim=(r - 1) * (d + 1))
 
 
 @dataclass(frozen=True)
@@ -444,29 +446,69 @@ def _primes_from(start: int):
         n += 1
 
 
+def _board_outcome(block, w):
+    """Why block mu = w skips a facet or is not regular, or sign det block."""
+    sol = linalg.solve(block, w)
+    if sol is None:
+        return "inconsistent"
+    if sol[1]:
+        return "singular"
+    if any(v < 0 for v in sol[0]):
+        return "negative"
+    if 0 in sol[0]:
+        return "zero"
+    return 1 if linalg.det(block) > 0 else -1
+
+
 def _signed_crossings(plm: PLMap, signs, value):
     """(degree, crossings) of plm at value, or None if value is not regular.
 
-    A facet whose image cone holds value with positive weights counts as
-    its sign times its image determinant's sign; `det` runs on no other.
+    plm must be the weight map, vertex (ell, i, j) to c_ell (x) b_i, and
+    each facet must take r-1 vertices from each factor, or
+    PreconditionError is raised.  A facet's matrix is then M = (C (x) I)
+    blockdiag(B_0, ..., B_d): C has columns c_ell, B_ell the b_i of the
+    facet's vertices in factor ell.  det C = d+1 > 0 (a Schur complement),
+    so with (C (x) I) w = value, M mu = value splits exactly into
+    B_ell mu_ell = w_ell, and sign det M = prod sign det B_ell.  Each block
+    is solved once per value.  A facet is skipped if a block is
+    inconsistent, non-regular if one is singular, skipped if a mu_ell has
+    a negative entry, non-regular if one has a zero, and otherwise counts
+    its sign times prod sign det B_ell: the order a solve of M meets them.
     """
     n = plm.target_dim
-    degree = 0
-    crossings = 0
+    r = plm.complex_.n_vertices // n if n else 0
+    d = n // (r - 1) - 1 if r > 1 else -1
+    if d < 0 or plm.images != _weight_images(r, d):
+        raise PreconditionError("the factored count needs the weight map's images")
+    m, info = r - 1, _vertex_info(r, d)
+    cs = [_factor_vector(d, ell) for ell in range(d + 1)]
+    kron = [[cs[ell][c] * (k == k2) for ell in range(d + 1) for k2 in range(m)]
+            for c in range(d + 1) for k in range(m)]
+    w = linalg.solve(kron, value)[0]
+    outcomes = {}
+    degree = crossings = 0
     for sign, facet in zip(signs, plm.complex_.facets):
-        cols = [plm.images[v] for v in facet]
-        matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-        sol = linalg.solve(matrix, value)
-        if sol is None:
-            continue  # value is outside this image's span entirely
-        mu, null = sol
-        if null:
-            return None  # value meets the span of a degenerate image
-        if any(v < 0 for v in mu):
-            continue  # the ray misses this image cone
-        if any(v == 0 for v in mu):
-            return None  # the ray grazes the image boundary
-        degree += sign * (1 if linalg.det(matrix) > 0 else -1)
+        if len(facet) != n:
+            raise PreconditionError("a facet must take r-1 vertices from each factor")
+        outs = []
+        for ell in range(d + 1):
+            board = facet[ell * m:ell * m + m]
+            if (ell, board) not in outcomes:
+                if any(info[v][0] != ell for v in board):
+                    raise PreconditionError("a facet must take r-1 vertices from each factor")
+                cols = [_weight_coords(r, info[v][1]) for v in board]
+                block = [[col[k] for col in cols] for k in range(m)]
+                outcomes[ell, board] = _board_outcome(block, w[ell * m:ell * m + m])
+            outs.append(outcomes[ell, board])
+        if "inconsistent" in outs:
+            continue
+        if "singular" in outs:
+            return None
+        if "negative" in outs:
+            continue
+        if "zero" in outs:
+            return None
+        degree += sign * math.prod(outs)
         crossings += 1
     return degree, crossings
 
@@ -478,7 +520,8 @@ def test_map_degree(r: int, d: int, max_attempts: int = 64, cap: int = FACET_CAP
     the regular value aligned with the projected all-ones direction in
     block 0, and counts facets whose image cone contains it, signed by
     facet orientation times image determinant sign.  Cone membership is
-    a rational linear solve; no normalisation onto the sphere is needed.
+    exact: `_signed_crossings` solves each board block of the Kronecker
+    factorisation of the facet matrices once, not each facet's system.
     If the value turns out non-regular (a zero or dependent solution),
     attempt t >= 1 adds 1/q to coordinate (t-1) mod target_dim, with q
     the t-th prime from 1009 upward, and the scan restarts; CapExceeded

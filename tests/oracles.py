@@ -15,6 +15,9 @@ boundary of a boundary vanishes, and takes its primality test from
 pseudo-manifold check and orientation before they shared one facet
 walk: a ridge map and DFS each, with orientation checking the complex
 first and stopping at the first sign conflict.
+`signed_crossings_reference` is the weight-map degree count before it
+was factored into board blocks: one `linalg.solve` of each join facet's
+full matrix, and `linalg.det` on each crossing facet.
 `ordered_colorful_partitions` is the product-order
 enumeration of every ordered colorful tuple, empty pieces included, that
 the searches ran over before they were quotiented by relabelling
@@ -43,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tverlab import kernels, solver, topology
+from tverlab import kernels, linalg, solver, topology
 from tverlab.errors import PreconditionError
 from tverlab.geometry import (
     Verdict,
@@ -409,6 +412,33 @@ def orient_reference(complex_):
             elif signs[other] != want:
                 return None
     return topology.Orientation(signs=tuple(signs))
+
+
+def signed_crossings_reference(plm, signs, value):
+    """(degree, crossings) of plm at value, or None if value is not regular.
+
+    A facet whose image cone holds value with positive weights counts as
+    its sign times its image determinant's sign; `det` runs on no other.
+    """
+    n = plm.target_dim
+    degree = 0
+    crossings = 0
+    for sign, facet in zip(signs, plm.complex_.facets):
+        cols = [plm.images[v] for v in facet]
+        matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
+        sol = linalg.solve(matrix, value)
+        if sol is None:
+            continue  # value is outside this image's span entirely
+        mu, null = sol
+        if null:
+            return None  # value meets the span of a degenerate image
+        if any(v < 0 for v in mu):
+            continue  # the ray misses this image cone
+        if any(v == 0 for v in mu):
+            return None  # the ray grazes the image boundary
+        degree += sign * (1 if linalg.det(matrix) > 0 else -1)
+        crossings += 1
+    return degree, crossings
 
 
 def ordered_colorful_partitions(config, r):

@@ -1,6 +1,7 @@
 """Tests for chessboard complexes, homology, orientation, and the map degree."""
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from tverlab import topology as tp
+from tverlab import linalg, topology as tp
 from tverlab.errors import CapExceeded, PreconditionError
 
-from oracles import chain_complex_mod_p, orient_reference, pseudo_manifold_reference
+from oracles import (
+    chain_complex_mod_p,
+    orient_reference,
+    pseudo_manifold_reference,
+    signed_crossings_reference,
+)
 
 # ---------------------------------------------------------------------------
 # fixtures
@@ -391,14 +397,15 @@ def test_map_images_have_zero_row_sums():
 
 @pytest.mark.parametrize(
     "r,d",
-    [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)],
+    [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2)],
 )
 def test_degree_values(r, d):
     rep = tp.test_map_degree(r, d)
     expected = math.factorial(r - 1) ** (d + 1)
     assert abs(rep.degree) == expected
     assert rep.modulus == r
-    assert rep.residue_is_plus_minus_one
+    # Wilson: (r-1)! is -1 mod r exactly when r is prime
+    assert rep.residue_is_plus_minus_one == linalg.is_prime(r)
     # the clean value is regular and meets exactly the expected sheets
     assert rep.regular_value_attempts == 1
     assert rep.crossings == expected
@@ -417,6 +424,92 @@ def test_degree_invariant_under_value_perturbation():
         counted = tp._signed_crossings(plm, tp.orient(plm.complex_).signs, value)
         assert counted is not None
         assert counted[0] == tp.test_map_degree(r, d).degree
+
+
+# perfbench's DEGREE_PAIRS and the one-factor maps
+FACTORED_PAIRS = [(2, 0), (3, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
+
+
+def nudged_values(r, d, count, seed):
+    """The clean value, then `count` copies with up to 3 coordinates moved
+    by small fractions, 1/1009ths among them."""
+    rng = random.Random(seed)
+    n = (r - 1) * (d + 1)
+    values = [clean_value(r, d)]
+    for _ in range(count):
+        value = clean_value(r, d)
+        for axis in rng.sample(range(n), rng.randint(1, min(3, n))):
+            value[axis] += Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 1009)))
+        values.append(value)
+    return values
+
+
+def test_factored_count_matches_facet_by_facet_solve():
+    non_regular = 0
+    for r, d in FACTORED_PAIRS:
+        plm = tp.test_map(r, d)
+        signs = tp.orient(plm.complex_).signs
+        for value in nudged_values(r, d, 12 if (r, d) == (3, 3) else 40, seed=r * 10 + d):
+            counted = tp._signed_crossings(plm, signs, value)
+            assert counted == signed_crossings_reference(plm, signs, value), (r, d, value)
+            non_regular += counted is None
+    assert non_regular > 0
+
+
+@pytest.mark.parametrize(
+    "r,d,keep", [(3, 0, 15), (3, 1, 3), (3, 1, 6), (3, 2, 6), (3, 2, 12), (4, 1, 6), (4, 1, 24)]
+)
+def test_factored_count_matches_on_complexes_that_are_not_boards(r, d, keep):
+    """A seeded sample of the facets that take any r-1 vertices of each
+    factor: blocks may repeat a row, so singular and inconsistent blocks
+    meet negative and zero ones, and a sample of fewer than all of them
+    makes the order the outcomes are read in matter."""
+    plm = tp.test_map(r, d)
+    size = r * (r - 1)
+    factors = [range(ell * size, ell * size + size) for ell in range(d + 1)]
+    facets = [sum(boards, ()) for boards in itertools.product(
+        *(itertools.combinations(f, r - 1) for f in factors))]
+    facets = random.Random(keep).sample(facets, keep)
+    loose = tp.PLMap(tp.SimplicialComplex(plm.complex_.n_vertices, facets), plm.images, plm.target_dim)
+    signs = [(-1) ** i for i in range(keep)]
+    for value in nudged_values(r, d, 40, seed=r * 10 + d):
+        counted = tp._signed_crossings(loose, signs, value)
+        assert counted == signed_crossings_reference(loose, signs, value), value
+
+
+def test_factor_matrix_determinant_is_d_plus_one():
+    for d in range(6):
+        c = [[tp._factor_vector(d, ell)[row] for ell in range(d + 1)] for row in range(d + 1)]
+        assert linalg.det(c) == d + 1
+
+
+def misplaced_maps():
+    plm = tp.test_map(3, 1)
+    moved = list(plm.images)
+    moved[4] = (moved[4][0] + Fraction(1, 7),) + moved[4][1:]
+    half = len(plm.images) // 2
+    swapped = plm.images[half:] + plm.images[:half]
+    lopsided = tp.SimplicialComplex(plm.complex_.n_vertices, [(0, 1, 2, 3), (0, 1, 2, 6)])
+    overlong = tp.SimplicialComplex(plm.complex_.n_vertices, [(0, 2, 6, 8, 10)])
+    return [
+        tp.PLMap(plm.complex_, tuple(moved), plm.target_dim),
+        tp.PLMap(plm.complex_, swapped, plm.target_dim),
+        tp.PLMap(lopsided, plm.images, plm.target_dim),
+        tp.PLMap(overlong, plm.images, plm.target_dim),
+    ]
+
+
+@pytest.mark.parametrize(
+    "plm", misplaced_maps(), ids=["moved", "factors-swapped", "lopsided-facet", "long-facet"]
+)
+def test_factored_count_refuses_other_maps(plm, monkeypatch):
+    signs = [1] * len(plm.complex_.facets)
+    with pytest.raises(PreconditionError):
+        tp._signed_crossings(plm, signs, clean_value(3, 1))
+    monkeypatch.setattr(tp, "test_map", lambda r, d, cap: plm)
+    monkeypatch.setattr(tp, "orient", lambda complex_: tp.Orientation(tuple(signs)))
+    with pytest.raises(PreconditionError):
+        tp.test_map_degree(3, 1)
 
 
 def test_non_regular_values_are_nudged_on_the_prime_schedule(monkeypatch):
