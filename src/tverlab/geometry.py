@@ -4,15 +4,18 @@ Points are tuples of Fraction at the API; nothing in this module ever
 touches a float.  The workhorse is the common-point LP: given finitely
 many point sets ("pieces"), decide whether their convex hulls share a
 point and produce either an exact convex-combination witness or the
-exact phase-1 violation gap.  A search scales its points to integers
-once (`linalg.integer_points`), builds each LP's rows as plain ints
-(`lp_solve_eq`) for the fraction-free integer simplex kernel, and makes
-Fractions only for the returned weights and gap.
+exact phase-1 violation gap.  For two pieces that miss, the LP's dual
+also gives the integer normal of a hyperplane strictly between them
+(`pair_gap_normal`).  A search scales its points to integers once
+(`linalg.integer_points`), builds each LP's rows as plain ints
+(`_common_point_lp`) for the fraction-free integer simplex kernel, and
+makes Fractions only for the returned weights and gap.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import kernels, linalg
 from .linalg import integer_points
@@ -54,18 +57,15 @@ def affine_dim(points) -> int:
     return linalg.rank(diffs) if diffs else 0
 
 
-def lp_solve_eq(pieces, scale):
-    """Common-point LP on integer pieces: (weights per piece, 0) or (None, gap).
+def _common_point_lp(pieces, scale):
+    """`kernels.phase1` on the common-point LP of integer pieces.
 
-    `pieces` hold points of `integer_points` with their `scale`.  The
-    variables are the concatenated per-piece weights, and the shared
-    point is eliminated: each piece's weights sum to 1, and piece 0's
-    combination equals every other piece's, coordinate by coordinate.
-    The rows go to the kernel as ints.  Weight rows cost `scale` and
-    coordinate rows 1, so the phase-1 optimum is `scale` times the
-    total violation in the original units, and gap is in those units.
-    A positive scale on a row changes no Bland choice, so weights and
-    gap equal those of the rational system.
+    The variables are the concatenated per-piece weights, and the shared
+    point is eliminated: each piece's weights sum to 1 (one row per
+    piece, first), and piece 0's combination equals every other piece's,
+    coordinate by coordinate (d rows per further piece).  Weight rows
+    cost `scale` and coordinate rows 1, so the phase-1 optimum is
+    `scale` times the total violation in the original units.
     """
     dim = len(pieces[0][0])
     sizes = [len(piece) for piece in pieces]
@@ -89,15 +89,46 @@ def lp_solve_eq(pieces, scale):
     ncoord = len(rows) - len(pieces)
     rhs = [1] * len(pieces) + [0] * ncoord
     costs = [scale] * len(pieces) + [1] * ncoord
-    feasible, xnum, xden, gapnum, gapden, _ = kernels.phase1(len(rows), nvars, rows, rhs, costs)
+    return kernels.phase1(len(rows), nvars, rows, rhs, costs)
+
+
+def lp_solve_eq(pieces, scale):
+    """Common-point LP on integer pieces: (weights per piece, 0) or (None, gap).
+
+    `pieces` hold points of `integer_points` with their `scale`; the
+    rows (`_common_point_lp`) go to the kernel as ints, and gap is in
+    the original units.  A positive scale on a row changes no Bland
+    choice, so weights and gap equal those of the rational system.
+    """
+    feasible, xnum, xden, gapnum, gapden, _ = _common_point_lp(pieces, scale)
     if not feasible:
         return None, Fraction(gapnum, gapden * scale)
     weights = []
     off = 0
-    for size in sizes:
-        weights.append(tuple(Fraction(v, xden) for v in xnum[off:off + size]))
-        off += size
+    for piece in pieces:
+        weights.append(tuple(Fraction(v, xden) for v in xnum[off:off + len(piece)]))
+        off += len(piece)
     return tuple(weights), ZERO
+
+
+def pair_gap_normal(a, b, scale):
+    """Two-piece common-point LP: (gap, None) if the hulls meet, else (gap, h).
+
+    On a miss, h is the coordinate-row part of the LP's Farkas dual, an
+    integer normal with max h.p over `a` < min h.q over `b`: with y_a,
+    y_b the dual of the two weight rows, its column inequalities give
+    h.p <= -y_a and h.q >= y_b, and y_a + y_b is the positive optimum.
+    h is divided by the gcd of its entries.  The LP, its pivots and its
+    gap are those of `lp_solve_eq([a, b], scale)`.
+    """
+    feasible, obj, _, gapnum, gapden, _ = _common_point_lp([a, b], scale)
+    if feasible:
+        return ZERO, None
+    # a coordinate row costs 1, so gapden * y_c = gapden - its reduced cost
+    first = len(a) + len(b) + 2
+    h = [gapden - v for v in obj[first:first + len(a[0])]]
+    g = gcd(*h)
+    return Fraction(gapnum, gapden * scale), tuple(v // g for v in h)
 
 
 def common_point_gap(pieces):

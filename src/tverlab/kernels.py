@@ -49,6 +49,12 @@ def phase1(nrows, ncols, data, rhs, costs=None):
       xnum/xden -- on success, x[j] = xnum[j]/xden exactly (xden > 0)
       gap       -- on failure, gapnum/gapden is the positive optimum of
                    the weighted artificial sum (the violation gap)
+      xnum      -- on failure, the final objective row, over gapden: the
+                   reduced costs.  It holds the exact Farkas dual
+                   y_i = costs[i] - xnum[ncols+i]/gapden, with y.A_j <= 0
+                   for every column j, y_i <= costs[i] and y.b = gap
+                   (Schrijver 1986, ch. 7).  Handing the row back costs
+                   nothing; callers that want y derive it.
     """
     if costs is None:
         costs = [1] * nrows
@@ -114,4 +120,4 @@ def phase1(nrows, ncols, data, rhs, costs=None):
             if basis[i] < ncols:
                 xnum[basis[i]] = M[i][rc]
         return (True, xnum, D, 0, 1, pivots)
-    return (False, None, 0, wnum, D, pivots)
+    return (False, obj, 0, wnum, D, pivots)

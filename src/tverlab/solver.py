@@ -4,7 +4,9 @@ Three search modes, all exact; `solve` picks one from the plane dimension:
 
 * `solve_tverberg` — exhaustive over colorful partitions of one collection,
   up to relabelling pieces; complete.  Memoised two-piece LPs rule
-  partitions out before their full rational LP.
+  partitions out before their full rational LP, and the dual normal of
+  a two-piece LP that missed, kept as a separating hyperplane, can rule
+  a later pair out with no LP.
 * `solve_transversal` — scans a finite list of exact candidate direction
   subspaces for a k-plane (each the intersection of d-k hyperplanes
   through one k-subset of the input points), then certifies membership
@@ -25,6 +27,7 @@ repeats the search.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
@@ -40,6 +43,7 @@ from .geometry import (
     convex_combination_fault,
     integer_points,
     lp_solve_eq,
+    pair_gap_normal,
 )
 from .model import (
     ColoredConfig,
@@ -56,6 +60,7 @@ ONE = Fraction(1)
 
 _SNAP_CAP = 4096  # candidate directions `solve_transversal` may try
 CHOICE_CAP = 5_000_000  # plane checks the complete hyperplane scan may make
+_SEPARATORS = 8  # pair-LP dual normals `solve_tverberg` keeps
 
 
 @dataclass(frozen=True)
@@ -179,11 +184,19 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
 
     For r >= 3, two pieces whose hulls miss rule a partition out, so
     two-piece LPs, memoised per search, defer its full LP; the first hit
-    is unchanged.  The (piece 0, piece j) LP is a row-and-column
-    subsystem of the full LP, so its gap bounds the full gap from below.
-    After a search with no hit, a deferred full LP runs only when all
-    those bounds lie below the least gap so far.  stats: "lps" full LPs,
-    "pair_lps" two-piece LPs, "partitions" ordered tuples covered.
+    is unchanged.  A two-piece LP that misses also yields an integer
+    normal strictly separating its pieces (`pair_gap_normal`, from the
+    LP's Farkas dual).  The last `_SEPARATORS` of them, most recently
+    useful first, are tried on a pair before its LP; one that strictly
+    separates the pieces rules the pair out with no LP.  That test is
+    exact and only ever proves a miss, so the same partitions reach
+    their full LP as with pair LPs alone: same first hit, weights and
+    gap.  The (piece 0, piece j) LP is a row-and-column subsystem of the
+    full LP, so its gap bounds the full gap from below.  After a search
+    with no hit, a deferred full LP runs only when all those bounds lie
+    below the least gap so far; bounds a normal skipped are solved then.
+    stats: "lps" full LPs, "pair_lps" two-piece LPs, "partitions"
+    ordered tuples covered.
     """
     if r < 2:
         raise ValueError("need at least two pieces")
@@ -192,6 +205,8 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     n = config.size
     bit = [1 << i for i in range(n)]
     pair_gaps = {}  # mask(a) << n | mask(b) -> gap of the LP on pieces (a, b)
+    separators = []  # h.p for every point p, one list per stored normal h
+    apart = set()  # keys of pairs a stored normal separated, with no LP
     pairs = list(itertools.combinations(range(r), 2))  # (0, j) first
 
     def lp(pieces):
@@ -204,36 +219,57 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     def pair_gap(part, key, pair):
         if key not in pair_gaps:
             stats["pair_lps"] += 1
-            pair_gaps[key] = lp([part.pieces[i] for i in pair])[1]
+            a, b = ([ints[i] for i in part.pieces[j]] for j in pair)
+            pair_gaps[key], normal = pair_gap_normal(a, b, scale)
+            if normal is not None:
+                separators.insert(0, [sum(map(operator.mul, normal, p)) for p in ints])
+                del separators[_SEPARATORS:]
         return pair_gaps[key]
 
+    def separated(part, key, pair):
+        """Whether a stored normal strictly separates the pair's pieces."""
+        a, b = (part.pieces[j] for j in pair)
+        for k, proj in enumerate(separators):
+            ha = [proj[i] for i in a]
+            hb = [proj[i] for i in b]
+            if max(ha) < min(hb) or max(hb) < min(ha):
+                separators.insert(0, separators.pop(k))
+                apart.add(key)
+                return True
+        return False
+
+    def ruled_out(part):
+        """Whether two pieces miss: by the memo, a stored normal, or a pair LP."""
+        keys = keys_of(part)
+        if any(map(pair_gaps.get, keys)) or not apart.isdisjoint(keys):
+            return True
+        # fewest points first: the cheapest pair LPs, and the likeliest to miss
+        by_size = sorted(zip(keys, pairs), key=lambda kp: kp[0].bit_count())
+        return any(
+            key not in pair_gaps and (separated(part, key, pair) or pair_gap(part, key, pair))
+            for key, pair in by_size
+        )
+
     hit = best = None
-    covered = deferred = 0
+    flags = bytearray()  # per representative: 1 if its full LP was deferred
     for part in enumerate_colorful_partitions(config, r):
-        covered += 1
-        if r > 2:
-            keys = keys_of(part)
-            # fewest points first: the cheapest pair LPs, and the likeliest to miss
-            by_size = sorted(zip(keys, pairs), key=lambda kp: kp[0].bit_count())
-            if any(map(pair_gaps.get, keys)) or any(pair_gap(part, *kp) for kp in by_size):
-                deferred += 1
-                continue
+        flags.append(r > 2 and ruled_out(part))
+        if flags[-1]:
+            continue
         stats["lps"] += 1
         weights, gap = lp(part.pieces)
         if weights is not None:
             hit = part, weights
             break
         best = _least(best, gap)
-    if hit is None and deferred:
-        for part in enumerate_colorful_partitions(config, r):
+    if hit is None and any(flags):
+        for part in itertools.compress(enumerate_colorful_partitions(config, r), flags):
             keys = keys_of(part)
-            if not any(map(pair_gaps.get, keys)):
-                continue  # not deferred: its full LP ran above
             if best is None or all(pair_gap(part, *kp) < best for kp in zip(keys, pairs[:r - 1])):
                 stats["lps"] += 1
                 best = _least(best, lp(part.pieces)[1])
     # each representative decides its r! ordered tuples
-    stats["partitions"] = covered * factorial(r)
+    stats["partitions"] = len(flags) * factorial(r)
     if hit is not None:
         part, weights = hit
         point = convex_combination(weights[0], [config.points[i] for i in part.pieces[0]])

@@ -36,7 +36,10 @@ path; `first_met_flags` is the per-point side-flag test and miss sum
 that the scan's memoised piece misses replaced.  `unfiltered_tverberg`
 is the partition search before its piece-pair filter: one full LP per
 representative, on the solver's own enumeration and LP, so a comparison
-with it checks the filter alone.  `snap_quotients` is the codimension-one
+with it checks the filter alone.  `pair_filtered_tverberg` is the
+search with that filter but before stored dual normals could rule a
+pair out: every pair it rules out costs a memoised pair LP, so a
+comparison with it checks the separator test alone.  `snap_quotients` is the codimension-one
 direction list the candidate scan generalised: the distinct normals
 through d input points, from the solver's own `_flat_normals`, so a
 comparison with it checks the scan's order and deduplication.
@@ -496,6 +499,68 @@ def unfiltered_tverberg(config, r):
     point = convex_combination(weights[0], [config.points[i] for i in part.pieces[0]])
     cert = solver.TverbergCertificate(point=point, partition=part, weights=weights)
     return solver.SolveReport("certified", cert, ZERO, stats)
+
+
+def pair_filtered_tverberg(config, r):
+    """`solver.solve_tverberg` with every piece pair decided by its own LP.
+
+    Same first hit, certificate, gap, "partitions" and "lps" as the
+    search with stored separators; "pair_lps" counts every pair LP.
+    """
+    stats = {"partitions": 0, "lps": 0, "pair_lps": 0}
+    ints, scale = integer_points(config.points)
+    n = config.size
+    bit = [1 << i for i in range(n)]
+    pair_gaps = {}
+    pairs = list(itertools.combinations(range(r), 2))
+
+    def lp(pieces):
+        return lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale)
+
+    def keys_of(part):
+        masks = [sum(map(bit.__getitem__, piece)) for piece in part.pieces]
+        return [masks[i] << n | masks[j] for i, j in pairs]
+
+    def pair_gap(part, key, pair):
+        if key not in pair_gaps:
+            stats["pair_lps"] += 1
+            pair_gaps[key] = lp([part.pieces[i] for i in pair])[1]
+        return pair_gaps[key]
+
+    hit = best = None
+    covered = deferred = 0
+    for part in enumerate_colorful_partitions(config, r):
+        covered += 1
+        if r > 2:
+            keys = keys_of(part)
+            by_size = sorted(zip(keys, pairs), key=lambda kp: kp[0].bit_count())
+            if any(map(pair_gaps.get, keys)) or any(pair_gap(part, *kp) for kp in by_size):
+                deferred += 1
+                continue
+        stats["lps"] += 1
+        weights, gap = lp(part.pieces)
+        if weights is not None:
+            hit = part, weights
+            break
+        best = gap if best is None or gap < best else best
+    if hit is None and deferred:
+        for part in enumerate_colorful_partitions(config, r):
+            keys = keys_of(part)
+            if not any(map(pair_gaps.get, keys)):
+                continue
+            if best is None or all(pair_gap(part, *kp) < best for kp in zip(keys, pairs[:r - 1])):
+                stats["lps"] += 1
+                gap = lp(part.pieces)[1]
+                best = gap if best is None or gap < best else best
+    stats["partitions"] = covered * math.factorial(r)
+    if hit is not None:
+        part, weights = hit
+        point = convex_combination(weights[0], [config.points[i] for i in part.pieces[0]])
+        cert = solver.TverbergCertificate(point=point, partition=part, weights=weights)
+        return solver.SolveReport("certified", cert, ZERO, stats)
+    if best is None:
+        return solver.SolveReport("no-valid-partition", None, None, stats)
+    return solver.SolveReport("infeasible-exhausted", None, best, stats)
 
 
 def orbit_key(config, partition):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tverlab import kernels
 
@@ -92,3 +93,35 @@ class TestPhase1:
         b = kernel.phase1(2, 3, [r[:] for r in data], [4, 1])
         assert a == b
 
+
+
+@st.composite
+def systems(draw):
+    """(data, rhs, costs): small integer systems, rhs >= 0, positive costs."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 6))
+    entries = st.integers(-6, 6)
+    data = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    rhs = draw(st.lists(st.integers(0, 6), min_size=nrows, max_size=nrows))
+    costs = draw(st.lists(st.integers(1, 4), min_size=nrows, max_size=nrows))
+    return data, rhs, costs
+
+
+@given(systems())
+@settings(max_examples=200, deadline=None)
+def test_infeasible_objective_row_holds_farkas_dual(system):
+    # with D = gapden, D*y_i = D*costs[i] - row[ncols+i] is an integer, so
+    # every dual condition is checked exactly, in integers
+    data, rhs, costs = system
+    nrows, ncols = len(data), len(data[0])
+    feasible, row, _, gapnum, gapden, _ = kernels.phase1(
+        nrows, ncols, [r[:] for r in data], rhs[:], costs
+    )
+    assume(not feasible)
+    assert gapden > 0 and gapnum > 0
+    dy = [gapden * c - row[ncols + i] for i, c in enumerate(costs)]
+    for j in range(ncols):
+        assert sum(y * data[i][j] for i, y in enumerate(dy)) <= 0
+    assert all(y <= gapden * c for y, c in zip(dy, costs))
+    assert sum(y * b for y, b in zip(dy, rhs)) == gapnum

@@ -16,6 +16,7 @@ from oracles import (
     hyperplane_disjunct_search,
     inclusion_maximal,
     ordered_nonempty_partitions,
+    pair_filtered_tverberg,
     rational_det,
     rational_echelon,
     rational_lp_solve_eq,
@@ -254,18 +255,22 @@ def tverberg_cases(draw):
     return draw(colored_configs(d, r, 7 if r > 2 else d + 3, span=2)), r
 
 
-# ((0,), (1, 3), (2,)) has full gap 1/2 but a (piece 1, piece 2) gap of 1:
-# only pairs holding piece 0 bound the full LP's gap from below
-@example((ColoredConfig(3, [(0, 0, 0), (0, 1, -1), (0, 0, 0), (0, 0, 1)], [(0,), (1,), (2,), (3,)]),
-          3))
-@example((tightness_instance(2, 0, (3,), 0).collections[0], 3))
-@example((random_instance(2, 0, (3,), seed=3).collections[0], 3))
-@example((random_instance(1, 0, (4,), seed=0).collections[0], 4))
-@given(tverberg_cases())
-def test_pair_filtered_tverberg_search_matches_unfiltered(case):
-    cfg, r = case
-    report = solver.solve_tverberg(cfg, r)
-    expected = unfiltered_tverberg(cfg, r)
+def tverberg_examples(test):
+    """The hand-picked cases every Tverberg-search comparison runs."""
+    for case in (
+        # ((0,), (1, 3), (2,)) has full gap 1/2 but a (piece 1, piece 2) gap
+        # of 1: only pairs holding piece 0 bound the full LP's gap from below
+        (ColoredConfig(3, [(0, 0, 0), (0, 1, -1), (0, 0, 0), (0, 0, 1)], [(0,), (1,), (2,), (3,)]), 3),
+        (tightness_instance(2, 0, (3,), 0).collections[0], 3),
+        (random_instance(2, 0, (3,), seed=3).collections[0], 3),
+        (random_instance(1, 0, (4,), seed=0).collections[0], 4),
+    ):
+        test = example(case)(test)
+    return test
+
+
+def assert_same_search_outcome(report, expected):
+    """Status, certificate, its canonical bytes, gap and partitions agree."""
     assert report.status == expected.status
     assert report.certificate == expected.certificate
     cert_bytes = [
@@ -275,10 +280,32 @@ def test_pair_filtered_tverberg_search_matches_unfiltered(case):
     assert cert_bytes[0] == cert_bytes[1]
     assert report.gap == expected.gap
     assert report.stats["partitions"] == expected.stats["partitions"]
+
+
+@tverberg_examples
+@given(tverberg_cases())
+def test_pair_filtered_tverberg_search_matches_unfiltered(case):
+    cfg, r = case
+    report = solver.solve_tverberg(cfg, r)
+    expected = unfiltered_tverberg(cfg, r)
+    assert_same_search_outcome(report, expected)
     # a full LP is solved at most once per representative, never at r = 2
     assert report.stats["lps"] <= expected.stats["lps"]
     if r == 2:
         assert report.stats == {**expected.stats, "pair_lps": 0}
+
+
+@tverberg_examples
+@given(tverberg_cases())
+def test_separator_tverberg_search_matches_pair_filtered(case):
+    # a stored dual normal only ever proves a miss, so the same full LPs run
+    cfg, r = case
+    report = solver.solve_tverberg(cfg, r)
+    expected = pair_filtered_tverberg(cfg, r)
+    assert_same_search_outcome(report, expected)
+    assert report.stats["lps"] == expected.stats["lps"]
+    # each pair a separator skips costs at most one LP, in the refutation walk
+    assert report.stats["pair_lps"] <= expected.stats["pair_lps"]
 
 
 @given(st.sampled_from(((2, 2), (2, 3))), st.data())

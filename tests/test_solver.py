@@ -1,6 +1,7 @@
 """Tests for the certificate searches, verification, and restriction."""
 import dataclasses
 import itertools
+import operator
 import time
 from fractions import Fraction
 from math import factorial
@@ -167,8 +168,9 @@ def test_solve_tverberg_extremal_instances_certify():
 
 
 def test_solve_tverberg_five_pieces_by_piece_pairs():
-    # the search covers 56,540 representatives; piece-pair LPs rule out
-    # all but 86 of them before their full LP
+    # the search covers 56,540 representatives; piece pairs that miss, by
+    # their LP or a stored dual normal, rule out all but 86 of them before
+    # their full LP
     inst = random_instance(2, 0, (5,), (default_profile(2, 0, 5),), seed=0)
     cfg = inst.collections[0]
     start = time.perf_counter()
@@ -181,6 +183,32 @@ def test_solve_tverberg_five_pieces_by_piece_pairs():
     )
     assert verify_tverberg(cfg, 5, report.certificate)
     assert elapsed < 15
+
+
+def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
+    seen = []
+
+    def recording(a, b, scale):
+        gap, normal = geometry.pair_gap_normal(a, b, scale)
+        seen.append((a, b, scale, gap, normal))
+        return gap, normal
+
+    monkeypatch.setattr(solver, "pair_gap_normal", recording)
+    cases = [(tightness_instance(d, 0, (3,), 0).collections[0], 3) for d in (2, 3)]
+    cases += [(random_instance(3, 0, (3,), seed=s).collections[0], 3) for s in range(4)]
+    cases += [(random_instance(2, 0, (5,), seed=1).collections[0], 5)]
+    pair_lps = sum(solve_tverberg(cfg, r).stats["pair_lps"] for cfg, r in cases)
+    assert len(seen) == pair_lps
+    stored = 0
+    for a, b, scale, gap, normal in seen:
+        assert gap == geometry.lp_solve_eq([a, b], scale)[1]
+        assert (normal is None) == (gap == 0)
+        if normal is not None:
+            stored += 1
+            assert max(sum(map(operator.mul, normal, p)) for p in a) < min(
+                sum(map(operator.mul, normal, q)) for q in b
+            )
+    assert stored > 100
 
 
 def test_solve_tverberg_segment_case():
