@@ -230,9 +230,7 @@ def cmd_top_free(args) -> int:
 def cmd_top_degree(args) -> int:
     if args.attempts < 1:
         return _usage("--attempts must be at least 1")
-    report = test_map_degree(
-        args.r, args.d, max_attempts=args.attempts, **_given(cap=args.cap)
-    )
+    report = test_map_degree(args.r, args.d, max_attempts=args.attempts)
     print(f"degree magnitude: {abs(report.degree)}")
     print(
         f"residue mod {report.modulus}: {report.residue} "
@@ -377,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--r", type=int, required=True, help="pieces")
     q.add_argument("--d", type=int, required=True, help="ambient dimension")
     q.add_argument("--attempts", type=int, default=64, help="regular-value attempts")
-    q.add_argument("--cap", type=int, help="facet cap override")
     q.set_defaults(func=cmd_top_degree)
 
     q = tsub.add_parser("dims", help="dimension and rank bookkeeping")

@@ -71,6 +71,7 @@ class SimplicialComplex:
             raise ValueError("facet list is not inclusion-maximal")
         self.facets = tuple(canon)
         self._faces: dict[int, tuple] | None = None
+        self._walk: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -210,37 +211,70 @@ class PseudoManifoldReport:
 
 
 def _facet_walk(complex_: SimplicialComplex):
-    """(bad_ridges, signs, coherent) from one DFS over the facet-ridge graph.
+    """(bad_ridges, connected, signs) of a pure complex, made once and cached.
 
-    Signs spread from facet 0 across ridges in exactly two facets so that
-    the two incidences (-1)^position cancel.  bad_ridges lists the other
-    ridges, signs[i] is 0 on facets never reached, and coherent is False
-    if some ridge's incidences failed to cancel.
+    One pass over (facet, position) keeps a ridge's first incidence as fi,
+    or ~fi at an odd position, its second as the pair and a third as ();
+    ridges left without a pair are bad.  A pair's incidences (-1)^pos
+    cancel iff its facets' signs differ exactly when the positions'
+    parities agree.  A parity union-find joins each pair's facets, the
+    larger root under the smaller, so facet 0 roots its part.  signs,
+    +1 on facet 0, is None unless the complex is connected and coherent,
+    where it is the only such orientation.
     """
-    ridge_map: dict[tuple, list[tuple[int, int]]] = {}
-    for fi, facet in enumerate(complex_.facets):
-        for pos, ridge in enumerate(_ridges_of(facet)):
-            ridge_map.setdefault(ridge, []).append((fi, (-1) ** pos))
-    bad = tuple(sorted(r for r, incs in ridge_map.items() if len(incs) != 2))
-    signs = [0] * len(complex_.facets)
-    signs[0] = 1
+    if complex_._walk is not None:
+        return complex_._walk
+    facets = complex_.facets
+    size = len(facets[0])
+    # the i-th of combinations() drops position size-1-i
+    odd = [(size - 1 - i) & 1 for i in range(size)]
+    incidences: dict[tuple, int | tuple] = {}
+    for fi, facet in enumerate(facets):
+        for ridge, o in zip(itertools.combinations(facet, max(size - 1, 0)), odd):
+            inc = ~fi if o else fi
+            seen = incidences.get(ridge)
+            if seen is None:
+                incidences[ridge] = inc
+            elif type(seen) is int:
+                incidences[ridge] = (seen, inc)
+            else:
+                incidences[ridge] = ()
+    parent = list(range(len(facets)))
+    parity = [0] * len(facets)  # 1: opposite sign to parent[i]
+
+    def root(x):
+        """(root, parity to it) of facet x, halving the path on the way."""
+        p = 0
+        while parent[x] != x:
+            up = parent[x]
+            parity[x] ^= parity[up]
+            parent[x] = parent[up]
+            p ^= parity[x]
+            x = parent[x]
+        return x, p
+
     coherent = True
-    stack = [0]
-    while stack:
-        fi = stack.pop()
-        for ridge in _ridges_of(complex_.facets[fi]):
-            incs = ridge_map[ridge]
-            if len(incs) != 2:
-                continue
-            (a, sa), (b, sb) = incs
-            other, inc_self, inc_other = (b, sa, sb) if a == fi else (a, sb, sa)
-            want = -signs[fi] * inc_self * inc_other
-            if signs[other] == 0:
-                signs[other] = want
-                stack.append(other)
-            elif signs[other] != want:
-                coherent = False
-    return bad, signs, coherent
+    for pair in incidences.values():
+        if type(pair) is not tuple or not pair:
+            continue
+        a, b = pair
+        (ra, pa), (rb, pb) = root(a if a >= 0 else ~a), root(b if b >= 0 else ~b)
+        rel = pa ^ pb ^ ((a < 0) == (b < 0))  # asked of ra and rb
+        if ra == rb:
+            coherent = coherent and not rel
+        elif ra < rb:
+            parent[rb], parity[rb] = ra, rel
+        else:
+            parent[ra], parity[ra] = rb, rel
+    for i, up in enumerate(parent):
+        if up != i:
+            parity[i] ^= parity[up]
+            parent[i] = parent[up]
+    connected = not any(parent)
+    bad = tuple(sorted(r for r, pair in incidences.items() if not (type(pair) is tuple and pair)))
+    signs = tuple(-1 if p else 1 for p in parity) if connected and coherent else None
+    complex_._walk = bad, connected, signs
+    return complex_._walk
 
 
 def is_pseudo_manifold(complex_: SimplicialComplex) -> PseudoManifoldReport:
@@ -251,8 +285,7 @@ def is_pseudo_manifold(complex_: SimplicialComplex) -> PseudoManifoldReport:
     """
     if not complex_.is_pure():
         return PseudoManifoldReport(ok=False, pure=False, connected=False)
-    bad, signs, _coherent = _facet_walk(complex_)
-    connected = 0 not in signs
+    bad, connected, _signs = _facet_walk(complex_)
     return PseudoManifoldReport(ok=not bad and connected, pure=True, connected=connected, bad_ridges=bad)
 
 
@@ -264,17 +297,18 @@ class Orientation:
 
 
 def orient(complex_: SimplicialComplex):
-    """Coherent facet orientation by spanning-tree propagation, or None.
+    """The coherent facet orientation with facet 0 = +1, or None.
 
     Raises PreconditionError unless the complex is a pseudo-manifold,
     even one a sign conflict has already shown non-orientable.  The
     incidence sign of a ridge in a facet is (-1)^position on the sorted
-    vertex list; coherence means the two incidences cancel.
+    vertex list; coherence means the two incidences cancel.  Both this
+    and `is_pseudo_manifold` read the complex's one facet walk.
     """
-    bad, signs, coherent = _facet_walk(complex_)
-    if not complex_.is_pure() or bad or 0 in signs:
+    if not is_pseudo_manifold(complex_):
         raise PreconditionError("orientation needs a pseudo-manifold")
-    return Orientation(signs=tuple(signs)) if coherent else None
+    signs = _facet_walk(complex_)[2]
+    return None if signs is None else Orientation(signs=signs)
 
 
 # ---------------------------------------------------------------------------
@@ -352,21 +386,6 @@ def is_free_action(complex_: SimplicialComplex, action: PermutationAction) -> bo
 # the weight map and its degree
 
 
-@dataclass(frozen=True)
-class PLMap:
-    """Piecewise-linear map: one rational image point per vertex."""
-
-    complex_: SimplicialComplex
-    images: tuple[tuple[Fraction, ...], ...]
-    target_dim: int
-
-    def __post_init__(self):
-        if len(self.images) != self.complex_.n_vertices:
-            raise ValueError("need one image point per vertex")
-        if any(len(p) != self.target_dim for p in self.images):
-            raise ValueError("image point dimension mismatch")
-
-
 def test_map_complex(r: int, d: int, cap: int = FACET_CAP):
     """(d+1)-fold join of the r x (r-1) chessboard complex, with vertex info.
 
@@ -398,27 +417,6 @@ def _weight_coords(r: int, row: int):
 def _factor_vector(d: int, ell: int):
     """c_ell = (1, f_ell), with f_0 = -(e_1+...+e_d) and f_ell = e_ell."""
     return [Fraction(1)] + [Fraction(-1 if ell == 0 else int(c == ell - 1)) for c in range(d)]
-
-
-def _weight_images(r: int, d: int):
-    """c_ell (x) b_i for each vertex (ell, i, j): block c is c_ell[c] b_i,
-    where b_i = _weight_coords(r, i)."""
-    return tuple(
-        tuple(c * b for c in _factor_vector(d, ell) for b in _weight_coords(r, i))
-        for ell, i, _j in _vertex_info(r, d)
-    )
-
-
-def test_map(r: int, d: int, cap: int = FACET_CAP) -> PLMap:
-    """The canonical weight map on the (d+1)-fold chessboard join.
-
-    Factor 0 plays the role of the class sent to -(e_1+...+e_d); factor
-    ell >= 1 is sent to e_ell.  Block c of the image records the
-    projected c-weighted piece masses, so the image lies in a product of
-    d+1 sum-zero hyperplanes, dimension (r-1)(d+1).
-    """
-    complex_, _info = test_map_complex(r, d, cap)
-    return PLMap(complex_=complex_, images=_weight_images(r, d), target_dim=(r - 1) * (d + 1))
 
 
 @dataclass(frozen=True)
@@ -460,87 +458,82 @@ def _board_outcome(block, w):
     return 1 if linalg.det(block) > 0 else -1
 
 
-def _signed_crossings(plm: PLMap, signs, value):
-    """(degree, crossings) of plm at value, or None if value is not regular.
+def _signed_crossings(board: SimplicialComplex, signs, value):
+    """(degree, crossings) at value on the join of len(value)/(r-1) copies
+    of the r x (r-1) board with board signs `signs`, or None if value is
+    not regular; see `test_map_degree`.
 
-    plm must be the weight map, vertex (ell, i, j) to c_ell (x) b_i, and
-    each facet must take r-1 vertices from each factor, or
-    PreconditionError is raised.  A facet's matrix is then M = (C (x) I)
-    blockdiag(B_0, ..., B_d): C has columns c_ell, B_ell the b_i of the
-    facet's vertices in factor ell.  det C = d+1 > 0 (a Schur complement),
-    so with (C (x) I) w = value, M mu = value splits exactly into
-    B_ell mu_ell = w_ell, and sign det M = prod sign det B_ell.  Each block
-    is solved once per value.  A facet is skipped if a block is
-    inconsistent, non-regular if one is singular, skipped if a mu_ell has
-    a negative entry, non-regular if one has a zero, and otherwise counts
-    its sign times prod sign det B_ell: the order a solve of M meets them.
+    Per factor, each row set's block is solved once (its boards share it).
+    A join facet is skipped at an inconsistent block, non-regular at a
+    singular one, skipped at a negative mu_ell and non-regular at a zero
+    entry, in that order.  So value is non-regular iff every factor has a
+    board that is not inconsistent and one a singular one, or every factor
+    a zero or crossing board and one a zero one.  Otherwise the degree is
+    prod_ell sum_beta sign(beta) sign det B_beta and the crossings prod_ell
+    their number, over the crossing boards beta.
     """
-    n = plm.target_dim
-    r = plm.complex_.n_vertices // n if n else 0
-    d = n // (r - 1) - 1 if r > 1 else -1
-    if d < 0 or plm.images != _weight_images(r, d):
-        raise PreconditionError("the factored count needs the weight map's images")
-    m, info = r - 1, _vertex_info(r, d)
+    m = len(board.facets[0])
+    r, d = m + 1, len(value) // m - 1
     cs = [_factor_vector(d, ell) for ell in range(d + 1)]
     kron = [[cs[ell][c] * (k == k2) for ell in range(d + 1) for k2 in range(m)]
             for c in range(d + 1) for k in range(m)]
     w = linalg.solve(kron, value)[0]
-    outcomes = {}
-    degree = crossings = 0
-    for sign, facet in zip(signs, plm.complex_.facets):
-        if len(facet) != n:
-            raise PreconditionError("a facet must take r-1 vertices from each factor")
-        outs = []
-        for ell in range(d + 1):
-            board = facet[ell * m:ell * m + m]
-            if (ell, board) not in outcomes:
-                if any(info[v][0] != ell for v in board):
-                    raise PreconditionError("a facet must take r-1 vertices from each factor")
-                cols = [_weight_coords(r, info[v][1]) for v in board]
-                block = [[col[k] for col in cols] for k in range(m)]
-                outcomes[ell, board] = _board_outcome(block, w[ell * m:ell * m + m])
-            outs.append(outcomes[ell, board])
-        if "inconsistent" in outs:
-            continue
-        if "singular" in outs:
-            return None
-        if "negative" in outs:
-            continue
-        if "zero" in outs:
-            return None
-        degree += sign * math.prod(outs)
-        crossings += 1
+    tallies: dict[tuple, list[int]] = {}  # row set -> [sum of board signs, board count]
+    for sign, facet in zip(signs, board.facets):
+        tally = tallies.setdefault(tuple(v // m for v in facet), [0, 0])
+        tally[0] += sign
+        tally[1] += 1
+    coords = [_weight_coords(r, i) for i in range(r)]
+    blocks = {rows: [[coords[i][k] for i in rows] for k in range(m)] for rows in tallies}
+    factors = [
+        {rows: _board_outcome(block, w[ell * m:ell * m + m]) for rows, block in blocks.items()}
+        for ell in range(d + 1)
+    ]
+    kinds = [set(outcomes.values()) for outcomes in factors]
+    if all(k - {"inconsistent"} for k in kinds) and any("singular" in k for k in kinds):
+        return None
+    if all(k & {"zero", 1, -1} for k in kinds) and any("zero" in k for k in kinds):
+        return None
+    degree = crossings = 1
+    for outcomes in factors:
+        crossing = [(o, tallies[rows]) for rows, o in outcomes.items() if o in (1, -1)]
+        degree *= sum(o * tally[0] for o, tally in crossing)
+        crossings *= sum(tally[1] for _o, tally in crossing)
     return degree, crossings
 
 
-def test_map_degree(r: int, d: int, max_attempts: int = 64, cap: int = FACET_CAP) -> DegreeReport:
-    """Exact degree of the weight map by signed preimage counting.
+def test_map_degree(r: int, d: int, max_attempts: int = 64) -> DegreeReport:
+    """Exact degree of the weight map on the (d+1)-fold join of the r x (r-1)
+    chessboard complex, counted on one oriented board; no join is built.
 
-    Orients the join (it must be an orientable pseudo-manifold), picks
-    the regular value aligned with the projected all-ones direction in
-    block 0, and counts facets whose image cone contains it, signed by
-    facet orientation times image determinant sign.  Cone membership is
-    exact: `_signed_crossings` solves each board block of the Kronecker
-    factorisation of the facet matrices once, not each facet's system.
-    If the value turns out non-regular (a zero or dependent solution),
-    attempt t >= 1 adds 1/q to coordinate (t-1) mod target_dim, with q
-    the t-th prime from 1009 upward, and the scan restarts; CapExceeded
-    is raised after `max_attempts` scans.  `cap` bounds the facet count
-    of the join.
+    Vertex (ell, i, j) maps to c_ell (x) b_i (`_factor_vector`,
+    `_weight_coords`).  A join ridge through factor ell's part keeps the
+    board's two incidence signs times one common (-1)^(ell(r-1)), so the
+    product of the board signs is coherent, and it is `orient`'s own
+    choice on the join, whose facet 0 is (beta_0, ..., beta_0).  A join
+    facet's matrix is M = (C (x) I) blockdiag(B_0, ..., B_d), C with
+    columns c_ell and det C = d+1 > 0, so with (C (x) I) w = value,
+    M mu = value splits into B_ell mu_ell = w_ell and sign det M =
+    prod sign det B_ell.  The join map is thus the join of the board maps
+    composed with an orientation-preserving isomorphism, and its degree
+    is the product of the board degrees.  A value that is not regular
+    moves: attempt t >= 1 adds 1/q to coordinate (t-1) mod (r-1)(d+1), q
+    the t-th prime from 1009 upward; CapExceeded after `max_attempts`.
+    `facets` is the join's r!^(d+1).
     """
-    plm = test_map(r, d, cap)
-    ori = orient(plm.complex_)
-    if ori is None:
-        raise PreconditionError("weight-map complex is not orientable")
+    if r < 2 or d < 0:
+        raise ValueError("need r >= 2 and d >= 0")
+    board = chessboard_complex(r, r - 1)
+    signs = orient(board).signs
     value = [Fraction(1)] * (r - 1) + [Fraction(0)] * ((r - 1) * d)
     primes = _primes_from(1009)
     for t in range(max_attempts):
         if t:
-            value[(t - 1) % plm.target_dim] += Fraction(1, next(primes))
-        counted = _signed_crossings(plm, ori.signs, value)
+            value[(t - 1) % len(value)] += Fraction(1, next(primes))
+        counted = _signed_crossings(board, signs, value)
         if counted is not None:
             degree, crossings = counted
-            return DegreeReport(degree, r, crossings, len(plm.complex_.facets), t + 1)
+            return DegreeReport(degree, r, crossings, math.factorial(r) ** (d + 1), t + 1)
     raise CapExceeded("no regular value found within the perturbation budget")
 
 

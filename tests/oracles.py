@@ -15,9 +15,15 @@ boundary of a boundary vanishes, and takes its primality test from
 pseudo-manifold check and orientation before they shared one facet
 walk: a ridge map and DFS each, with orientation checking the complex
 first and stopping at the first sign conflict.
-`signed_crossings_reference` is the weight-map degree count before it
-was factored into board blocks: one `linalg.solve` of each join facet's
-full matrix, and `linalg.det` on each crossing facet.
+`PLMap`, `weight_map` and `weight_images` build the weight map on the
+whole (d+1)-fold chessboard join that `topology.test_map_degree` once
+counted on.  `signed_crossings_reference` is that count before it was
+factored into board blocks: one `linalg.solve` of each join facet's full
+matrix, and `linalg.det` on each crossing facet.
+`join_signed_crossings` is the count factored into board blocks but
+still read facet by facet over the join, with its check that the map is
+the weight map; `topology._signed_crossings` reads the same blocks off
+one board.
 `ordered_colorful_partitions` is the product-order
 enumeration of every ordered colorful tuple, empty pieces included, that
 the searches ran over before they were quotiented by relabelling
@@ -415,6 +421,84 @@ def orient_reference(complex_):
             elif signs[other] != want:
                 return None
     return topology.Orientation(signs=tuple(signs))
+
+
+@dataclass(frozen=True)
+class PLMap:
+    """Piecewise-linear map: one rational image point per vertex."""
+
+    complex_: topology.SimplicialComplex
+    images: tuple[tuple[Fraction, ...], ...]
+    target_dim: int
+
+    def __post_init__(self):
+        if len(self.images) != self.complex_.n_vertices:
+            raise ValueError("need one image point per vertex")
+        if any(len(p) != self.target_dim for p in self.images):
+            raise ValueError("image point dimension mismatch")
+
+
+def weight_images(r: int, d: int):
+    """c_ell (x) b_i for each vertex (ell, i, j): block c is c_ell[c] b_i,
+    where b_i = topology._weight_coords(r, i)."""
+    return tuple(
+        tuple(c * b for c in topology._factor_vector(d, ell) for b in topology._weight_coords(r, i))
+        for ell, i, _j in topology._vertex_info(r, d)
+    )
+
+
+def weight_map(r: int, d: int) -> PLMap:
+    """The weight map on the (d+1)-fold chessboard join, built in full."""
+    complex_, _info = topology.test_map_complex(r, d)
+    return PLMap(complex_=complex_, images=weight_images(r, d), target_dim=(r - 1) * (d + 1))
+
+
+def join_signed_crossings(plm, signs, value):
+    """(degree, crossings) of plm at value, or None if value is not regular.
+
+    plm must be the weight map, vertex (ell, i, j) to c_ell (x) b_i, and
+    each facet must take r-1 vertices from each factor, or
+    PreconditionError is raised.  A facet's matrix is then M = (C (x) I)
+    blockdiag(B_0, ..., B_d), so with (C (x) I) w = value each (factor,
+    board) block is solved once and each join facet reads its blocks'
+    outcomes in the order a solve of M meets them.
+    """
+    n = plm.target_dim
+    r = plm.complex_.n_vertices // n if n else 0
+    d = n // (r - 1) - 1 if r > 1 else -1
+    if d < 0 or plm.images != weight_images(r, d):
+        raise PreconditionError("the factored count needs the weight map's images")
+    m, info = r - 1, topology._vertex_info(r, d)
+    cs = [topology._factor_vector(d, ell) for ell in range(d + 1)]
+    kron = [[cs[ell][c] * (k == k2) for ell in range(d + 1) for k2 in range(m)]
+            for c in range(d + 1) for k in range(m)]
+    w = linalg.solve(kron, value)[0]
+    outcomes = {}
+    degree = crossings = 0
+    for sign, facet in zip(signs, plm.complex_.facets):
+        if len(facet) != n:
+            raise PreconditionError("a facet must take r-1 vertices from each factor")
+        outs = []
+        for ell in range(d + 1):
+            board = facet[ell * m:ell * m + m]
+            if (ell, board) not in outcomes:
+                if any(info[v][0] != ell for v in board):
+                    raise PreconditionError("a facet must take r-1 vertices from each factor")
+                cols = [topology._weight_coords(r, info[v][1]) for v in board]
+                block = [[col[k] for col in cols] for k in range(m)]
+                outcomes[ell, board] = topology._board_outcome(block, w[ell * m:ell * m + m])
+            outs.append(outcomes[ell, board])
+        if "inconsistent" in outs:
+            continue
+        if "singular" in outs:
+            return None
+        if "negative" in outs:
+            continue
+        if "zero" in outs:
+            return None
+        degree += sign * math.prod(outs)
+        crossings += 1
+    return degree, crossings
 
 
 def signed_crossings_reference(plm, signs, value):

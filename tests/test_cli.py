@@ -276,10 +276,14 @@ def test_topology_counts_below_one_are_usage_errors(capsys, argv, flag):
 
 
 def test_topology_degree_cap(capsys):
-    code, _, err = run(
-        capsys, "topology", "degree", "--r", "3", "--d", "2", "--cap", "10"
-    )
-    assert code == 4
+    # the join is never built, so 207,360,000 join facets are no cap's business
+    code, out, _ = run(capsys, "topology", "degree", "--r", "5", "--d", "3")
+    assert code == 0
+    assert "degree magnitude: 331776" in out
+    assert "facets: 207360000" in out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["topology", "degree", "--r", "3", "--d", "2", "--cap", "10"])
+    assert exc.value.code == 2
 
 
 def test_topology_cap_zero_is_honoured(capsys):

@@ -1,4 +1,5 @@
 """Tests for chessboard complexes, homology, orientation, and the map degree."""
+import dataclasses
 import itertools
 import math
 import random
@@ -14,10 +15,14 @@ from tverlab import linalg, topology as tp
 from tverlab.errors import CapExceeded, PreconditionError
 
 from oracles import (
+    PLMap,
     chain_complex_mod_p,
+    join_signed_crossings,
     orient_reference,
     pseudo_manifold_reference,
     signed_crossings_reference,
+    weight_images,
+    weight_map,
 )
 
 # ---------------------------------------------------------------------------
@@ -323,6 +328,59 @@ def test_facet_walk_matches_oracles(complex_):
     assert_matches_oracles(complex_)
 
 
+def relabelled(complex_, seed):
+    """complex_ with its vertices renamed by a seeded permutation, so its
+    facets come in another order and its ridges at other positions."""
+    relabel = list(range(complex_.n_vertices))
+    random.Random(seed).shuffle(relabel)
+    return tp.SimplicialComplex(complex_.n_vertices, [tuple(relabel[v] for v in f) for f in complex_.facets])
+
+
+def seeded_complexes():
+    board = tp.chessboard_complex
+    for r in range(2, 7):
+        yield f"board-{r}x{r - 1}", board(r, r - 1)
+        if r < 6:
+            yield f"board-{r}x{r}", board(r, r)
+    yield "board-3x2*board-2x1", tp.join(board(3, 2), board(2, 1))
+    yield "board-3x2*board-3x2", tp.join(board(3, 2), board(3, 2))
+    yield "board-4x3*board-2x2", tp.join(board(4, 3), board(2, 2))
+    yield "mobius", mobius_band()
+    yield "rp2", projective_plane()
+    yield "disk", tp.SimplicialComplex(6, [(0, i, i % 5 + 1) for i in range(1, 5)])
+    yield "ridge-in-three", tp.SimplicialComplex(6, tetrahedron_boundary() + [(0, 1, 4), (4, 5, 1)])
+    yield "non-pure", tp.SimplicialComplex(6, [(0, 1, 2), (2, 3), (3, 4, 5)])
+    # facet 0 on the sphere until relabelled: the walk never needs the second part's signs
+    yield "sphere-beside-rp2", tp.SimplicialComplex(
+        10, tetrahedron_boundary() + [tuple(v + 4 for v in f) for f in projective_plane().facets]
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_facet_walk_matches_oracles_on_seeded_complexes(seed):
+    for name, complex_ in seeded_complexes():
+        for c in (complex_, relabelled(complex_, seed)):
+            assert tp.is_pseudo_manifold(c) == pseudo_manifold_reference(c), name
+            assert outcome(tp.orient, c) == outcome(orient_reference, c), name
+
+
+def test_pseudo_manifold_check_and_orient_share_one_walk(monkeypatch):
+    c = relabelled(tp.chessboard_complex(4, 3), 0)
+    ridge_passes = []
+    combinations = itertools.combinations
+    monkeypatch.setattr(tp.itertools, "combinations", lambda *a: ridge_passes.append(a) or combinations(*a))
+    report = tp.is_pseudo_manifold(c)
+    assert report.ok and len(ridge_passes) == len(c.facets)
+    ori = tp.orient(c)
+    assert len(ridge_passes) == len(c.facets)
+    # what is returned is immutable, so the cached walk cannot be changed through it
+    assert type(ori.signs) is tuple and type(report.bad_ridges) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ori.signs = ()
+    assert tp.orient(c) == ori == orient_reference(c)
+    assert len(ridge_passes) == len(c.facets)
+
+
 def test_orientation_signs_cancel_on_ridges():
     c = tp.chessboard_complex(3, 2)
     ori = tp.orient(c)
@@ -387,7 +445,7 @@ def test_map_complex_shape():
 
 
 def test_map_images_have_zero_row_sums():
-    plm = tp.test_map(3, 1)
+    plm = weight_map(3, 1)
     assert plm.target_dim == 4
     # the three distinct row images within a factor sum to zero blockwise
     row_imgs = [plm.images[i * 2] for i in range(3)]
@@ -397,13 +455,14 @@ def test_map_images_have_zero_row_sums():
 
 @pytest.mark.parametrize(
     "r,d",
-    [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2)],
+    [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 3)],
 )
 def test_degree_values(r, d):
     rep = tp.test_map_degree(r, d)
     expected = math.factorial(r - 1) ** (d + 1)
     assert abs(rep.degree) == expected
     assert rep.modulus == r
+    assert rep.facets == math.factorial(r) ** (d + 1)
     # Wilson: (r-1)! is -1 mod r exactly when r is prime
     assert rep.residue_is_plus_minus_one == linalg.is_prime(r)
     # the clean value is regular and meets exactly the expected sheets
@@ -417,11 +476,11 @@ def clean_value(r, d):
 
 def test_degree_invariant_under_value_perturbation():
     for (r, d) in [(2, 1), (3, 0), (3, 1)]:
-        plm = tp.test_map(r, d)
+        board = tp.chessboard_complex(r, r - 1)
         value = clean_value(r, d)
         for axis, q in enumerate((1009, 1013, 1019)):
-            value[axis % plm.target_dim] += Fraction(1, q)
-        counted = tp._signed_crossings(plm, tp.orient(plm.complex_).signs, value)
+            value[axis % len(value)] += Fraction(1, q)
+        counted = tp._signed_crossings(board, tp.orient(board).signs, value)
         assert counted is not None
         assert counted[0] == tp.test_map_degree(r, d).degree
 
@@ -445,15 +504,40 @@ def nudged_values(r, d, count, seed):
 
 
 def test_factored_count_matches_facet_by_facet_solve():
+    """The join-facet reference the board count is checked against agrees
+    with one full solve per join facet."""
     non_regular = 0
     for r, d in FACTORED_PAIRS:
-        plm = tp.test_map(r, d)
-        signs = tp.orient(plm.complex_).signs
+        plm = weight_map(r, d)
+        signs = orient_reference(plm.complex_).signs
         for value in nudged_values(r, d, 12 if (r, d) == (3, 3) else 40, seed=r * 10 + d):
-            counted = tp._signed_crossings(plm, signs, value)
+            counted = join_signed_crossings(plm, signs, value)
             assert counted == signed_crossings_reference(plm, signs, value), (r, d, value)
             non_regular += counted is None
     assert non_regular > 0
+
+
+@pytest.mark.parametrize("r,d", [(r, d) for r in (2, 3) for d in range(4)] + [(4, d) for d in range(3)])
+def test_join_orientation_is_the_product_of_board_orientations(r, d):
+    board_signs = tp.orient(tp.chessboard_complex(r, r - 1)).signs
+    bad, connected, signs = tp._facet_walk(tp.test_map_complex(r, d)[0])
+    assert not bad and connected
+    assert signs == tuple(math.prod(p) for p in itertools.product(board_signs, repeat=d + 1))
+
+
+@pytest.mark.parametrize("r,d", FACTORED_PAIRS + [(4, 2)])
+def test_board_count_matches_join_count(r, d):
+    board = tp.chessboard_complex(r, r - 1)
+    board_signs = tp.orient(board).signs
+    plm = weight_map(r, d)
+    signs = tp.orient(plm.complex_).signs
+    values = nudged_values(r, d, 8 if r == 4 else 40, seed=r * 10 + d)
+    non_regular = 0
+    for value in values:
+        counted = tp._signed_crossings(board, board_signs, value)
+        assert counted == join_signed_crossings(plm, signs, value), value
+        non_regular += counted is None
+    assert 0 < non_regular < len(values)
 
 
 @pytest.mark.parametrize(
@@ -463,18 +547,37 @@ def test_factored_count_matches_on_complexes_that_are_not_boards(r, d, keep):
     """A seeded sample of the facets that take any r-1 vertices of each
     factor: blocks may repeat a row, so singular and inconsistent blocks
     meet negative and zero ones, and a sample of fewer than all of them
-    makes the order the outcomes are read in matter."""
-    plm = tp.test_map(r, d)
+    makes the order the outcomes are read in matter (the order the board
+    count's regularity rule is read from)."""
+    plm = weight_map(r, d)
     size = r * (r - 1)
     factors = [range(ell * size, ell * size + size) for ell in range(d + 1)]
     facets = [sum(boards, ()) for boards in itertools.product(
         *(itertools.combinations(f, r - 1) for f in factors))]
     facets = random.Random(keep).sample(facets, keep)
-    loose = tp.PLMap(tp.SimplicialComplex(plm.complex_.n_vertices, facets), plm.images, plm.target_dim)
+    loose = PLMap(tp.SimplicialComplex(plm.complex_.n_vertices, facets), plm.images, plm.target_dim)
     signs = [(-1) ** i for i in range(keep)]
     for value in nudged_values(r, d, 40, seed=r * 10 + d):
-        counted = tp._signed_crossings(loose, signs, value)
+        counted = join_signed_crossings(loose, signs, value)
         assert counted == signed_crossings_reference(loose, signs, value), value
+
+
+@pytest.mark.parametrize("r,d,keep", [(3, 0, 15), (3, 1, 6), (3, 2, 4), (4, 1, 10), (4, 1, 30)])
+def test_board_count_matches_join_count_on_complexes_that_are_not_boards(r, d, keep):
+    """A seeded "board" of any r-1 vertices, rows repeated, with random
+    signs: its singular and inconsistent blocks meet negative and zero
+    ones, which is where the board count's regularity rule is read."""
+    rng = random.Random(keep)
+    subsets = list(itertools.combinations(range(r * (r - 1)), r - 1))
+    board = tp.SimplicialComplex(r * (r - 1), rng.sample(subsets, keep))
+    signs = [rng.choice((1, -1)) for _ in board.facets]
+    joined = board
+    for _ in range(d):
+        joined = tp.join(joined, board)
+    plm = PLMap(joined, weight_images(r, d), (r - 1) * (d + 1))
+    join_signs = [math.prod(p) for p in itertools.product(signs, repeat=d + 1)]
+    for value in nudged_values(r, d, 40, seed=r * 10 + d):
+        assert tp._signed_crossings(board, signs, value) == join_signed_crossings(plm, join_signs, value), value
 
 
 def test_factor_matrix_determinant_is_d_plus_one():
@@ -484,7 +587,7 @@ def test_factor_matrix_determinant_is_d_plus_one():
 
 
 def misplaced_maps():
-    plm = tp.test_map(3, 1)
+    plm = weight_map(3, 1)
     moved = list(plm.images)
     moved[4] = (moved[4][0] + Fraction(1, 7),) + moved[4][1:]
     half = len(plm.images) // 2
@@ -492,30 +595,27 @@ def misplaced_maps():
     lopsided = tp.SimplicialComplex(plm.complex_.n_vertices, [(0, 1, 2, 3), (0, 1, 2, 6)])
     overlong = tp.SimplicialComplex(plm.complex_.n_vertices, [(0, 2, 6, 8, 10)])
     return [
-        tp.PLMap(plm.complex_, tuple(moved), plm.target_dim),
-        tp.PLMap(plm.complex_, swapped, plm.target_dim),
-        tp.PLMap(lopsided, plm.images, plm.target_dim),
-        tp.PLMap(overlong, plm.images, plm.target_dim),
+        PLMap(plm.complex_, tuple(moved), plm.target_dim),
+        PLMap(plm.complex_, swapped, plm.target_dim),
+        PLMap(lopsided, plm.images, plm.target_dim),
+        PLMap(overlong, plm.images, plm.target_dim),
     ]
 
 
 @pytest.mark.parametrize(
     "plm", misplaced_maps(), ids=["moved", "factors-swapped", "lopsided-facet", "long-facet"]
 )
-def test_factored_count_refuses_other_maps(plm, monkeypatch):
+def test_factored_count_refuses_other_maps(plm):
+    """The join-facet reference reads blocks only off the weight map."""
     signs = [1] * len(plm.complex_.facets)
     with pytest.raises(PreconditionError):
-        tp._signed_crossings(plm, signs, clean_value(3, 1))
-    monkeypatch.setattr(tp, "test_map", lambda r, d, cap: plm)
-    monkeypatch.setattr(tp, "orient", lambda complex_: tp.Orientation(tuple(signs)))
-    with pytest.raises(PreconditionError):
-        tp.test_map_degree(3, 1)
+        join_signed_crossings(plm, signs, clean_value(3, 1))
 
 
 def test_non_regular_values_are_nudged_on_the_prime_schedule(monkeypatch):
     seen = []
 
-    def regular_on_fourth(plm, signs, value):
+    def regular_on_fourth(board, signs, value):
         seen.append(list(value))
         return (7, 9) if len(seen) == 4 else None
 
@@ -538,18 +638,19 @@ def test_degree_deterministic():
 
 
 def test_degree_bad_args():
-    with pytest.raises(ValueError):
-        tp.test_map_complex(1, 2)
-    with pytest.raises(ValueError):
-        tp.test_map_complex(3, -1)
+    for build in (tp.test_map_complex, tp.test_map_degree):
+        with pytest.raises(ValueError):
+            build(1, 2)
+        with pytest.raises(ValueError):
+            build(3, -1)
 
 
 def test_plmap_validation():
-    plm = tp.test_map(2, 1)
+    plm = weight_map(2, 1)
     with pytest.raises(ValueError):
-        tp.PLMap(plm.complex_, plm.images[:-1], plm.target_dim)
+        PLMap(plm.complex_, plm.images[:-1], plm.target_dim)
     with pytest.raises(ValueError):
-        tp.PLMap(plm.complex_, tuple(p[:-1] for p in plm.images), plm.target_dim)
+        PLMap(plm.complex_, tuple(p[:-1] for p in plm.images), plm.target_dim)
 
 
 # ---------------------------------------------------------------------------
