@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import kernels, linalg
-from .linalg import integer_points
+from .linalg import integer_point_lists
 
 Point = tuple[Fraction, ...]
 
@@ -139,9 +139,7 @@ def common_point_gap(pieces):
     dim = len(pcs[0][0])
     if any(len(p) != dim for piece in pcs for p in piece):
         raise ValueError("mismatched point dimensions")
-    ints, scale = integer_points([p for piece in pcs for p in piece])
-    flat = iter(ints)
-    weights, gap = lp_solve_eq([[next(flat) for _ in piece] for piece in pcs], scale)
+    weights, gap = lp_solve_eq(*integer_point_lists(pcs))
     if weights is None:
         return None, gap
     point = convex_combination(weights[0], pcs[0])

@@ -24,6 +24,13 @@ def integer_points(points):
     return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points], scale
 
 
+def integer_point_lists(point_lists):
+    """(integer point lists, scale): `integer_points` of the pooled lists, split back per list."""
+    ints, scale = integer_points([p for pts in point_lists for p in pts])
+    flat = iter(ints)
+    return [[next(flat) for _ in pts] for pts in point_lists], scale
+
+
 def _echelon(matrix, width):
     """Gauss-Jordan on the first `width` columns: (rows, pivots, D, det).
 

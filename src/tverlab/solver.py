@@ -4,7 +4,7 @@ Three search modes, all exact; `solve` picks one from the plane dimension:
 
 * `solve_tverberg` — exhaustive over colorful partitions of one collection,
   up to relabelling pieces; complete.  Memoised two-piece LPs rule
-  partitions out before their full rational LP, and the dual normal of
+  partitions out before their full integer LP, and the dual normal of
   a two-piece LP that missed, kept as a separating hyperplane, can rule
   a later pair out with no LP.
 * `solve_transversal` — scans a finite list of exact candidate direction
@@ -35,16 +35,15 @@ from math import comb, factorial, gcd, prod
 from . import linalg
 from .errors import CapExceeded, DegenerateIntersection, PreconditionError
 from .geometry import (
-    CommonPointWitness,
     Point,
     Verdict,
     as_point,
     convex_combination,
     convex_combination_fault,
-    integer_points,
     lp_solve_eq,
     pair_gap_normal,
 )
+from .linalg import integer_point_lists, integer_points
 from .model import (
     ColoredConfig,
     PartitionTuple,
@@ -284,10 +283,8 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
 # candidate direction scan
 
 
-def _project(q_rows, point):
-    return tuple(
-        sum((r[c] * point[c] for c in range(len(point))), ZERO) for r in q_rows
-    )
+def _dot(normal, point):
+    return sum(a * c for a, c in zip(normal, point))
 
 
 def _primitive(row):
@@ -309,7 +306,7 @@ def _flat_normals(points, d):
 
 
 def _candidate_quotients(instance: ProblemInstance):
-    """Quotient rows of every candidate direction subspace, in scan order.
+    """Integer quotient rows of every candidate direction subspace, in scan order.
 
     A k-plane's direction subspace is the nullspace of its d-k quotient
     rows.  k = 0 has the one candidate with the identity rows, and k = d
@@ -325,7 +322,7 @@ def _candidate_quotients(instance: ProblemInstance):
     """
     d, k = instance.d, instance.k
     if k == 0:
-        yield [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
+        yield [[int(i == j) for j in range(d)] for i in range(d)]
         return
     if k == d:
         yield []
@@ -338,7 +335,7 @@ def _candidate_quotients(instance: ProblemInstance):
         subsets = (tuple(sorted(base + extra)) for extra in itertools.combinations(rest, d - k))
         through = dict.fromkeys(normals[s] for s in subsets if s in normals)
         for rows in itertools.combinations(through, d - k):
-            q_rows = [[Fraction(v) for v in row] for row in rows]
+            q_rows = [list(row) for row in rows]
             # the nullspace basis comes from the reduced echelon form,
             # so it names the row space
             key = tuple(map(tuple, linalg.nullspace(q_rows)))
@@ -359,21 +356,17 @@ def _combo_pieces(point_lists, combo):
     ]
 
 
-def _evaluate_direction(q_rows, collections, partitions_per_col, stats):
-    """((combination, witness), 0) for one quotient, else (None, gap).
+def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats):
+    """((combination, weights per piece), 0) for one quotient, else (None, gap).
 
-    Prefilters each collection alone, then runs one joint LP per
-    combination of surviving partitions.  The returned gap is the sum of
-    per-collection minima when the prefilter rules the direction out,
-    else the smallest joint violation.
+    Projects the search's integer points, one list per collection, by
+    the integer quotient rows, and gives every LP the search's `scale`,
+    so gaps are in the input's units.  Prefilters each collection alone,
+    then runs one joint LP per combination of surviving partitions.  The
+    returned gap is the sum of per-collection minima when the prefilter
+    rules the direction out, else the smallest joint violation.
     """
-    proj = [
-        [_project(q_rows, p) for p in cfg.points] for cfg in collections
-    ]
-    # one scale for all collections: joint LPs pool their pieces
-    ints, scale = integer_points([p for pts in proj for p in pts])
-    flat = iter(ints)
-    iproj = [[next(flat) for _ in pts] for pts in proj]
+    iproj = [[tuple(_dot(row, p) for row in q_rows) for p in pts] for pts in int_points]
     survivors = []
     misses = []  # least gap of each collection with no surviving partition
     for ell, plist in enumerate(partitions_per_col):
@@ -397,13 +390,17 @@ def _evaluate_direction(q_rows, collections, partitions_per_col, stats):
         weights, gap = lp_solve_eq(_combo_pieces(iproj, combo), scale)
         stats["lps"] += 1
         if weights is not None:
-            point = convex_combination(weights[0], _combo_pieces(proj, combo)[0])
-            return (combo, CommonPointWitness(point=point, weights=weights)), ZERO
+            return (combo, weights), ZERO
         best = _least(best, gap)
     return None, best
 
 
-def _build_certificate(instance, q_rows, combo, witness) -> TransversalCertificate:
+def _build_certificate(instance, q_rows, combo, weights) -> TransversalCertificate:
+    """Certificate for a hit of `_evaluate_direction` on quotient `q_rows`.
+
+    Piece 0's witness is the convex combination of its original points,
+    and the plane is {x : q_rows x = q_rows witness} (all of R^d at k = d).
+    """
     d, k = instance.d, instance.k
     if d - k == 0:
         base = tuple(ZERO for _ in range(d))
@@ -411,13 +408,13 @@ def _build_certificate(instance, q_rows, combo, witness) -> TransversalCertifica
             tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d)
         )
     else:
-        particular, null = linalg.solve(
-            [list(r) for r in q_rows], list(witness.point)
-        )
+        first = [instance.collections[0].points[i] for i in combo[0].pieces[0]]
+        point = convex_combination(weights[0], first)
+        particular, null = linalg.solve(q_rows, [_dot(row, point) for row in q_rows])
         base = tuple(particular)
         dirs = tuple(tuple(v) for v in null)
     plane = KPlane(base=base, directions=dirs)
-    return _certificate(instance, plane, combo, witness.weights)
+    return _certificate(instance, plane, combo, weights)
 
 
 def _certificate(instance, plane, combo, piece_weights) -> TransversalCertificate:
@@ -448,24 +445,26 @@ def solve_transversal(
     """Scan candidate directions for a k-plane meeting one piece hull per slot.
 
     The candidates are `_candidate_quotients`, a finite, deterministic
-    list.  A returned certificate is exact; "budget-exhausted" means the
-    list ran out, not that no plane exists.  budget is ignored: it is
-    kept so that callers passing a `SearchBudget` still work.
+    list of integer quotient rows.  The points of all collections are
+    scaled to integers once, with one scale, and each direction projects
+    those (`_evaluate_direction`).  A returned certificate is exact;
+    "budget-exhausted" means the list ran out, not that no plane exists.
+    budget is ignored: it is kept so that callers passing a
+    `SearchBudget` still work.
     """
     stats = {"lps": 0, "directions": 0}
     partitions_per_col = _partition_lists(instance)
     if partitions_per_col is None:
         return SolveReport("no-valid-partition", None, None, stats)
+    # one scale for all collections: joint LPs pool their pieces
+    int_points, scale = integer_point_lists([cfg.points for cfg in instance.collections])
 
     best_gap = None
     for q_rows in _candidate_quotients(instance):
         stats["directions"] += 1
-        hit, gap = _evaluate_direction(
-            q_rows, instance.collections, partitions_per_col, stats
-        )
+        hit, gap = _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats)
         if hit is not None:
-            combo, witness = hit
-            cert = _build_certificate(instance, q_rows, combo, witness)
+            cert = _build_certificate(instance, q_rows, *hit)
             return SolveReport("certified", cert, ZERO, stats)
         best_gap = _least(best_gap, gap)
     return SolveReport("budget-exhausted", None, best_gap, stats)
@@ -503,21 +502,18 @@ def solve_hyperplane_transversal_exact(
     if not all(counts):
         return SolveReport("no-valid-partition", None, None, stats)
     points = [cfg.points for cfg in instance.collections]
-    pooled = [p for pts in points for p in pts]
     # each candidate plane may check every representative of every collection
-    total = comb(len(pooled), d) * sum(counts)
+    total = comb(sum(map(len, points)), d) * sum(counts)
     if total > choice_cap:
         raise CapExceeded(
             f"hyperplane search needs {total} plane checks, cap is {choice_cap}"
         )
     partitions_per_col = _partition_lists(instance)
     # in units of 1/scale, sides a.v - b and misses are ints
-    ints, scale = integer_points(pooled)
-    flat = iter(ints)
-    int_points = [[next(flat) for _ in pts] for pts in points]
+    int_points, scale = integer_point_lists(points)
 
     best_gap = None
-    for normal, offset in _candidate_planes(ints, d):
+    for normal, offset in _candidate_planes([p for pts in int_points for p in pts], d):
         stats["planes"] += 1
         sides = [[_dot(normal, v) - offset for v in pts] for pts in int_points]
         found = [_first_met(s, plist) for s, plist in zip(sides, partitions_per_col)]
@@ -532,10 +528,6 @@ def solve_hyperplane_transversal_exact(
     # each representative combination ruled out stands for its whole orbit
     stats["combos"] = prod(n * factorial(r) for n, r in zip(counts, instance.rs))
     return SolveReport("infeasible-exhausted", None, best_gap, stats)
-
-
-def _dot(normal, point):
-    return sum(a * c for a, c in zip(normal, point))
 
 
 def _candidate_planes(points, d):

@@ -3,9 +3,11 @@
 The combinatorial objects here are small and explicit: a complex is its
 facet list, faces are sorted vertex tuples, boundary maps use the
 alternating-sign convention on sorted vertices.  The degree computation
-at the end certifies the piecewise-linear weight map from a join of
-chessboard complexes onto a sphere by exact signed counting of the
-preimages of one regular value; no floating point, no normalisation.
+at the end certifies the piecewise-linear weight map from the (d+1)-fold
+join of the r x (r-1) chessboard complex onto a sphere by exact signed
+counting of the preimages of one regular value.  It is counted on one
+oriented board: the join is never built, and its degree is the product
+of the board degrees.  No floating point, no normalisation.
 """
 from __future__ import annotations
 
@@ -384,26 +386,6 @@ def is_free_action(complex_: SimplicialComplex, action: PermutationAction) -> bo
 
 # ---------------------------------------------------------------------------
 # the weight map and its degree
-
-
-def test_map_complex(r: int, d: int, cap: int = FACET_CAP):
-    """(d+1)-fold join of the r x (r-1) chessboard complex, with vertex info.
-
-    Returns (complex, info) where info[v] = (factor, row, col).  Vertex
-    ids are factor-major, then row-major.  The facet count of the whole
-    join is checked against `cap` before any facet is generated.
-    """
-    if r < 2 or d < 0:
-        raise ValueError("need r >= 2 and d >= 0")
-    _check_cap(math.perm(r, r - 1) ** (d + 1), cap)
-    complex_ = board = chessboard_complex(r, r - 1, cap)
-    for _ in range(d):
-        complex_ = join(complex_, board, cap)
-    return complex_, _vertex_info(r, d)
-
-
-def _vertex_info(r: int, d: int):
-    return tuple(itertools.product(range(d + 1), range(r), range(r - 1)))
 
 
 def _weight_coords(r: int, row: int):

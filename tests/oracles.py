@@ -15,9 +15,10 @@ boundary of a boundary vanishes, and takes its primality test from
 pseudo-manifold check and orientation before they shared one facet
 walk: a ridge map and DFS each, with orientation checking the complex
 first and stopping at the first sign conflict.
-`PLMap`, `weight_map` and `weight_images` build the weight map on the
-whole (d+1)-fold chessboard join that `topology.test_map_degree` once
-counted on.  `signed_crossings_reference` is that count before it was
+`chessboard_join` is the package's former `test_map_complex`: it builds
+the whole (d+1)-fold chessboard join that `topology.test_map_degree`
+once counted on, and `PLMap`, `weight_map` and `weight_images` the
+weight map on it.  `signed_crossings_reference` is that count before it was
 factored into board blocks: one `linalg.solve` of each join facet's full
 matrix, and `linalg.det` on each crossing facet.
 `join_signed_crossings` is the count factored into board blocks but
@@ -49,6 +50,10 @@ comparison with it checks the separator test alone.  `snap_quotients` is the cod
 direction list the candidate scan generalised: the distinct normals
 through d input points, from the solver's own `_flat_normals`, so a
 comparison with it checks the scan's order and deduplication.
+`fraction_projected_transversal` is the candidate scan before it scaled
+its points once per search: a Fraction projection and a fresh integer
+scale per direction, and the witness and plane base taken from the
+projected points.
 """
 import itertools
 import math
@@ -58,14 +63,14 @@ from fractions import Fraction
 from tverlab import kernels, linalg, solver, topology
 from tverlab.errors import PreconditionError
 from tverlab.geometry import (
+    CommonPointWitness,
     Verdict,
     as_point,
     convex_combination,
     convex_combination_fault,
-    integer_points,
     lp_solve_eq,
 )
-from tverlab.linalg import is_prime
+from tverlab.linalg import integer_points, is_prime
 from tverlab.model import PartitionTuple, enumerate_colorful_partitions
 
 ZERO = Fraction(0)
@@ -438,18 +443,34 @@ class PLMap:
             raise ValueError("image point dimension mismatch")
 
 
+def chessboard_join(r: int, d: int):
+    """(d+1)-fold join of the r x (r-1) chessboard complex, with vertex info.
+
+    Returns (complex, info) where info[v] = (factor, row, col).  Vertex
+    ids are factor-major, then row-major.
+    """
+    complex_ = board = topology.chessboard_complex(r, r - 1)
+    for _ in range(d):
+        complex_ = topology.join(complex_, board)
+    return complex_, vertex_info(r, d)
+
+
+def vertex_info(r: int, d: int):
+    return tuple(itertools.product(range(d + 1), range(r), range(r - 1)))
+
+
 def weight_images(r: int, d: int):
     """c_ell (x) b_i for each vertex (ell, i, j): block c is c_ell[c] b_i,
     where b_i = topology._weight_coords(r, i)."""
     return tuple(
         tuple(c * b for c in topology._factor_vector(d, ell) for b in topology._weight_coords(r, i))
-        for ell, i, _j in topology._vertex_info(r, d)
+        for ell, i, _j in vertex_info(r, d)
     )
 
 
 def weight_map(r: int, d: int) -> PLMap:
     """The weight map on the (d+1)-fold chessboard join, built in full."""
-    complex_, _info = topology.test_map_complex(r, d)
+    complex_, _info = chessboard_join(r, d)
     return PLMap(complex_=complex_, images=weight_images(r, d), target_dim=(r - 1) * (d + 1))
 
 
@@ -468,7 +489,7 @@ def join_signed_crossings(plm, signs, value):
     d = n // (r - 1) - 1 if r > 1 else -1
     if d < 0 or plm.images != weight_images(r, d):
         raise PreconditionError("the factored count needs the weight map's images")
-    m, info = r - 1, topology._vertex_info(r, d)
+    m, info = r - 1, vertex_info(r, d)
     cs = [topology._factor_vector(d, ell) for ell in range(d + 1)]
     kron = [[cs[ell][c] * (k == k2) for ell in range(d + 1) for k2 in range(m)]
             for c in range(d + 1) for k in range(m)]
@@ -701,6 +722,76 @@ def pair_snap_quotients(instance):
         if row not in seen:
             seen.append(row)
     return [[[Fraction(v) for v in row]] for row in seen]
+
+
+def fraction_projected_transversal(instance):
+    """`solver.solve_transversal` with every direction projected in Fractions.
+
+    The scan before the search scaled its points once: per candidate,
+    each input point is projected by Fraction quotient rows, the
+    projections are scaled to integers afresh with their own scale, and
+    piece 0's witness and the plane's base come from the projected
+    points.  Same candidates, partitions, LP order and certificate
+    assembly as the solver, so a comparison checks the projection and
+    its scaling alone.
+    """
+    stats = {"lps": 0, "directions": 0}
+    plists = solver._partition_lists(instance)
+    if plists is None:
+        return solver.SolveReport("no-valid-partition", None, None, stats)
+    best = None
+    for rows in solver._candidate_quotients(instance):
+        stats["directions"] += 1
+        q_rows = [[Fraction(v) for v in row] for row in rows]
+        hit, gap = fraction_projected_direction(q_rows, instance.collections, plists, stats)
+        if hit is not None:
+            combo, witness = hit
+            if instance.d == instance.k:
+                base = (ZERO,) * instance.d
+                dirs = [[ONE if i == j else ZERO for j in range(instance.d)] for i in range(instance.d)]
+            else:
+                base, dirs = linalg.solve(q_rows, list(witness.point))
+            plane = solver.KPlane(base=base, directions=dirs)
+            cert = solver._certificate(instance, plane, combo, witness.weights)
+            return solver.SolveReport("certified", cert, ZERO, stats)
+        best = gap if best is None or gap < best else best
+    return solver.SolveReport("budget-exhausted", None, best, stats)
+
+
+def _project(q_rows, point):
+    return tuple(sum((r[c] * point[c] for c in range(len(point))), ZERO) for r in q_rows)
+
+
+def fraction_projected_direction(q_rows, collections, plists, stats):
+    """The parent of `solver._evaluate_direction`: ((combo, witness), 0) or (None, gap)."""
+    proj = [[_project(q_rows, p) for p in cfg.points] for cfg in collections]
+    ints, scale = integer_points([p for pts in proj for p in pts])
+    flat = iter(ints)
+    iproj = [[next(flat) for _ in pts] for pts in proj]
+    survivors, misses = [], []
+    for ell, plist in enumerate(plists):
+        good, gmin = [], None
+        for part in plist:
+            weights, gap = lp_solve_eq([[iproj[ell][i] for i in piece] for piece in part.pieces], scale)
+            stats["lps"] += 1
+            if weights is not None:
+                good.append(part)
+            else:
+                gmin = gap if gmin is None or gap < gmin else gmin
+        survivors.append(good)
+        if not good:
+            misses.append(gmin)
+    if misses:
+        return None, sum(misses, ZERO)
+    best = None
+    for combo in itertools.product(*survivors):
+        weights, gap = lp_solve_eq(solver._combo_pieces(iproj, combo), scale)
+        stats["lps"] += 1
+        if weights is not None:
+            point = convex_combination(weights[0], solver._combo_pieces(proj, combo)[0])
+            return (combo, CommonPointWitness(point=point, weights=weights)), ZERO
+        best = gap if best is None or gap < best else best
+    return None, best
 
 
 def first_met_flags(side, plist):

@@ -262,14 +262,16 @@ def test_topology_degree(capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (("free", "--r", "3", "--n", "2", "--copies", "0"), "--copies"),
-        (("free", "--r", "3", "--n", "2", "--copies", "-1"), "--copies"),
-        (("degree", "--r", "3", "--d", "1", "--attempts", "0"), "--attempts"),
-        (("degree", "--r", "3", "--d", "1", "--attempts", "-2"), "--attempts"),
+        (("topology", "free", "--r", "3", "--n", "2", "--copies", "0"), "--copies"),
+        (("topology", "free", "--r", "3", "--n", "2", "--copies", "-1"), "--copies"),
+        (("topology", "degree", "--r", "3", "--d", "1", "--attempts", "0"), "--attempts"),
+        (("topology", "degree", "--r", "3", "--d", "1", "--attempts", "-2"), "--attempts"),
+        (("sweep", "--d", "2", "--k", "0", "--rs", "3", "--trials", "0"), "--trials"),
+        (("sweep", "--d", "2", "--k", "0", "--rs", "3", "--trials", "-1"), "--trials"),
     ],
 )
 def test_topology_counts_below_one_are_usage_errors(capsys, argv, flag):
-    code, out, err = run(capsys, "topology", *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert flag in err
     assert out == ""

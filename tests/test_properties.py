@@ -6,13 +6,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tverlab import linalg, serialize, solver, svg
-from tverlab.geometry import common_point_gap, integer_points, lp_solve_eq
+from tverlab.geometry import common_point_gap, lp_solve_eq
+from tverlab.linalg import integer_point_lists, integer_points
 from tverlab.model import ColoredConfig, ProblemInstance, random_instance, tightness_instance
 from tverlab.solver import KPlane
 from tverlab.topology import SimplicialComplex
 
 from oracles import (
     common_point_rows,
+    fraction_projected_direction,
+    fraction_projected_transversal,
     hyperplane_disjunct_search,
     inclusion_maximal,
     ordered_nonempty_partitions,
@@ -198,10 +201,15 @@ def test_facet_maximality_matches_pairwise_oracle(facets, data):
 
 
 @st.composite
-def colored_configs(draw, d, r, max_points, span=3):
-    """r to max_points points on the grid [-span, span]^d, classes of size at most r."""
+def colored_configs(draw, d, r, max_points, span=3, coord=None):
+    """r to max_points points, classes of size at most r.
+
+    Coordinates come from `coord`, by default the grid [-span, span].
+    """
     n = draw(st.integers(r, max_points))
-    points = draw(st.lists(st.tuples(*[st.integers(-span, span)] * d), min_size=n, max_size=n))
+    if coord is None:
+        coord = st.integers(-span, span)
+    points = draw(st.lists(st.tuples(*[coord] * d), min_size=n, max_size=n))
     classes, start = [], 0
     while start < n:
         size = draw(st.integers(1, min(r, n - start)))
@@ -370,3 +378,74 @@ def test_hyperplane_plane_scan_matches_disjunct_lps(inst):
 @given(hyperplane_instances().filter(lambda inst: inst.d > 1))
 def test_candidate_quotients_match_the_snap_reference(inst):
     assert list(solver._candidate_quotients(inst)) == snap_quotients(inst)
+
+
+@st.composite
+def rational_transversal_instances(draw):
+    """k in {0, 1, d-1, d}, d <= 3, with coordinates of denominator up to 6.
+
+    A direction's projections then often need a smaller scale than the
+    points themselves, so the search's scale is a proper multiple of the
+    per-direction one.
+    """
+    d, k = draw(st.sampled_from([(d, k) for d in (1, 2, 3) for k in sorted({0, 1, d - 1, d})]))
+    rs = tuple(draw(st.sampled_from((2, 2, 3))) for _ in range(k + 1))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    budget = max(6, sum(rs))
+    collections = []
+    for ell, r in enumerate(rs):
+        room = budget - sum(cfg.size for cfg in collections) - sum(rs[ell + 1:])
+        collections.append(draw(colored_configs(d, r, room, coord=coord)))
+    return ProblemInstance(d=d, k=k, rs=rs, collections=tuple(collections))
+
+
+def halved_and_shifted(inst):
+    """inst under x -> x/2 + 1/3 in every coordinate: same answers, scale 6."""
+    collections = tuple(
+        ColoredConfig(
+            dim=cfg.dim,
+            points=[tuple(c / 2 + Fraction(1, 3) for c in p) for p in cfg.points],
+            classes=cfg.classes,
+        )
+        for cfg in inst.collections
+    )
+    return ProblemInstance(d=inst.d, k=inst.k, rs=inst.rs, collections=collections)
+
+
+# parallel segments: along the normal (0, 1) each collection's pieces
+# meet, but the joint LP misses, two pieces 1/3 off piece 0, at
+# projection scale 3, half the search's; that 2/3 is the least gap
+@example(singleton_classes(2, [(0, 0), (Fraction(1, 2), 0)], [(0, Fraction(1, 3)), (1, Fraction(1, 3))]))
+# each certifies; the d=3 k=1 hit is on a direction whose projections
+# need scale 2, a third of the search's
+@example(halved_and_shifted(random_instance(3, 1, (2, 2), seed=3)))
+@example(halved_and_shifted(random_instance(3, 2, (2, 2, 2), seed=0)))
+@example(halved_and_shifted(random_instance(3, 3, (2, 2, 2, 2), seed=0)))
+@given(rational_transversal_instances())
+@settings(max_examples=100)
+def test_candidate_scan_matches_fraction_projected_reference(inst):
+    report = solver.solve_transversal(inst)
+    expected = fraction_projected_transversal(inst)
+    assert report.status == expected.status
+    assert report.gap == expected.gap
+    assert report.stats == expected.stats
+    assert report.certificate == expected.certificate
+    cert_bytes = [
+        rep.certificate and serialize.canonical_bytes(serialize.certificate_to_json(rep.certificate))
+        for rep in (report, expected)
+    ]
+    assert cert_bytes[0] == cert_bytes[1]
+    if report.certified:
+        assert solver.verify_transversal(inst, report.certificate)
+    # every direction's hit or gap, not only the first hit or least gap
+    plists = solver._partition_lists(inst)
+    if plists is None:
+        return
+    int_points, scale = integer_point_lists([cfg.points for cfg in inst.collections])
+    for rows in solver._candidate_quotients(inst):
+        hit, gap = solver._evaluate_direction(rows, int_points, scale, plists, {"lps": 0})
+        ref_hit, ref_gap = fraction_projected_direction(
+            [[Fraction(v) for v in row] for row in rows], inst.collections, plists, {"lps": 0}
+        )
+        assert gap == ref_gap
+        assert hit == (ref_hit and (ref_hit[0], ref_hit[1].weights))

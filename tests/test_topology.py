@@ -17,6 +17,7 @@ from tverlab.errors import CapExceeded, PreconditionError
 from oracles import (
     PLMap,
     chain_complex_mod_p,
+    chessboard_join,
     join_signed_crossings,
     orient_reference,
     pseudo_manifold_reference,
@@ -407,7 +408,7 @@ def test_row_shift_acts_freely_on_boards():
 
 
 def test_row_shift_acts_freely_on_join():
-    km, _info = tp.test_map_complex(3, 1)
+    km, _info = chessboard_join(3, 1)
     assert tp.is_free_action(km, tp.cyclic_row_action(3, 2, copies=2))
 
 
@@ -436,7 +437,7 @@ def test_non_permutation_generator_rejected():
 
 
 def test_map_complex_shape():
-    km, info = tp.test_map_complex(3, 1)
+    km, info = chessboard_join(3, 1)
     assert km.n_vertices == 12
     assert len(km.facets) == 36
     assert km.dim == 3
@@ -520,7 +521,7 @@ def test_factored_count_matches_facet_by_facet_solve():
 @pytest.mark.parametrize("r,d", [(r, d) for r in (2, 3) for d in range(4)] + [(4, d) for d in range(3)])
 def test_join_orientation_is_the_product_of_board_orientations(r, d):
     board_signs = tp.orient(tp.chessboard_complex(r, r - 1)).signs
-    bad, connected, signs = tp._facet_walk(tp.test_map_complex(r, d)[0])
+    bad, connected, signs = tp._facet_walk(chessboard_join(r, d)[0])
     assert not bad and connected
     assert signs == tuple(math.prod(p) for p in itertools.product(board_signs, repeat=d + 1))
 
@@ -638,11 +639,10 @@ def test_degree_deterministic():
 
 
 def test_degree_bad_args():
-    for build in (tp.test_map_complex, tp.test_map_degree):
-        with pytest.raises(ValueError):
-            build(1, 2)
-        with pytest.raises(ValueError):
-            build(3, -1)
+    with pytest.raises(ValueError):
+        tp.test_map_degree(1, 2)
+    with pytest.raises(ValueError):
+        tp.test_map_degree(3, -1)
 
 
 def test_plmap_validation():
@@ -705,8 +705,6 @@ def test_mixed_size_facet_check_needs_no_face_enumeration():
 def test_caps_are_enforced():
     with pytest.raises(CapExceeded):
         tp.chessboard_complex(5, 4, cap=10)
-    with pytest.raises(CapExceeded):
-        tp.test_map_complex(3, 2, cap=10)
     board = tp.chessboard_complex(3, 2)
     with pytest.raises(CapExceeded):
         tp.join(board, board, cap=35)
@@ -718,8 +716,6 @@ def test_default_cap_fires_before_facets_are_generated(monkeypatch):
         raise AssertionError("facets were enumerated past the cap")
 
     monkeypatch.setattr(tp.itertools, "permutations", no_enumeration)
-    # 11! = 39,916,800 rook placements, 6^10 join facets: both above 10^7
+    # 11! = 39,916,800 rook placements, above 10^7
     with pytest.raises(CapExceeded):
         tp.chessboard_complex(11, 11)
-    with pytest.raises(CapExceeded):
-        tp.test_map_complex(3, 9)
