@@ -6,7 +6,9 @@ many point sets ("pieces"), decide whether their convex hulls share a
 point and produce either an exact convex-combination witness or the
 exact phase-1 violation gap.  For two pieces that miss, the LP's dual
 also gives the integer normal of a hyperplane strictly between them
-(`pair_gap_normal`).  A search scales its points to integers once
+(`pair_gap_normal`), and any stored normal, scaled into a feasible dual
+point, bounds another pair's gap from below with no LP
+(`pair_gap_bound`).  A search scales its points to integers once
 (`linalg.integer_points`), builds each LP's rows as plain ints
 (`_common_point_lp`) for the fraction-free integer simplex kernel, and
 makes Fractions only for the returned weights and gap.
@@ -129,6 +131,37 @@ def pair_gap_normal(a, b, scale):
     h = [gapden - v for v in obj[first:first + len(a[0])]]
     g = gcd(*h)
     return Fraction(gapnum, gapden * scale), tuple(v // g for v in h)
+
+
+def pair_gap_bound(ha, hb, hmax, hmin, scale):
+    """A lower bound on `lp_solve_eq([a, b], scale)`'s gap from a normal h, with no LP.
+
+    ha and hb hold h.p for the points of a and of b, and hmax, hmin are
+    h's largest and smallest entries.  The two-piece LP of
+    `_common_point_lp([a, b], scale)` has the dual: maximise y_a + y_b
+    subject to y_a <= scale, y_b <= scale, y_c <= 1 on each coordinate
+    row, y_a + y_c.p <= 0 for p in a and y_b - y_c.q <= 0 for q in b.
+    For an orientation s = +-1 let A = max s*h.p over a and B = min
+    s*h.q over b.  For t >= 0 with t * max(s*h) <= 1, y_c = t*s*h,
+    y_a = min(scale, -t*A) and y_b = min(scale, t*B) are dual feasible,
+    so by weak duality (Schrijver 1986, ch. 7) (y_a + y_b)/scale is at
+    most the gap.  When B > A that value is positive and concave in t,
+    so it peaks at one of the breakpoints 1/max(s*h), scale/(-A) and
+    scale/B that lie in range.  The best over both orientations is
+    returned; 0 when h separates neither way.  For the normal
+    `pair_gap_normal(a, b, scale)` returns, the bound equals the gap.
+    """
+    num, den = 0, 1
+    for big, low, top in ((max(ha), min(hb), hmax), (-min(ha), -max(hb), -hmin)):
+        if low <= big:
+            continue
+        # breakpoints t = p/q, kept when t * top <= 1
+        for p, q in ((1, top), (scale, -big), (scale, low)):
+            if q > 0 and p * top <= q:
+                value = min(scale * q, -p * big) + min(scale * q, p * low)
+                if value * den > num * q:
+                    num, den = value, q
+    return Fraction(num, den * scale)
 
 
 def common_point_gap(pieces):

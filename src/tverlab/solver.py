@@ -3,10 +3,12 @@
 Three search modes, all exact; `solve` picks one from the plane dimension:
 
 * `solve_tverberg` — exhaustive over colorful partitions of one collection,
-  up to relabelling pieces; complete.  Memoised two-piece LPs rule
-  partitions out before their full integer LP, and the dual normal of
-  a two-piece LP that missed, kept as a separating hyperplane, can rule
-  a later pair out with no LP.
+  up to relabelling pieces; complete.  LPs are memoised by the pieces'
+  coordinate multisets, so coincident points pose each LP once.
+  Two-piece LPs rule partitions out before their full integer LP, and
+  the dual normal of a two-piece LP that missed, kept as a separating
+  hyperplane, can rule a later pair out with no LP, or bound its gap
+  from below by weak duality when no hit is found.
 * `solve_transversal` — scans a finite list of exact candidate direction
   subspaces for a k-plane (each the intersection of d-k hyperplanes
   through one k-subset of the input points), then certifies membership
@@ -41,6 +43,7 @@ from .geometry import (
     convex_combination,
     convex_combination_fault,
     lp_solve_eq,
+    pair_gap_bound,
     pair_gap_normal,
 )
 from .linalg import integer_point_lists, integer_points
@@ -181,19 +184,27 @@ def _partition_lists(instance: ProblemInstance):
 def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     """Try every nonempty colorful partition; complete, deterministic.
 
-    For r >= 3, two pieces whose hulls miss rule a partition out, so
-    two-piece LPs, memoised per search, defer its full LP; the first hit
-    is unchanged.  A two-piece LP that misses also yields an integer
-    normal strictly separating its pieces (`pair_gap_normal`, from the
-    LP's Farkas dual).  The last `_SEPARATORS` of them, most recently
-    useful first, are tried on a pair before its LP; one that strictly
-    separates the pieces rules the pair out with no LP.  That test is
-    exact and only ever proves a miss, so the same partitions reach
-    their full LP as with pair LPs alone: same first hit, weights and
-    gap.  The (piece 0, piece j) LP is a row-and-column subsystem of the
-    full LP, so its gap bounds the full gap from below.  After a search
-    with no hit, a deferred full LP runs only when all those bounds lie
-    below the least gap so far; bounds a normal skipped are solved then.
+    Points with equal coordinates share a block of bits, so a piece's
+    code, the sum of its points' units, is its coordinate multiset.  Two
+    representatives with the same ordered tuple of codes pose the same
+    LP up to the order of each piece's columns, so they have one
+    feasibility and one gap: a full LP that missed is memoised by that
+    tuple, and one that hit ends the search with its own weights.  For
+    r >= 3, two pieces whose hulls miss rule a partition out, so
+    two-piece LPs, memoised per search by the pair's codes, defer its
+    full LP; the first hit is unchanged.  A two-piece LP that misses
+    also yields an integer normal strictly separating its pieces
+    (`pair_gap_normal`, from the LP's Farkas dual).  The last
+    `_SEPARATORS` of them, most recently useful first, are tried on a
+    pair before its LP; one that strictly separates the pieces rules the
+    pair out with no LP.  That test is exact and only ever proves a
+    miss, so the same partitions reach their full LP as with pair LPs
+    alone: same first hit, weights and gap.  The (piece 0, piece j) LP
+    is a row-and-column subsystem of the full LP, so its gap bounds the
+    full gap from below.  After a search with no hit, a deferred full LP
+    runs only when all those bounds lie below the least gap so far.  A
+    pair a normal skipped gets its LP then, unless a stored normal's
+    dual bound (`pair_gap_bound`) already reaches the least gap.
     stats: "lps" full LPs, "pair_lps" two-piece LPs, "partitions"
     ordered tuples covered.
     """
@@ -201,19 +212,27 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
         raise ValueError("need at least two pieces")
     stats = {"partitions": 0, "lps": 0, "pair_lps": 0}
     ints, scale = integer_points(config.points)
-    n = config.size
-    bit = [1 << i for i in range(n)]
-    pair_gaps = {}  # mask(a) << n | mask(b) -> gap of the LP on pieces (a, b)
-    separators = []  # h.p for every point p, one list per stored normal h
+    # equal points share a block of len(group).bit_length() bits, in first-index order
+    groups = {}
+    for i, p in enumerate(ints):
+        groups.setdefault(p, []).append(i)
+    unit = [0] * config.size
+    width = 0
+    for group in groups.values():
+        for i in group:
+            unit[i] = 1 << width
+        width += len(group).bit_length()
+    missed = set()  # piece-code tuples whose full LP missed; best holds their gap
+    pair_gaps = {}  # code(a) << width | code(b) -> gap of the LP on pieces (a, b)
+    separators = []  # (h.p for every point p, max(h), min(h)) per stored normal h
     apart = set()  # keys of pairs a stored normal separated, with no LP
     pairs = list(itertools.combinations(range(r), 2))  # (0, j) first
 
     def lp(pieces):
         return lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale)
 
-    def keys_of(part):
-        masks = [sum(map(bit.__getitem__, piece)) for piece in part.pieces]
-        return [masks[i] << n | masks[j] for i, j in pairs]
+    def codes_of(part):
+        return tuple(sum(map(unit.__getitem__, piece)) for piece in part.pieces)
 
     def pair_gap(part, key, pair):
         if key not in pair_gaps:
@@ -221,14 +240,15 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
             a, b = ([ints[i] for i in part.pieces[j]] for j in pair)
             pair_gaps[key], normal = pair_gap_normal(a, b, scale)
             if normal is not None:
-                separators.insert(0, [sum(map(operator.mul, normal, p)) for p in ints])
+                proj = [sum(map(operator.mul, normal, p)) for p in ints]
+                separators.insert(0, (proj, max(normal), min(normal)))
                 del separators[_SEPARATORS:]
         return pair_gaps[key]
 
     def separated(part, key, pair):
         """Whether a stored normal strictly separates the pair's pieces."""
         a, b = (part.pieces[j] for j in pair)
-        for k, proj in enumerate(separators):
+        for k, (proj, _, _) in enumerate(separators):
             ha = [proj[i] for i in a]
             hb = [proj[i] for i in b]
             if max(ha) < min(hb) or max(hb) < min(ha):
@@ -237,22 +257,45 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
                 return True
         return False
 
-    def ruled_out(part):
+    def bounded(part, pair):
+        """Whether a stored normal's dual bound puts the pair's gap at or above best."""
+        a, b = (part.pieces[j] for j in pair)
+        for k, (proj, hmax, hmin) in enumerate(separators):
+            ha = [proj[i] for i in a]
+            hb = [proj[i] for i in b]
+            if pair_gap_bound(ha, hb, hmax, hmin, scale) >= best:
+                separators.insert(0, separators.pop(k))
+                return True
+        return False
+
+    def ruled_out(part, codes):
         """Whether two pieces miss: by the memo, a stored normal, or a pair LP."""
-        keys = keys_of(part)
+        keys = [codes[i] << width | codes[j] for i, j in pairs]
         if any(map(pair_gaps.get, keys)) or not apart.isdisjoint(keys):
             return True
         # fewest points first: the cheapest pair LPs, and the likeliest to miss
-        by_size = sorted(zip(keys, pairs), key=lambda kp: kp[0].bit_count())
+        sizes = list(map(len, part.pieces))
+        by_size = sorted(zip(keys, pairs), key=lambda kp: sizes[kp[1][0]] + sizes[kp[1][1]])
         return any(
             key not in pair_gaps and (separated(part, key, pair) or pair_gap(part, key, pair))
             for key, pair in by_size
         )
 
+    def below(part, codes, j):
+        """Whether the (piece 0, piece j) gap may lie below best."""
+        key = codes[0] << width | codes[j]
+        if key not in pair_gaps and bounded(part, (0, j)):
+            return False
+        return pair_gap(part, key, (0, j)) < best
+
     hit = best = None
     flags = bytearray()  # per representative: 1 if its full LP was deferred
     for part in enumerate_colorful_partitions(config, r):
-        flags.append(r > 2 and ruled_out(part))
+        codes = codes_of(part)
+        if codes in missed:
+            flags.append(0)
+            continue
+        flags.append(r > 2 and ruled_out(part, codes))
         if flags[-1]:
             continue
         stats["lps"] += 1
@@ -260,13 +303,18 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
         if weights is not None:
             hit = part, weights
             break
+        missed.add(codes)
         best = _least(best, gap)
     if hit is None and any(flags):
         for part in itertools.compress(enumerate_colorful_partitions(config, r), flags):
-            keys = keys_of(part)
-            if best is None or all(pair_gap(part, *kp) < best for kp in zip(keys, pairs[:r - 1])):
+            codes = codes_of(part)
+            if codes in missed:
+                continue
+            if best is None or all(below(part, codes, j) for j in range(1, r)):
                 stats["lps"] += 1
-                best = _least(best, lp(part.pieces)[1])
+                gap = lp(part.pieces)[1]
+                missed.add(codes)
+                best = _least(best, gap)
     # each representative decides its r! ordered tuples
     stats["partitions"] = len(flags) * factorial(r)
     if hit is not None:

@@ -45,8 +45,13 @@ is the partition search before its piece-pair filter: one full LP per
 representative, on the solver's own enumeration and LP, so a comparison
 with it checks the filter alone.  `pair_filtered_tverberg` is the
 search with that filter but before stored dual normals could rule a
-pair out: every pair it rules out costs a memoised pair LP, so a
-comparison with it checks the separator test alone.  `snap_quotients` is the codimension-one
+pair out or bound its gap, and before its memos were keyed by
+coordinates: every pair it rules out costs a pair LP memoised by piece
+bitmasks, and every representative that reaches a full LP solves it, so
+a comparison with it checks the separator test, the dual bounds and
+the coordinate memos.  Both list the pieces of every full LP they
+solve, so a comparison can count the distinct coordinate tuples among
+them.  `snap_quotients` is the codimension-one
 direction list the candidate scan generalised: the distinct normals
 through d input points, from the solver's own `_flat_normals`, so a
 comparison with it checks the scan's order and deduplication.
@@ -586,17 +591,20 @@ def unfiltered_tverberg(config, r):
     """`solver.solve_tverberg` with one full common-point LP per representative.
 
     Same first hit, certificate, gap and "partitions" count as the
-    filtered search; its "lps" counts every representative it tried.
+    filtered search; its "lps" counts every representative it tried, and
+    "lp_pieces" lists the pieces of each, in order.
     """
     ints, scale = integer_points(config.points)
     lps, best = 0, None
+    lp_pieces = []
     for part in enumerate_colorful_partitions(config, r):
         lps += 1
+        lp_pieces.append(part.pieces)
         weights, gap = lp_solve_eq([[ints[i] for i in piece] for piece in part.pieces], scale)
         if weights is not None:
             break
         best = gap if best is None or gap < best else best
-    stats = {"partitions": lps * math.factorial(r), "lps": lps}
+    stats = {"partitions": lps * math.factorial(r), "lps": lps, "lp_pieces": lp_pieces}
     if lps == 0:
         return solver.SolveReport("no-valid-partition", None, None, stats)
     if weights is None:
@@ -609,10 +617,12 @@ def unfiltered_tverberg(config, r):
 def pair_filtered_tverberg(config, r):
     """`solver.solve_tverberg` with every piece pair decided by its own LP.
 
-    Same first hit, certificate, gap, "partitions" and "lps" as the
-    search with stored separators; "pair_lps" counts every pair LP.
+    Pair LPs are memoised by piece bitmasks and full LPs not at all.
+    Same first hit, certificate, gap and "partitions" as the search with
+    stored separators and dual bounds; "pair_lps" counts every pair LP,
+    and "lp_pieces" lists the pieces of every full LP, in order.
     """
-    stats = {"partitions": 0, "lps": 0, "pair_lps": 0}
+    stats = {"partitions": 0, "lps": 0, "pair_lps": 0, "lp_pieces": []}
     ints, scale = integer_points(config.points)
     n = config.size
     bit = [1 << i for i in range(n)]
@@ -621,6 +631,11 @@ def pair_filtered_tverberg(config, r):
 
     def lp(pieces):
         return lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale)
+
+    def full_lp(part):
+        stats["lps"] += 1
+        stats["lp_pieces"].append(part.pieces)
+        return lp(part.pieces)
 
     def keys_of(part):
         masks = [sum(map(bit.__getitem__, piece)) for piece in part.pieces]
@@ -642,8 +657,7 @@ def pair_filtered_tverberg(config, r):
             if any(map(pair_gaps.get, keys)) or any(pair_gap(part, *kp) for kp in by_size):
                 deferred += 1
                 continue
-        stats["lps"] += 1
-        weights, gap = lp(part.pieces)
+        weights, gap = full_lp(part)
         if weights is not None:
             hit = part, weights
             break
@@ -654,8 +668,7 @@ def pair_filtered_tverberg(config, r):
             if not any(map(pair_gaps.get, keys)):
                 continue
             if best is None or all(pair_gap(part, *kp) < best for kp in zip(keys, pairs[:r - 1])):
-                stats["lps"] += 1
-                gap = lp(part.pieces)[1]
+                gap = full_lp(part)[1]
                 best = gap if best is None or gap < best else best
     stats["partitions"] = covered * math.factorial(r)
     if hit is not None:

@@ -1,12 +1,13 @@
 """Property-based invariants for the exact-arithmetic core."""
 
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tverlab import linalg, serialize, solver, svg
-from tverlab.geometry import common_point_gap, lp_solve_eq
+from tverlab.geometry import common_point_gap, lp_solve_eq, pair_gap_bound, pair_gap_normal
 from tverlab.linalg import integer_point_lists, integer_points
 from tverlab.model import ColoredConfig, ProblemInstance, random_instance, tightness_instance
 from tverlab.solver import KPlane
@@ -290,6 +291,14 @@ def assert_same_search_outcome(report, expected):
     assert report.stats["partitions"] == expected.stats["partitions"]
 
 
+def coordinate_tuples(cfg, lp_pieces):
+    """How many distinct ordered tuples of per-piece coordinate multisets `lp_pieces` hold."""
+    return len({
+        tuple(tuple(sorted(cfg.points[i] for i in piece)) for piece in pieces)
+        for pieces in lp_pieces
+    })
+
+
 @tverberg_examples
 @given(tverberg_cases())
 def test_pair_filtered_tverberg_search_matches_unfiltered(case):
@@ -300,20 +309,54 @@ def test_pair_filtered_tverberg_search_matches_unfiltered(case):
     # a full LP is solved at most once per representative, never at r = 2
     assert report.stats["lps"] <= expected.stats["lps"]
     if r == 2:
-        assert report.stats == {**expected.stats, "pair_lps": 0}
+        # and once per ordered tuple of coordinate multisets
+        assert report.stats["lps"] == coordinate_tuples(cfg, expected.stats["lp_pieces"])
+        assert report.stats["pair_lps"] == 0
 
 
 @tverberg_examples
 @given(tverberg_cases())
 def test_separator_tverberg_search_matches_pair_filtered(case):
-    # a stored dual normal only ever proves a miss, so the same full LPs run
+    # a stored dual normal only ever proves a miss, and a dual bound only
+    # skips a pair whose gap reaches the least gap, so the same
+    # representatives reach a full LP; of those with equal coordinate
+    # tuples only the first solves it (all of them on distinct points)
     cfg, r = case
     report = solver.solve_tverberg(cfg, r)
     expected = pair_filtered_tverberg(cfg, r)
     assert_same_search_outcome(report, expected)
-    assert report.stats["lps"] == expected.stats["lps"]
+    assert report.stats["lps"] == coordinate_tuples(cfg, expected.stats["lp_pieces"])
     # each pair a separator skips costs at most one LP, in the refutation walk
     assert report.stats["pair_lps"] <= expected.stats["pair_lps"]
+
+
+@st.composite
+def normal_and_pieces(draw):
+    """(a, b, normal, scale): integer pieces in [-6, 6]^d, d <= 3, and the
+    dual normal of another drawn pair that misses."""
+    d = draw(st.integers(1, 3))
+    piece = st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=1, max_size=4)
+    a, b, c, e = (draw(piece) for _ in range(4))
+    scale = draw(st.integers(1, 6))
+    normal = pair_gap_normal(c, e, scale)[1]
+    assume(normal is not None)
+    return a, b, normal, scale
+
+
+def dual_bound(a, b, normal, scale):
+    ha, hb = ([sum(map(operator.mul, normal, p)) for p in piece] for piece in (a, b))
+    return pair_gap_bound(ha, hb, max(normal), min(normal), scale)
+
+
+@given(normal_and_pieces())
+@settings(max_examples=300)
+def test_pair_gap_bound_never_exceeds_the_pair_gap(case):
+    a, b, normal, scale = case
+    assert dual_bound(a, b, normal, scale) <= lp_solve_eq([a, b], scale)[1]
+    # a pair's own dual normal bounds its gap exactly
+    gap, own = pair_gap_normal(a, b, scale)
+    if own is not None:
+        assert dual_bound(a, b, own, scale) == gap
 
 
 @given(st.sampled_from(((2, 2), (2, 3))), st.data())

@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import operator
+import sys
 import time
 from fractions import Fraction
 from math import factorial
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from tverlab import geometry, kernels, solver
 from tverlab.errors import CapExceeded, DegenerateIntersection, PreconditionError
 from tverlab.geometry import CommonPointWitness
+from tverlab.linalg import integer_points
 from tverlab.model import (
     ColoredConfig,
     PartitionTuple,
@@ -187,18 +189,40 @@ def test_solve_tverberg_five_pieces_by_piece_pairs():
 
 def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
     seen = []
+    bounds = []
 
     def recording(a, b, scale):
         gap, normal = geometry.pair_gap_normal(a, b, scale)
         seen.append((a, b, scale, gap, normal))
         return gap, normal
 
+    def recording_bound(ha, hb, hmax, hmin, scale):
+        bound = geometry.pair_gap_bound(ha, hb, hmax, hmin, scale)
+        # the caller's frame holds the pair and the least gap it is compared with
+        caller = sys._getframe(1).f_locals
+        bounds.append((cfg, caller["part"], caller["pair"], caller["best"], bound))
+        return bound
+
     monkeypatch.setattr(solver, "pair_gap_normal", recording)
+    monkeypatch.setattr(solver, "pair_gap_bound", recording_bound)
     cases = [(tightness_instance(d, 0, (3,), 0).collections[0], 3) for d in (2, 3)]
-    cases += [(random_instance(3, 0, (3,), seed=s).collections[0], 3) for s in range(4)]
+    cases += [(random_instance(3, 0, (3,), seed=s).collections[0], 3) for s in range(8)]
     cases += [(random_instance(2, 0, (5,), seed=1).collections[0], 5)]
-    pair_lps = sum(solve_tverberg(cfg, r).stats["pair_lps"] for cfg, r in cases)
+    pair_lps = 0
+    for cfg, r in cases:
+        pair_lps += solve_tverberg(cfg, r).stats["pair_lps"]
     assert len(seen) == pair_lps
+    # every dual bound lies at or below its pair's gap, and a pair it
+    # skips (bound at least the least gap) has a gap at least the least gap
+    skips = 0
+    for cfg, part, pair, best, bound in bounds:
+        ints, scale = integer_points(cfg.points)
+        gap = geometry.lp_solve_eq([[ints[i] for i in part.pieces[j]] for j in pair], scale)[1]
+        assert bound <= gap
+        if bound >= best:
+            skips += 1
+            assert gap >= best
+    assert skips > 100
     stored = 0
     for a, b, scale, gap, normal in seen:
         assert gap == geometry.lp_solve_eq([a, b], scale)[1]
