@@ -282,6 +282,8 @@ def cmd_tightness(args) -> int:
 def cmd_sweep(args) -> int:
     if args.trials < 1:
         return _usage("--trials must be at least 1")
+    if args.jitter_q is not None and args.jitter_q < 1:
+        return _usage("--jitter-q must be at least 1")
     profiles = args.profiles
     if profiles is None:
         profiles = tuple(default_profile(args.d, args.k, r) for r in args.rs)

@@ -333,9 +333,11 @@ def random_instance(
 
     profiles gives per-collection class-size tuples; default is the
     extremal profile.  Sizes must respect the r-1 class bound and sum to
-    the required collection size.  jitter_q adds a deterministic rational
-    offset with denominator jitter_q to every coordinate.
+    the required collection size.  jitter_q >= 1 adds a deterministic
+    rational offset with denominator jitter_q to every coordinate.
     """
+    if jitter_q is not None and jitter_q < 1:
+        raise ValueError("jitter_q must be at least 1")
     rs = tuple(rs)
     if len(rs) != k + 1:
         raise ValueError("need k+1 piece counts")
@@ -355,7 +357,7 @@ def random_instance(
         pts = []
         for _ in range(want):
             coords = [Fraction(rng.randint(-grid, grid)) for _ in range(d)]
-            if jitter_q:
+            if jitter_q is not None:
                 coords = [c + Fraction(rng.randint(0, jitter_q - 1), jitter_q) for c in coords]
             pts.append(tuple(coords))
         collections.append(

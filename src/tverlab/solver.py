@@ -201,10 +201,12 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     miss, so the same partitions reach their full LP as with pair LPs
     alone: same first hit, weights and gap.  The (piece 0, piece j) LP
     is a row-and-column subsystem of the full LP, so its gap bounds the
-    full gap from below.  After a search with no hit, a deferred full LP
-    runs only when all those bounds lie below the least gap so far.  A
-    pair a normal skipped gets its LP then, unless a stored normal's
-    dual bound (`pair_gap_bound`) already reaches the least gap.
+    full gap from below.  One walk decides each tuple at its first
+    representative.  With no hit, the deferred tuples are revisited in
+    first-seen order, each full LP running only when all those bounds
+    lie below the least gap so far.  A pair a normal skipped gets its
+    LP then, unless a stored normal's dual bound (`pair_gap_bound`)
+    already reaches the least gap.
     stats: "lps" full LPs, "pair_lps" two-piece LPs, "partitions"
     ordered tuples covered.
     """
@@ -222,7 +224,6 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
         for i in group:
             unit[i] = 1 << width
         width += len(group).bit_length()
-    missed = set()  # piece-code tuples whose full LP missed; best holds their gap
     pair_gaps = {}  # code(a) << width | code(b) -> gap of the LP on pieces (a, b)
     separators = []  # (h.p for every point p, max(h), min(h)) per stored normal h
     apart = set()  # keys of pairs a stored normal separated, with no LP
@@ -288,40 +289,31 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
             return False
         return pair_gap(part, key, (0, j)) < best
 
-    hit = best = None
-    flags = bytearray()  # per representative: 1 if its full LP was deferred
-    for part in enumerate_colorful_partitions(config, r):
+    seen = {}  # codes -> first representative if its full LP was deferred, else None
+    best = None
+    n = 0
+    for n, part in enumerate(enumerate_colorful_partitions(config, r), 1):
         codes = codes_of(part)
-        if codes in missed:
-            flags.append(0)
+        if codes in seen:
             continue
-        flags.append(r > 2 and ruled_out(part, codes))
-        if flags[-1]:
+        if r > 2 and ruled_out(part, codes):
+            seen[codes] = part
             continue
+        seen[codes] = None
         stats["lps"] += 1
         weights, gap = lp(part.pieces)
         if weights is not None:
-            hit = part, weights
-            break
-        missed.add(codes)
+            # each representative decides its r! ordered tuples
+            stats["partitions"] = n * factorial(r)
+            point = convex_combination(weights[0], [config.points[i] for i in part.pieces[0]])
+            cert = TverbergCertificate(point=point, partition=part, weights=weights)
+            return SolveReport("certified", cert, ZERO, stats)
         best = _least(best, gap)
-    if hit is None and any(flags):
-        for part in itertools.compress(enumerate_colorful_partitions(config, r), flags):
-            codes = codes_of(part)
-            if codes in missed:
-                continue
-            if best is None or all(below(part, codes, j) for j in range(1, r)):
-                stats["lps"] += 1
-                gap = lp(part.pieces)[1]
-                missed.add(codes)
-                best = _least(best, gap)
-    # each representative decides its r! ordered tuples
-    stats["partitions"] = len(flags) * factorial(r)
-    if hit is not None:
-        part, weights = hit
-        point = convex_combination(weights[0], [config.points[i] for i in part.pieces[0]])
-        cert = TverbergCertificate(point=point, partition=part, weights=weights)
-        return SolveReport("certified", cert, ZERO, stats)
+    for codes, part in seen.items():
+        if part is not None and (best is None or all(below(part, codes, j) for j in range(1, r))):
+            stats["lps"] += 1
+            best = _least(best, lp(part.pieces)[1])
+    stats["partitions"] = n * factorial(r)
     if best is None:
         return SolveReport("no-valid-partition", None, None, stats)
     return SolveReport("infeasible-exhausted", None, best, stats)

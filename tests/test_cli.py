@@ -268,6 +268,10 @@ def test_topology_degree(capsys):
         (("topology", "degree", "--r", "3", "--d", "1", "--attempts", "-2"), "--attempts"),
         (("sweep", "--d", "2", "--k", "0", "--rs", "3", "--trials", "0"), "--trials"),
         (("sweep", "--d", "2", "--k", "0", "--rs", "3", "--trials", "-1"), "--trials"),
+        (("sweep", "--d", "2", "--k", "0", "--rs", "3", "--trials", "1", "--jitter-q", "0"),
+         "--jitter-q"),
+        (("sweep", "--d", "2", "--k", "0", "--rs", "3", "--trials", "1", "--jitter-q", "-3"),
+         "--jitter-q"),
     ],
 )
 def test_topology_counts_below_one_are_usage_errors(capsys, argv, flag):

@@ -249,6 +249,15 @@ class TestRandomInstance:
             7 % c.denominator == 0 for p in inst.collections[0].points for c in p
         )
 
+    def test_jitter_denominator_below_one_rejected(self):
+        # None alone means no jitter; 0 and negatives are no denominators
+        for q in (0, -3):
+            with pytest.raises(ValueError, match="jitter_q"):
+                random_instance(2, 0, (2,), seed=2, jitter_q=q)
+        assert random_instance(2, 0, (2,), seed=2, jitter_q=None) == random_instance(
+            2, 0, (2,), seed=2
+        )
+
     def test_profile_mismatch_rejected(self):
         with pytest.raises(ValueError):
             random_instance(2, 0, (3,), profiles=((2, 2, 2),), seed=1)

@@ -271,6 +271,9 @@ def tverberg_examples(test):
         # of 1: only pairs holding piece 0 bound the full LP's gap from below
         (ColoredConfig(3, [(0, 0, 0), (0, 1, -1), (0, 0, 0), (0, 0, 1)], [(0,), (1,), (2,), (3,)]), 3),
         (tightness_instance(2, 0, (3,), 0).collections[0], 3),
+        # 729 representatives, 324 distinct coordinate tuples: the refutation
+        # pass revisits each deferred tuple once, not each duplicate
+        (tightness_instance(3, 0, (3,), 0).collections[0], 3),
         (random_instance(2, 0, (3,), seed=3).collections[0], 3),
         (random_instance(1, 0, (4,), seed=0).collections[0], 4),
     ):

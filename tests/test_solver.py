@@ -252,6 +252,25 @@ def test_solve_tverberg_exhausts_tight_configuration():
     assert report.gap > 0
 
 
+def test_solve_tverberg_refutes_in_one_walk(monkeypatch):
+    # duplicate coordinate tuples are decided at their first representative,
+    # so a refutation revisits deferred tuples without enumerating again
+    calls = []
+
+    def counted(config, r):
+        calls.append(r)
+        return enumerate_colorful_partitions(config, r)
+
+    monkeypatch.setattr(solver, "enumerate_colorful_partitions", counted)
+    report = solve_tverberg(tightness_instance(2, 0, (3,), 0).collections[0], 3)
+    assert report.status == "infeasible-exhausted"
+    assert calls == [3]
+    report = solve_tverberg(tightness_instance(2, 0, (4,), 0).collections[0], 4)
+    assert report.status == "infeasible-exhausted"
+    assert report.gap == Fraction(1, 3)
+    assert report.stats == {"partitions": 98_304, "lps": 416, "pair_lps": 299}
+
+
 def test_solve_tverberg_no_valid_partition():
     cfg = ColoredConfig(
         dim=1, points=[(0,), (1,), (2,)], classes=[(0, 1, 2)]
