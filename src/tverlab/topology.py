@@ -151,10 +151,14 @@ def _ridges_of(facet):
 
 
 def _rank_mod_p(columns, p):
-    """Rank over GF(p) of sparse columns {row: value}, by column reduction.
+    """Pivot rows over GF(p) of sparse columns {row: value}; the rank is their number.
 
     A column is reduced by the stored one with the same lowest row until
     it is zero or its lowest row is new, then stored with that entry 1.
+    Entries are updated in place: a stored entry is nonzero, so one that
+    cancels was already in the column.  `homology_mod_p` runs this
+    top-down with clearing (Chen and Kerber): the rows returned for one
+    boundary matrix are the columns the next one never builds.
     """
     stored: dict[int, dict[int, int]] = {}
     for column in columns:
@@ -168,30 +172,45 @@ def _rank_mod_p(columns, p):
                 break
             f = col[low]
             for i, v in pivot.items():
-                col[i] = (col.get(i, 0) - f * v) % p
-            col = {i: v for i, v in col.items() if v}
-    return len(stored)
+                w = (col.get(i, 0) - f * v) % p
+                if w:
+                    col[i] = w
+                else:
+                    del col[i]
+    return set(stored)
 
 
-def boundary_matrix(complex_: SimplicialComplex, d: int):
-    """Sparse boundary columns, one per d-face in faces_by_dim()[d] order:
-    {index in faces_by_dim()[d-1] of the face without vertex pos: (-1)^pos}."""
+def boundary_matrix(complex_: SimplicialComplex, d: int, cleared=()):
+    """Sparse boundary columns, one per d-face in faces_by_dim()[d] order
+    whose index is not in `cleared`: {index in faces_by_dim()[d-1] of the
+    face without vertex pos: (-1)^pos}."""
     faces = complex_.faces_by_dim()
     lower = {f: i for i, f in enumerate(faces[d - 1])}
     return [
         {lower[ridge]: (-1) ** pos for pos, ridge in enumerate(_ridges_of(face))}
-        for face in faces[d]
+        for j, face in enumerate(faces[d])
+        if j not in cleared
     ]
 
 
 def homology_mod_p(complex_: SimplicialComplex, p: int) -> tuple[int, ...]:
-    """Unreduced Betti numbers over GF(p), dimensions 0..dim."""
+    """Unreduced Betti numbers over GF(p), dimensions 0..dim.
+
+    The boundary matrices are reduced top-down with clearing (Chen and
+    Kerber, "Persistent homology computation with a twist", EuroCG 2011).
+    A pivot row sigma of the reduced boundary of dimension d+1 is the
+    highest face of a d-cycle, so the boundary of sigma lies in the span
+    of the columns of earlier d-faces, and the column of sigma is never
+    built: the rank of dimension d does not change without it.
+    """
     if not linalg.is_prime(p):
         raise ValueError(f"{p} is not prime")
     counts = complex_.f_vector()
     ranks = [0] * (complex_.dim + 2)
-    for d in range(1, complex_.dim + 1):
-        ranks[d] = _rank_mod_p(boundary_matrix(complex_, d), p)
+    pivots = set()
+    for d in range(complex_.dim, 0, -1):
+        pivots = _rank_mod_p(boundary_matrix(complex_, d, pivots), p)
+        ranks[d] = len(pivots)
     return tuple(
         counts[d] - ranks[d] - ranks[d + 1] for d in range(complex_.dim + 1)
     )

@@ -6,7 +6,9 @@ tableau, and the hull-intersection oracle enumerates simplex supports
 and solves square-ish linear systems with `rational_solve`.
 `rational_echelon`/`rational_solve` (Fraction Gauss-Jordan) and
 `rational_det` (Fraction Bareiss) are the eliminations `linalg` replaced
-with integer pivoting, and its property test compares the two.  The
+with integer pivoting, and its property test compares the two.
+`trial_division_is_prime` is the primality test `linalg.is_prime`
+replaced with Miller-Rabin.  The
 facet-maximality reference compares every pair of facets.  The mod-p
 chain complex is the one check built on package functions: it composes
 the sparse columns of `topology.boundary_matrix` to confirm that the
@@ -334,6 +336,18 @@ def verify_common_point_witness(pieces, witness) -> Verdict:
             if fault:
                 return Verdict(False, fault)
     return Verdict(True)
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """Primality by trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
 
 
 def inclusion_maximal(facets) -> bool:

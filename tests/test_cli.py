@@ -230,6 +230,15 @@ def test_topology_homology(capsys):
     assert "betti numbers (mod 2): (1, 2, 1)" in out
 
 
+def test_topology_homology_accepts_a_large_prime_modulus(capsys):
+    # 2^61 - 1: a primality test by trial division would not finish
+    code, out, _ = run(
+        capsys, "topology", "homology", "--r", "3", "--n", "2", "--p", "2305843009213693951"
+    )
+    assert code == 0
+    assert "betti numbers (mod 2305843009213693951): (1, 1)" in out
+
+
 def test_topology_homology_rejects_composite_modulus(capsys):
     code, _, err = run(
         capsys, "topology", "homology", "--r", "3", "--n", "2", "--p", "4"

@@ -26,6 +26,7 @@ from oracles import (
     rational_lp_solve_eq,
     rational_solve,
     snap_quotients,
+    trial_division_is_prime,
     unfiltered_tverberg,
     verify_common_point_witness,
 )
@@ -125,6 +126,20 @@ def test_integer_linalg_matches_fraction_reference(system):
     k = min(len(matrix), n)
     square = [row[:k] for row in matrix[:k]]
     assert linalg.det(square) == rational_det(square)
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 10**5) if linalg.is_prime(n)] == [
+        n for n in range(-3, 10**5) if trial_division_is_prime(n)
+    ]
+
+
+def test_is_prime_on_large_moduli():
+    assert linalg.is_prime(2**31 - 1)
+    assert linalg.is_prime(2**61 - 1)
+    assert not linalg.is_prime((2**31 - 1) * (2**61 - 1))
+    # the least strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not linalg.is_prime(3_215_031_751)
 
 
 @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=8))
