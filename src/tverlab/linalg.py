@@ -8,6 +8,7 @@ row is the first nonzero one, so results are deterministic.
 from fractions import Fraction
 from math import lcm
 
+from .errors import CapExceeded
 from .kernels import pivot
 
 ZERO = Fraction(0)
@@ -106,8 +107,8 @@ def is_prime(n: int) -> bool:
     Below 3,317,044,064,679,887,385,961,981 no composite passes all
     thirteen bases (Sorenson and Webster, 2015), so a pass there is
     proof.  Above it a failed base still proves n composite, but a
-    number that passes every base is settled by trial division, whose
-    time grows with sqrt(n): a prime that large does not finish.
+    number that passes every base raises CapExceeded: primality cannot
+    be proven there.
     """
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2:
@@ -130,9 +131,4 @@ def is_prime(n: int) -> bool:
             return False
     if n < 3_317_044_064_679_887_385_961_981:
         return True
-    f = 43
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    raise CapExceeded(f"cannot prove {n} prime: above 3.3e24, passing every base is no proof")

@@ -165,7 +165,10 @@ def count_colorful_partitions(config: ColoredConfig, r: int) -> int:
     Inclusion-exclusion over j pieces forced empty counts the colorful
     ordered tuples with no empty piece (each class puts its points in
     distinct pieces); S_r permutes those freely, so r! divides the count.
+    More pieces than points leave one empty, so then there are none.
     """
+    if r > config.size:
+        return 0
     ordered = sum(
         (-1) ** j * comb(r, j) * prod(perm(r - j, len(cls)) for cls in config.classes)
         for j in range(r + 1)

@@ -4,7 +4,7 @@ Three search modes, all exact; `solve` picks one from the plane dimension:
 
 * `solve_tverberg` — exhaustive over colorful partitions of one collection,
   up to relabelling pieces; complete.  LPs are memoised by the pieces'
-  coordinate multisets, so coincident points pose each LP once.
+  supports (sets of distinct points), so coincident points pose each LP once.
   Two-piece LPs rule partitions out before their full integer LP, and
   the dual normal of a two-piece LP that missed, kept as a separating
   hyperplane, can rule a later pair out with no LP, or bound its gap
@@ -32,6 +32,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial, gcd, prod
 
 from . import linalg
@@ -184,17 +185,18 @@ def _partition_lists(instance: ProblemInstance):
 def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     """Try every nonempty colorful partition; complete, deterministic.
 
-    Points with equal coordinates share a block of bits, so a piece's
-    code, the sum of its points' units, is its coordinate multiset.  Two
-    representatives with the same ordered tuple of codes pose the same
-    LP up to the order of each piece's columns, so they have one
-    feasibility and one gap: a full LP that missed is memoised by that
-    tuple, and one that hit ends the search with its own weights.  For
-    r >= 3, two pieces whose hulls miss rule a partition out, so
-    two-piece LPs, memoised per search by the pair's codes, defer its
-    full LP; the first hit is unchanged.  A two-piece LP that misses
-    also yields an integer normal strictly separating its pieces
-    (`pair_gap_normal`, from the LP's Farkas dual).  The last
+    Each distinct point gets one bit, so a piece's code, the OR of its
+    points' bits, is its support: the set of its distinct points, whose
+    hull is the piece's hull.  Two representatives with the same ordered
+    tuple of supports pose the same LP up to repeated and reordered
+    columns, which change neither feasibility nor the phase-1 optimum,
+    so they have one feasibility and one gap: a full LP that missed is
+    memoised by that tuple, and one that hit ends the search with its
+    own weights.  For r >= 3, two pieces whose hulls miss rule a
+    partition out, so two-piece LPs, memoised per search by the pair's
+    codes, defer its full LP; the first hit is unchanged.  A two-piece
+    LP that misses also yields an integer normal strictly separating its
+    pieces (`pair_gap_normal`, from the LP's Farkas dual).  The last
     `_SEPARATORS` of them, most recently useful first, are tried on a
     pair before its LP; one that strictly separates the pieces rules the
     pair out with no LP.  That test is exact and only ever proves a
@@ -213,17 +215,13 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     if r < 2:
         raise ValueError("need at least two pieces")
     stats = {"partitions": 0, "lps": 0, "pair_lps": 0}
+    if r > config.size:
+        return SolveReport("no-valid-partition", None, None, stats)
     ints, scale = integer_points(config.points)
-    # equal points share a block of len(group).bit_length() bits, in first-index order
-    groups = {}
-    for i, p in enumerate(ints):
-        groups.setdefault(p, []).append(i)
-    unit = [0] * config.size
-    width = 0
-    for group in groups.values():
-        for i in group:
-            unit[i] = 1 << width
-        width += len(group).bit_length()
+    # one bit per distinct point, in first-index order
+    bit = {}
+    unit = [1 << bit.setdefault(p, len(bit)) for p in ints]
+    width = len(bit)
     pair_gaps = {}  # code(a) << width | code(b) -> gap of the LP on pieces (a, b)
     separators = []  # (h.p for every point p, max(h), min(h)) per stored normal h
     apart = set()  # keys of pairs a stored normal separated, with no LP
@@ -233,7 +231,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
         return lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale)
 
     def codes_of(part):
-        return tuple(sum(map(unit.__getitem__, piece)) for piece in part.pieces)
+        return tuple(reduce(operator.or_, map(unit.__getitem__, piece)) for piece in part.pieces)
 
     def pair_gap(part, key, pair):
         if key not in pair_gaps:

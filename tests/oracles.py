@@ -48,11 +48,11 @@ representative, on the solver's own enumeration and LP, so a comparison
 with it checks the filter alone.  `pair_filtered_tverberg` is the
 search with that filter but before stored dual normals could rule a
 pair out or bound its gap, and before its memos were keyed by
-coordinates: every pair it rules out costs a pair LP memoised by piece
+supports: every pair it rules out costs a pair LP memoised by piece
 bitmasks, and every representative that reaches a full LP solves it, so
 a comparison with it checks the separator test, the dual bounds and
-the coordinate memos.  Both list the pieces of every full LP they
-solve, so a comparison can count the distinct coordinate tuples among
+the support memos.  Both list the pieces of every full LP they
+solve, so a comparison can count the distinct support tuples among
 them.  `snap_quotients` is the codimension-one
 direction list the candidate scan generalised: the distinct normals
 through d input points, from the solver's own `_flat_normals`, so a

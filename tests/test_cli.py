@@ -108,8 +108,23 @@ def test_partition_tightness_file_is_infeasible(capsys, tmp_path):
     assert code == 1
     assert (
         "infeasible: 486 partition tuples exhausted "
-        "(best gap 1/3; subproblems solved: 24 full, 80 piece-pair)"
+        "(best gap 1/3; subproblems solved: 24 full, 53 piece-pair)"
     ) in out
+
+
+def test_partition_more_pieces_than_points(capsys, tmp_path):
+    # the least prime above the bound where linalg.is_prime's bases are proof
+    cfg = ColoredConfig(dim=2, points=[(0, 0), (1, 1)], classes=[(0,), (1,)])
+    inst = ProblemInstance(d=2, k=0, rs=(3317044064679887385962123,), collections=(cfg,))
+    path = tmp_path / "many.json"
+    serialize.save_instance(str(path), inst)
+    code, out, _ = run(capsys, "partition", str(path))
+    assert code == 1
+    assert "infeasible: no colorful partition shape exists" in out
+    # validate cannot prove that r prime, which is a cap
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 4
+    assert "cannot prove" in err
 
 
 def test_partition_rejects_positive_k(capsys, singleton_line_instance):
@@ -237,6 +252,15 @@ def test_topology_homology_accepts_a_large_prime_modulus(capsys):
     )
     assert code == 0
     assert "betti numbers (mod 2305843009213693951): (1, 1)" in out
+
+
+def test_topology_homology_unprovable_prime_modulus_is_a_cap(capsys):
+    # passes every base of linalg.is_prime, above the bound where they are proof
+    code, _, err = run(
+        capsys, "topology", "homology", "--r", "3", "--n", "2", "--p", "3317044064679887385962123"
+    )
+    assert code == 4
+    assert "cannot prove" in err
 
 
 def test_topology_homology_rejects_composite_modulus(capsys):

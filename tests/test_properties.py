@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from tverlab import linalg, serialize, solver, svg
+from tverlab.errors import CapExceeded
 from tverlab.geometry import common_point_gap, lp_solve_eq, pair_gap_bound, pair_gap_normal
 from tverlab.linalg import integer_point_lists, integer_points
 from tverlab.model import ColoredConfig, ProblemInstance, random_instance, tightness_instance
@@ -137,9 +138,13 @@ def test_is_prime_matches_trial_division():
 def test_is_prime_on_large_moduli():
     assert linalg.is_prime(2**31 - 1)
     assert linalg.is_prime(2**61 - 1)
+    # above the bound where the bases are proof, a failed base still decides
     assert not linalg.is_prime((2**31 - 1) * (2**61 - 1))
     # the least strong pseudoprime to the bases 2, 3, 5 and 7
     assert not linalg.is_prime(3_215_031_751)
+    # a prime above that bound passes every base, which proves nothing there
+    with pytest.raises(CapExceeded, match="cannot prove"):
+        linalg.is_prime(3_317_044_064_679_887_385_962_123)
 
 
 @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=8))
@@ -286,9 +291,12 @@ def tverberg_examples(test):
         # of 1: only pairs holding piece 0 bound the full LP's gap from below
         (ColoredConfig(3, [(0, 0, 0), (0, 1, -1), (0, 0, 0), (0, 0, 1)], [(0,), (1,), (2,), (3,)]), 3),
         (tightness_instance(2, 0, (3,), 0).collections[0], 3),
-        # 729 representatives, 324 distinct coordinate tuples: the refutation
+        # 729 representatives, 324 distinct support tuples: the refutation
         # pass revisits each deferred tuple once, not each duplicate
         (tightness_instance(3, 0, (3,), 0).collections[0], 3),
+        # 800 distinct tuples of coordinate multisets but 392 of supports:
+        # at r = 3 the two keys give the same count, here they do not
+        (tightness_instance(2, 0, (4,), 0).collections[0], 4),
         (random_instance(2, 0, (3,), seed=3).collections[0], 3),
         (random_instance(1, 0, (4,), seed=0).collections[0], 4),
     ):
@@ -309,10 +317,10 @@ def assert_same_search_outcome(report, expected):
     assert report.stats["partitions"] == expected.stats["partitions"]
 
 
-def coordinate_tuples(cfg, lp_pieces):
-    """How many distinct ordered tuples of per-piece coordinate multisets `lp_pieces` hold."""
+def support_tuples(cfg, lp_pieces):
+    """How many distinct ordered tuples of piece supports (sets of points) `lp_pieces` hold."""
     return len({
-        tuple(tuple(sorted(cfg.points[i] for i in piece)) for piece in pieces)
+        tuple(frozenset(cfg.points[i] for i in piece) for piece in pieces)
         for pieces in lp_pieces
     })
 
@@ -327,8 +335,8 @@ def test_pair_filtered_tverberg_search_matches_unfiltered(case):
     # a full LP is solved at most once per representative, never at r = 2
     assert report.stats["lps"] <= expected.stats["lps"]
     if r == 2:
-        # and once per ordered tuple of coordinate multisets
-        assert report.stats["lps"] == coordinate_tuples(cfg, expected.stats["lp_pieces"])
+        # and once per ordered tuple of supports
+        assert report.stats["lps"] == support_tuples(cfg, expected.stats["lp_pieces"])
         assert report.stats["pair_lps"] == 0
 
 
@@ -337,13 +345,13 @@ def test_pair_filtered_tverberg_search_matches_unfiltered(case):
 def test_separator_tverberg_search_matches_pair_filtered(case):
     # a stored dual normal only ever proves a miss, and a dual bound only
     # skips a pair whose gap reaches the least gap, so the same
-    # representatives reach a full LP; of those with equal coordinate
+    # representatives reach a full LP; of those with equal support
     # tuples only the first solves it (all of them on distinct points)
     cfg, r = case
     report = solver.solve_tverberg(cfg, r)
     expected = pair_filtered_tverberg(cfg, r)
     assert_same_search_outcome(report, expected)
-    assert report.stats["lps"] == coordinate_tuples(cfg, expected.stats["lp_pieces"])
+    assert report.stats["lps"] == support_tuples(cfg, expected.stats["lp_pieces"])
     # each pair a separator skips costs at most one LP, in the refutation walk
     assert report.stats["pair_lps"] <= expected.stats["pair_lps"]
 

@@ -253,7 +253,7 @@ def test_solve_tverberg_exhausts_tight_configuration():
 
 
 def test_solve_tverberg_refutes_in_one_walk(monkeypatch):
-    # duplicate coordinate tuples are decided at their first representative,
+    # duplicate support tuples are decided at their first representative,
     # so a refutation revisits deferred tuples without enumerating again
     calls = []
 
@@ -268,7 +268,7 @@ def test_solve_tverberg_refutes_in_one_walk(monkeypatch):
     report = solve_tverberg(tightness_instance(2, 0, (4,), 0).collections[0], 4)
     assert report.status == "infeasible-exhausted"
     assert report.gap == Fraction(1, 3)
-    assert report.stats == {"partitions": 98_304, "lps": 416, "pair_lps": 299}
+    assert report.stats == {"partitions": 98_304, "lps": 216, "pair_lps": 65}
 
 
 def test_solve_tverberg_no_valid_partition():
@@ -277,6 +277,15 @@ def test_solve_tverberg_no_valid_partition():
     )
     report = solve_tverberg(cfg, 2)
     assert report.status == "no-valid-partition"
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_more_pieces_than_points_have_no_partition(k):
+    # answered at once, with no walk over the pieces or sum over them
+    cfg = ColoredConfig(dim=3, points=[(0, 0, 0), (1, 1, 1)], classes=[(0,), (1,)])
+    inst = ProblemInstance(d=3, k=k, rs=(10**30,) * (k + 1), collections=(cfg,) * (k + 1))
+    assert count_colorful_partitions(cfg, 10**30) == 0
+    assert solve(inst).status == "no-valid-partition"
 
 
 def test_solve_tverberg_rejects_bad_r():
