@@ -6,12 +6,13 @@ many point sets ("pieces"), decide whether their convex hulls share a
 point and produce either an exact convex-combination witness or the
 exact phase-1 violation gap.  For two pieces that miss, the LP's dual
 also gives the integer normal of a hyperplane strictly between them
-(`pair_gap_normal`), and any stored normal, scaled into a feasible dual
-point, bounds another pair's gap from below with no LP
-(`pair_gap_bound`).  A search scales its points to integers once
-(`linalg.integer_points`), builds each LP's rows as plain ints
-(`_common_point_lp`) for the fraction-free integer simplex kernel, and
-makes Fractions only for the returned weights and gap.
+(`pair_gap_normal`); for two that meet, the support of its solution
+is a witness for every pair that contains it.  Any stored normal,
+scaled into a feasible dual point, bounds another pair's gap from
+below with no LP (`pair_gap_bound`).  A search scales its points to
+integers once (`linalg.integer_points`), builds each LP's rows as plain
+ints (`_common_point_lp`) for the fraction-free integer simplex kernel,
+and makes Fractions only for the returned weights and gap.
 """
 from __future__ import annotations
 
@@ -114,23 +115,30 @@ def lp_solve_eq(pieces, scale):
 
 
 def pair_gap_normal(a, b, scale):
-    """Two-piece common-point LP: (gap, None) if the hulls meet, else (gap, h).
+    """Two-piece common-point LP: (0, None, support) if the hulls meet, else (gap, h, None).
 
-    On a miss, h is the coordinate-row part of the LP's Farkas dual, an
-    integer normal with max h.p over `a` < min h.q over `b`: with y_a,
-    y_b the dual of the two weight rows, its column inequalities give
-    h.p <= -y_a and h.q >= y_b, and y_a + y_b is the positive optimum.
-    h is divided by the gcd of its entries.  The LP, its pivots and its
-    gap are those of `lp_solve_eq([a, b], scale)`.
+    On a meet, support = (sa, sb) holds the positions in `a` and in `b`
+    of the points with a nonzero weight in the LP's basic solution: at
+    most d+2 in all (Caratheodory), and any two point sets that contain
+    them have hulls meeting at the same point.  On a miss, h is the
+    coordinate-row part of the LP's Farkas dual, an integer normal with
+    max h.p over `a` < min h.q over `b`: with y_a, y_b the dual of the
+    two weight rows, its column inequalities give h.p <= -y_a and
+    h.q >= y_b, and y_a + y_b is the positive optimum.  h is divided by
+    the gcd of its entries.  The LP, its pivots and its gap are those of
+    `lp_solve_eq([a, b], scale)`.
     """
-    feasible, obj, _, gapnum, gapden, _ = _common_point_lp([a, b], scale)
+    feasible, x, _, gapnum, gapden, _ = _common_point_lp([a, b], scale)
     if feasible:
-        return ZERO, None
+        n = len(a)
+        sa = tuple(i for i in range(n) if x[i])
+        sb = tuple(i - n for i in range(n, len(x)) if x[i])
+        return ZERO, None, (sa, sb)
     # a coordinate row costs 1, so gapden * y_c = gapden - its reduced cost
     first = len(a) + len(b) + 2
-    h = [gapden - v for v in obj[first:first + len(a[0])]]
+    h = [gapden - v for v in x[first:first + len(a[0])]]
     g = gcd(*h)
-    return Fraction(gapnum, gapden * scale), tuple(v // g for v in h)
+    return Fraction(gapnum, gapden * scale), tuple(v // g for v in h), None
 
 
 def pair_gap_bound(ha, hb, hmax, hmin, scale):

@@ -7,32 +7,46 @@ rational tableau M/D, and every `pivot` divides exactly (Edmonds-style
 integer pivoting; `linalg` eliminates with it too), so all sign tests
 and ratio comparisons are plain integer comparisons.  Bland's rule on
 both the entering and the leaving choice guarantees termination.
+
+In such a tableau every basic column is D times a unit vector (Edmonds
+1967), so a pivot need not compute it: the entering column becomes
+D'·e_p, and every other basic column keeps its one nonzero entry, which
+becomes the new D'.  `phase1` keeps the list of nonbasic columns and
+the rhs column, swaps the entering column for the leaving one at each
+pivot, has `pivot` compute only the listed columns, and writes the
+basic entries directly: (m+1)×(n+1) cells per pivot instead of
+(m+1)×(n+m+1).
 """
 
 PIVOT_CAP = 10_000_000
 
 
-def pivot(rows, p, q, D):
+def pivot(rows, p, q, D, cols):
     """Pivot rows/D on entry (p, q) in place; returns piv = rows[p][q], the new D.
 
-    Row p stays; every other row becomes (piv * row - row[q] * rows[p]) / D.
+    Row p stays.  In every other row, each column j in `cols` becomes
+    (piv * row[j] - row[q] * rows[p][j]) / D, column q becomes 0, and
+    every other column keeps its entry.  Passing every column gives the
+    whole pivot.  A caller may leave out a column that is D times a unit
+    vector e_k with k != p: it becomes piv * e_k, and the caller writes
+    that one entry itself.
     """
     piv = rows[p][q]
     rowp = rows[p]
-    width = len(rowp)
     for i, rowi in enumerate(rows):
         if i == p:
             continue
         f = rowi[q]
         if f == 0:
             if piv != D:
-                for j in range(width):
+                for j in cols:
                     v = rowi[j]
                     if v:
                         rowi[j] = (piv * v) // D
         else:
-            for j in range(width):
+            for j in cols:
                 rowi[j] = (piv * rowi[j] - f * rowp[j]) // D
+            rowi[q] = 0
     return piv
 
 
@@ -43,6 +57,8 @@ def phase1(nrows, ncols, data, rhs, costs=None):
     of nonnegative ints.  costs optionally weights the artificial of each
     row in the phase-1 objective (default all 1); weights let callers
     measure constraint violation in original rather than row-scaled units.
+    Costs that are not nrows positive ints, data that is not nrows rows
+    of ncols, and negative rhs entries raise ValueError.
 
     Returns (feasible, xnum, xden, gapnum, gapden, pivots):
       feasible  -- True iff the system has a solution
@@ -58,6 +74,10 @@ def phase1(nrows, ncols, data, rhs, costs=None):
     """
     if costs is None:
         costs = [1] * nrows
+    elif len(costs) != nrows or not all(isinstance(c, int) and c > 0 for c in costs):
+        raise ValueError("costs must be one positive int per row")
+    if len(data) != nrows or len(rhs) != nrows or any(len(row) != ncols for row in data):
+        raise ValueError("data must be nrows rows of ncols entries, with one rhs per row")
     width = ncols + nrows + 1
     rc = ncols + nrows  # rhs column
     M = []
@@ -82,6 +102,7 @@ def phase1(nrows, ncols, data, rhs, costs=None):
     M.append(obj)
 
     basis = [ncols + i for i in range(nrows)]
+    cols = list(range(ncols)) + [rc]  # nonbasic columns and the rhs column
     D = 1
     pivots = 0
     while True:
@@ -107,8 +128,11 @@ def phase1(nrows, ncols, data, rhs, costs=None):
                         p, bn, bd = i, n, c
         if p < 0:
             raise ArithmeticError("phase-1 objective unbounded; input invalid")
-        D = pivot(M, p, q, D)
+        cols[cols.index(q)] = basis[p]
         basis[p] = q
+        D = pivot(M, p, q, D, cols)
+        for i, j in enumerate(basis):
+            M[i][j] = D
         pivots += 1
         if pivots > PIVOT_CAP:
             raise ArithmeticError("pivot cap exceeded")

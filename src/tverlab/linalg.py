@@ -51,7 +51,7 @@ def _echelon(matrix, width):
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             sign = -sign
-        D = pivot(rows, r, c, D)
+        D = pivot(rows, r, c, D, range(len(rows[r])))
         pivots.append((r, c))
         r += 1
         if r == len(rows):

@@ -8,7 +8,9 @@ Three search modes, all exact; `solve` picks one from the plane dimension:
   Two-piece LPs rule partitions out before their full integer LP, and
   the dual normal of a two-piece LP that missed, kept as a separating
   hyperplane, can rule a later pair out with no LP, or bound its gap
-  from below by weak duality when no hit is found.
+  from below by weak duality when no hit is found.  The solution
+  support of a two-piece LP that met decides every later pair that
+  contains it, with no LP.
 * `solve_transversal` — scans a finite list of exact candidate direction
   subspaces for a k-plane (each the intersection of d-k hyperplanes
   through one k-subset of the input points), then certifies membership
@@ -173,6 +175,19 @@ def _least(best, gap):
     return gap if best is None or gap < best else best
 
 
+def _witnessed(witnesses, ca, cb):
+    """Whether some stored meeting support (sa, sb) lies in the pieces coded ca and cb.
+
+    Supports and codes are bitmasks of distinct points.  The pair with
+    codes (ca, cb) contains the support if sa is in ca and sb in cb, or
+    the other way round: meeting is symmetric.
+    """
+    return any(
+        sa & ca == sa and sb & cb == sb or sa & cb == sa and sb & ca == sb
+        for sa, sb in witnesses
+    )
+
+
 def _partition_lists(instance: ProblemInstance):
     """Partition representatives per collection; None if one has none."""
     lists = [
@@ -201,12 +216,17 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     pair before its LP; one that strictly separates the pieces rules the
     pair out with no LP.  That test is exact and only ever proves a
     miss, so the same partitions reach their full LP as with pair LPs
-    alone: same first hit, weights and gap.  The (piece 0, piece j) LP
-    is a row-and-column subsystem of the full LP, so its gap bounds the
-    full gap from below.  One walk decides each tuple at its first
-    representative.  With no hit, the deferred tuples are revisited in
-    first-seen order, each full LP running only when all those bounds
-    lie below the least gap so far.  A pair a normal skipped gets its
+    alone: same first hit, weights and gap.  A two-piece LP that meets
+    instead yields the supports of its basic solution, at most d+2
+    points (`pair_gap_normal`), kept once as a pair of bitmasks.  A
+    later pair whose pieces contain them, either way round, meets at the
+    same point, so its gap is 0 with no LP.  That test only ever proves
+    a meet, and a meet stores no normal, so it changes no decision
+    either.  The (piece 0, piece j) LP is a row-and-column subsystem of
+    the full LP, so its gap bounds the full gap from below.  One walk
+    decides each tuple at its first representative.  With no hit, the
+    deferred tuples are revisited in first-seen order, each full LP
+    running only when all those bounds lie below the least gap so far.  A pair a normal skipped gets its
     LP then, unless a stored normal's dual bound (`pair_gap_bound`)
     already reaches the least gap.
     stats: "lps" full LPs, "pair_lps" two-piece LPs, "partitions"
@@ -223,6 +243,8 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     unit = [1 << bit.setdefault(p, len(bit)) for p in ints]
     width = len(bit)
     pair_gaps = {}  # code(a) << width | code(b) -> gap of the LP on pieces (a, b)
+    low = (1 << width) - 1  # code(b) = key & low
+    witnesses = []  # (code(sa), code(sb)) per meeting pair LP's solution support
     separators = []  # (h.p for every point p, max(h), min(h)) per stored normal h
     apart = set()  # keys of pairs a stored normal separated, with no LP
     pairs = list(itertools.combinations(range(r), 2))  # (0, j) first
@@ -235,13 +257,22 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
 
     def pair_gap(part, key, pair):
         if key not in pair_gaps:
+            if _witnessed(witnesses, key >> width, key & low):
+                pair_gaps[key] = ZERO
+                return ZERO
             stats["pair_lps"] += 1
-            a, b = ([ints[i] for i in part.pieces[j]] for j in pair)
-            pair_gaps[key], normal = pair_gap_normal(a, b, scale)
+            pieces = [part.pieces[j] for j in pair]
+            a, b = ([ints[i] for i in piece] for piece in pieces)
+            pair_gaps[key], normal, support = pair_gap_normal(a, b, scale)
             if normal is not None:
                 proj = [sum(map(operator.mul, normal, p)) for p in ints]
                 separators.insert(0, (proj, max(normal), min(normal)))
                 del separators[_SEPARATORS:]
+            else:
+                witnesses.append(tuple(
+                    reduce(operator.or_, (unit[piece[i]] for i in s))
+                    for piece, s in zip(pieces, support)
+                ))
         return pair_gaps[key]
 
     def separated(part, key, pair):

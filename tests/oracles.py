@@ -87,9 +87,11 @@ ONE = Fraction(1)
 def phase1_reference(nrows, ncols, data, rhs, costs=None):
     """Fraction-tableau phase-1 simplex with the same Bland pivot rules.
 
-    Same contract as tverlab.kernels.phase1 but every entry is a Fraction;
-    used to cross-check the fraction-free integer pivoting exactly,
-    including the pivot count.
+    Returns (feasible, x or None, gap, pivots, objective row): every
+    entry is a Fraction, and the row is the final objective row, the
+    one `tverlab.kernels.phase1` returns over gapden on failure.  Used
+    to cross-check the fraction-free integer pivoting exactly, including
+    the pivot count and the reduced costs.
     """
     if costs is None:
         costs = [1] * nrows
@@ -137,8 +139,8 @@ def phase1_reference(nrows, ncols, data, rhs, costs=None):
         for i in range(nrows):
             if basis[i] < ncols:
                 x[basis[i]] = M[i][rc]
-        return True, x, ZERO, pivots
-    return False, None, w, pivots
+        return True, x, ZERO, pivots, M[nrows]
+    return False, None, w, pivots, M[nrows]
 
 
 def rational_lp_solve_eq(rows, rhs):

@@ -108,7 +108,7 @@ def test_partition_tightness_file_is_infeasible(capsys, tmp_path):
     assert code == 1
     assert (
         "infeasible: 486 partition tuples exhausted "
-        "(best gap 1/3; subproblems solved: 24 full, 53 piece-pair)"
+        "(best gap 1/3; subproblems solved: 24 full, 5 piece-pair)"
     ) in out
 
 

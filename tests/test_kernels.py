@@ -19,6 +19,8 @@ def run_both(kernel, nrows, ncols, data, rhs, costs=None):
         assert x == ref[1]
     else:
         assert Fraction(got[3], got[4]) == ref[2]
+        # the objective row pair_gap_normal reads the Farkas dual from
+        assert [Fraction(v, got[4]) for v in got[1]] == ref[4]
     assert got[5] == ref[3], "pivot sequences diverged"
     return got
 
@@ -59,6 +61,27 @@ class TestPhase1:
     def test_negative_rhs_rejected(self, kernel):
         with pytest.raises(ValueError):
             kernel.phase1(1, 1, [[1]], [-1])
+
+    @pytest.mark.parametrize("costs", [[0], [-1], [1, 2], [], [Fraction(1, 2)], [1.0]])
+    def test_bad_costs_rejected(self, kernel, costs):
+        # unchecked, a zero cost would pass x = [0, 0] as feasible for
+        # x1 + x2 = 1, and a negative one would give a gap of -1
+        with pytest.raises(ValueError):
+            kernel.phase1(1, 2, [[1, 1]], [1], costs)
+
+    @pytest.mark.parametrize(
+        "nrows, ncols, data, rhs",
+        [
+            (2, 2, [[1, 1]], [1, 1]),
+            (1, 2, [[1, 1], [1, 0]], [1]),
+            (1, 2, [[1]], [1]),
+            (1, 2, [[1, 1, 1]], [1]),
+            (1, 2, [[1, 1]], [1, 1]),
+        ],
+    )
+    def test_bad_shapes_rejected(self, kernel, nrows, ncols, data, rhs):
+        with pytest.raises(ValueError):
+            kernel.phase1(nrows, ncols, data, rhs)
 
     def test_solution_satisfies_system(self, kernel):
         rng = random.Random(7)
@@ -119,6 +142,7 @@ def test_infeasible_objective_row_holds_farkas_dual(system):
         nrows, ncols, [r[:] for r in data], rhs[:], costs
     )
     assume(not feasible)
+    run_both(kernels, nrows, ncols, data, rhs, costs)
     assert gapden > 0 and gapnum > 0
     dy = [gapden * c - row[ncols + i] for i, c in enumerate(costs)]
     for j in range(ncols):

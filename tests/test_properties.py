@@ -1,6 +1,7 @@
 """Property-based invariants for the exact-arithmetic core."""
 
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -356,6 +357,30 @@ def test_separator_tverberg_search_matches_pair_filtered(case):
     assert report.stats["pair_lps"] <= expected.stats["pair_lps"]
 
 
+@tverberg_examples
+@given(tverberg_cases())
+def test_witness_memo_decides_only_meeting_pairs(case):
+    # a pair decided by a stored meeting support, with no LP, has hulls
+    # that meet: its own two-piece LP has gap 0
+    cfg, r = case
+    decided = []
+    witnessed = solver._witnessed
+
+    def recording(witnesses, ca, cb):
+        met = witnessed(witnesses, ca, cb)
+        if met:
+            caller = sys._getframe(1).f_locals
+            decided.append((caller["part"], caller["pair"]))
+        return met
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_witnessed", recording)
+        solver.solve_tverberg(cfg, r)
+    ints, scale = integer_points(cfg.points)
+    for part, pair in decided:
+        assert lp_solve_eq([[ints[i] for i in part.pieces[j]] for j in pair], scale)[1] == 0
+
+
 @st.composite
 def normal_and_pieces(draw):
     """(a, b, normal, scale): integer pieces in [-6, 6]^d, d <= 3, and the
@@ -380,7 +405,7 @@ def test_pair_gap_bound_never_exceeds_the_pair_gap(case):
     a, b, normal, scale = case
     assert dual_bound(a, b, normal, scale) <= lp_solve_eq([a, b], scale)[1]
     # a pair's own dual normal bounds its gap exactly
-    gap, own = pair_gap_normal(a, b, scale)
+    gap, own, _ = pair_gap_normal(a, b, scale)
     if own is not None:
         assert dual_bound(a, b, own, scale) == gap
 

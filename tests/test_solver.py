@@ -192,9 +192,9 @@ def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
     bounds = []
 
     def recording(a, b, scale):
-        gap, normal = geometry.pair_gap_normal(a, b, scale)
-        seen.append((a, b, scale, gap, normal))
-        return gap, normal
+        gap, normal, support = geometry.pair_gap_normal(a, b, scale)
+        seen.append((a, b, scale, gap, normal, support))
+        return gap, normal, support
 
     def recording_bound(ha, hb, hmax, hmin, scale):
         bound = geometry.pair_gap_bound(ha, hb, hmax, hmin, scale)
@@ -224,9 +224,14 @@ def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
             assert gap >= best
     assert skips > 100
     stored = 0
-    for a, b, scale, gap, normal in seen:
+    for a, b, scale, gap, normal, support in seen:
         assert gap == geometry.lp_solve_eq([a, b], scale)[1]
-        assert (normal is None) == (gap == 0)
+        assert (normal is None) == (gap == 0) == (support is not None)
+        if support is not None:
+            # the points carrying weight already meet, on at most d + 2 points
+            sa, sb = ([piece[i] for i in s] for piece, s in zip((a, b), support))
+            assert len(sa) + len(sb) <= len(a[0]) + 2
+            assert geometry.lp_solve_eq([sa, sb], scale)[1] == 0
         if normal is not None:
             stored += 1
             assert max(sum(map(operator.mul, normal, p)) for p in a) < min(
@@ -268,7 +273,33 @@ def test_solve_tverberg_refutes_in_one_walk(monkeypatch):
     report = solve_tverberg(tightness_instance(2, 0, (4,), 0).collections[0], 4)
     assert report.status == "infeasible-exhausted"
     assert report.gap == Fraction(1, 3)
-    assert report.stats == {"partitions": 98_304, "lps": 216, "pair_lps": 65}
+    assert report.stats == {"partitions": 98_304, "lps": 216, "pair_lps": 5}
+
+
+def test_witness_memo_spares_one_lp_per_decided_pair(monkeypatch):
+    # a pair that contains a stored meeting support is decided with no LP;
+    # every other decision is unchanged, so each such pair spares exactly
+    # one of the 887 pair LPs the search solves without the memo
+    decided = []
+
+    def recording(witnesses, ca, cb):
+        met = witnessed(witnesses, ca, cb)
+        if met:
+            caller = sys._getframe(1).f_locals
+            decided.append((caller["part"], caller["pair"]))
+        return met
+
+    witnessed = solver._witnessed
+    monkeypatch.setattr(solver, "_witnessed", recording)
+    cfg = tightness_instance(4, 0, (3,), 0).collections[0]
+    report = solve_tverberg(cfg, 3)
+    assert report.status == "infeasible-exhausted"
+    assert report.gap == Fraction(1, 5)
+    assert report.stats == {"partitions": 39_366, "lps": 1194, "pair_lps": 13}
+    assert len(decided) == 887 - 13
+    ints, scale = integer_points(cfg.points)
+    for part, pair in decided:
+        assert geometry.lp_solve_eq([[ints[i] for i in part.pieces[j]] for j in pair], scale)[1] == 0
 
 
 def test_solve_tverberg_no_valid_partition():
