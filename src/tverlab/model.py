@@ -188,34 +188,44 @@ def enumerate_colorful_partitions(config: ColoredConfig, r: int):
     share a point or meet a plane does not depend on the labels, so a
     search over these is complete and stops at the same first hit as one
     over every ordered tuple.
+
+    The walk keeps an explicit stack of (class, pieces opened, piece
+    tuples so far), pushing each node's children in reverse so that
+    they pop in order, as in Knuth's restricted-growth generation
+    (TAOCP 4A, 7.2.1.5).
     """
     classes = config.classes
     # points in classes c.. ; a branch dies once they cannot open the rest
     left = [sum(len(cls) for cls in classes[c:]) for c in range(len(classes) + 1)]
-    label = [0] * config.size
-
-    def extend(c, opened):
-        if opened + left[c] < r:
-            return
-        if c == len(classes):
-            pieces = [[] for _ in range(r)]
-            for i, j in enumerate(label):
-                pieces[j].append(i)
-            yield PartitionTuple(tuple(map(tuple, pieces)))
-            return
+    # (class size, pieces opened, points left after it) -> [(labels, pieces opened after)]
+    moves = {}
+    stack = [(0, 0, ((),) * r)] if left[0] >= r and classes else []
+    while stack:
+        c, opened, pieces = stack.pop()
         cls = classes[c]
-        for assign in itertools.permutations(range(min(r, opened + len(cls))), len(cls)):
-            now = opened
-            for j in assign:
-                if j > now:
-                    break
-                now += j == now
-            else:
-                for i, j in zip(cls, assign):
-                    label[i] = j
-                yield from extend(c + 1, now)
-
-    return extend(0, 0)
+        key = len(cls), opened, left[c + 1]
+        if key not in moves:
+            moves[key] = []
+            for assign in itertools.permutations(range(min(r, opened + len(cls))), len(cls)):
+                now = opened
+                for j in assign:
+                    if j > now:
+                        break
+                    now += j == now
+                else:
+                    if now + left[c + 1] >= r:
+                        moves[key].append((assign, now))
+        grown = []
+        for assign, now in moves[key]:
+            nxt = list(pieces)
+            for i, j in zip(cls, assign):
+                nxt[j] += (i,)
+            grown.append((c + 1, now, tuple(nxt)))
+        if c + 1 == len(classes):
+            for _, _, leaf in grown:
+                yield PartitionTuple(leaf)
+        else:
+            stack.extend(reversed(grown))
 
 
 def default_profile(d: int, k: int, r: int) -> tuple[int, ...]:

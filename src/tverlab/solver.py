@@ -34,7 +34,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import comb, factorial, gcd, prod
 
 from . import linalg
@@ -188,6 +188,31 @@ def _witnessed(witnesses, ca, cb):
     )
 
 
+def _separated(separators, a, b):
+    """Whether a stored normal strictly separates pieces a and b; moves it to the front."""
+    for k, (proj, _, _) in enumerate(separators):
+        ha = [proj[i] for i in a]
+        hb = [proj[i] for i in b]
+        if max(ha) < min(hb) or max(hb) < min(ha):
+            separators.insert(0, separators.pop(k))
+            return True
+    return False
+
+
+def _bounded(separators, a, b, best, scale):
+    """Whether a stored normal's dual bound puts the gap of pieces a and b at or above best.
+
+    The normal that does is moved to the front.
+    """
+    for k, (proj, hmax, hmin) in enumerate(separators):
+        ha = [proj[i] for i in a]
+        hb = [proj[i] for i in b]
+        if pair_gap_bound(ha, hb, hmax, hmin, scale) >= best:
+            separators.insert(0, separators.pop(k))
+            return True
+    return False
+
+
 def _partition_lists(instance: ProblemInstance):
     """Partition representatives per collection; None if one has none."""
     lists = [
@@ -202,33 +227,42 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
 
     Each distinct point gets one bit, so a piece's code, the OR of its
     points' bits, is its support: the set of its distinct points, whose
-    hull is the piece's hull.  Two representatives with the same ordered
-    tuple of supports pose the same LP up to repeated and reordered
-    columns, which change neither feasibility nor the phase-1 optimum,
-    so they have one feasibility and one gap: a full LP that missed is
-    memoised by that tuple, and one that hit ends the search with its
-    own weights.  For r >= 3, two pieces whose hulls miss rule a
-    partition out, so two-piece LPs, memoised per search by the pair's
-    codes, defer its full LP; the first hit is unchanged.  A two-piece
-    LP that misses also yields an integer normal strictly separating its
-    pieces (`pair_gap_normal`, from the LP's Farkas dual).  The last
-    `_SEPARATORS` of them, most recently useful first, are tried on a
-    pair before its LP; one that strictly separates the pieces rules the
-    pair out with no LP.  That test is exact and only ever proves a
-    miss, so the same partitions reach their full LP as with pair LPs
-    alone: same first hit, weights and gap.  A two-piece LP that meets
-    instead yields the supports of its basic solution, at most d+2
-    points (`pair_gap_normal`), kept once as a pair of bitmasks.  A
-    later pair whose pieces contain them, either way round, meets at the
-    same point, so its gap is 0 with no LP.  That test only ever proves
-    a meet, and a meet stores no normal, so it changes no decision
-    either.  The (piece 0, piece j) LP is a row-and-column subsystem of
-    the full LP, so its gap bounds the full gap from below.  One walk
-    decides each tuple at its first representative.  With no hit, the
-    deferred tuples are revisited in first-seen order, each full LP
-    running only when all those bounds lie below the least gap so far.  A pair a normal skipped gets its
-    LP then, unless a stored normal's dual bound (`pair_gap_bound`)
-    already reaches the least gap.
+    hull is the piece's hull.  Codes are memoised per piece.  Two
+    representatives with the same ordered tuple of supports pose the
+    same LP up to repeated and reordered columns, which change neither
+    feasibility nor the phase-1 optimum, so they have one feasibility
+    and one gap: a full LP that missed is memoised by that tuple, and
+    one that hit ends the search with its own weights.
+
+    For r >= 3, two pieces whose hulls miss rule a partition out, so
+    two-piece LPs, memoised per search by the pair's codes, defer its
+    full LP; the first hit is unchanged.  A two-piece LP that misses
+    also yields an integer normal strictly separating its pieces
+    (`pair_gap_normal`, from the LP's Farkas dual).  The last
+    `_SEPARATORS` of them, most recently useful first, are kept; one
+    that strictly separates a pair's pieces rules the pair out with no
+    LP.  A two-piece LP that meets instead yields the supports of its
+    basic solution, at most d+2 points (`pair_gap_normal`), kept once
+    as a pair of bitmasks.  A later pair whose pieces contain them,
+    either way round, meets at the same point, so its gap is 0 with no
+    LP.  A partition is decided in two stages, each taking its pairs
+    fewest points first (the cheapest pair LPs, and the likeliest to
+    miss).  Stage one tries every pair on the memo and on the stored
+    normals.  Only if none of those rules a pair out does stage two
+    decide the undecided pairs, each by a stored support or else by its
+    LP, until one misses.  Every test is exact and only ever proves a
+    miss or a meet, so the same partitions reach their full LP as with
+    pair LPs alone: same first hit, weights and gap.
+
+    The (piece 0, piece j) LP is a row-and-column subsystem of the full
+    LP, so its gap bounds the full gap from below.  One walk decides
+    each tuple at its first representative.  With no hit, the deferred
+    tuples are revisited in first-seen order, each full LP running only
+    when all those bounds lie below the least gap so far.  Again in two
+    stages: no pair LP runs until no (0, j) pair has a memoised gap or
+    a stored normal's dual bound (`pair_gap_bound`) that already
+    reaches the least gap.
+
     stats: "lps" full LPs, "pair_lps" two-piece LPs, "partitions"
     ordered tuples covered.
     """
@@ -242,6 +276,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     bit = {}
     unit = [1 << bit.setdefault(p, len(bit)) for p in ints]
     width = len(bit)
+    code = cache(lambda piece: reduce(operator.or_, map(unit.__getitem__, piece)))
     pair_gaps = {}  # code(a) << width | code(b) -> gap of the LP on pieces (a, b)
     low = (1 << width) - 1  # code(b) = key & low
     witnesses = []  # (code(sa), code(sb)) per meeting pair LP's solution support
@@ -252,18 +287,15 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     def lp(pieces):
         return lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale)
 
-    def codes_of(part):
-        return tuple(reduce(operator.or_, map(unit.__getitem__, piece)) for piece in part.pieces)
-
-    def pair_gap(part, key, pair):
+    def pair_gap(a, b, key):
         if key not in pair_gaps:
             if _witnessed(witnesses, key >> width, key & low):
                 pair_gaps[key] = ZERO
                 return ZERO
             stats["pair_lps"] += 1
-            pieces = [part.pieces[j] for j in pair]
-            a, b = ([ints[i] for i in piece] for piece in pieces)
-            pair_gaps[key], normal, support = pair_gap_normal(a, b, scale)
+            pair_gaps[key], normal, support = pair_gap_normal(
+                [ints[i] for i in a], [ints[i] for i in b], scale
+            )
             if normal is not None:
                 proj = [sum(map(operator.mul, normal, p)) for p in ints]
                 separators.insert(0, (proj, max(normal), min(normal)))
@@ -271,75 +303,59 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
             else:
                 witnesses.append(tuple(
                     reduce(operator.or_, (unit[piece[i]] for i in s))
-                    for piece, s in zip(pieces, support)
+                    for piece, s in zip((a, b), support)
                 ))
         return pair_gaps[key]
 
-    def separated(part, key, pair):
-        """Whether a stored normal strictly separates the pair's pieces."""
-        a, b = (part.pieces[j] for j in pair)
-        for k, (proj, _, _) in enumerate(separators):
-            ha = [proj[i] for i in a]
-            hb = [proj[i] for i in b]
-            if max(ha) < min(hb) or max(hb) < min(ha):
-                separators.insert(0, separators.pop(k))
-                apart.add(key)
-                return True
-        return False
-
-    def bounded(part, pair):
-        """Whether a stored normal's dual bound puts the pair's gap at or above best."""
-        a, b = (part.pieces[j] for j in pair)
-        for k, (proj, hmax, hmin) in enumerate(separators):
-            ha = [proj[i] for i in a]
-            hb = [proj[i] for i in b]
-            if pair_gap_bound(ha, hb, hmax, hmin, scale) >= best:
-                separators.insert(0, separators.pop(k))
-                return True
-        return False
-
-    def ruled_out(part, codes):
-        """Whether two pieces miss: by the memo, a stored normal, or a pair LP."""
+    def ruled_out(pieces, codes):
+        """Whether two pieces miss: by the memo or a stored normal, else by pair LPs."""
         keys = [codes[i] << width | codes[j] for i, j in pairs]
         if any(map(pair_gaps.get, keys)) or not apart.isdisjoint(keys):
             return True
+        open_pairs = [
+            (pieces[i], pieces[j], key) for (i, j), key in zip(pairs, keys) if key not in pair_gaps
+        ]
         # fewest points first: the cheapest pair LPs, and the likeliest to miss
-        sizes = list(map(len, part.pieces))
-        by_size = sorted(zip(keys, pairs), key=lambda kp: sizes[kp[1][0]] + sizes[kp[1][1]])
-        return any(
-            key not in pair_gaps and (separated(part, key, pair) or pair_gap(part, key, pair))
-            for key, pair in by_size
-        )
+        open_pairs.sort(key=lambda abk: len(abk[0]) + len(abk[1]))
+        for a, b, key in open_pairs:
+            if _separated(separators, a, b):
+                apart.add(key)
+                return True
+        return any(pair_gap(*abk) for abk in open_pairs)
 
-    def below(part, codes, j):
-        """Whether the (piece 0, piece j) gap may lie below best."""
-        key = codes[0] << width | codes[j]
-        if key not in pair_gaps and bounded(part, (0, j)):
-            return False
-        return pair_gap(part, key, (0, j)) < best
+    def reaches(pieces, codes):
+        """Whether a (piece 0, piece j) gap reaches best: memo or dual bound first, then LPs."""
+        firsts = [(pieces[0], pieces[j], codes[0] << width | codes[j]) for j in range(1, r)]
+        if any(
+            pair_gaps[key] >= best if key in pair_gaps else _bounded(separators, a, b, best, scale)
+            for a, b, key in firsts
+        ):
+            return True
+        return any(pair_gap(*abk) >= best for abk in firsts)
 
     seen = {}  # codes -> first representative if its full LP was deferred, else None
     best = None
     n = 0
     for n, part in enumerate(enumerate_colorful_partitions(config, r), 1):
-        codes = codes_of(part)
+        pieces = part.pieces
+        codes = tuple(map(code, pieces))
         if codes in seen:
             continue
-        if r > 2 and ruled_out(part, codes):
+        if r > 2 and ruled_out(pieces, codes):
             seen[codes] = part
             continue
         seen[codes] = None
         stats["lps"] += 1
-        weights, gap = lp(part.pieces)
+        weights, gap = lp(pieces)
         if weights is not None:
             # each representative decides its r! ordered tuples
             stats["partitions"] = n * factorial(r)
-            point = convex_combination(weights[0], [config.points[i] for i in part.pieces[0]])
+            point = convex_combination(weights[0], [config.points[i] for i in pieces[0]])
             cert = TverbergCertificate(point=point, partition=part, weights=weights)
             return SolveReport("certified", cert, ZERO, stats)
         best = _least(best, gap)
     for codes, part in seen.items():
-        if part is not None and (best is None or all(below(part, codes, j) for j in range(1, r))):
+        if part is not None and (best is None or not reaches(part.pieces, codes)):
             stats["lps"] += 1
             best = _least(best, lp(part.pieces)[1])
     stats["partitions"] = n * factorial(r)

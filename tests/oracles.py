@@ -32,6 +32,9 @@ enumeration of every ordered colorful tuple, empty pieces included, that
 the searches ran over before they were quotiented by relabelling
 pieces; `ordered_nonempty_partitions` filters it, and
 `model.enumerate_colorful_partitions` is checked against that.
+`recursive_colorful_partitions` is that enumeration as it was before
+its walk was flattened: one recursive generator frame per class.
+`support_points` decodes a support code of the partition search.
 `verify_common_point_witness` re-checks a bare common-point witness
 with `geometry.convex_combination_fault`, the package's one
 convex-combination check.
@@ -695,6 +698,53 @@ def pair_filtered_tverberg(config, r):
     if best is None:
         return solver.SolveReport("no-valid-partition", None, None, stats)
     return solver.SolveReport("infeasible-exhausted", None, best, stats)
+
+
+def recursive_colorful_partitions(config, r):
+    """`model.enumerate_colorful_partitions` as a recursive generator.
+
+    One frame per class: each tries the class's injections into the
+    pieces in lexicographic order, keeps those with restricted-growth
+    labels, and recurses; a leaf assembles the pieces from the labels.
+    The flat walk that replaced it must yield the same tuples in the
+    same order.
+    """
+    classes = config.classes
+    left = [sum(len(cls) for cls in classes[c:]) for c in range(len(classes) + 1)]
+    label = [0] * config.size
+
+    def extend(c, opened):
+        if opened + left[c] < r:
+            return
+        if c == len(classes):
+            pieces = [[] for _ in range(r)]
+            for i, j in enumerate(label):
+                pieces[j].append(i)
+            yield PartitionTuple(tuple(map(tuple, pieces)))
+            return
+        cls = classes[c]
+        for assign in itertools.permutations(range(min(r, opened + len(cls))), len(cls)):
+            now = opened
+            for j in assign:
+                if j > now:
+                    break
+                now += j == now
+            else:
+                for i, j in zip(cls, assign):
+                    label[i] = j
+                yield from extend(c + 1, now)
+
+    return extend(0, 0)
+
+
+def support_points(ints, code):
+    """The distinct points of `ints` that a piece's support code names.
+
+    As in `solver.solve_tverberg`, bit b stands for the b-th distinct
+    point in first-index order; the piece's hull is their hull.
+    """
+    distinct = list(dict.fromkeys(ints))
+    return [p for b, p in enumerate(distinct) if code >> b & 1]
 
 
 def orbit_key(config, partition):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tverlab import geometry
 from tverlab.model import (
@@ -21,7 +22,12 @@ from tverlab.model import (
     validate,
 )
 
-from oracles import ordered_colorful_count, ordered_colorful_partitions, rational_lp_solve_eq
+from oracles import (
+    ordered_colorful_count,
+    ordered_colorful_partitions,
+    rational_lp_solve_eq,
+    recursive_colorful_partitions,
+)
 
 F = Fraction
 
@@ -136,6 +142,33 @@ class TestEnumeration:
         assert len(set(reps)) == 100
         # the singleton class is left to open the third piece
         assert reps[0].pieces == ((0, 2, 4), (1, 3, 5), (6,))
+
+
+@st.composite
+def shuffled_classes(draw):
+    """(config, r): r in 2..5, up to 4 classes of sizes 1..r+1 (at most 8 points)
+    on points numbered in a drawn order, so classes may interleave."""
+    r = draw(st.integers(2, 5))
+    sizes = draw(st.lists(st.integers(1, r + 1), max_size=4).filter(lambda s: sum(s) <= 8))
+    order = draw(st.permutations(range(sum(sizes))))
+    starts = [sum(sizes[:c]) for c in range(len(sizes))]
+    classes = [order[a:a + size] for a, size in zip(starts, sizes)]
+    points = [(i,) for i in range(sum(sizes))]
+    return ColoredConfig(dim=1, points=points, classes=classes), r
+
+
+@given(shuffled_classes())
+@settings(max_examples=150, deadline=None)
+@example((ColoredConfig(dim=1, points=[(0,), (1,)], classes=[(0, 1)]), 5))
+@example((ColoredConfig(dim=1, points=[(i,) for i in range(6)], classes=[(0, 3, 5), (1, 4), (2,)]), 3))
+def test_flat_walk_matches_recursive_walk(case):
+    # the same representatives in the same order, as many as the closed form
+    cfg, r = case
+    reps = list(enumerate_colorful_partitions(cfg, r))
+    assert reps == list(recursive_colorful_partitions(cfg, r))
+    assert len(reps) == count_colorful_partitions(cfg, r)
+    if r > cfg.size:
+        assert reps == []
 
 
 class TestTightness:

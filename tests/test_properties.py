@@ -1,7 +1,6 @@
 """Property-based invariants for the exact-arithmetic core."""
 
 import operator
-import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +27,7 @@ from oracles import (
     rational_lp_solve_eq,
     rational_solve,
     snap_quotients,
+    support_points,
     trial_division_is_prime,
     unfiltered_tverberg,
     verify_common_point_witness,
@@ -369,16 +369,16 @@ def test_witness_memo_decides_only_meeting_pairs(case):
     def recording(witnesses, ca, cb):
         met = witnessed(witnesses, ca, cb)
         if met:
-            caller = sys._getframe(1).f_locals
-            decided.append((caller["part"], caller["pair"]))
+            decided.append((ca, cb))
         return met
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_witnessed", recording)
         solver.solve_tverberg(cfg, r)
+    # a piece's hull is the hull of the distinct points its code names
     ints, scale = integer_points(cfg.points)
-    for part, pair in decided:
-        assert lp_solve_eq([[ints[i] for i in part.pieces[j]] for j in pair], scale)[1] == 0
+    for ca, cb in decided:
+        assert lp_solve_eq([support_points(ints, ca), support_points(ints, cb)], scale)[1] == 0
 
 
 @st.composite

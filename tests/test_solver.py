@@ -2,7 +2,6 @@
 import dataclasses
 import itertools
 import operator
-import sys
 import time
 from fractions import Fraction
 from math import factorial
@@ -45,6 +44,7 @@ from oracles import (
     orbit_key,
     ordered_nonempty_partitions,
     pair_snap_quotients,
+    support_points,
     verify_common_point_witness,
 )
 
@@ -196,15 +196,19 @@ def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
         seen.append((a, b, scale, gap, normal, support))
         return gap, normal, support
 
-    def recording_bound(ha, hb, hmax, hmin, scale):
-        bound = geometry.pair_gap_bound(ha, hb, hmax, hmin, scale)
-        # the caller's frame holds the pair and the least gap it is compared with
-        caller = sys._getframe(1).f_locals
-        bounds.append((cfg, caller["part"], caller["pair"], caller["best"], bound))
-        return bound
+    def recording_bounded(separators, a, b, best, scale):
+        # every stored normal's dual bound on the pair, and whether one reached best
+        each = [
+            geometry.pair_gap_bound([proj[i] for i in a], [proj[i] for i in b], hmax, hmin, scale)
+            for proj, hmax, hmin in separators
+        ]
+        reached = bounded(separators, a, b, best, scale)
+        bounds.append((cfg, a, b, best, each, reached))
+        return reached
 
+    bounded = solver._bounded
     monkeypatch.setattr(solver, "pair_gap_normal", recording)
-    monkeypatch.setattr(solver, "pair_gap_bound", recording_bound)
+    monkeypatch.setattr(solver, "_bounded", recording_bounded)
     cases = [(tightness_instance(d, 0, (3,), 0).collections[0], 3) for d in (2, 3)]
     cases += [(random_instance(3, 0, (3,), seed=s).collections[0], 3) for s in range(8)]
     cases += [(random_instance(2, 0, (5,), seed=1).collections[0], 5)]
@@ -215,11 +219,12 @@ def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
     # every dual bound lies at or below its pair's gap, and a pair it
     # skips (bound at least the least gap) has a gap at least the least gap
     skips = 0
-    for cfg, part, pair, best, bound in bounds:
+    for cfg, a, b, best, each, reached in bounds:
         ints, scale = integer_points(cfg.points)
-        gap = geometry.lp_solve_eq([[ints[i] for i in part.pieces[j]] for j in pair], scale)[1]
-        assert bound <= gap
-        if bound >= best:
+        gap = geometry.lp_solve_eq([[ints[i] for i in a], [ints[i] for i in b]], scale)[1]
+        assert all(bound <= gap for bound in each)
+        assert reached == any(bound >= best for bound in each)
+        if reached:
             skips += 1
             assert gap >= best
     assert skips > 100
@@ -238,6 +243,24 @@ def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
                 sum(map(operator.mul, normal, q)) for q in b
             )
     assert stored > 100
+
+
+def test_no_lp_tests_run_on_every_pair_before_a_pair_lp():
+    # the memo and stored normals try every pair of a partition before
+    # any pair LP, and every (0, j) pair's memoised gap or dual bound
+    # before a refutation's pair LPs: the full LPs are the same, and
+    # fewer pair LPs run (1,900 and 191 when a pair LP could come first)
+    reports = [solve_tverberg(random_instance(3, 0, (3,), seed=s).collections[0], 3) for s in range(40)]
+    assert all(report.certified for report in reports)
+    assert sum(report.stats["lps"] for report in reports) == 152
+    assert sum(report.stats["pair_lps"] for report in reports) == 1016
+    # eight points in general position in R^3 have no Tverberg 3-partition
+    points = random_instance(3, 0, (3,), seed=0).collections[0].points[:8]
+    cfg = ColoredConfig(dim=3, points=points, classes=[(i,) for i in range(8)])
+    report = solve_tverberg(cfg, 3)
+    assert report.status == "infeasible-exhausted"
+    assert report.gap == Fraction(77787356454051190, 689811825741856777)
+    assert report.stats == {"partitions": 5796, "lps": 20, "pair_lps": 81}
 
 
 def test_solve_tverberg_segment_case():
@@ -279,27 +302,30 @@ def test_solve_tverberg_refutes_in_one_walk(monkeypatch):
 def test_witness_memo_spares_one_lp_per_decided_pair(monkeypatch):
     # a pair that contains a stored meeting support is decided with no LP;
     # every other decision is unchanged, so each such pair spares exactly
-    # one of the 887 pair LPs the search solves without the memo
+    # one of the 725 pair LPs the search solves without the memo
+    cfg = tightness_instance(4, 0, (3,), 0).collections[0]
     decided = []
 
     def recording(witnesses, ca, cb):
         met = witnessed(witnesses, ca, cb)
         if met:
-            caller = sys._getframe(1).f_locals
-            decided.append((caller["part"], caller["pair"]))
+            decided.append((ca, cb))
         return met
 
     witnessed = solver._witnessed
+    monkeypatch.setattr(solver, "_witnessed", lambda witnesses, ca, cb: False)
+    report = solve_tverberg(cfg, 3)
+    assert report.stats == {"partitions": 39_366, "lps": 1194, "pair_lps": 725}
     monkeypatch.setattr(solver, "_witnessed", recording)
-    cfg = tightness_instance(4, 0, (3,), 0).collections[0]
     report = solve_tverberg(cfg, 3)
     assert report.status == "infeasible-exhausted"
     assert report.gap == Fraction(1, 5)
     assert report.stats == {"partitions": 39_366, "lps": 1194, "pair_lps": 13}
-    assert len(decided) == 887 - 13
+    assert len(decided) == 725 - 13
+    # a piece's hull is the hull of the distinct points its code names
     ints, scale = integer_points(cfg.points)
-    for part, pair in decided:
-        assert geometry.lp_solve_eq([[ints[i] for i in part.pieces[j]] for j in pair], scale)[1] == 0
+    for ca, cb in decided:
+        assert geometry.lp_solve_eq([support_points(ints, ca), support_points(ints, cb)], scale)[1] == 0
 
 
 def test_solve_tverberg_no_valid_partition():
