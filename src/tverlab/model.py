@@ -84,14 +84,9 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class PartitionTuple:
-    """Ordered assignment of one collection's points to pieces 1..r."""
+    """A certificate's assignment of one collection's points to pieces 1..r, kept as given."""
 
     pieces: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "pieces", tuple(tuple(sorted(p)) for p in self.pieces)
-        )
 
 
 @dataclass(frozen=True)
@@ -179,6 +174,8 @@ def count_colorful_partitions(config: ColoredConfig, r: int) -> int:
 def enumerate_colorful_partitions(config: ColoredConfig, r: int):
     """Nonempty colorful r-partitions, one per relabelling of the pieces.
 
+    Each is a bare tuple of r piece tuples, each piece's points in class order.
+
     Reading the classes in order, piece j opens (takes its first point)
     before piece j+1: restricted-growth labels.  Every S_r orbit of
     nonempty ordered tuples holds exactly one such tuple, r! in all, and
@@ -223,7 +220,7 @@ def enumerate_colorful_partitions(config: ColoredConfig, r: int):
             grown.append((c + 1, now, tuple(nxt)))
         if c + 1 == len(classes):
             for _, _, leaf in grown:
-                yield PartitionTuple(leaf)
+                yield leaf
         else:
             stack.extend(reversed(grown))
 

@@ -24,6 +24,9 @@ Whether piece hulls share a point or meet a plane does not depend on how
 the pieces are numbered, so every search runs over one partition per
 S_r orbit (`model.enumerate_colorful_partitions`); counts of ordered
 partitions and combinations covered still include the whole orbit.
+The searches work on the walk's bare tuples of piece tuples, each
+piece's points in class order, and wrap one in a `PartitionTuple`,
+which keeps its pieces as given, only to build a certificate.
 
 Certificates carry convex weights and witness points so verification never
 repeats the search.
@@ -57,6 +60,7 @@ from .model import (
     count_colorful_partitions,
     enumerate_colorful_partitions,
     partition_is_valid,
+    random_instance,
     validate,
 )
 
@@ -336,13 +340,12 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     seen = {}  # codes -> first representative if its full LP was deferred, else None
     best = None
     n = 0
-    for n, part in enumerate(enumerate_colorful_partitions(config, r), 1):
-        pieces = part.pieces
+    for n, pieces in enumerate(enumerate_colorful_partitions(config, r), 1):
         codes = tuple(map(code, pieces))
         if codes in seen:
             continue
         if r > 2 and ruled_out(pieces, codes):
-            seen[codes] = part
+            seen[codes] = pieces
             continue
         seen[codes] = None
         stats["lps"] += 1
@@ -351,13 +354,13 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
             # each representative decides its r! ordered tuples
             stats["partitions"] = n * factorial(r)
             point = convex_combination(weights[0], [config.points[i] for i in pieces[0]])
-            cert = TverbergCertificate(point=point, partition=part, weights=weights)
+            cert = TverbergCertificate(point, PartitionTuple(pieces), weights)
             return SolveReport("certified", cert, ZERO, stats)
         best = _least(best, gap)
-    for codes, part in seen.items():
-        if part is not None and (best is None or not reaches(part.pieces, codes)):
+    for codes, pieces in seen.items():
+        if pieces is not None and (best is None or not reaches(pieces, codes)):
             stats["lps"] += 1
-            best = _least(best, lp(part.pieces)[1])
+            best = _least(best, lp(pieces)[1])
     stats["partitions"] = n * factorial(r)
     if best is None:
         return SolveReport("no-valid-partition", None, None, stats)
@@ -436,8 +439,8 @@ def _combo_pieces(point_lists, combo):
     """The point list of every piece of `combo`, collection by collection."""
     return [
         [pts[i] for i in piece]
-        for pts, part in zip(point_lists, combo)
-        for piece in part.pieces
+        for pts, pieces in zip(point_lists, combo)
+        for piece in pieces
     ]
 
 
@@ -457,12 +460,11 @@ def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats):
     for ell, plist in enumerate(partitions_per_col):
         good = []
         gmin = None
-        for part in plist:
-            pieces = [[iproj[ell][i] for i in piece] for piece in part.pieces]
-            weights, gap = lp_solve_eq(pieces, scale)
+        for pieces in plist:
+            weights, gap = lp_solve_eq([[iproj[ell][i] for i in piece] for piece in pieces], scale)
             stats["lps"] += 1
             if weights is not None:
-                good.append(part)
+                good.append(pieces)
             else:
                 gmin = _least(gmin, gap)
         survivors.append(good)
@@ -493,7 +495,7 @@ def _build_certificate(instance, q_rows, combo, weights) -> TransversalCertifica
             tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d)
         )
     else:
-        first = [instance.collections[0].points[i] for i in combo[0].pieces[0]]
+        first = [instance.collections[0].points[i] for i in combo[0][0]]
         point = convex_combination(weights[0], first)
         particular, null = linalg.solve(q_rows, [_dot(row, point) for row in q_rows])
         base = tuple(particular)
@@ -512,13 +514,13 @@ def _certificate(instance, plane, combo, piece_weights) -> TransversalCertificat
     flat = iter(zip(piece_weights, _combo_pieces(point_lists, combo)))
     weights = []
     points = []
-    for part in combo:
-        col = [next(flat) for _ in part.pieces]
+    for pieces in combo:
+        col = [next(flat) for _ in pieces]
         weights.append(tuple(tuple(w) for w, _ in col))
         points.append(tuple(convex_combination(w, pts) for w, pts in col))
     return TransversalCertificate(
         plane=plane,
-        partitions=tuple(combo),
+        partitions=tuple(map(PartitionTuple, combo)),
         weights=tuple(weights),
         witness_points=tuple(points),
     )
@@ -602,7 +604,7 @@ def solve_hyperplane_transversal_exact(
         stats["planes"] += 1
         sides = [[_dot(normal, v) - offset for v in pts] for pts in int_points]
         found = [_first_met(s, plist) for s, plist in zip(sides, partitions_per_col)]
-        combo = [part for part, _ in found]
+        combo = [pieces for pieces, _ in found]
         if None not in combo:
             cert = _hyperplane_certificate(
                 instance, combo, sides, normal, Fraction(offset, scale)
@@ -646,10 +648,10 @@ def _first_met(side, plist):
             misses[piece] = max(min(vals), -max(vals), 0)
         return misses[piece]
 
-    for part in plist:
-        if not any(map(miss, part.pieces)):
-            return part, 0
-    return None, min(sum(map(miss, part.pieces)) for part in plist)
+    for pieces in plist:
+        if not any(map(miss, pieces)):
+            return pieces, 0
+    return None, min(sum(map(miss, pieces)) for pieces in plist)
 
 
 def _hyperplane_certificate(instance, combo, sides, normal, offset):
@@ -657,8 +659,8 @@ def _hyperplane_certificate(instance, combo, sides, normal, offset):
     particular, null = linalg.solve([list(normal)], [offset])
     plane = KPlane(base=tuple(particular), directions=tuple(tuple(v) for v in null))
     piece_weights = []
-    for side, part in zip(sides, combo):
-        for piece in part.pieces:
+    for side, pieces in zip(sides, combo):
+        for piece in pieces:
             vals = [side[i] for i in piece]
             lo = next(j for j, s in enumerate(vals) if s <= 0)
             hi = next(j for j, s in enumerate(vals) if s >= 0)
@@ -859,8 +861,6 @@ def sweep(
     violates the guarantee hypotheses, since a miss there is expected
     rather than diagnostic.
     """
-    from .model import random_instance
-
     outcomes = []
     counts: dict[str, int] = {}
     for i in range(trials):

@@ -33,7 +33,10 @@ the searches ran over before they were quotiented by relabelling
 pieces; `ordered_nonempty_partitions` filters it, and
 `model.enumerate_colorful_partitions` is checked against that.
 `recursive_colorful_partitions` is that enumeration as it was before
-its walk was flattened: one recursive generator frame per class.
+its walk was flattened: one recursive generator frame per class.  Like
+the walk, all three yield bare tuples of piece tuples, each piece's
+points in class order, and `orbit_key` and `hyperplane_disjunct_search`
+take such tuples; only a certificate wraps one in a `PartitionTuple`.
 `support_points` decodes a support code of the partition search.
 `verify_common_point_witness` re-checks a bare common-point witness
 with `geometry.convex_combination_fault`, the package's one
@@ -578,7 +581,8 @@ def ordered_colorful_partitions(config, r):
 
     Per class, the injections of its points into the pieces in
     lexicographic order; classes combined in index order, the last
-    varying fastest.  Pieces may come out empty.
+    varying fastest.  Each is a tuple of piece tuples, each piece's
+    points in class order.  Pieces may come out empty.
     """
     if any(len(c) > r for c in config.classes):
         return
@@ -588,7 +592,7 @@ def ordered_colorful_partitions(config, r):
         for cls, assign in zip(config.classes, combo):
             for point_idx, piece_idx in zip(cls, assign):
                 pieces[piece_idx].append(point_idx)
-        yield PartitionTuple(tuple(tuple(p) for p in pieces))
+        yield tuple(map(tuple, pieces))
 
 
 def ordered_colorful_count(config, r):
@@ -603,7 +607,7 @@ def ordered_nonempty_partitions(config, r):
     relabelling pieces; `model.enumerate_colorful_partitions` is checked
     against it.
     """
-    return (p for p in ordered_colorful_partitions(config, r) if all(p.pieces))
+    return (p for p in ordered_colorful_partitions(config, r) if all(p))
 
 
 def unfiltered_tverberg(config, r):
@@ -616,10 +620,10 @@ def unfiltered_tverberg(config, r):
     ints, scale = integer_points(config.points)
     lps, best = 0, None
     lp_pieces = []
-    for part in enumerate_colorful_partitions(config, r):
+    for pieces in enumerate_colorful_partitions(config, r):
         lps += 1
-        lp_pieces.append(part.pieces)
-        weights, gap = lp_solve_eq([[ints[i] for i in piece] for piece in part.pieces], scale)
+        lp_pieces.append(pieces)
+        weights, gap = lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale)
         if weights is not None:
             break
         best = gap if best is None or gap < best else best
@@ -628,8 +632,8 @@ def unfiltered_tverberg(config, r):
         return solver.SolveReport("no-valid-partition", None, None, stats)
     if weights is None:
         return solver.SolveReport("infeasible-exhausted", None, best, stats)
-    point = convex_combination(weights[0], [config.points[i] for i in part.pieces[0]])
-    cert = solver.TverbergCertificate(point=point, partition=part, weights=weights)
+    point = convex_combination(weights[0], [config.points[i] for i in pieces[0]])
+    cert = solver.TverbergCertificate(point, PartitionTuple(pieces), weights)
     return solver.SolveReport("certified", cert, ZERO, stats)
 
 
@@ -651,19 +655,19 @@ def pair_filtered_tverberg(config, r):
     def lp(pieces):
         return lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale)
 
-    def full_lp(part):
+    def full_lp(pieces):
         stats["lps"] += 1
-        stats["lp_pieces"].append(part.pieces)
-        return lp(part.pieces)
+        stats["lp_pieces"].append(pieces)
+        return lp(pieces)
 
-    def keys_of(part):
-        masks = [sum(map(bit.__getitem__, piece)) for piece in part.pieces]
+    def keys_of(pieces):
+        masks = [sum(map(bit.__getitem__, piece)) for piece in pieces]
         return [masks[i] << n | masks[j] for i, j in pairs]
 
-    def pair_gap(part, key, pair):
+    def pair_gap(pieces, key, pair):
         if key not in pair_gaps:
             stats["pair_lps"] += 1
-            pair_gaps[key] = lp([part.pieces[i] for i in pair])[1]
+            pair_gaps[key] = lp([pieces[i] for i in pair])[1]
         return pair_gaps[key]
 
     hit = best = None
@@ -692,8 +696,8 @@ def pair_filtered_tverberg(config, r):
     stats["partitions"] = covered * math.factorial(r)
     if hit is not None:
         part, weights = hit
-        point = convex_combination(weights[0], [config.points[i] for i in part.pieces[0]])
-        cert = solver.TverbergCertificate(point=point, partition=part, weights=weights)
+        point = convex_combination(weights[0], [config.points[i] for i in part[0]])
+        cert = solver.TverbergCertificate(point, PartitionTuple(part), weights)
         return solver.SolveReport("certified", cert, ZERO, stats)
     if best is None:
         return solver.SolveReport("no-valid-partition", None, None, stats)
@@ -705,9 +709,9 @@ def recursive_colorful_partitions(config, r):
 
     One frame per class: each tries the class's injections into the
     pieces in lexicographic order, keeps those with restricted-growth
-    labels, and recurses; a leaf assembles the pieces from the labels.
-    The flat walk that replaced it must yield the same tuples in the
-    same order.
+    labels, and recurses; a leaf assembles the pieces from the labels,
+    reading the points in class order.  The flat walk that replaced it
+    must yield the same tuples in the same order.
     """
     classes = config.classes
     left = [sum(len(cls) for cls in classes[c:]) for c in range(len(classes) + 1)]
@@ -718,9 +722,9 @@ def recursive_colorful_partitions(config, r):
             return
         if c == len(classes):
             pieces = [[] for _ in range(r)]
-            for i, j in enumerate(label):
-                pieces[j].append(i)
-            yield PartitionTuple(tuple(map(tuple, pieces)))
+            for i in itertools.chain(*classes):
+                pieces[label[i]].append(i)
+            yield tuple(map(tuple, pieces))
             return
         cls = classes[c]
         for assign in itertools.permutations(range(min(r, opened + len(cls))), len(cls)):
@@ -747,13 +751,13 @@ def support_points(ints, code):
     return [p for b, p in enumerate(distinct) if code >> b & 1]
 
 
-def orbit_key(config, partition):
+def orbit_key(config, pieces):
     """Piece labels of the points read class by class, renumbered by first use.
 
     Two partitions get the same key iff they differ only by relabelling
     their pieces.
     """
-    label = {i: j for j, piece in enumerate(partition.pieces) for i in piece}
+    label = {i: j for j, piece in enumerate(pieces) for i in piece}
     first = {}
     return tuple(first.setdefault(label[i], len(first)) for cls in config.classes for i in cls)
 
@@ -851,7 +855,7 @@ def fraction_projected_direction(q_rows, collections, plists, stats):
     for ell, plist in enumerate(plists):
         good, gmin = [], None
         for part in plist:
-            weights, gap = lp_solve_eq([[iproj[ell][i] for i in piece] for piece in part.pieces], scale)
+            weights, gap = lp_solve_eq([[iproj[ell][i] for i in piece] for piece in part], scale)
             stats["lps"] += 1
             if weights is not None:
                 good.append(part)
@@ -885,13 +889,13 @@ def first_met_flags(side, plist):
     for part in plist:
         if all(
             any(below[i] for i in piece) and any(above[i] for i in piece)
-            for piece in part.pieces
+            for piece in part
         ):
             return part, 0
     return None, min(
         sum(
             max(min(side[i] for i in piece), -max(side[i] for i in piece), 0)
-            for piece in part.pieces
+            for piece in part
         )
         for part in plist
     )
@@ -917,7 +921,7 @@ def hyperplane_disjunct_search(instance):
         pieces = [
             [cfg.points[i] for i in piece]
             for cfg, part in zip(instance.collections, combo)
-            for piece in part.pieces
+            for piece in part
         ]
         pair_ranges = [itertools.product(range(len(p)), repeat=2) for p in pieces]
         for pairs in itertools.product(*pair_ranges):

@@ -11,7 +11,7 @@ from tverlab.model import (
     random_instance,
     tightness_instance,
 )
-from tverlab.solver import verify_transversal, verify_tverberg
+from tverlab.solver import solve, verify_transversal, verify_tverberg
 
 
 def run(capsys, *argv):
@@ -99,6 +99,23 @@ def test_partition_radon_square(capsys, radon_square, tmp_path):
 
     half = Fraction(1, 2)
     assert all(w == (half, half) for w in cert.weights)
+
+
+def test_partition_round_trip_with_interleaved_classes(capsys, tmp_path):
+    # pieces list their points class by class, so (3, 1, 2) stays out of
+    # index order in the file, lined up with its weights
+    points = random_instance(2, 0, (3,), seed=0).collections[0].points
+    cfg = ColoredConfig(dim=2, points=points, classes=[(0, 3), (1, 4), (2,), (5,), (6,)])
+    inst = ProblemInstance(d=2, k=0, rs=(3,), collections=(cfg,))
+    path = tmp_path / "interleaved.json"
+    serialize.save_instance(str(path), inst)
+    cert_path = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "partition", str(path), "--out", str(cert_path), "--verify")
+    assert code == 0
+    assert "verified: ok" in out
+    expected = solve(inst).certificate
+    assert expected.partition.pieces == ((0, 5), (3, 1, 2), (4, 6))
+    assert serialize.load_certificate(str(cert_path)).partition.pieces == expected.partition.pieces
 
 
 def test_partition_tightness_file_is_infeasible(capsys, tmp_path):

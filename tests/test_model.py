@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from tverlab import geometry
 from tverlab.model import (
     ColoredConfig,
+    PartitionTuple,
     ProblemInstance,
     count_colorful_partitions,
     default_profile,
@@ -102,7 +103,7 @@ class TestEnumeration:
 
     def test_single_point_two_pieces(self):
         cfg = config_from_profile((1,), d=1)
-        assert [t.pieces for t in ordered_colorful_partitions(cfg, 2)] == [
+        assert list(ordered_colorful_partitions(cfg, 2)) == [
             ((0,), ()),
             ((), (0,)),
         ]
@@ -118,8 +119,8 @@ class TestEnumeration:
     def test_every_tuple_valid(self):
         cfg = config_from_profile((2, 2, 1), d=2)
         for t in ordered_colorful_partitions(cfg, 3):
-            assert partition_is_valid(cfg, t, 3)
-            assert is_colorful(cfg, t.pieces)
+            assert partition_is_valid(cfg, PartitionTuple(t), 3)
+            assert is_colorful(cfg, t)
 
     def test_count_matches_enumeration_on_small_profiles(self):
         rng = random.Random(31)
@@ -141,7 +142,7 @@ class TestEnumeration:
         assert len(reps) == count_colorful_partitions(cfg, 3) == 100
         assert len(set(reps)) == 100
         # the singleton class is left to open the third piece
-        assert reps[0].pieces == ((0, 2, 4), (1, 3, 5), (6,))
+        assert reps[0] == ((0, 2, 4), (1, 3, 5), (6,))
 
 
 @st.composite
@@ -162,13 +163,18 @@ def shuffled_classes(draw):
 @example((ColoredConfig(dim=1, points=[(0,), (1,)], classes=[(0, 1)]), 5))
 @example((ColoredConfig(dim=1, points=[(i,) for i in range(6)], classes=[(0, 3, 5), (1, 4), (2,)]), 3))
 def test_flat_walk_matches_recursive_walk(case):
-    # the same representatives in the same order, as many as the closed form
+    # the same representatives in the same order, as many as the closed form,
+    # each piece's points in class order
     cfg, r = case
     reps = list(enumerate_colorful_partitions(cfg, r))
     assert reps == list(recursive_colorful_partitions(cfg, r))
     assert len(reps) == count_colorful_partitions(cfg, r)
     if r > cfg.size:
         assert reps == []
+    position = {i: n for n, i in enumerate(itertools.chain(*cfg.classes))}
+    for pieces in reps:
+        for piece in pieces:
+            assert [position[i] for i in piece] == sorted(position[i] for i in piece)
 
 
 class TestTightness:

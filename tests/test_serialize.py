@@ -23,6 +23,8 @@ from tverlab.solver import (
     solve_hyperplane_transversal_exact,
     solve_tverberg,
     sweep,
+    verify_transversal,
+    verify_tverberg,
 )
 
 
@@ -217,6 +219,46 @@ def test_hand_built_certificate_serializes():
         weights=((Fraction(1, 2), Fraction(1, 2)), (Fraction(1),)),
     )
     assert serialize.certificate_from_json(serialize.certificate_to_json(cert)) == cert
+
+
+def test_tverberg_certificate_keeps_file_piece_order():
+    # piece 0 lists points 2, 0, 1 (at 4, 0, 2) with weights in that order;
+    # sorting the points but not the weights would move the witness off 1
+    cfg = ColoredConfig(1, [(0,), (2,), (4,), (1,)], [(0,), (1,), (2,), (3,)])
+    data = {
+        "format": serialize.CERTIFICATE_FORMAT,
+        "version": serialize.FORMAT_VERSION,
+        "kind": "tverberg",
+        "point": [1],
+        "partition": [[2, 0, 1], [3]],
+        "weights": [["1/8", "5/8", "1/4"], [1]],
+    }
+    cert = serialize.certificate_from_json(data)
+    assert verify_tverberg(cfg, 2, cert)
+    assert cert.partition.pieces == ((2, 0, 1), (3,))
+    assert serialize.certificate_to_json(cert) == data
+
+
+def test_transversal_certificate_keeps_file_piece_order():
+    # collection 0's piece (1, 0) meets the x-axis at (0, 0) only with
+    # its weights read in that order
+    inst = ProblemInstance(2, 1, (2, 2), (
+        ColoredConfig(2, [(0, -1), (0, 3), (5, 0)], [(0,), (1,), (2,)]),
+        ColoredConfig(2, [(1, -2), (1, 2), (7, 0)], [(0,), (1,), (2,)]),
+    ))
+    data = {
+        "format": serialize.CERTIFICATE_FORMAT,
+        "version": serialize.FORMAT_VERSION,
+        "kind": "transversal",
+        "plane": {"base": [0, 0], "directions": [[1, 0]]},
+        "partitions": [[[1, 0], [2]], [[0, 1], [2]]],
+        "weights": [[["1/4", "3/4"], [1]], [["1/2", "1/2"], [1]]],
+        "witness_points": [[[0, 0], [5, 0]], [[1, 0], [7, 0]]],
+    }
+    cert = serialize.certificate_from_json(data)
+    assert verify_transversal(inst, cert)
+    assert cert.partitions[0].pieces == ((1, 0), (2,))
+    assert serialize.certificate_to_json(cert) == data
 
 
 # ---------------------------------------------------------------------------
