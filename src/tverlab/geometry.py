@@ -169,7 +169,7 @@ def pair_gap_bound(ha, hb, hmax, hmin, scale):
                 value = min(scale * q, -p * big) + min(scale * q, p * low)
                 if value * den > num * q:
                     num, den = value, q
-    return Fraction(num, den * scale)
+    return Fraction(num, den * scale) if num else ZERO
 
 
 def common_point_gap(pieces):

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
@@ -231,32 +232,33 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
 
     Each distinct point gets one bit, so a piece's code, the OR of its
     points' bits, is its support: the set of its distinct points, whose
-    hull is the piece's hull.  Codes are memoised per piece.  Two
-    representatives with the same ordered tuple of supports pose the
-    same LP up to repeated and reordered columns, which change neither
-    feasibility nor the phase-1 optimum, so they have one feasibility
-    and one gap: a full LP that missed is memoised by that tuple, and
-    one that hit ends the search with its own weights.
+    hull is the piece's hull.  Each support gets a dense id, memoised
+    per piece.  Two representatives with the same ordered tuple of ids
+    pose the same LP up to repeated and reordered columns, which change
+    neither feasibility nor the phase-1 optimum, so they have one
+    feasibility and one gap: a full LP that missed is memoised by that
+    tuple, and one that hit ends the search with its own weights.
 
     For r >= 3, two pieces whose hulls miss rule a partition out, so
-    two-piece LPs, memoised per search by the pair's codes, defer its
-    full LP; the first hit is unchanged.  A two-piece LP that misses
-    also yields an integer normal strictly separating its pieces
-    (`pair_gap_normal`, from the LP's Farkas dual).  The last
-    `_SEPARATORS` of them, most recently useful first, are kept; one
-    that strictly separates a pair's pieces rules the pair out with no
-    LP.  A two-piece LP that meets instead yields the supports of its
-    basic solution, at most d+2 points (`pair_gap_normal`), kept once
-    as a pair of bitmasks.  A later pair whose pieces contain them,
-    either way round, meets at the same point, so its gap is 0 with no
-    LP.  A partition is decided in two stages, each taking its pairs
-    fewest points first (the cheapest pair LPs, and the likeliest to
-    miss).  Stage one tries every pair on the memo and on the stored
-    normals.  Only if none of those rules a pair out does stage two
-    decide the undecided pairs, each by a stored support or else by its
-    LP, until one misses.  Every test is exact and only ever proves a
-    miss or a meet, so the same partitions reach their full LP as with
-    pair LPs alone: same first hit, weights and gap.
+    two-piece LPs, memoised by the pair's ids, defer its full LP.  One
+    that misses also yields an integer normal strictly separating its
+    pieces (`pair_gap_normal`, from the LP's Farkas dual); the last
+    `_SEPARATORS` of them, most recently useful first, are kept, and one
+    that separates a pair's pieces rules the pair out with no LP.  One
+    that meets instead yields the supports of its basic solution, at
+    most d+2 points, kept once as a pair of bitmasks; a later pair whose
+    pieces contain them, either way round, meets at the same point, so
+    its gap is 0 with no LP.  Each id a keeps a miss mask, an int with
+    bit b set once the ordered pair (a, b) is known to miss.  Stage one
+    ANDs each piece's mask with the ids of the later pieces, then tries
+    the undecided pairs on the stored normals, fewest points first (the
+    cheapest pair LPs, and the likeliest to miss).  Only if none rules a
+    pair out does stage two decide them in that order, each by a stored
+    support or else by its LP, until one misses.  Every test is exact
+    and only ever proves a miss or a meet, so the same partitions reach
+    their full LP as with pair LPs alone: same first hit, weights and
+    gap.  Ids name supports one to one, so every lookup and counter is
+    as with keys on supports.
 
     The (piece 0, piece j) LP is a row-and-column subsystem of the full
     LP, so its gap bounds the full gap from below.  One walk decides
@@ -279,13 +281,13 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     # one bit per distinct point, in first-index order
     bit = {}
     unit = [1 << bit.setdefault(p, len(bit)) for p in ints]
-    width = len(bit)
-    code = cache(lambda piece: reduce(operator.or_, map(unit.__getitem__, piece)))
-    pair_gaps = {}  # code(a) << width | code(b) -> gap of the LP on pieces (a, b)
-    low = (1 << width) - 1  # code(b) = key & low
+    code = lambda piece: reduce(operator.or_, map(unit.__getitem__, piece))
+    ids = {}  # code(piece) -> dense support id, in first-seen order
+    pid = cache(lambda piece: ids.setdefault(code(piece), len(ids)))
+    pair_gaps = {}  # (pid(a), pid(b)) -> gap of the LP on pieces (a, b)
+    misses = defaultdict(int)  # pid(a) -> OR of 1 << pid(b) over pairs (a, b) known to miss
     witnesses = []  # (code(sa), code(sb)) per meeting pair LP's solution support
     separators = []  # (h.p for every point p, max(h), min(h)) per stored normal h
-    apart = set()  # keys of pairs a stored normal separated, with no LP
     pairs = list(itertools.combinations(range(r), 2))  # (0, j) first
 
     def lp(pieces):
@@ -293,7 +295,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
 
     def pair_gap(a, b, key):
         if key not in pair_gaps:
-            if _witnessed(witnesses, key >> width, key & low):
+            if _witnessed(witnesses, code(a), code(b)):
                 pair_gaps[key] = ZERO
                 return ZERO
             stats["pair_lps"] += 1
@@ -301,35 +303,33 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
                 [ints[i] for i in a], [ints[i] for i in b], scale
             )
             if normal is not None:
+                misses[key[0]] |= 1 << key[1]
                 proj = [sum(map(operator.mul, normal, p)) for p in ints]
                 separators.insert(0, (proj, max(normal), min(normal)))
                 del separators[_SEPARATORS:]
             else:
-                witnesses.append(tuple(
-                    reduce(operator.or_, (unit[piece[i]] for i in s))
-                    for piece, s in zip((a, b), support)
-                ))
+                witnesses.append(tuple(code(p[i] for i in s) for p, s in zip((a, b), support)))
         return pair_gaps[key]
 
-    def ruled_out(pieces, codes):
-        """Whether two pieces miss: by the memo or a stored normal, else by pair LPs."""
-        keys = [codes[i] << width | codes[j] for i, j in pairs]
-        if any(map(pair_gaps.get, keys)) or not apart.isdisjoint(keys):
-            return True
-        open_pairs = [
-            (pieces[i], pieces[j], key) for (i, j), key in zip(pairs, keys) if key not in pair_gaps
-        ]
-        # fewest points first: the cheapest pair LPs, and the likeliest to miss
-        open_pairs.sort(key=lambda abk: len(abk[0]) + len(abk[1]))
-        for a, b, key in open_pairs:
-            if _separated(separators, a, b):
-                apart.add(key)
+    def ruled_out(pieces, pids):
+        """Whether two pieces miss: by the miss masks, else by a stored normal or pair LPs."""
+        later = 0  # one bit per id of the pieces after the current one
+        for a in reversed(pids):
+            if misses[a] & later:
                 return True
-        return any(pair_gap(*abk) for abk in open_pairs)
+            later |= 1 << a
+        open_pairs = [(i, j) for i, j in pairs if (pids[i], pids[j]) not in pair_gaps]
+        # fewest points first: the cheapest pair LPs, and the likeliest to miss
+        open_pairs.sort(key=lambda ij: len(pieces[ij[0]]) + len(pieces[ij[1]]))
+        for i, j in open_pairs:
+            if _separated(separators, pieces[i], pieces[j]):
+                misses[pids[i]] |= 1 << pids[j]
+                return True
+        return any(pair_gap(pieces[i], pieces[j], (pids[i], pids[j])) for i, j in open_pairs)
 
-    def reaches(pieces, codes):
+    def reaches(pieces, pids):
         """Whether a (piece 0, piece j) gap reaches best: memo or dual bound first, then LPs."""
-        firsts = [(pieces[0], pieces[j], codes[0] << width | codes[j]) for j in range(1, r)]
+        firsts = [(pieces[0], pieces[j], (pids[0], pids[j])) for j in range(1, r)]
         if any(
             pair_gaps[key] >= best if key in pair_gaps else _bounded(separators, a, b, best, scale)
             for a, b, key in firsts
@@ -337,17 +337,17 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
             return True
         return any(pair_gap(*abk) >= best for abk in firsts)
 
-    seen = {}  # codes -> first representative if its full LP was deferred, else None
+    seen = {}  # pids -> first representative if its full LP was deferred, else None
     best = None
     n = 0
     for n, pieces in enumerate(enumerate_colorful_partitions(config, r), 1):
-        codes = tuple(map(code, pieces))
-        if codes in seen:
+        pids = tuple(map(pid, pieces))
+        if pids in seen:
             continue
-        if r > 2 and ruled_out(pieces, codes):
-            seen[codes] = pieces
+        if r > 2 and ruled_out(pieces, pids):
+            seen[pids] = pieces
             continue
-        seen[codes] = None
+        seen[pids] = None
         stats["lps"] += 1
         weights, gap = lp(pieces)
         if weights is not None:
@@ -357,8 +357,8 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
             cert = TverbergCertificate(point, PartitionTuple(pieces), weights)
             return SolveReport("certified", cert, ZERO, stats)
         best = _least(best, gap)
-    for codes, pieces in seen.items():
-        if pieces is not None and (best is None or not reaches(pieces, codes)):
+    for pids, pieces in seen.items():
+        if pieces is not None and (best is None or not reaches(pieces, pids)):
             stats["lps"] += 1
             best = _least(best, lp(pieces)[1])
     stats["partitions"] = n * factorial(r)

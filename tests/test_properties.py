@@ -280,9 +280,16 @@ def tverberg_cases(draw):
     Up to seven points (d + 3 at r = 2) allow extremal sizes, which
     certify, beside smaller ones, which mostly refute; the coarse grid
     often repeats a point or puts three on a line or four on a plane.
+    Half the configurations take their class indices from a shuffled
+    order, so a piece's points, read in class order, need not be in index
+    order, and coincident points can fall in different classes.
     """
     d, r = draw(st.sampled_from([(d, r) for r in (2, 3, 4) for d in (1, 2, 3)]))
-    return draw(colored_configs(d, r, 7 if r > 2 else d + 3, span=2)), r
+    cfg = draw(colored_configs(d, r, 7 if r > 2 else d + 3, span=2))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(cfg.size)))
+        cfg = ColoredConfig(d, cfg.points, [[order[i] for i in cls] for cls in cfg.classes])
+    return cfg, r
 
 
 def tverberg_examples(test):

@@ -187,6 +187,18 @@ def test_solve_tverberg_five_pieces_by_piece_pairs():
     assert elapsed < 15
 
 
+def test_solve_tverberg_seven_pieces_in_the_plane():
+    # the walk covers 168,130 representatives for 25 full and 98 pair
+    # LPs; the pieces' recorded misses rule out most of the rest
+    cfg = random_instance(2, 0, (7,), seed=1).collections[0]
+    report = solve_tverberg(cfg, 7)
+    assert report.stats == {"partitions": 847375200, "lps": 25, "pair_lps": 98}
+    assert verify_tverberg(cfg, 7, report.certificate)
+    assert report.certificate.partition.pieces == (
+        (0, 6, 12), (1, 7, 13), (2, 8, 15), (3, 9, 17), (4, 14), (5, 11, 18), (10, 16)
+    )
+
+
 def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
     seen = []
     bounds = []
