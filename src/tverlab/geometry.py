@@ -8,11 +8,12 @@ exact phase-1 violation gap.  For two pieces that miss, the LP's dual
 also gives the integer normal of a hyperplane strictly between them
 (`pair_gap_normal`); for two that meet, the support of its solution
 is a witness for every pair that contains it.  Any stored normal,
-scaled into a feasible dual point, bounds another pair's gap from
-below with no LP (`pair_gap_bound`).  A search scales its points to
-integers once (`linalg.integer_points`), builds each LP's rows as plain
-ints (`_common_point_lp`) for the fraction-free integer simplex kernel,
-and makes Fractions only for the returned weights and gap.
+scaled into a feasible dual point, decides in integers with no LP
+whether another pair's gap reaches a bound (`pair_gap_reaches`).  A
+search scales its points to integers once (`linalg.integer_points`),
+builds each LP's rows as plain ints (`_common_point_lp`) for the
+fraction-free integer simplex kernel, and makes Fractions only for the
+returned weights and gap.
 """
 from __future__ import annotations
 
@@ -141,8 +142,8 @@ def pair_gap_normal(a, b, scale):
     return Fraction(gapnum, gapden * scale), tuple(v // g for v in h), None
 
 
-def pair_gap_bound(ha, hb, hmax, hmin, scale):
-    """A lower bound on `lp_solve_eq([a, b], scale)`'s gap from a normal h, with no LP.
+def pair_gap_reaches(ha, hb, hmax, hmin, scale, best):
+    """Whether a normal h puts `lp_solve_eq([a, b], scale)`'s gap at or above best > 0.
 
     ha and hb hold h.p for the points of a and of b, and hmax, hmin are
     h's largest and smallest entries.  The two-piece LP of
@@ -153,13 +154,13 @@ def pair_gap_bound(ha, hb, hmax, hmin, scale):
     s*h.q over b.  For t >= 0 with t * max(s*h) <= 1, y_c = t*s*h,
     y_a = min(scale, -t*A) and y_b = min(scale, t*B) are dual feasible,
     so by weak duality (Schrijver 1986, ch. 7) (y_a + y_b)/scale is at
-    most the gap.  When B > A that value is positive and concave in t,
-    so it peaks at one of the breakpoints 1/max(s*h), scale/(-A) and
-    scale/B that lie in range.  The best over both orientations is
-    returned; 0 when h separates neither way.  For the normal
-    `pair_gap_normal(a, b, scale)` returns, the bound equals the gap.
+    most the gap.  Some t makes it positive exactly when B > A, that is
+    when h strictly separates a and b.  It is concave in t, so it peaks
+    at one of the breakpoints t = p/q in 1/max(s*h), scale/(-A) and
+    scale/B that lie in range, where it is value/(q*scale) with int
+    value and q > 0: each is compared with best by cross-multiplying.
+    For the normal `pair_gap_normal(a, b, scale)` returns, it is the gap.
     """
-    num, den = 0, 1
     for big, low, top in ((max(ha), min(hb), hmax), (-min(ha), -max(hb), -hmin)):
         if low <= big:
             continue
@@ -167,9 +168,9 @@ def pair_gap_bound(ha, hb, hmax, hmin, scale):
         for p, q in ((1, top), (scale, -big), (scale, low)):
             if q > 0 and p * top <= q:
                 value = min(scale * q, -p * big) + min(scale * q, p * low)
-                if value * den > num * q:
-                    num, den = value, q
-    return Fraction(num, den * scale) if num else ZERO
+                if value * best.denominator >= best.numerator * q * scale:
+                    return True
+    return False
 
 
 def common_point_gap(pieces):

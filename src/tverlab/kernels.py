@@ -18,6 +18,8 @@ basic entries directly: (m+1)×(n+1) cells per pivot instead of
 (m+1)×(n+m+1).
 """
 
+from .errors import CapExceeded
+
 PIVOT_CAP = 10_000_000
 
 
@@ -58,7 +60,8 @@ def phase1(nrows, ncols, data, rhs, costs=None):
     row in the phase-1 objective (default all 1); weights let callers
     measure constraint violation in original rather than row-scaled units.
     Costs that are not nrows positive ints, data that is not nrows rows
-    of ncols, and negative rhs entries raise ValueError.
+    of ncols, and negative rhs entries raise ValueError; a pivot past
+    PIVOT_CAP raises CapExceeded.
 
     Returns (feasible, xnum, xden, gapnum, gapden, pivots):
       feasible  -- True iff the system has a solution
@@ -135,7 +138,7 @@ def phase1(nrows, ncols, data, rhs, costs=None):
             M[i][j] = D
         pivots += 1
         if pivots > PIVOT_CAP:
-            raise ArithmeticError("pivot cap exceeded")
+            raise CapExceeded(f"pivot cap {PIVOT_CAP} exceeded")
 
     wnum = -obj[rc]  # optimum = wnum / D >= 0
     if wnum == 0:

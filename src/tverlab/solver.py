@@ -6,11 +6,11 @@ Three search modes, all exact; `solve` picks one from the plane dimension:
   up to relabelling pieces; complete.  LPs are memoised by the pieces'
   supports (sets of distinct points), so coincident points pose each LP once.
   Two-piece LPs rule partitions out before their full integer LP, and
-  the dual normal of a two-piece LP that missed, kept as a separating
-  hyperplane, can rule a later pair out with no LP, or bound its gap
-  from below by weak duality when no hit is found.  The solution
-  support of a two-piece LP that met decides every later pair that
-  contains it, with no LP.
+  the dual normal of one that missed is kept: one test (`_settled`)
+  rules a later pair out with no LP when a kept normal separates it, or,
+  once no hit is left, when the normal's dual bound reaches the least
+  gap.  The solution support of a two-piece LP that met decides every
+  later pair that contains it, with no LP.
 * `solve_transversal` — scans a finite list of exact candidate direction
   subspaces for a k-plane (each the intersection of d-k hyperplanes
   through one k-subset of the input points), then certifies membership
@@ -50,8 +50,8 @@ from .geometry import (
     convex_combination,
     convex_combination_fault,
     lp_solve_eq,
-    pair_gap_bound,
     pair_gap_normal,
+    pair_gap_reaches,
 )
 from .linalg import integer_point_lists, integer_points
 from .model import (
@@ -193,26 +193,19 @@ def _witnessed(witnesses, ca, cb):
     )
 
 
-def _separated(separators, a, b):
-    """Whether a stored normal strictly separates pieces a and b; moves it to the front."""
-    for k, (proj, _, _) in enumerate(separators):
-        ha = [proj[i] for i in a]
-        hb = [proj[i] for i in b]
-        if max(ha) < min(hb) or max(hb) < min(ha):
-            separators.insert(0, separators.pop(k))
-            return True
-    return False
+def _settled(separators, a, b, scale, best=None):
+    """Whether a stored normal rules pieces a and b out; moves it to the front.
 
-
-def _bounded(separators, a, b, best, scale):
-    """Whether a stored normal's dual bound puts the gap of pieces a and b at or above best.
-
-    The normal that does is moved to the front.
+    A normal rules them out if it strictly separates them and, given a
+    least gap best > 0, if its dual bound also reaches best
+    (`pair_gap_reaches`): the bound is positive exactly on separation.
     """
     for k, (proj, hmax, hmin) in enumerate(separators):
         ha = [proj[i] for i in a]
         hb = [proj[i] for i in b]
-        if pair_gap_bound(ha, hb, hmax, hmin, scale) >= best:
+        if (max(ha) < min(hb) or max(hb) < min(ha)) and (
+            best is None or pair_gap_reaches(ha, hb, hmax, hmin, scale, best)
+        ):
             separators.insert(0, separators.pop(k))
             return True
     return False
@@ -244,8 +237,8 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     that misses also yields an integer normal strictly separating its
     pieces (`pair_gap_normal`, from the LP's Farkas dual); the last
     `_SEPARATORS` of them, most recently useful first, are kept, and one
-    that separates a pair's pieces rules the pair out with no LP.  One
-    that meets instead yields the supports of its basic solution, at
+    that separates a pair's pieces rules it out with no LP (`_settled`).
+    One that meets instead yields the supports of its basic solution, at
     most d+2 points, kept once as a pair of bitmasks; a later pair whose
     pieces contain them, either way round, meets at the same point, so
     its gap is 0 with no LP.  Each id a keeps a miss mask, an int with
@@ -266,8 +259,8 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     tuples are revisited in first-seen order, each full LP running only
     when all those bounds lie below the least gap so far.  Again in two
     stages: no pair LP runs until no (0, j) pair has a memoised gap or
-    a stored normal's dual bound (`pair_gap_bound`) that already
-    reaches the least gap.
+    a stored normal whose dual bound already reaches the least gap
+    (`_settled` given that gap).
 
     stats: "lps" full LPs, "pair_lps" two-piece LPs, "partitions"
     ordered tuples covered.
@@ -322,7 +315,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
         # fewest points first: the cheapest pair LPs, and the likeliest to miss
         open_pairs.sort(key=lambda ij: len(pieces[ij[0]]) + len(pieces[ij[1]]))
         for i, j in open_pairs:
-            if _separated(separators, pieces[i], pieces[j]):
+            if _settled(separators, pieces[i], pieces[j], scale):
                 misses[pids[i]] |= 1 << pids[j]
                 return True
         return any(pair_gap(pieces[i], pieces[j], (pids[i], pids[j])) for i, j in open_pairs)
@@ -331,7 +324,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
         """Whether a (piece 0, piece j) gap reaches best: memo or dual bound first, then LPs."""
         firsts = [(pieces[0], pieces[j], (pids[0], pids[j])) for j in range(1, r)]
         if any(
-            pair_gaps[key] >= best if key in pair_gaps else _bounded(separators, a, b, best, scale)
+            pair_gaps[key] >= best if key in pair_gaps else _settled(separators, a, b, scale, best)
             for a, b, key in firsts
         ):
             return True

@@ -37,7 +37,9 @@ its walk was flattened: one recursive generator frame per class.  Like
 the walk, all three yield bare tuples of piece tuples, each piece's
 points in class order, and `orbit_key` and `hyperplane_disjunct_search`
 take such tuples; only a certificate wraps one in a `PartitionTuple`.
-`support_points` decodes a support code of the partition search.
+`support_points` decodes a support code of the partition search, and
+`bound_step` is the least amount by which a dual bound of
+`geometry.pair_gap_reaches` can exceed a gap.
 `verify_common_point_witness` re-checks a bare common-point witness
 with `geometry.convex_combination_fault`, the package's one
 convex-combination check.
@@ -749,6 +751,18 @@ def support_points(ints, code):
     """
     distinct = list(dict.fromkeys(ints))
     return [p for b, p in enumerate(distinct) if code >> b & 1]
+
+
+def bound_step(ha, hb, hmax, hmin, scale, gap):
+    """The least amount by which a normal's dual bound on a pair can exceed its gap.
+
+    Every breakpoint bound of `geometry.pair_gap_reaches` is
+    value/(q*scale) with 0 < q <= Q, Q the largest of 1, |hmax|, |hmin|
+    and every |h.p|, so one above gap exceeds it by at least
+    1/(Q*scale*gap.denominator): it would reach gap plus that step.
+    """
+    q = max(1, abs(hmax), abs(hmin), *map(abs, ha + hb))
+    return Fraction(1, q * scale * gap.denominator)
 
 
 def orbit_key(config, pieces):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from tverlab import cli, serialize
+from tverlab import cli, kernels, serialize
+from tverlab.errors import CapExceeded
 from tverlab.model import (
     ColoredConfig,
     ProblemInstance,
@@ -127,6 +128,15 @@ def test_partition_tightness_file_is_infeasible(capsys, tmp_path):
         "infeasible: 486 partition tuples exhausted "
         "(best gap 1/3; subproblems solved: 24 full, 5 piece-pair)"
     ) in out
+
+
+def test_pivot_cap_exits_with_the_cap_code(capsys, monkeypatch, radon_square):
+    monkeypatch.setattr(kernels, "PIVOT_CAP", 0)
+    with pytest.raises(CapExceeded, match="pivot cap"):
+        kernels.phase1(1, 1, [[1]], [1])
+    code, _, err = run(capsys, "partition", radon_square)
+    assert code == 4
+    assert "pivot cap 0 exceeded" in err
 
 
 def test_partition_more_pieces_than_points(capsys, tmp_path):

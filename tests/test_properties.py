@@ -8,13 +8,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from tverlab import linalg, serialize, solver, svg
 from tverlab.errors import CapExceeded
-from tverlab.geometry import common_point_gap, lp_solve_eq, pair_gap_bound, pair_gap_normal
+from tverlab.geometry import common_point_gap, lp_solve_eq, pair_gap_normal, pair_gap_reaches
 from tverlab.linalg import integer_point_lists, integer_points
 from tverlab.model import ColoredConfig, ProblemInstance, random_instance, tightness_instance
 from tverlab.solver import KPlane
 from tverlab.topology import SimplicialComplex
 
 from oracles import (
+    bound_step,
     common_point_rows,
     fraction_projected_direction,
     fraction_projected_transversal,
@@ -389,32 +390,62 @@ def test_witness_memo_decides_only_meeting_pairs(case):
 
 
 @st.composite
-def normal_and_pieces(draw):
-    """(a, b, normal, scale): integer pieces in [-6, 6]^d, d <= 3, and the
-    dual normal of another drawn pair that misses."""
+def normals_and_pieces(draw):
+    """(a, b, normals, scale): integer pieces in [-6, 6]^d, d <= 3, and the
+    dual normals of one to three other drawn pairs that miss."""
     d = draw(st.integers(1, 3))
     piece = st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=1, max_size=4)
-    a, b, c, e = (draw(piece) for _ in range(4))
+    a, b = draw(piece), draw(piece)
     scale = draw(st.integers(1, 6))
-    normal = pair_gap_normal(c, e, scale)[1]
-    assume(normal is not None)
-    return a, b, normal, scale
+    drawn = (pair_gap_normal(draw(piece), draw(piece), scale)[1] for _ in range(draw(st.integers(1, 3))))
+    normals = [h for h in drawn if h is not None]
+    assume(normals)
+    return a, b, normals, scale
 
 
-def dual_bound(a, b, normal, scale):
+def projected(a, b, normal):
+    """(h.p over a, h.p over b, max h, min h): `pair_gap_reaches`'s first arguments."""
     ha, hb = ([sum(map(operator.mul, normal, p)) for p in piece] for piece in (a, b))
-    return pair_gap_bound(ha, hb, max(normal), min(normal), scale)
+    return ha, hb, max(normal), min(normal)
 
 
-@given(normal_and_pieces())
+def separates(a, b, normal):
+    ha, hb, _, _ = projected(a, b, normal)
+    return max(ha) < min(hb) or max(hb) < min(ha)
+
+
+@given(normals_and_pieces())
 @settings(max_examples=300)
-def test_pair_gap_bound_never_exceeds_the_pair_gap(case):
-    a, b, normal, scale = case
-    assert dual_bound(a, b, normal, scale) <= lp_solve_eq([a, b], scale)[1]
+def test_pair_gap_reaches_never_exceeds_the_pair_gap(case):
+    a, b, normals, scale = case
+    gap = lp_solve_eq([a, b], scale)[1]
+    # no bound exceeds the gap: one that did would reach gap + step
+    for normal in normals:
+        proj = projected(a, b, normal)
+        assert not pair_gap_reaches(*proj, scale, gap + bound_step(*proj, scale, gap))
     # a pair's own dual normal bounds its gap exactly
-    gap, own, _ = pair_gap_normal(a, b, scale)
+    own = pair_gap_normal(a, b, scale)[1]
     if own is not None:
-        assert dual_bound(a, b, own, scale) == gap
+        assert pair_gap_reaches(*projected(a, b, own), scale, gap)
+
+
+@given(normals_and_pieces(), st.fractions(min_value=Fraction(1, 60), max_value=4, max_denominator=60))
+@settings(max_examples=300)
+def test_settled_tests_separation_then_the_dual_bound(case, best):
+    a, b, normals, scale = case
+    points = a + b
+    separators = [([sum(map(operator.mul, h, p)) for p in points], max(h), min(h)) for h in normals]
+    ia, ib = range(len(a)), range(len(a), len(points))
+    # with no least gap, a stored normal rules the pair out iff it strictly separates it
+    kept = list(separators)
+    assert solver._settled(kept, ia, ib, scale) == any(separates(a, b, h) for h in normals)
+    # given one, iff some normal's dual bound reaches it; that normal moves to the front
+    kept = list(separators)
+    settled = solver._settled(kept, ia, ib, scale, best)
+    assert settled == any(pair_gap_reaches(*projected(a, b, h), scale, best) for h in normals)
+    if settled:
+        front = normals[separators.index(kept[0])]
+        assert separates(a, b, front) and pair_gap_reaches(*projected(a, b, front), scale, best)
 
 
 @given(st.sampled_from(((2, 2), (2, 3))), st.data())

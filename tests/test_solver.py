@@ -40,6 +40,7 @@ from tverlab.solver import (
 )
 
 from oracles import (
+    bound_step,
     first_met_flags,
     orbit_key,
     ordered_nonempty_partitions,
@@ -199,6 +200,18 @@ def test_solve_tverberg_seven_pieces_in_the_plane():
     )
 
 
+def test_solve_tverberg_refutes_the_five_piece_set_one_point_short():
+    # twelve points in general position, three classes of four, one short
+    # of the r = 5 colorful Tverberg bound: the least gap is exact, and
+    # every dual-bound skip in the refutation pass must leave it unchanged
+    cfg = random_instance(2, 0, (5,), seed=0).collections[0]
+    short = ColoredConfig(dim=2, points=cfg.points[:12], classes=cfg.classes[:3])
+    report = solve_tverberg(short, 5)
+    assert report.status == "infeasible-exhausted"
+    assert report.gap == Fraction(99313, 112577)
+    assert report.stats == {"partitions": 1658880, "lps": 3236, "pair_lps": 491}
+
+
 def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
     seen = []
     bounds = []
@@ -208,19 +221,17 @@ def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
         seen.append((a, b, scale, gap, normal, support))
         return gap, normal, support
 
-    def recording_bounded(separators, a, b, best, scale):
-        # every stored normal's dual bound on the pair, and whether one reached best
-        each = [
-            geometry.pair_gap_bound([proj[i] for i in a], [proj[i] for i in b], hmax, hmin, scale)
-            for proj, hmax, hmin in separators
-        ]
-        reached = bounded(separators, a, b, best, scale)
-        bounds.append((cfg, a, b, best, each, reached))
+    def recording_settled(separators, a, b, scale, best=None):
+        # the stored normals a least-gap test saw, and whether one reached best
+        normals = list(separators)
+        reached = settled(separators, a, b, scale, best)
+        if best is not None:
+            bounds.append((cfg, a, b, best, normals, reached))
         return reached
 
-    bounded = solver._bounded
+    settled = solver._settled
     monkeypatch.setattr(solver, "pair_gap_normal", recording)
-    monkeypatch.setattr(solver, "_bounded", recording_bounded)
+    monkeypatch.setattr(solver, "_settled", recording_settled)
     cases = [(tightness_instance(d, 0, (3,), 0).collections[0], 3) for d in (2, 3)]
     cases += [(random_instance(3, 0, (3,), seed=s).collections[0], 3) for s in range(8)]
     cases += [(random_instance(2, 0, (5,), seed=1).collections[0], 5)]
@@ -231,11 +242,13 @@ def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
     # every dual bound lies at or below its pair's gap, and a pair it
     # skips (bound at least the least gap) has a gap at least the least gap
     skips = 0
-    for cfg, a, b, best, each, reached in bounds:
+    for cfg, a, b, best, normals, reached in bounds:
         ints, scale = integer_points(cfg.points)
         gap = geometry.lp_solve_eq([[ints[i] for i in a], [ints[i] for i in b]], scale)[1]
-        assert all(bound <= gap for bound in each)
-        assert reached == any(bound >= best for bound in each)
+        each = [([proj[i] for i in a], [proj[i] for i in b], hmax, hmin) for proj, hmax, hmin in normals]
+        for h in each:
+            assert not geometry.pair_gap_reaches(*h, scale, gap + bound_step(*h, scale, gap))
+        assert reached == any(geometry.pair_gap_reaches(*h, scale, best) for h in each)
         if reached:
             skips += 1
             assert gap >= best
