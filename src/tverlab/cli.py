@@ -1,10 +1,10 @@
 """Command-line interface: validate, solve, explore, and plot.
 
-Exit codes are script-friendly: 0 on success (certificate found,
-report printed, or an asserted infeasibility confirmed), 1 when no
-certificate could be produced (candidate directions exhausted or proven
-infeasible where one was requested), 2 on usage or hypothesis violations, 3 on
-file parse errors, and 4 when an internal cap was hit.
+Exit codes are script-friendly: 0 on success (certificate found, report
+printed, or an asserted infeasibility confirmed), 1 when no certificate could
+be produced or verified (candidate directions exhausted or proven infeasible
+where one was requested), 2 on usage or hypothesis violations, 3 on a file
+that cannot be read, parsed or written, and 4 when an internal cap was hit.
 """
 
 from __future__ import annotations
@@ -77,6 +77,17 @@ def _point_str(point) -> str:
     return "(" + ", ".join(str(c) for c in point) + ")"
 
 
+def _verified(instance, cert) -> bool:
+    """Re-check a certificate against the instance; say why when it fails."""
+    if isinstance(cert, TverbergCertificate):
+        verdict = verify_tverberg(instance.collections[0], instance.rs[0], cert)
+    else:
+        verdict = verify_transversal(instance, cert)
+    if not verdict:
+        print(f"verification FAILED: {verdict.reason}", file=sys.stderr)
+    return bool(verdict)
+
+
 def _save_and_verify(args, instance, cert) -> int:
     """Write a certificate if requested; optionally re-load and re-check it."""
     if args.out:
@@ -84,14 +95,7 @@ def _save_and_verify(args, instance, cert) -> int:
         print(f"wrote {args.out}")
     if args.verify:
         reloaded = serialize.load_certificate(args.out) if args.out else cert
-        if isinstance(reloaded, TverbergCertificate):
-            verdict = verify_tverberg(
-                instance.collections[0], instance.rs[0], reloaded
-            )
-        else:
-            verdict = verify_transversal(instance, reloaded)
-        if not verdict:
-            print(f"verification FAILED: {verdict.reason}", file=sys.stderr)
+        if not _verified(instance, reloaded):
             return EXIT_NO_CERTIFICATE
         print("verified: ok")
     return EXIT_OK
@@ -310,9 +314,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_plot(args) -> int:
     instance = serialize.load_instance(args.instance)
-    certificate = (
-        serialize.load_certificate(args.certificate) if args.certificate else None
-    )
+    certificate = serialize.load_certificate(args.certificate) if args.certificate else None
+    if certificate is not None and not _verified(instance, certificate):
+        return EXIT_NO_CERTIFICATE
     document = svg.render_svg(instance, certificate)
     serialize.write_bytes_atomic(args.out, document.encode("utf-8"))
     print(f"wrote {args.out}")
@@ -428,7 +432,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapExceeded as exc:

@@ -3,7 +3,7 @@
 Three search modes, all exact; `solve` picks one from the plane dimension:
 
 * `solve_tverberg` — exhaustive over colorful partitions of one collection,
-  up to relabelling pieces; complete.  LPs are memoised by the pieces'
+  up to relabelling pieces; complete.  LPs and state are keyed by piece
   supports (sets of distinct points), so coincident points pose each LP once.
   Two-piece LPs rule partitions out before their full integer LP, and
   the dual normal of one that missed is kept: one test (`_settled`)
@@ -225,12 +225,11 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
 
     Each distinct point gets one bit, so a piece's code, the OR of its
     points' bits, is its support: the set of its distinct points, whose
-    hull is the piece's hull.  Each support gets a dense id, memoised
-    per piece.  Two representatives with the same ordered tuple of ids
+    hull is the piece's hull.  `supports` maps each code to a dense id
+    and its first piece.  Representatives with one ordered tuple of ids
     pose the same LP up to repeated and reordered columns, which change
-    neither feasibility nor the phase-1 optimum, so they have one
-    feasibility and one gap: a full LP that missed is memoised by that
-    tuple, and one that hit ends the search with its own weights.
+    neither feasibility nor the unique phase-1 optimum: a full LP that
+    missed is memoised by that tuple, and one that hit ends the search.
 
     For r >= 3, two pieces whose hulls miss rule a partition out, so
     two-piece LPs, memoised by the pair's ids, defer its full LP.  One
@@ -249,18 +248,18 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     pair out does stage two decide them in that order, each by a stored
     support or else by its LP, until one misses.  Every test is exact
     and only ever proves a miss or a meet, so the same partitions reach
-    their full LP as with pair LPs alone: same first hit, weights and
-    gap.  Ids name supports one to one, so every lookup and counter is
-    as with keys on supports.
+    their full LP as with pair LPs alone: same first hit, weights and gap.
 
-    The (piece 0, piece j) LP is a row-and-column subsystem of the full
-    LP, so its gap bounds the full gap from below.  One walk decides
-    each tuple at its first representative.  With no hit, the deferred
-    tuples are revisited in first-seen order, each full LP running only
-    when all those bounds lie below the least gap so far.  Again in two
-    stages: no pair LP runs until no (0, j) pair has a memoised gap or
-    a stored normal whose dual bound already reaches the least gap
-    (`_settled` given that gap).
+    One walk decides each tuple at its first representative, and `seen`
+    keeps one bool per tuple: whether its full LP was deferred.  With no
+    hit, each deferred tuple is revisited in first-seen order on its
+    supports' first pieces, so no representative is held.  Every answer
+    depends on supports alone: LP optima as above, separation and dual
+    bounds read projections that coincident points share, and
+    `_witnessed` reads codes; only stored normals and meeting supports,
+    and so later pair-LP counts, could differ.  The full LP runs only if
+    every (piece 0, piece j) gap, a lower bound, is below the least gap,
+    tried by memo and `_settled` on all pairs before any pair LP.
 
     stats: "lps" full LPs, "pair_lps" two-piece LPs, "partitions"
     ordered tuples covered.
@@ -275,8 +274,8 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     bit = {}
     unit = [1 << bit.setdefault(p, len(bit)) for p in ints]
     code = lambda piece: reduce(operator.or_, map(unit.__getitem__, piece))
-    ids = {}  # code(piece) -> dense support id, in first-seen order
-    pid = cache(lambda piece: ids.setdefault(code(piece), len(ids)))
+    supports = {}  # code(piece) -> (dense support id, first piece seen with it)
+    pid = cache(lambda piece: supports.setdefault(code(piece), (len(supports), piece))[0])
     pair_gaps = {}  # (pid(a), pid(b)) -> gap of the LP on pieces (a, b)
     misses = defaultdict(int)  # pid(a) -> OR of 1 << pid(b) over pairs (a, b) known to miss
     witnesses = []  # (code(sa), code(sb)) per meeting pair LP's solution support
@@ -320,9 +319,9 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
                 return True
         return any(pair_gap(pieces[i], pieces[j], (pids[i], pids[j])) for i, j in open_pairs)
 
-    def reaches(pieces, pids):
+    def reaches(pids):
         """Whether a (piece 0, piece j) gap reaches best: memo or dual bound first, then LPs."""
-        firsts = [(pieces[0], pieces[j], (pids[0], pids[j])) for j in range(1, r)]
+        firsts = [(first[pids[0]], first[pids[j]], (pids[0], pids[j])) for j in range(1, r)]
         if any(
             pair_gaps[key] >= best if key in pair_gaps else _settled(separators, a, b, scale, best)
             for a, b, key in firsts
@@ -330,7 +329,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
             return True
         return any(pair_gap(*abk) >= best for abk in firsts)
 
-    seen = {}  # pids -> first representative if its full LP was deferred, else None
+    seen = {}  # pids -> whether its full LP was deferred
     best = None
     n = 0
     for n, pieces in enumerate(enumerate_colorful_partitions(config, r), 1):
@@ -338,9 +337,9 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
         if pids in seen:
             continue
         if r > 2 and ruled_out(pieces, pids):
-            seen[pids] = pieces
+            seen[pids] = True
             continue
-        seen[pids] = None
+        seen[pids] = False
         stats["lps"] += 1
         weights, gap = lp(pieces)
         if weights is not None:
@@ -350,10 +349,11 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
             cert = TverbergCertificate(point, PartitionTuple(pieces), weights)
             return SolveReport("certified", cert, ZERO, stats)
         best = _least(best, gap)
-    for pids, pieces in seen.items():
-        if pieces is not None and (best is None or not reaches(pieces, pids)):
+    first = [piece for _, piece in supports.values()]  # support id -> its first piece
+    for pids, deferred in seen.items():
+        if deferred and (best is None or not reaches(pids)):
             stats["lps"] += 1
-            best = _least(best, lp(pieces)[1])
+            best = _least(best, lp([first[i] for i in pids])[1])
     stats["partitions"] = n * factorial(r)
     if best is None:
         return SolveReport("no-valid-partition", None, None, stats)
@@ -731,11 +731,7 @@ def verify_transversal(instance: ProblemInstance, cert) -> Verdict:
             return Verdict(False, "bad-plane")
     except (TypeError, ValueError, AttributeError):
         return Verdict(False, "malformed")
-    if (
-        len(cert.partitions) != k + 1
-        or len(cert.weights) != k + 1
-        or len(cert.witness_points) != k + 1
-    ):
+    if not len(cert.partitions) == len(cert.weights) == len(cert.witness_points) == k + 1:
         return Verdict(False, "shape-mismatch")
     for cfg, r, part, ws, pts in zip(
         instance.collections, instance.rs, cert.partitions, cert.weights, cert.witness_points

@@ -529,6 +529,46 @@ def test_plot_rejects_other_dimensions(capsys, tmp_path):
     assert "d = 2" in err
 
 
+def test_plot_rejects_a_certificate_that_does_not_fit(capsys, tmp_path):
+    # a 7-point instance's certificate names points a 3-point one lacks
+    seven, three = tmp_path / "seven.json", tmp_path / "three.json"
+    cert, fig = tmp_path / "cert.json", tmp_path / "fig.svg"
+    serialize.save_instance(str(seven), random_instance(2, 0, (3,), seed=0))
+    cfg = ColoredConfig(dim=2, points=[(0, 0), (4, 0), (0, 4)], classes=[(0,), (1,), (2,)])
+    serialize.save_instance(str(three), ProblemInstance(d=2, k=0, rs=(3,), collections=(cfg,)))
+    assert run(capsys, "partition", str(seven), "--out", str(cert))[0] == 0
+    code, out, err = run(capsys, "plot", str(three), str(cert), "--out", str(fig))
+    assert code == 1
+    assert (out, err) == ("", "verification FAILED: bad-partition\n")
+    assert not fig.exists()
+
+
+# ---------------------------------------------------------------------------
+# unwritable output
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partition", "square"),
+        ("transversal", "line"),
+        ("tightness", "--d", "2", "--k", "0", "--rs", "3"),
+        ("sweep", "--d", "2", "--k", "0", "--rs", "3", "--trials", "1"),
+        ("plot", "square"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_a_file_error(
+    capsys, radon_square, singleton_line_instance, tmp_path, argv
+):
+    # no file can be made in a missing directory: exit 3 and one error line
+    files = {"square": radon_square, "line": singleton_line_instance}
+    out = str(tmp_path / "missing" / "out.json")
+    code, _, err = run(capsys, *(files.get(a, a) for a in argv), "--out", out)
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # parser-level errors
 

@@ -324,6 +324,38 @@ def test_solve_tverberg_refutes_in_one_walk(monkeypatch):
     assert report.stats == {"partitions": 98_304, "lps": 216, "pair_lps": 5}
 
 
+def test_solve_tverberg_holds_no_representative(monkeypatch):
+    # the search keys its state by support ids, and a refutation poses a
+    # deferred tuple on the first pieces of its supports, so a walked
+    # representative lives only until the next one is made
+    class Held(tuple):
+        live = most = 0
+
+        def __new__(cls, pieces):
+            Held.live += 1
+            Held.most = max(Held.most, Held.live)
+            return super().__new__(cls, pieces)
+
+        def __del__(self):
+            Held.live -= 1
+
+    monkeypatch.setattr(
+        solver, "enumerate_colorful_partitions",
+        lambda config, r: map(Held, enumerate_colorful_partitions(config, r)),
+    )
+    cfg = random_instance(2, 0, (4,), seed=0).collections[0]
+    short = ColoredConfig(dim=2, points=cfg.points[:-1], classes=cfg.classes[:-1])
+    cases = [
+        (tightness_instance(3, 0, (3,), 0).collections[0], 3, "infeasible-exhausted"),
+        (short, 4, "infeasible-exhausted"),
+        (random_instance(3, 0, (3,), seed=0).collections[0], 3, "certified"),
+    ]
+    for cfg, r, status in cases:
+        Held.most = Held.live
+        assert solve_tverberg(cfg, r).status == status
+        assert Held.most <= 2
+
+
 def test_witness_memo_spares_one_lp_per_decided_pair(monkeypatch):
     # a pair that contains a stored meeting support is decided with no LP;
     # every other decision is unchanged, so each such pair spares exactly
