@@ -14,6 +14,7 @@ import sys
 
 from . import serialize, svg
 from .errors import CapExceeded, DegenerateIntersection, ParseError, PreconditionError
+from .geometry import Verdict
 from .model import default_profile, tightness_instance, validate
 from .solver import (
     TransversalCertificate,
@@ -79,7 +80,9 @@ def _point_str(point) -> str:
 
 def _verified(instance, cert) -> bool:
     """Re-check a certificate against the instance; say why when it fails."""
-    if isinstance(cert, TverbergCertificate):
+    if isinstance(cert, TverbergCertificate) and instance.k:  # its plane is a point
+        verdict = Verdict(False, "bad-plane")
+    elif isinstance(cert, TverbergCertificate):
         verdict = verify_tverberg(instance.collections[0], instance.rs[0], cert)
     else:
         verdict = verify_transversal(instance, cert)

@@ -45,6 +45,13 @@ def fraction_to_json(x: Fraction):
     return f"{x.numerator}/{x.denominator}"
 
 
+def _to_json(value):
+    """Nested tuples of rationals as nested lists of `fraction_to_json` values."""
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    return fraction_to_json(value)
+
+
 def parse_rational(value) -> Fraction:
     """Read an int or a "p/q" string; reject floats and zero denominators."""
     if isinstance(value, bool):
@@ -107,8 +114,8 @@ def instance_to_json(instance: ProblemInstance) -> dict:
         "collections": [
             {
                 "r": r,
-                "points": [[fraction_to_json(c) for c in p] for p in cfg.points],
-                "classes": [list(cls) for cls in cfg.classes],
+                "points": _to_json(cfg.points),
+                "classes": _to_json(cfg.classes),
             }
             for r, cfg in zip(instance.rs, instance.collections)
         ],
@@ -166,10 +173,6 @@ def instance_from_json(data) -> ProblemInstance:
 # certificates
 
 
-def _partition_to_json(partition: PartitionTuple) -> list:
-    return [list(piece) for piece in partition.pieces]
-
-
 def _parse_partition(value, what: str) -> PartitionTuple:
     _expect(isinstance(value, list) and value, f"{what} must be a nonempty array")
     pieces = tuple(
@@ -182,29 +185,19 @@ def certificate_to_json(cert) -> dict:
     data = {"format": CERTIFICATE_FORMAT, "version": FORMAT_VERSION}
     if isinstance(cert, TverbergCertificate):
         data["kind"] = "tverberg"
-        data["point"] = [fraction_to_json(c) for c in cert.point]
-        data["partition"] = _partition_to_json(cert.partition)
-        data["weights"] = [
-            [fraction_to_json(w) for w in piece] for piece in cert.weights
-        ]
+        data["point"] = _to_json(cert.point)
+        data["partition"] = _to_json(cert.partition.pieces)
+        data["weights"] = _to_json(cert.weights)
         return data
     if isinstance(cert, TransversalCertificate):
         data["kind"] = "transversal"
         data["plane"] = {
-            "base": [fraction_to_json(c) for c in cert.plane.base],
-            "directions": [
-                [fraction_to_json(c) for c in v] for v in cert.plane.directions
-            ],
+            "base": _to_json(cert.plane.base),
+            "directions": _to_json(cert.plane.directions),
         }
-        data["partitions"] = [_partition_to_json(p) for p in cert.partitions]
-        data["weights"] = [
-            [[fraction_to_json(w) for w in piece] for piece in col]
-            for col in cert.weights
-        ]
-        data["witness_points"] = [
-            [[fraction_to_json(c) for c in p] for p in col]
-            for col in cert.witness_points
-        ]
+        data["partitions"] = _to_json([p.pieces for p in cert.partitions])
+        data["weights"] = _to_json(cert.weights)
+        data["witness_points"] = _to_json(cert.witness_points)
         return data
     raise TypeError(f"not a certificate: {cert!r}")
 
@@ -314,18 +307,22 @@ def write_bytes_atomic(path: str, payload: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0o600
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0o600
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def write_json(path: str, data) -> None:

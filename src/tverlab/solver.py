@@ -5,12 +5,12 @@ Three search modes, all exact; `solve` picks one from the plane dimension:
 * `solve_tverberg` — exhaustive over colorful partitions of one collection,
   up to relabelling pieces; complete.  LPs and state are keyed by piece
   supports (sets of distinct points), so coincident points pose each LP once.
-  Two-piece LPs rule partitions out before their full integer LP, and
-  the dual normal of one that missed is kept: one test (`_settled`)
-  rules a later pair out with no LP when a kept normal separates it, or,
-  once no hit is left, when the normal's dual bound reaches the least
-  gap.  The solution support of a two-piece LP that met decides every
-  later pair that contains it, with no LP.
+  Two-piece LPs rule partitions out before their full integer LP.  One
+  pair test decides whether a piece pair misses, in the walk, and
+  whether its gap reaches the least gap, once no hit is left: by its
+  memo, then by the kept dual normals of missed pair LPs (`_settled`),
+  and only then by pair LPs.  The solution support of a two-piece LP
+  that met decides every later pair that contains it, with no LP.
 * `solve_transversal` — scans a finite list of exact candidate direction
   subspaces for a k-plane (each the intersection of d-k hyperplanes
   through one k-subset of the input points), then certifies membership
@@ -199,6 +199,8 @@ def _settled(separators, a, b, scale, best=None):
     A normal rules them out if it strictly separates them and, given a
     least gap best > 0, if its dual bound also reaches best
     (`pair_gap_reaches`): the bound is positive exactly on separation.
+    Separation is tested inline first even then: most normals fail it,
+    and skipping the dual-bound call for them keeps this test cheap.
     """
     for k, (proj, hmax, hmin) in enumerate(separators):
         ha = [proj[i] for i in a]
@@ -235,20 +237,21 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     two-piece LPs, memoised by the pair's ids, defer its full LP.  One
     that misses also yields an integer normal strictly separating its
     pieces (`pair_gap_normal`, from the LP's Farkas dual); the last
-    `_SEPARATORS` of them, most recently useful first, are kept, and one
-    that separates a pair's pieces rules it out with no LP (`_settled`).
-    One that meets instead yields the supports of its basic solution, at
+    `_SEPARATORS` of them, most recently useful first, are kept.  One
+    that meets instead yields the supports of its basic solution, at
     most d+2 points, kept once as a pair of bitmasks; a later pair whose
     pieces contain them, either way round, meets at the same point, so
     its gap is 0 with no LP.  Each id a keeps a miss mask, an int with
-    bit b set once the ordered pair (a, b) is known to miss.  Stage one
-    ANDs each piece's mask with the ids of the later pieces, then tries
-    the undecided pairs on the stored normals, fewest points first (the
-    cheapest pair LPs, and the likeliest to miss).  Only if none rules a
-    pair out does stage two decide them in that order, each by a stored
-    support or else by its LP, until one misses.  Every test is exact
-    and only ever proves a miss or a meet, so the same partitions reach
-    their full LP as with pair LPs alone: same first hit, weights and gap.
+    bit b set once the ordered pair (a, b) is known to miss.  The walk
+    ANDs each piece's mask with the ids of the later pieces, then hands
+    all its pairs, fewest points first (the cheapest pair LPs, and the
+    likeliest to miss), to the one pair test `apart`.  It tries every
+    pair on its memo, else on the stored normals (`_settled`), and only
+    if none is ruled out decides them in the same order, each by a
+    stored support or else by its LP, until one misses.  Every test is
+    exact and only ever proves a miss or a meet, so the same partitions
+    reach their full LP as with pair LPs alone: same first hit, weights
+    and gap.
 
     One walk decides each tuple at its first representative, and `seen`
     keeps one bool per tuple: whether its full LP was deferred.  With no
@@ -258,8 +261,9 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     bounds read projections that coincident points share, and
     `_witnessed` reads codes; only stored normals and meeting supports,
     and so later pair-LP counts, could differ.  The full LP runs only if
-    every (piece 0, piece j) gap, a lower bound, is below the least gap,
-    tried by memo and `_settled` on all pairs before any pair LP.
+    every (piece 0, piece j) gap, a lower bound, is below the least gap:
+    `apart` takes those pairs with that best, where a memoised gap counts
+    if it reaches best and a stored normal if its dual bound does.
 
     stats: "lps" full LPs, "pair_lps" two-piece LPs, "partitions"
     ordered tuples covered.
@@ -280,7 +284,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     misses = defaultdict(int)  # pid(a) -> OR of 1 << pid(b) over pairs (a, b) known to miss
     witnesses = []  # (code(sa), code(sb)) per meeting pair LP's solution support
     separators = []  # (h.p for every point p, max(h), min(h)) per stored normal h
-    pairs = list(itertools.combinations(range(r), 2))  # (0, j) first
+    index_pairs = list(itertools.combinations(range(r), 2))  # (0, j) first
 
     def lp(pieces):
         return lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale)
@@ -303,31 +307,26 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
                 witnesses.append(tuple(code(p[i] for i in s) for p, s in zip((a, b), support)))
         return pair_gaps[key]
 
+    def apart(pairs, best=None):
+        """Whether a pair (a, b, key) misses, or has a gap >= best: memo and normals, then LPs."""
+        # with no best, any nonzero gap is a miss: gaps are >= 0
+        reached = bool if best is None else (lambda gap: gap >= best)
+        for a, b, key in pairs:
+            if reached(pair_gaps[key]) if key in pair_gaps else _settled(separators, a, b, scale, best):
+                misses[key[0]] |= 1 << key[1]
+                return True
+        return any(reached(pair_gap(*abk)) for abk in pairs)
+
     def ruled_out(pieces, pids):
-        """Whether two pieces miss: by the miss masks, else by a stored normal or pair LPs."""
+        """Whether two pieces miss: by the miss masks, else by `apart`."""
         later = 0  # one bit per id of the pieces after the current one
         for a in reversed(pids):
             if misses[a] & later:
                 return True
             later |= 1 << a
-        open_pairs = [(i, j) for i, j in pairs if (pids[i], pids[j]) not in pair_gaps]
         # fewest points first: the cheapest pair LPs, and the likeliest to miss
-        open_pairs.sort(key=lambda ij: len(pieces[ij[0]]) + len(pieces[ij[1]]))
-        for i, j in open_pairs:
-            if _settled(separators, pieces[i], pieces[j], scale):
-                misses[pids[i]] |= 1 << pids[j]
-                return True
-        return any(pair_gap(pieces[i], pieces[j], (pids[i], pids[j])) for i, j in open_pairs)
-
-    def reaches(pids):
-        """Whether a (piece 0, piece j) gap reaches best: memo or dual bound first, then LPs."""
-        firsts = [(first[pids[0]], first[pids[j]], (pids[0], pids[j])) for j in range(1, r)]
-        if any(
-            pair_gaps[key] >= best if key in pair_gaps else _settled(separators, a, b, scale, best)
-            for a, b, key in firsts
-        ):
-            return True
-        return any(pair_gap(*abk) >= best for abk in firsts)
+        order = sorted(index_pairs, key=lambda ij: len(pieces[ij[0]]) + len(pieces[ij[1]]))
+        return apart([(pieces[i], pieces[j], (pids[i], pids[j])) for i, j in order])
 
     seen = {}  # pids -> whether its full LP was deferred
     best = None
@@ -351,7 +350,9 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
         best = _least(best, gap)
     first = [piece for _, piece in supports.values()]  # support id -> its first piece
     for pids, deferred in seen.items():
-        if deferred and (best is None or not reaches(pids)):
+        if deferred and (best is None or not apart(
+            [(first[pids[0]], first[b], (pids[0], b)) for b in pids[1:]], best
+        )):
             stats["lps"] += 1
             best = _least(best, lp([first[i] for i in pids])[1])
     stats["partitions"] = n * factorial(r)
@@ -476,10 +477,11 @@ def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats):
 
 
 def _build_certificate(instance, q_rows, combo, weights) -> TransversalCertificate:
-    """Certificate for a hit of `_evaluate_direction` on quotient `q_rows`.
+    """Certificate for a hit on quotient `q_rows`: weights per piece of `combo`.
 
     Piece 0's witness is the convex combination of its original points,
     and the plane is {x : q_rows x = q_rows witness} (all of R^d at k = d).
+    Both the direction scan and the hyperplane scan build their plane here.
     """
     d, k = instance.d, instance.k
     if d - k == 0:
@@ -599,9 +601,7 @@ def solve_hyperplane_transversal_exact(
         found = [_first_met(s, plist) for s, plist in zip(sides, partitions_per_col)]
         combo = [pieces for pieces, _ in found]
         if None not in combo:
-            cert = _hyperplane_certificate(
-                instance, combo, sides, normal, Fraction(offset, scale)
-            )
+            cert = _hyperplane_certificate(instance, combo, sides, normal)
             return SolveReport("certified", cert, ZERO, stats)
         miss = Fraction(sum(m for _, m in found), scale * max(map(abs, normal)))
         best_gap = _least(best_gap, miss)
@@ -647,10 +647,8 @@ def _first_met(side, plist):
     return None, min(sum(map(miss, pieces)) for pieces in plist)
 
 
-def _hyperplane_certificate(instance, combo, sides, normal, offset):
-    """Each witness mixes its piece's first points on the two closed sides."""
-    particular, null = linalg.solve([list(normal)], [offset])
-    plane = KPlane(base=tuple(particular), directions=tuple(tuple(v) for v in null))
+def _hyperplane_certificate(instance, combo, sides, normal):
+    """Each witness mixes its piece's first points on the two closed sides, so lies on the plane."""
     piece_weights = []
     for side, pieces in zip(sides, combo):
         for piece in pieces:
@@ -662,7 +660,7 @@ def _hyperplane_certificate(instance, combo, sides, normal, offset):
             w[lo] += 1 - t
             w[hi] += t
             piece_weights.append(w)
-    return _certificate(instance, plane, combo, piece_weights)
+    return _build_certificate(instance, [list(normal)], combo, piece_weights)
 
 
 def solve(instance: ProblemInstance, choice_cap: int = CHOICE_CAP) -> SolveReport:

@@ -174,70 +174,59 @@ def _partition_hulls(frame, config, partition, palette_offset: int) -> list[str]
     return elements
 
 
+def _line(a, b, width: str) -> str:
+    """An accent segment between canvas points a and b."""
+    (ax, ay), (bx, by) = a, b
+    return (
+        f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}" '
+        f'stroke="{ACCENT}" stroke-width="{width}" />'
+    )
+
+
 def render_svg(instance, certificate=None) -> str:
     """Render an instance (and optionally its certificate) to an SVG document."""
     if instance.d != 2:
         raise PreconditionError("plots require a d = 2 instance")
-    if certificate is not None and not isinstance(
-        certificate, (TverbergCertificate, TransversalCertificate)
-    ):
+    # what a certificate draws: piece hulls, a plane, witness dots, a common point
+    if certificate is None:
+        partitions, plane, witnesses, common = (), None, (), ()
+    elif isinstance(certificate, TverbergCertificate):
+        partitions, plane, witnesses = (certificate.partition,), None, ()
+        common = (certificate.point,)
+    elif isinstance(certificate, TransversalCertificate):
+        partitions, plane, common = certificate.partitions, certificate.plane, ()
+        witnesses = [p for col in certificate.witness_points for p in col]
+    else:
         raise TypeError(f"not a certificate: {certificate!r}")
 
-    bbox_points = [p for cfg in instance.collections for p in cfg.points]
-    if isinstance(certificate, TverbergCertificate):
-        bbox_points.append(tuple(Fraction(c) for c in certificate.point))
-    elif isinstance(certificate, TransversalCertificate):
-        for col in certificate.witness_points:
-            bbox_points.extend(col)
-    frame = _Frame(bbox_points)
+    frame = _Frame([p for cfg in instance.collections for p in cfg.points] + [*witnesses, *common])
 
     body: list[str] = [
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff" />'
     ]
 
     # hull polygons under everything else
-    if isinstance(certificate, TverbergCertificate):
-        body.extend(
-            _partition_hulls(frame, instance.collections[0], certificate.partition, 0)
-        )
-    elif isinstance(certificate, TransversalCertificate):
-        offset = 0
-        for cfg, partition in zip(instance.collections, certificate.partitions):
-            body.extend(_partition_hulls(frame, cfg, partition, offset))
-            offset += len(partition.pieces)
+    offset = 0
+    for cfg, partition in zip(instance.collections, partitions):
+        body.extend(_partition_hulls(frame, cfg, partition, offset))
+        offset += len(partition.pieces)
 
     # the certified plane
-    if isinstance(certificate, TransversalCertificate):
-        plane = certificate.plane
-        if plane.dim >= 2:
-            body.append(
-                f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" '
-                f'fill="{ACCENT}" fill-opacity="0.08" />'
-            )
-        elif plane.dim == 1:
-            span = _line_window_range(
-                plane.base, plane.directions[0], frame.data_window()
-            )
-            if span is not None:
-                tlo, thi = span
-                ends = [
-                    tuple(
-                        b + t * v for b, v in zip(plane.base, plane.directions[0])
-                    )
-                    for t in (tlo, thi)
-                ]
-                (ax, ay), (bx, by) = (frame.to_canvas(e) for e in ends)
-                body.append(
-                    f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" '
-                    f'y2="{_fmt(by)}" stroke="{ACCENT}" stroke-width="2" />'
-                )
-        for col in certificate.witness_points:
-            for p in col:
-                sx, sy = frame.to_canvas(p)
-                body.append(
-                    f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="2.5" '
-                    f'fill="{ACCENT}" />'
-                )
+    if plane is not None and plane.dim >= 2:
+        body.append(
+            f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" '
+            f'fill="{ACCENT}" fill-opacity="0.08" />'
+        )
+    elif plane is not None and plane.dim == 1:
+        span = _line_window_range(plane.base, plane.directions[0], frame.data_window())
+        if span is not None:
+            ends = [
+                tuple(b + t * v for b, v in zip(plane.base, plane.directions[0])) for t in span
+            ]
+            body.append(_line(*map(frame.to_canvas, ends), "2"))
+    for p in witnesses:
+        sx, sy = frame.to_canvas(p)
+        body.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="2.5" fill="{ACCENT}" />')
 
     # instance points, colored by class, one marker shape per collection
     class_color = 0
@@ -251,20 +240,13 @@ def render_svg(instance, certificate=None) -> str:
                 body.append(_marker(shape, sx, sy, color))
 
     # the common point, drawn last so it sits on top
-    if isinstance(certificate, TverbergCertificate):
-        sx, sy = frame.to_canvas(certificate.point)
+    for sx, sy in map(frame.to_canvas, common):
         body.append(
             f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="5" fill="none" '
             f'stroke="{ACCENT}" stroke-width="1.5" />'
         )
-        body.append(
-            f'<line x1="{_fmt(sx - 8)}" y1="{_fmt(sy)}" x2="{_fmt(sx + 8)}" '
-            f'y2="{_fmt(sy)}" stroke="{ACCENT}" stroke-width="1.5" />'
-        )
-        body.append(
-            f'<line x1="{_fmt(sx)}" y1="{_fmt(sy - 8)}" x2="{_fmt(sx)}" '
-            f'y2="{_fmt(sy + 8)}" stroke="{ACCENT}" stroke-width="1.5" />'
-        )
+        body.append(_line((sx - 8, sy), (sx + 8, sy), "1.5"))
+        body.append(_line((sx, sy - 8), (sx, sy + 8), "1.5"))
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -12,7 +12,7 @@ from tverlab.model import (
     random_instance,
     tightness_instance,
 )
-from tverlab.solver import solve, verify_transversal, verify_tverberg
+from tverlab.solver import solve, solve_tverberg, verify_transversal, verify_tverberg
 
 
 def run(capsys, *argv):
@@ -543,11 +543,26 @@ def test_plot_rejects_a_certificate_that_does_not_fit(capsys, tmp_path):
     assert not fig.exists()
 
 
+def test_plot_rejects_a_common_point_certificate_for_a_line_instance(capsys, tmp_path):
+    # the certificate fits collection 0, but a k = 1 instance needs a line
+    inst_path, cert, fig = tmp_path / "lines.json", tmp_path / "cert.json", tmp_path / "fig.svg"
+    singletons = [(0,), (1,), (2,)]
+    cols = (
+        ColoredConfig(dim=2, points=[(0, 0), (0, 0), (1, 1)], classes=singletons),
+        ColoredConfig(dim=2, points=[(5, 0), (6, 0), (5, 1)], classes=singletons),
+    )
+    serialize.save_instance(str(inst_path), ProblemInstance(d=2, k=1, rs=(2, 2), collections=cols))
+    serialize.save_certificate(str(cert), solve_tverberg(cols[0], 2).certificate)
+    code, out, err = run(capsys, "plot", str(inst_path), str(cert), "--out", str(fig))
+    assert code == 1
+    assert (out, err) == ("", "verification FAILED: bad-plane\n")
+    assert not fig.exists()
+
+
 # ---------------------------------------------------------------------------
 # unwritable output
 
-
-@pytest.mark.parametrize(
+OUT_COMMANDS = pytest.mark.parametrize(
     "argv",
     [
         ("partition", "square"),
@@ -558,6 +573,9 @@ def test_plot_rejects_a_certificate_that_does_not_fit(capsys, tmp_path):
     ],
     ids=lambda argv: argv[0],
 )
+
+
+@OUT_COMMANDS
 def test_unwritable_out_is_a_file_error(
     capsys, radon_square, singleton_line_instance, tmp_path, argv
 ):
@@ -567,6 +585,22 @@ def test_unwritable_out_is_a_file_error(
     code, _, err = run(capsys, *(files.get(a, a) for a in argv), "--out", out)
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert out in err and ".tmp-" not in err
+
+
+@OUT_COMMANDS
+def test_out_naming_a_directory_is_a_file_error(
+    capsys, radon_square, singleton_line_instance, tmp_path, argv
+):
+    # the error names the directory given, and no temporary file is left
+    files = {"square": radon_square, "line": singleton_line_instance}
+    out = tmp_path / "adir"
+    out.mkdir()
+    code, _, err = run(capsys, *(files.get(a, a) for a in argv), "--out", str(out))
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err and ".tmp-" not in err
+    assert not list(out.iterdir()) and not list(tmp_path.glob(".tmp-*"))
 
 
 # ---------------------------------------------------------------------------

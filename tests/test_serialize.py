@@ -1,12 +1,13 @@
 """Round-trip and rejection tests for the JSON file formats."""
 
+import hashlib
 import os
 import stat
 from fractions import Fraction
 
 import pytest
 
-from tverlab import serialize
+from tverlab import serialize, svg
 from tverlab.errors import ParseError
 from tverlab.model import (
     ColoredConfig,
@@ -20,7 +21,9 @@ from tverlab.solver import (
     KPlane,
     SearchBudget,
     TverbergCertificate,
+    solve,
     solve_hyperplane_transversal_exact,
+    solve_transversal,
     solve_tverberg,
     sweep,
     verify_transversal,
@@ -95,6 +98,59 @@ def test_instance_file_round_trip(tmp_path):
     path = tmp_path / "inst.json"
     serialize.save_instance(str(path), inst)
     assert serialize.load_instance(str(path)) == inst
+
+
+LINE = ((2, 1, (2, 2), [(1, 1, 1)] * 2), {"seed": 0})
+
+
+@pytest.mark.parametrize(
+    "search, args, kwargs, cert_sha, svg_shas",
+    [
+        (
+            solve, (2, 0, (3,)), {"seed": 0},
+            "2a71399bfa68deb944af207535b5a74057f8c8052d9da2fad8feb91593fba9bd",
+            ("f2013f1ff826ef141720dc7b6a5afb51df161db8d4e5c2962baea249a4520bd4",
+             "2e4badfe08a07db1ecbef0ea948cbc949117f2fe1e78dcd4574ce685ce62ce27"),
+        ),
+        (
+            solve, (3, 0, (3,)), {"seed": 0},
+            "9dde6ecdc33507c461544f8445a16b77e957cc260bfe1df5978800aa6e26b99f", None,
+        ),
+        (
+            solve, *LINE,
+            "8747c0a8ab97c75fd9e42e327fbb53df501743b28bc6532de20dcc0271f0540a",
+            ("a45b74d280e3a7313c6d0ad973f648a8c54f461bfe15c84d7c4f4bf7f3819480",
+             "dbedefbbdea38481d09204ba47e40c8338b8828c0d831d1f1d3e13a03a05a764"),
+        ),
+        (
+            solve, (3, 1, (2, 2)), {"seed": 0},
+            "7e13ebe929c705f705e95822cc8004637764c2c83c05cdeb3529a8b2de900b0d", None,
+        ),
+        (
+            solve, (2, 2, (2, 2, 2)), {"seed": 1},
+            "b8b07fcfefd0fc6483893bc2372690ae035e285c80072b100cf5d0c23c652e26",
+            ("73af4f1cc42f6a6facffcffb6f7cd135fefa12317b3b249dec42faf136a5344b",
+             "06fda679c80d8bc313146e54035d112e87e74bd98fca44a8f14e47ec92a817fd"),
+        ),
+        (
+            solve_transversal, *LINE,
+            "8747c0a8ab97c75fd9e42e327fbb53df501743b28bc6532de20dcc0271f0540a",
+            ("a45b74d280e3a7313c6d0ad973f648a8c54f461bfe15c84d7c4f4bf7f3819480",
+             "dbedefbbdea38481d09204ba47e40c8338b8828c0d831d1f1d3e13a03a05a764"),
+        ),
+    ],
+    ids=["d2-r3", "d3-r3", "line-scan", "d3-k1", "d2-k2", "line-directions"],
+)
+def test_certificate_and_figure_bytes_are_pinned(search, args, kwargs, cert_sha, svg_shas):
+    # certificates stay byte-identical across refactors unless a change is
+    # logged; so do the figures drawn with and without them
+    inst = random_instance(*args, **kwargs)
+    cert = search(inst).certificate
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    assert sha(serialize.canonical_bytes(serialize.certificate_to_json(cert))) == cert_sha
+    if svg_shas is not None:
+        figures = (svg.render_svg(inst, cert), svg.render_svg(inst))
+        assert tuple(sha(f.encode()) for f in figures) == svg_shas
 
 
 @pytest.mark.parametrize(
