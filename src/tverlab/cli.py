@@ -5,6 +5,9 @@ printed, or an asserted infeasibility confirmed), 1 when no certificate could
 be produced or verified (candidate directions exhausted or proven infeasible
 where one was requested), 2 on usage or hypothesis violations, 3 on a file
 that cannot be read, parsed or written, and 4 when an internal cap was hit.
+Any unreadable input file exits 3 with one line, whatever is wrong with it:
+missing, not UTF-8 or JSON, nested too deep, an integer too long to convert,
+or a malformed field.
 """
 
 from __future__ import annotations

@@ -6,6 +6,18 @@ fixed separators, trailing newline), which makes byte-identical
 round-trips testable.  Writes go through a temporary file in the target
 directory followed by an atomic rename, so a crash never leaves a
 half-written artifact behind.
+
+Every array field is written by `_to_json` and read back by `_from_json`,
+its inverse: arrays nested `depth` deep become tuples, and each leaf is a
+rational, or a point index in `classes`, `partition` and `partitions`.
+An instance collection holds `points` and `classes`, both at depth 2.
+The certificate fields and their depths:
+
+- kind `tverberg`: `point` 1; `partition` 2, pieces of indices;
+  `weights` 2, one row per piece;
+- kind `transversal`: `plane.base` 1; `plane.directions` 2;
+  `partitions` 3, one partition per collection; `weights` 3 and
+  `witness_points` 3, per collection and per piece.
 """
 
 from __future__ import annotations
@@ -63,12 +75,51 @@ def parse_rational(value) -> Fraction:
         if not _RATIONAL_RE.match(text):
             raise ParseError(f"bad rational literal {value!r}")
         num, _, den = text.partition("/")
-        if den:
-            if int(den) == 0:
-                raise ParseError(f"zero denominator in {value!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"rational literal too long ({len(text)} characters)") from None
+        if den == 0:
+            raise ParseError(f"zero denominator in {value!r}")
+        return Fraction(num, den)
     raise ParseError(f"rationals must be integers or 'p/q' strings, got {value!r}")
+
+
+def _index(value) -> int:
+    """Read a point index or a count: a nonnegative integer."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise ParseError(f"expected a nonnegative integer, got {value!r}")
+
+
+def _from_json(value, depth: int, what: str, read=parse_rational, nonempty=()):
+    """The inverse of `_to_json`: arrays nested `depth` deep as tuples of `read` leaves.
+
+    Depth 0 reads one leaf.  The levels listed in `nonempty` (0 is the
+    outermost) must hold at least one element.  An error names the element at fault, as in
+    `witness_points[1][0]`; that name is built only when raising.
+    """
+
+    def nested(value, level):
+        if level == depth:
+            return read(value)
+        if not isinstance(value, list) or (level in nonempty and not value):
+            raise ParseError(f"must be a {'nonempty ' * (level in nonempty)}array")
+        items = []
+        try:
+            for item in value:
+                items.append(nested(item, level + 1))
+        except ParseError:
+            path.append(len(items))
+            raise
+        return tuple(items)
+
+    path = []
+    try:
+        return nested(value, 0)
+    except ParseError as exc:
+        where = what + "".join(f"[{i}]" for i in reversed(path))
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -76,19 +127,12 @@ def _expect(cond: bool, message: str) -> None:
         raise ParseError(message)
 
 
-def _parse_point(value, what: str):
-    _expect(isinstance(value, list) and value, f"{what} must be a nonempty array")
-    return tuple(parse_rational(c) for c in value)
-
-
-def _parse_index_list(value, what: str):
-    _expect(isinstance(value, list), f"{what} must be an array")
-    for i in value:
-        _expect(
-            isinstance(i, int) and not isinstance(i, bool) and i >= 0,
-            f"{what} must hold nonnegative integer indices",
-        )
-    return tuple(value)
+def _build(cls, **fields):
+    """`cls(**fields)`, with the ValueError of a failed invariant as a ParseError."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _check_header(data, fmt: str, what: str) -> dict:
@@ -124,61 +168,22 @@ def instance_to_json(instance: ProblemInstance) -> dict:
 
 def instance_from_json(data) -> ProblemInstance:
     data = _check_header(data, INSTANCE_FORMAT, "instance file")
-    d, k = data.get("d"), data.get("k")
-    _expect(isinstance(d, int) and not isinstance(d, bool), "d must be an integer")
-    _expect(isinstance(k, int) and not isinstance(k, bool), "k must be an integer")
-    cols = data.get("collections")
-    _expect(isinstance(cols, list) and cols, "collections must be a nonempty array")
-    rs = []
-    configs = []
-    for idx, entry in enumerate(cols):
-        _expect(isinstance(entry, dict), f"collection {idx} must be an object")
-        r = entry.get("r")
-        _expect(
-            isinstance(r, int) and not isinstance(r, bool),
-            f"collection {idx}: r must be an integer",
-        )
-        points = entry.get("points")
-        _expect(
-            isinstance(points, list) and points,
-            f"collection {idx}: points must be a nonempty array",
-        )
-        pts = tuple(
-            _parse_point(p, f"collection {idx} point {j}")
-            for j, p in enumerate(points)
-        )
-        classes = entry.get("classes")
-        _expect(
-            isinstance(classes, list) and classes,
-            f"collection {idx}: classes must be a nonempty array",
-        )
-        cls = tuple(
-            _parse_index_list(c, f"collection {idx} class {j}")
-            for j, c in enumerate(classes)
-        )
-        rs.append(r)
-        try:
-            configs.append(ColoredConfig(dim=d, points=pts, classes=cls))
-        except ValueError as exc:
-            raise ParseError(f"collection {idx}: {exc}") from exc
-    try:
-        return ProblemInstance(
-            d=d, k=k, rs=tuple(rs), collections=tuple(configs)
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    d = _from_json(data.get("d"), 0, "d", _index)
+    k = _from_json(data.get("k"), 0, "k", _index)
+
+    def collection(entry):
+        _expect(isinstance(entry, dict), "must be an object")
+        r = _from_json(entry.get("r"), 0, "r", _index)
+        points = _from_json(entry.get("points"), 2, "points", nonempty=(0, 1))
+        classes = _from_json(entry.get("classes"), 2, "classes", _index, (0,))
+        return r, _build(ColoredConfig, dim=d, points=points, classes=classes)
+
+    rs, configs = zip(*_from_json(data.get("collections"), 1, "collections", collection, (0,)))
+    return _build(ProblemInstance, d=d, k=k, rs=rs, collections=configs)
 
 
 # ---------------------------------------------------------------------------
 # certificates
-
-
-def _parse_partition(value, what: str) -> PartitionTuple:
-    _expect(isinstance(value, list) and value, f"{what} must be a nonempty array")
-    pieces = tuple(
-        _parse_index_list(piece, f"{what} piece {j}") for j, piece in enumerate(value)
-    )
-    return PartitionTuple(pieces=pieces)
 
 
 def certificate_to_json(cert) -> dict:
@@ -202,67 +207,30 @@ def certificate_to_json(cert) -> dict:
     raise TypeError(f"not a certificate: {cert!r}")
 
 
-def _parse_weight_rows(value, what: str):
-    _expect(isinstance(value, list), f"{what} must be an array")
-    rows = []
-    for j, row in enumerate(value):
-        _expect(isinstance(row, list), f"{what} row {j} must be an array")
-        rows.append(tuple(parse_rational(w) for w in row))
-    return tuple(rows)
+def _plane(value) -> KPlane:
+    _expect(isinstance(value, dict), "must be an object")
+    return _build(
+        KPlane,
+        base=_from_json(value.get("base"), 1, "base", nonempty=(0,)),
+        directions=_from_json(value.get("directions"), 2, "directions", nonempty=(1,)),
+    )
 
 
 def certificate_from_json(data):
     data = _check_header(data, CERTIFICATE_FORMAT, "certificate file")
     kind = data.get("kind")
     if kind == "tverberg":
-        return TverbergCertificate(
-            point=_parse_point(data.get("point"), "point"),
-            partition=_parse_partition(data.get("partition"), "partition"),
-            weights=_parse_weight_rows(data.get("weights"), "weights"),
-        )
+        point = _from_json(data.get("point"), 1, "point", nonempty=(0,))
+        pieces = _from_json(data.get("partition"), 2, "partition", _index, (0,))
+        weights = _from_json(data.get("weights"), 2, "weights")
+        return TverbergCertificate(point, PartitionTuple(pieces), weights)
     if kind == "transversal":
-        plane = data.get("plane")
-        _expect(isinstance(plane, dict), "plane must be an object")
-        base = _parse_point(plane.get("base"), "plane base")
-        dirs_raw = plane.get("directions")
-        _expect(isinstance(dirs_raw, list), "plane directions must be an array")
-        directions = tuple(
-            _parse_point(v, f"plane direction {j}") for j, v in enumerate(dirs_raw)
-        )
-        try:
-            kplane = KPlane(base=base, directions=directions)
-        except ValueError as exc:
-            raise ParseError(f"plane: {exc}") from exc
-        parts_raw = data.get("partitions")
-        _expect(
-            isinstance(parts_raw, list) and parts_raw,
-            "partitions must be a nonempty array",
-        )
-        partitions = tuple(
-            _parse_partition(p, f"partitions[{j}]") for j, p in enumerate(parts_raw)
-        )
-        weights_raw = data.get("weights")
-        _expect(isinstance(weights_raw, list), "weights must be an array")
-        weights = tuple(
-            _parse_weight_rows(col, f"weights[{j}]")
-            for j, col in enumerate(weights_raw)
-        )
-        wp_raw = data.get("witness_points")
-        _expect(isinstance(wp_raw, list), "witness_points must be an array")
-        witness_points = []
-        for j, col in enumerate(wp_raw):
-            _expect(isinstance(col, list), f"witness_points[{j}] must be an array")
-            witness_points.append(
-                tuple(
-                    _parse_point(p, f"witness_points[{j}][{i}]")
-                    for i, p in enumerate(col)
-                )
-            )
+        plane = _from_json(data.get("plane"), 0, "plane", _plane)
+        partitions = _from_json(data.get("partitions"), 3, "partitions", _index, (0, 1))
+        weights = _from_json(data.get("weights"), 3, "weights")
+        witnesses = _from_json(data.get("witness_points"), 3, "witness_points", nonempty=(2,))
         return TransversalCertificate(
-            plane=kplane,
-            partitions=partitions,
-            weights=weights,
-            witness_points=tuple(witness_points),
+            plane, tuple(PartitionTuple(p) for p in partitions), weights, witnesses
         )
     raise ParseError(f"unknown certificate kind {kind!r}")
 
@@ -337,7 +305,9 @@ def read_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad syntax and integers with more
+        # digits than int() converts; RecursionError, arrays nested too deep
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 

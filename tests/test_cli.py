@@ -1,6 +1,7 @@
 """End-to-end CLI tests: every exit code path, determinism, re-verification."""
 
 import json
+import sys
 
 import pytest
 
@@ -78,6 +79,29 @@ def test_validate_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(tmp_path / "absent.json"))
     assert code == 3
     assert "cannot read" in err
+
+
+def _long_coordinate() -> bytes:
+    data = serialize.instance_to_json(random_instance(1, 0, (2,), seed=0))
+    data["collections"][0]["points"][0][0] = "7" * (sys.get_int_max_str_digits() + 1)
+    return json.dumps(data).encode()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        lambda: b"[" * 100_000 + b"]" * 100_000,
+        lambda: b'{"d": ' + b"7" * (sys.get_int_max_str_digits() + 1) + b"}",
+        _long_coordinate,
+    ],
+    ids=["deep-nesting", "too-long-integer", "too-long-rational-string"],
+)
+def test_validate_unreadable_file_exits_3(capsys, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload())
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Property-based invariants for the exact-arithmetic core."""
 
+import copy
+import functools
 import operator
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from tverlab import linalg, serialize, solver, svg
-from tverlab.errors import CapExceeded
+from tverlab.errors import CapExceeded, ParseError
 from tverlab.geometry import common_point_gap, lp_solve_eq, pair_gap_normal, pair_gap_reaches
 from tverlab.linalg import integer_point_lists, integer_points
 from tverlab.model import ColoredConfig, ProblemInstance, random_instance, tightness_instance
@@ -44,6 +46,70 @@ coords = st.integers(min_value=-9, max_value=9)
 @given(st.fractions(max_denominator=10**9))
 def test_rational_serialization_round_trips(x):
     assert serialize.parse_rational(serialize.fraction_to_json(x)) == x
+
+
+@functools.cache
+def _valid_documents():
+    line = random_instance(2, 1, (2, 2), [(1, 1, 1)] * 2, seed=0)
+    config = random_instance(2, 0, (3,), seed=2).collections[0]
+    return (
+        (serialize.instance_from_json, serialize.instance_to_json(line)),
+        (serialize.certificate_from_json, serialize.certificate_to_json(solver.solve(line).certificate)),
+        (
+            serialize.certificate_from_json,
+            serialize.certificate_to_json(solver.solve_tverberg(config, 3).certificate),
+        ),
+    )
+
+
+def _fields(node, path=()):
+    """The path to every value inside a JSON document but the document itself."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _fields(child, path + (key,))
+
+
+# digit strings on both sides of the length that int() converts from text
+long_digits = st.integers(4290, 4400).map(lambda n: "7" * n)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["1/0", "-3/4", "2", " 5 "])
+    | long_digits
+    | long_digits.map(lambda digits: "1/" + digits),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_one_field_edit_reads_or_raises_parse_error(data):
+    # replacing or deleting any one field of a valid file either still reads
+    # or is refused as malformed, never with another exception
+    read, document = data.draw(st.sampled_from(_valid_documents()))
+    document = copy.deepcopy(document)
+    path = data.draw(st.sampled_from(list(_fields(document))))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(json_values)
+    try:
+        read(document)
+    except ParseError:
+        pass
 
 
 @given(

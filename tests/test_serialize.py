@@ -3,6 +3,7 @@
 import hashlib
 import os
 import stat
+import sys
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,33 @@ def test_read_json_errors(tmp_path):
         serialize.read_json(str(bad))
 
 
+def too_long_integer() -> str:
+    """A digit string one longer than `int()` converts from text."""
+    return "7" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("value", ["{digits}", "1/{digits}", "-{digits}/3"])
+def test_parse_rational_too_long_is_parse_error(value):
+    with pytest.raises(ParseError, match="too long"):
+        serialize.parse_rational(value.format(digits=too_long_integer()))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        lambda: f'{{"d": {too_long_integer()}}}'.encode(),
+        lambda: b"[" * 100_000 + b"]" * 100_000,
+        lambda: b"\xff",
+    ],
+    ids=["too-long-integer", "deep-nesting", "bad-utf8"],
+)
+def test_read_json_unreadable_is_parse_error(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload())
+    with pytest.raises(ParseError, match="invalid JSON"):
+        serialize.read_json(str(path))
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -252,6 +280,62 @@ def test_tverberg_certificate_malformed_rejected(mutate):
     mutate(data)
     with pytest.raises(ParseError):
         serialize.certificate_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.update(plane=[0, 0]),
+        lambda d: d["plane"].update(base=[]),
+        lambda d: d["plane"]["directions"].__setitem__(0, 1),
+        lambda d: d.update(partitions=[]),
+        lambda d: d["partitions"].__setitem__(0, []),
+        lambda d: d.update(weights=d["weights"][0]),
+        lambda d: d["witness_points"][0].__setitem__(0, []),
+        lambda d: d["weights"][0][0].__setitem__(0, 0.5),
+        lambda d: d["partitions"][0][0].__setitem__(0, True),
+        lambda d: d["partitions"][0][0].__setitem__(0, -1),
+    ],
+    ids=[
+        "plane-not-object", "empty-base", "scalar-direction", "empty-partitions",
+        "empty-partition", "weights-one-level-short", "empty-witness-point",
+        "float-weight", "true-index", "negative-index",
+    ],
+)
+def test_transversal_certificate_malformed_rejected(mutate):
+    _, cert = _transversal_cert()
+    data = serialize.certificate_to_json(cert)
+    mutate(data)
+    with pytest.raises(ParseError):
+        serialize.certificate_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "field, path, value, where",
+    [
+        ("instance", ("collections", 0, "points", 2, 1), "1/0", "collections[0]: points[2][1]:"),
+        ("instance", ("collections", 0, "classes", 1, 0), -1, "collections[0]: classes[1][0]:"),
+        ("instance", ("k",), True, "k:"),
+        ("certificate", ("witness_points", 1, 0), [], "witness_points[1][0]:"),
+        ("certificate", ("plane", "directions", 0, 1), 0.5, "plane: directions[0][1]:"),
+        ("certificate", ("partitions", 1, 0, 0), "0", "partitions[1][0][0]:"),
+    ],
+    ids=["coordinate", "class-index", "k", "witness-point", "direction", "piece-index"],
+)
+def test_parse_error_names_the_element_at_fault(field, path, value, where):
+    if field == "instance":
+        data = serialize.instance_to_json(random_instance(2, 1, (2, 2), seed=0))
+        read = serialize.instance_from_json
+    else:
+        data = serialize.certificate_to_json(_transversal_cert()[1])
+        read = serialize.certificate_from_json
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ParseError) as info:
+        read(data)
+    assert str(info.value).startswith(where)
 
 
 def test_transversal_certificate_dependent_plane_rejected():
