@@ -2,7 +2,7 @@
 
 
 class ParseError(ValueError):
-    """Malformed file, rational literal, or JSON payload."""
+    """Malformed file, rational literal, or JSON payload, or a number too long to write."""
 
 
 class CapExceeded(RuntimeError):

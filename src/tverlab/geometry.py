@@ -4,12 +4,13 @@ Points are tuples of Fraction at the API; nothing in this module ever
 touches a float.  The workhorse is the common-point LP: given finitely
 many point sets ("pieces"), decide whether their convex hulls share a
 point and produce either an exact convex-combination witness or the
-exact phase-1 violation gap.  For two pieces that miss, the LP's dual
-also gives the integer normal of a hyperplane strictly between them
-(`pair_gap_normal`); for two that meet, the support of its solution
-is a witness for every pair that contains it.  Any stored normal,
-scaled into a feasible dual point, decides in integers with no LP
-whether another pair's gap reaches a bound (`pair_gap_reaches`).  A
+exact phase-1 violation gap.  An LP that misses can also return the
+coordinate part of its Farkas dual; for two pieces it is the integer
+normal of a hyperplane strictly between them (`pair_gap_normal`), and
+for two that meet, the support of the solution is a witness for every
+pair that contains it.  Any stored dual, scaled into a feasible dual
+point of another tuple's LP, decides in integers with no LP whether
+that gap exceeds 0 or reaches a bound (`gap_reaches`).  A
 search scales its points to integers once (`linalg.integer_points`),
 builds each LP's rows as plain ints (`_common_point_lp`) for the
 fraction-free integer simplex kernel, and makes Fractions only for the
@@ -96,23 +97,48 @@ def _common_point_lp(pieces, scale):
     return kernels.phase1(len(rows), nvars, rows, rhs, costs)
 
 
-def lp_solve_eq(pieces, scale):
+def _coordinate_dual(obj, gapden, first):
+    """The coordinate-row part of a missed LP's Farkas dual, as ints over their gcd.
+
+    obj is the final objective row that `kernels.phase1` returns on a
+    miss, and the coordinate rows' artificial columns run from `first`
+    to the rhs, its last entry.  A coordinate row costs 1, so
+    gapden * y_c = gapden - its reduced cost.  Not every entry is 0: with
+    no coordinate part the column inequalities would put every
+    weight-row dual at or below 0, but those sum to the positive gap.
+    """
+    h = [gapden - v for v in obj[first:-1]]
+    g = gcd(*h)
+    return tuple(v // g for v in h)
+
+
+def lp_solve_eq(pieces, scale, dual=False):
     """Common-point LP on integer pieces: (weights per piece, 0) or (None, gap).
 
     `pieces` hold points of `integer_points` with their `scale`; the
     rows (`_common_point_lp`) go to the kernel as ints, and gap is in
     the original units.  A positive scale on a row changes no Bland
     choice, so weights and gap equal those of the rational system.
+    With dual, a third entry is None on a hit and h on a miss: the
+    coordinate-row part of the LP's Farkas dual (`_coordinate_dual`),
+    d ints for each piece after the first, in row order, the normal h_j
+    paired with piece j.  `gap_reaches` bounds another tuple's gap with
+    it.  h costs a gcd over big ints, so callers that keep no dual do
+    not ask for it.
     """
     feasible, xnum, xden, gapnum, gapden, _ = _common_point_lp(pieces, scale)
-    if not feasible:
-        return None, Fraction(gapnum, gapden * scale)
-    weights = []
-    off = 0
-    for piece in pieces:
-        weights.append(tuple(Fraction(v, xden) for v in xnum[off:off + len(piece)]))
-        off += len(piece)
-    return tuple(weights), ZERO
+    if feasible:
+        weights = []
+        off = 0
+        for piece in pieces:
+            weights.append(tuple(Fraction(v, xden) for v in xnum[off:off + len(piece)]))
+            off += len(piece)
+        out = tuple(weights), ZERO, None
+    else:
+        first = sum(map(len, pieces)) + len(pieces)  # the first coordinate row's artificial
+        h = _coordinate_dual(xnum, gapden, first) if dual else None
+        out = None, Fraction(gapnum, gapden * scale), h
+    return out if dual else out[:2]
 
 
 def pair_gap_normal(a, b, scale):
@@ -122,12 +148,11 @@ def pair_gap_normal(a, b, scale):
     of the points with a nonzero weight in the LP's basic solution: at
     most d+2 in all (Caratheodory), and any two point sets that contain
     them have hulls meeting at the same point.  On a miss, h is the
-    coordinate-row part of the LP's Farkas dual, an integer normal with
+    LP's coordinate dual (`_coordinate_dual`), an integer normal with
     max h.p over `a` < min h.q over `b`: with y_a, y_b the dual of the
     two weight rows, its column inequalities give h.p <= -y_a and
-    h.q >= y_b, and y_a + y_b is the positive optimum.  h is divided by
-    the gcd of its entries.  The LP, its pivots and its gap are those of
-    `lp_solve_eq([a, b], scale)`.
+    h.q >= y_b, and y_a + y_b is the positive optimum.  The LP, its
+    pivots, its gap and h are those of `lp_solve_eq([a, b], scale, dual=True)`.
     """
     feasible, x, _, gapnum, gapden, _ = _common_point_lp([a, b], scale)
     if feasible:
@@ -135,42 +160,45 @@ def pair_gap_normal(a, b, scale):
         sa = tuple(i for i in range(n) if x[i])
         sb = tuple(i - n for i in range(n, len(x)) if x[i])
         return ZERO, None, (sa, sb)
-    # a coordinate row costs 1, so gapden * y_c = gapden - its reduced cost
-    first = len(a) + len(b) + 2
-    h = [gapden - v for v in x[first:first + len(a[0])]]
-    g = gcd(*h)
-    return Fraction(gapnum, gapden * scale), tuple(v // g for v in h), None
+    h = _coordinate_dual(x, gapden, len(a) + len(b) + 2)
+    return Fraction(gapnum, gapden * scale), h, None
 
 
-def pair_gap_reaches(ha, hb, hmax, hmin, scale, best):
-    """Whether a normal h puts `lp_solve_eq([a, b], scale)`'s gap at or above best > 0.
+def gap_reaches(lows, top, scale, best=None):
+    """Whether a dual direction bounds a common-point LP's gap at or above best > 0.
 
-    ha and hb hold h.p for the points of a and of b, and hmax, hmin are
-    h's largest and smallest entries.  The two-piece LP of
-    `_common_point_lp([a, b], scale)` has the dual: maximise y_a + y_b
-    subject to y_a <= scale, y_b <= scale, y_c <= 1 on each coordinate
-    row, y_a + y_c.p <= 0 for p in a and y_b - y_c.q <= 0 for q in b.
-    For an orientation s = +-1 let A = max s*h.p over a and B = min
-    s*h.q over b.  For t >= 0 with t * max(s*h) <= 1, y_c = t*s*h,
-    y_a = min(scale, -t*A) and y_b = min(scale, t*B) are dual feasible,
-    so by weak duality (Schrijver 1986, ch. 7) (y_a + y_b)/scale is at
-    most the gap.  Some t makes it positive exactly when B > A, that is
-    when h strictly separates a and b.  It is concave in t, so it peaks
-    at one of the breakpoints t = p/q in 1/max(s*h), scale/(-A) and
-    scale/B that lie in range, where it is value/(q*scale) with int
-    value and q > 0: each is compared with best by cross-multiplying.
-    For the normal `pair_gap_normal(a, b, scale)` returns, it is the gap.
+    With best None, whether it bounds the gap above 0.  The LP of
+    `_common_point_lp(pieces, scale)` on pieces P_0..P_{r-1} has the
+    dual: maximise y_0 + ... + y_{r-1} subject to y_j <= scale on each
+    weight row, y_c <= 1 on each coordinate row, y_0 + sum_j h_j.p <= 0
+    for p in P_0 and y_j - h_j.q <= 0 for q in P_j, j >= 1, where h_j
+    holds the coordinate-row duals of piece j's rows.  Fix normals h_j,
+    let g_0 = -(h_1 + ... + h_{r-1}) and g_j = h_j, and let lows[j] be
+    the least g_j.p over P_j.  For t >= 0 with t * top <= 1, top the
+    largest entry of the h_j, y_c = t*h_j and y_j = min(scale,
+    t*lows[j]) are dual feasible, so by weak duality (Schrijver 1986,
+    ch. 7) their sum over scale is at most the gap.  The bound is
+    concave in t and 0 at t = 0, so it is positive for some t exactly
+    when its slope sum(lows) is.  It peaks at a breakpoint in range:
+    at t = 1/top it is sum(min(scale*top, low))/(scale*top), and at
+    t = scale/lows[k] it is sum(min(lows[k], low))/lows[k].  Each is
+    compared with best by cross-multiplying ints.  For the h of a
+    missed `lp_solve_eq` on the same pieces it is the gap.  A pair's
+    normal h bounds its gap with r = 2, as h_1 = h or as h_1 = -h.
     """
-    for big, low, top in ((max(ha), min(hb), hmax), (-min(ha), -max(hb), -hmin)):
-        if low <= big:
-            continue
-        # breakpoints t = p/q, kept when t * top <= 1
-        for p, q in ((1, top), (scale, -big), (scale, low)):
-            if q > 0 and p * top <= q:
-                value = min(scale * q, -p * big) + min(scale * q, p * low)
-                if value * best.denominator >= best.numerator * q * scale:
-                    return True
-    return False
+    if sum(lows) <= 0:
+        return False
+    if best is None:
+        return True
+    num, den = best.numerator, best.denominator
+    cap = scale * top
+    if top > 0 and sum(min(cap, low) for low in lows) * den >= num * cap:
+        return True
+    return any(
+        cap <= low and sum(min(low, m) for m in lows) * den >= num * low
+        for low in lows
+        if low > 0
+    )
 
 
 def common_point_gap(pieces):

@@ -50,11 +50,39 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 
 
 def fraction_to_json(x: Fraction):
-    """Canonical JSON form: int when exact, else the string "p/q"."""
+    """Canonical JSON form: int when exact, else the string "p/q".
+
+    Raises ParseError when a part has more digits than Python converts
+    to text, as `canonical_bytes` does for such an int.
+    """
     x = Fraction(x)
     if x.denominator == 1:
         return int(x)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:
+        raise _unwritable(exc) from None
+
+
+def _unwritable(exc: ValueError) -> ParseError:
+    """The error for a number too long to write: the reader refuses it too."""
+    return ParseError(f"number too long to write ({exc})")
+
+
+def _shown(value) -> str:
+    """A JSON value for an error message, with no repr of an array, object or huge int.
+
+    repr of an int over 4,300 digits raises ValueError, and so does repr
+    of an array that holds one.
+    """
+    if isinstance(value, list):
+        return "an array"
+    if isinstance(value, dict):
+        return "an object"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
 
 
 def _to_json(value):
@@ -67,29 +95,29 @@ def _to_json(value):
 def parse_rational(value) -> Fraction:
     """Read an int or a "p/q" string; reject floats and zero denominators."""
     if isinstance(value, bool):
-        raise ParseError(f"expected a rational, got {value!r}")
+        raise ParseError(f"expected a rational, got {_shown(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
         if not _RATIONAL_RE.match(text):
-            raise ParseError(f"bad rational literal {value!r}")
+            raise ParseError(f"bad rational literal {_shown(value)}")
         num, _, den = text.partition("/")
         try:
             num, den = int(num), int(den or 1)
         except ValueError:  # more digits than int() converts
             raise ParseError(f"rational literal too long ({len(text)} characters)") from None
         if den == 0:
-            raise ParseError(f"zero denominator in {value!r}")
+            raise ParseError(f"zero denominator in {_shown(value)}")
         return Fraction(num, den)
-    raise ParseError(f"rationals must be integers or 'p/q' strings, got {value!r}")
+    raise ParseError(f"rationals must be integers or 'p/q' strings, got {_shown(value)}")
 
 
 def _index(value) -> int:
     """Read a point index or a count: a nonnegative integer."""
     if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
         return value
-    raise ParseError(f"expected a nonnegative integer, got {value!r}")
+    raise ParseError(f"expected a nonnegative integer, got {_shown(value)}")
 
 
 def _from_json(value, depth: int, what: str, read=parse_rational, nonempty=()):
@@ -140,7 +168,7 @@ def _check_header(data, fmt: str, what: str) -> dict:
     _expect(data.get("format") == fmt, f"not a {what} (format tag != {fmt!r})")
     _expect(
         data.get("version") == FORMAT_VERSION,
-        f"unsupported {what} version {data.get('version')!r}",
+        f"unsupported {what} version {_shown(data.get('version'))}",
     )
     return data
 
@@ -232,7 +260,7 @@ def certificate_from_json(data):
         return TransversalCertificate(
             plane, tuple(PartitionTuple(p) for p in partitions), weights, witnesses
         )
-    raise ParseError(f"unknown certificate kind {kind!r}")
+    raise ParseError(f"unknown certificate kind {_shown(kind)}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +292,16 @@ def sweep_report_to_json(report: SweepReport, params: dict | None = None) -> dic
 
 
 def canonical_bytes(data) -> bytes:
-    """Deterministic encoding: sorted keys, no spaces, one trailing newline."""
-    return (json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n").encode(
-        "utf-8"
-    )
+    """Deterministic encoding: sorted keys, no spaces, one trailing newline.
+
+    An int with more digits than Python converts to text (4,300 by
+    default), which `read_json` would refuse, raises ParseError.
+    """
+    try:
+        text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    except ValueError as exc:
+        raise _unwritable(exc) from None
+    return (text + "\n").encode("utf-8")
 
 
 def write_bytes_atomic(path: str, payload: bytes) -> None:

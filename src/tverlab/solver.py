@@ -11,6 +11,12 @@ Three search modes, all exact; `solve` picks one from the plane dimension:
   memo, then by the kept dual normals of missed pair LPs (`_settled`),
   and only then by pair LPs.  The solution support of a two-piece LP
   that met decides every later pair that contains it, with no LP.
+  After the pair tests, the kept Farkas duals of missed full LPs
+  (`_bounded`) bound a partition's gap by weak duality, and a bound
+  above 0, or at or above the least gap, spares its full LP.  They
+  only ever skip full LPs: the first hit, the least gap and the pair
+  LPs are those of the search without them.  Every kept direction
+  caches its projections' extremes per support id.
 * `solve_transversal` — scans a finite list of exact candidate direction
   subspaces for a k-plane (each the intersection of d-k hyperplanes
   through one k-subset of the input points), then certifies membership
@@ -49,9 +55,9 @@ from .geometry import (
     as_point,
     convex_combination,
     convex_combination_fault,
+    gap_reaches,
     lp_solve_eq,
     pair_gap_normal,
-    pair_gap_reaches,
 )
 from .linalg import integer_point_lists, integer_points
 from .model import (
@@ -71,6 +77,7 @@ ONE = Fraction(1)
 _SNAP_CAP = 4096  # candidate directions `solve_transversal` may try
 CHOICE_CAP = 5_000_000  # plane checks the complete hyperplane scan may make
 _SEPARATORS = 8  # pair-LP dual normals `solve_tverberg` keeps
+_DUALS = 8  # full-LP Farkas duals `solve_tverberg` keeps
 
 
 @dataclass(frozen=True)
@@ -193,22 +200,61 @@ def _witnessed(witnesses, ca, cb):
     )
 
 
-def _settled(separators, a, b, scale, best=None):
+def _extremes(proj, cache, sid, piece):
+    """(min, max) of a stored direction's g.p over a piece, kept in cache by support id.
+
+    proj holds g.p for every point p.  Coincident points share g.p, so
+    the extremes depend on the support alone: callers read
+    `cache.get(sid)` first and call this only on an id's first use.
+    """
+    vals = [proj[i] for i in piece]
+    ext = cache[sid] = (min(vals), max(vals))
+    return ext
+
+
+def _settled(separators, a, b, key, scale, best=None):
     """Whether a stored normal rules pieces a and b out; moves it to the front.
 
-    A normal rules them out if it strictly separates them and, given a
-    least gap best > 0, if its dual bound also reaches best
-    (`pair_gap_reaches`): the bound is positive exactly on separation.
-    Separation is tested inline first even then: most normals fail it,
-    and skipping the dual-bound call for them keeps this test cheap.
+    key holds the pieces' support ids.  A normal h rules them out if it
+    strictly separates them and, given a least gap best > 0, if its
+    dual bound also reaches best (`gap_reaches` at r = 2, with h or -h,
+    whichever puts b above a): the bound is positive exactly on
+    separation.  Separation is tested inline first even then: most
+    normals fail it, and skipping the dual-bound call for them keeps
+    this test cheap.
     """
-    for k, (proj, hmax, hmin) in enumerate(separators):
-        ha = [proj[i] for i in a]
-        hb = [proj[i] for i in b]
-        if (max(ha) < min(hb) or max(hb) < min(ha)) and (
-            best is None or pair_gap_reaches(ha, hb, hmax, hmin, scale, best)
-        ):
+    sa, sb = key
+    for k, (proj, cache, hmax, hmin) in enumerate(separators):
+        lo_a, hi_a = cache.get(sa) or _extremes(proj, cache, sa, a)
+        lo_b, hi_b = cache.get(sb) or _extremes(proj, cache, sb, b)
+        if hi_a < lo_b:
+            lows, top = (-hi_a, lo_b), hmax
+        elif hi_b < lo_a:
+            lows, top = (lo_a, -hi_b), -hmin
+        else:
+            continue
+        if best is None or gap_reaches(lows, top, scale, best):
             separators.insert(0, separators.pop(k))
+            return True
+    return False
+
+
+def _bounded(duals, pieces, pids, scale, best=None):
+    """Whether a stored full-LP dual puts the gap of pieces above 0, or at or above best.
+
+    pids holds the pieces' support ids.  Each dual is (top, directions):
+    its largest coordinate dual and, per piece position j, (g_j.p for
+    every point p, cache of `_extremes`), with g_j the direction of
+    `gap_reaches`, applied with the same piece labels.  The dual that
+    decides moves to the front.
+    """
+    for k, (top, directions) in enumerate(duals):
+        lows = [
+            (cache.get(sid) or _extremes(proj, cache, sid, piece))[0]
+            for (proj, cache), sid, piece in zip(directions, pids, pieces)
+        ]
+        if gap_reaches(lows, top, scale, best):
+            duals.insert(0, duals.pop(k))
             return True
     return False
 
@@ -250,20 +296,37 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     if none is ruled out decides them in the same order, each by a
     stored support or else by its LP, until one misses.  Every test is
     exact and only ever proves a miss or a meet, so the same partitions
-    reach their full LP as with pair LPs alone: same first hit, weights
-    and gap.
+    pass the pair tests as with pair LPs alone.
+
+    A full LP that misses yields its Farkas dual (`lp_solve_eq`); the
+    last `_DUALS` of them, most recently useful first, are kept.  On a
+    tuple that passes the pair tests, a dual whose weak-duality bound
+    (`gap_reaches`, same piece labels) is positive proves a miss with
+    no LP, so the walk defers the tuple, as a pair miss does.  The
+    dual test comes after every pair test, so the walk runs the same
+    pair LPs and meets the same first hit, with the same weights.
+    Every stored direction, pair normal or dual, caches the extremes
+    of its projections per support id (`_extremes`).
 
     One walk decides each tuple at its first representative, and `seen`
-    keeps one bool per tuple: whether its full LP was deferred.  With no
-    hit, each deferred tuple is revisited in first-seen order on its
-    supports' first pieces, so no representative is held.  Every answer
-    depends on supports alone: LP optima as above, separation and dual
-    bounds read projections that coincident points share, and
+    keeps, per tuple, None if its full LP ran, else what deferred it.
+    With no hit, each deferred tuple is revisited in first-seen order on
+    its supports' first pieces, so no representative is held.  Every
+    answer depends on supports alone: LP optima as above, separation and
+    dual bounds read projections that coincident points share, and
     `_witnessed` reads codes; only stored normals and meeting supports,
-    and so later pair-LP counts, could differ.  The full LP runs only if
-    every (piece 0, piece j) gap, a lower bound, is below the least gap:
-    `apart` takes those pairs with that best, where a memoised gap counts
-    if it reaches best and a stored normal if its dual bound does.
+    and so later pair-LP counts, could differ.  The full LP runs only
+    if every (piece 0, piece j) gap, a lower bound, is below the least
+    gap, and no stored dual bounds its gap at or above it: `apart` takes
+    those pairs with that best, where a memoised gap counts if it
+    reaches best and a stored normal if its dual bound does; then
+    `_bounded` takes the tuple.  Dual-deferred tuples are revisited
+    first.  Each of their pairs met in the walk, so they need no pair
+    test, and once they are done best is the least gap over every tuple
+    that passed the pair tests, as when all their full LPs ran.  The
+    pair-deferred tuples then see the same best at every step as with
+    no stored duals, since a skipped LP's gap is at or above it: the
+    same pair LPs run, and the least gap is the same.
 
     stats: "lps" full LPs, "pair_lps" two-piece LPs, "partitions"
     ordered tuples covered.
@@ -274,6 +337,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     if r > config.size:
         return SolveReport("no-valid-partition", None, None, stats)
     ints, scale = integer_points(config.points)
+    d = config.dim
     # one bit per distinct point, in first-index order
     bit = {}
     unit = [1 << bit.setdefault(p, len(bit)) for p in ints]
@@ -283,11 +347,19 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     pair_gaps = {}  # (pid(a), pid(b)) -> gap of the LP on pieces (a, b)
     misses = defaultdict(int)  # pid(a) -> OR of 1 << pid(b) over pairs (a, b) known to miss
     witnesses = []  # (code(sa), code(sb)) per meeting pair LP's solution support
-    separators = []  # (h.p for every point p, max(h), min(h)) per stored normal h
+    separators = []  # (h.p for every point p, extremes cache, max(h), min(h)) per stored normal h
+    duals = []  # (max entry, (g_j.p for every point p, extremes cache) per piece j) per stored dual
     index_pairs = list(itertools.combinations(range(r), 2))  # (0, j) first
+    project = lambda g: ([sum(map(operator.mul, g, p)) for p in ints], {})
 
     def lp(pieces):
-        return lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale)
+        weights, gap, h = lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale, dual=True)
+        if h is not None:
+            normals = [h[j:j + d] for j in range(0, len(h), d)]
+            g0 = [-sum(c) for c in zip(*normals)]
+            duals.insert(0, (max(h), [project(g) for g in (g0, *normals)]))
+            del duals[_DUALS:]
+        return weights, gap
 
     def pair_gap(a, b, key):
         if key not in pair_gaps:
@@ -300,8 +372,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
             )
             if normal is not None:
                 misses[key[0]] |= 1 << key[1]
-                proj = [sum(map(operator.mul, normal, p)) for p in ints]
-                separators.insert(0, (proj, max(normal), min(normal)))
+                separators.insert(0, (*project(normal), max(normal), min(normal)))
                 del separators[_SEPARATORS:]
             else:
                 witnesses.append(tuple(code(p[i] for i in s) for p, s in zip((a, b), support)))
@@ -312,7 +383,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
         # with no best, any nonzero gap is a miss: gaps are >= 0
         reached = bool if best is None else (lambda gap: gap >= best)
         for a, b, key in pairs:
-            if reached(pair_gaps[key]) if key in pair_gaps else _settled(separators, a, b, scale, best):
+            if reached(pair_gaps[key]) if key in pair_gaps else _settled(separators, a, b, key, scale, best):
                 misses[key[0]] |= 1 << key[1]
                 return True
         return any(reached(pair_gap(*abk)) for abk in pairs)
@@ -328,7 +399,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
         order = sorted(index_pairs, key=lambda ij: len(pieces[ij[0]]) + len(pieces[ij[1]]))
         return apart([(pieces[i], pieces[j], (pids[i], pids[j])) for i, j in order])
 
-    seen = {}  # pids -> whether its full LP was deferred
+    seen = {}  # pids -> None if its full LP ran, else "pair" or "dual": what deferred it
     best = None
     n = 0
     for n, pieces in enumerate(enumerate_colorful_partitions(config, r), 1):
@@ -336,9 +407,12 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
         if pids in seen:
             continue
         if r > 2 and ruled_out(pieces, pids):
-            seen[pids] = True
+            seen[pids] = "pair"
             continue
-        seen[pids] = False
+        if _bounded(duals, pieces, pids, scale):
+            seen[pids] = "dual"
+            continue
+        seen[pids] = None
         stats["lps"] += 1
         weights, gap = lp(pieces)
         if weights is not None:
@@ -349,12 +423,19 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
             return SolveReport("certified", cert, ZERO, stats)
         best = _least(best, gap)
     first = [piece for _, piece in supports.values()]  # support id -> its first piece
-    for pids, deferred in seen.items():
-        if deferred and (best is None or not apart(
-            [(first[pids[0]], first[b], (pids[0], b)) for b in pids[1:]], best
-        )):
-            stats["lps"] += 1
-            best = _least(best, lp([first[i] for i in pids])[1])
+    # dual-deferred tuples first: then the pair tests see the best they
+    # would see with no stored duals, and run the same pair LPs
+    for cause in ("dual", "pair"):
+        for pids, why in seen.items():
+            if why != cause:
+                continue
+            pieces = [first[i] for i in pids]
+            if best is None or not (
+                why == "pair" and apart([(pieces[0], pieces[j], (pids[0], pids[j])) for j in range(1, r)], best)
+                or _bounded(duals, pieces, pids, scale, best)
+            ):
+                stats["lps"] += 1
+                best = _least(best, lp(pieces)[1])
     stats["partitions"] = n * factorial(r)
     if best is None:
         return SolveReport("no-valid-partition", None, None, stats)

@@ -38,8 +38,10 @@ the walk, all three yield bare tuples of piece tuples, each piece's
 points in class order, and `orbit_key` and `hyperplane_disjunct_search`
 take such tuples; only a certificate wraps one in a `PartitionTuple`.
 `support_points` decodes a support code of the partition search, and
-`bound_step` is the least amount by which a dual bound of
-`geometry.pair_gap_reaches` can exceed a gap.
+`bound_step` is the least amount by which a pair dual bound can exceed
+a gap, `pair_gap_reaches` is that bound before `geometry.gap_reaches`
+took r pieces, and `dual_bound` is the r-piece bound's value as a
+Fraction.
 `verify_common_point_witness` re-checks a bare common-point witness
 with `geometry.convex_combination_fault`, the package's one
 convex-combination check.
@@ -756,13 +758,63 @@ def support_points(ints, code):
 def bound_step(ha, hb, hmax, hmin, scale, gap):
     """The least amount by which a normal's dual bound on a pair can exceed its gap.
 
-    Every breakpoint bound of `geometry.pair_gap_reaches` is
+    Every breakpoint bound of `pair_gap_reaches` is
     value/(q*scale) with 0 < q <= Q, Q the largest of 1, |hmax|, |hmin|
     and every |h.p|, so one above gap exceeds it by at least
     1/(Q*scale*gap.denominator): it would reach gap plus that step.
     """
     q = max(1, abs(hmax), abs(hmin), *map(abs, ha + hb))
     return Fraction(1, q * scale * gap.denominator)
+
+
+def pair_gap_reaches(ha, hb, hmax, hmin, scale, best):
+    """The pair dual bound before `geometry.gap_reaches` took r pieces.
+
+    Whether a normal h puts the gap of `lp_solve_eq([a, b], scale)` at
+    or above best > 0, given h.p over a (ha) and over b (hb) and h's
+    largest and smallest entries: for each orientation s = +-1, with
+    A = max s*h.p over a and B = min s*h.q over b, y_c = t*s*h,
+    y_a = min(scale, -t*A) and y_b = min(scale, t*B) are dual feasible
+    for t * max(s*h) <= 1, and each breakpoint t = p/q of their sum is
+    compared with best by cross-multiplying.
+    """
+    for big, low, top in ((max(ha), min(hb), hmax), (-min(ha), -max(hb), -hmin)):
+        if low <= big:
+            continue
+        for p, q in ((1, top), (scale, -big), (scale, low)):
+            if q > 0 and p * top <= q:
+                value = min(scale * q, -p * big) + min(scale * q, p * low)
+                if value * best.denominator >= best.numerator * q * scale:
+                    return True
+    return False
+
+
+def dual_bound(pieces, h, scale):
+    """The best weak-duality bound on the gap of `lp_solve_eq(pieces, scale)` from h.
+
+    h is a coordinate dual as `lp_solve_eq(..., dual=True)` returns it:
+    d ints per piece after the first.  With y_c = t*h, the weight duals
+    y_0 = min(scale, -t * max (h_1 + ... + h_{r-1}).p over piece 0) and
+    y_j = min(scale, t * min h_j.q over piece j) are dual feasible while
+    t * max(h) <= 1, and (sum y)/scale is at most the gap.  This takes
+    the largest value over every breakpoint t of each y and t = 1/max(h),
+    as Fractions: the bound is piecewise linear in t, so its maximum is
+    at 0 or at one of them.
+    """
+    d = len(pieces[0][0])
+    hs = [h[j:j + d] for j in range(0, len(h), d)]
+    dot = lambda g, p: sum(a * b for a, b in zip(g, p))
+    lows = [-max(sum(dot(g, p) for g in hs) for p in pieces[0])]
+    lows += [min(dot(g, q) for q in piece) for g, piece in zip(hs, pieces[1:])]
+    top = max(h)
+    ts = [Fraction(scale, low) for low in lows if low > 0]
+    if top > 0:
+        ts.append(Fraction(1, top))
+    bound = ZERO
+    for t in ts:
+        if top <= 0 or t * top <= 1:
+            bound = max(bound, sum(min(scale, t * low) for low in lows) / scale)
+    return bound
 
 
 def orbit_key(config, pieces):

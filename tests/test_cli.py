@@ -150,7 +150,7 @@ def test_partition_tightness_file_is_infeasible(capsys, tmp_path):
     assert code == 1
     assert (
         "infeasible: 486 partition tuples exhausted "
-        "(best gap 1/3; subproblems solved: 24 full, 5 piece-pair)"
+        "(best gap 1/3; subproblems solved: 8 full, 5 piece-pair)"
     ) in out
 
 
@@ -641,3 +641,26 @@ def test_bad_int_list_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--d", "2", "--k", "0", "--rs", "x,y", "--trials", "1"])
     assert exc.value.code == 2
+
+
+def test_certificate_too_long_to_write_is_a_file_error(capsys, tmp_path):
+    # every coordinate reads (about 4,000 digits), but the weights of the
+    # one hit have denominators near 8,000 digits, past what Python writes
+    # as text: exit 3 with one error line, and no file
+    n = 10**4000
+    points = [(0,), (f"{n + 1}/3",), (f"1/{n + 3}",)]
+    inst = {
+        "format": serialize.INSTANCE_FORMAT,
+        "version": serialize.FORMAT_VERSION,
+        "d": 1,
+        "k": 0,
+        "collections": [{"r": 2, "points": [list(p) for p in points], "classes": [[0], [1], [2]]}],
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(inst))
+    out = tmp_path / "cert.json"
+    code, stdout, err = run(capsys, "partition", str(path), "--out", str(out))
+    assert code == 3
+    assert stdout.startswith("certified: common point")
+    assert err.startswith("error: number too long to write") and err.count("\n") == 1
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))

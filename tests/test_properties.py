@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import itertools
 import operator
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from tverlab import linalg, serialize, solver, svg
 from tverlab.errors import CapExceeded, ParseError
-from tverlab.geometry import common_point_gap, lp_solve_eq, pair_gap_normal, pair_gap_reaches
+from tverlab.geometry import common_point_gap, gap_reaches, lp_solve_eq, pair_gap_normal
 from tverlab.linalg import integer_point_lists, integer_points
 from tverlab.model import ColoredConfig, ProblemInstance, random_instance, tightness_instance
 from tverlab.solver import KPlane
@@ -19,12 +20,14 @@ from tverlab.topology import SimplicialComplex
 from oracles import (
     bound_step,
     common_point_rows,
+    dual_bound,
     fraction_projected_direction,
     fraction_projected_transversal,
     hyperplane_disjunct_search,
     inclusion_maximal,
     ordered_nonempty_partitions,
     pair_filtered_tverberg,
+    pair_gap_reaches,
     rational_det,
     rational_echelon,
     rational_lp_solve_eq,
@@ -410,25 +413,38 @@ def test_pair_filtered_tverberg_search_matches_unfiltered(case):
     # a full LP is solved at most once per representative, never at r = 2
     assert report.stats["lps"] <= expected.stats["lps"]
     if r == 2:
-        # and once per ordered tuple of supports
-        assert report.stats["lps"] == support_tuples(cfg, expected.stats["lp_pieces"])
+        # and, with no stored full-LP duals, once per ordered tuple of supports
         assert report.stats["pair_lps"] == 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_DUALS", 0)
+            undual = solver.solve_tverberg(cfg, r)
+        assert_same_search_outcome(undual, expected)
+        assert undual.stats["lps"] == support_tuples(cfg, expected.stats["lp_pieces"])
+        assert report.stats["lps"] <= undual.stats["lps"]
 
 
 @tverberg_examples
 @given(tverberg_cases())
 def test_separator_tverberg_search_matches_pair_filtered(case):
     # a stored dual normal only ever proves a miss, and a dual bound only
-    # skips a pair whose gap reaches the least gap, so the same
-    # representatives reach a full LP; of those with equal support
-    # tuples only the first solves it (all of them on distinct points)
+    # skips a pair whose gap reaches the least gap, so with no stored
+    # full-LP duals the same representatives reach a full LP; of those
+    # with equal support tuples only the first solves it (all of them on
+    # distinct points)
     cfg, r = case
-    report = solver.solve_tverberg(cfg, r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_DUALS", 0)
+        report = solver.solve_tverberg(cfg, r)
     expected = pair_filtered_tverberg(cfg, r)
     assert_same_search_outcome(report, expected)
     assert report.stats["lps"] == support_tuples(cfg, expected.stats["lp_pieces"])
     # each pair a separator skips costs at most one LP, in the refutation walk
     assert report.stats["pair_lps"] <= expected.stats["pair_lps"]
+    # stored full-LP duals only skip full LPs: all else is as without them
+    dual = solver.solve_tverberg(cfg, r)
+    assert_same_search_outcome(dual, report)
+    assert dual.stats["pair_lps"] == report.stats["pair_lps"]
+    assert dual.stats["lps"] <= report.stats["lps"]
 
 
 @tverberg_examples
@@ -470,14 +486,26 @@ def normals_and_pieces(draw):
 
 
 def projected(a, b, normal):
-    """(h.p over a, h.p over b, max h, min h): `pair_gap_reaches`'s first arguments."""
+    """(h.p over a, h.p over b, max h, min h): the oracle `pair_gap_reaches`'s first arguments."""
     ha, hb = ([sum(map(operator.mul, normal, p)) for p in piece] for piece in (a, b))
     return ha, hb, max(normal), min(normal)
+
+
+def pair_reaches(ha, hb, hmax, hmin, scale, best):
+    """`gap_reaches` at r = 2 for h, then for -h: the pair bound for either orientation."""
+    return gap_reaches((-max(ha), min(hb)), hmax, scale, best) or gap_reaches(
+        (min(ha), -max(hb)), -hmin, scale, best
+    )
 
 
 def separates(a, b, normal):
     ha, hb, _, _ = projected(a, b, normal)
     return max(ha) < min(hb) or max(hb) < min(ha)
+
+
+def stored(points, normals):
+    """`solver._settled`'s stored normals: (h.p for every point, no cached extremes, max h, min h)."""
+    return [([sum(map(operator.mul, h, p)) for p in points], {}, max(h), min(h)) for h in normals]
 
 
 @given(normals_and_pieces())
@@ -488,11 +516,23 @@ def test_pair_gap_reaches_never_exceeds_the_pair_gap(case):
     # no bound exceeds the gap: one that did would reach gap + step
     for normal in normals:
         proj = projected(a, b, normal)
-        assert not pair_gap_reaches(*proj, scale, gap + bound_step(*proj, scale, gap))
+        assert not pair_reaches(*proj, scale, gap + bound_step(*proj, scale, gap))
     # a pair's own dual normal bounds its gap exactly
     own = pair_gap_normal(a, b, scale)[1]
     if own is not None:
-        assert pair_gap_reaches(*projected(a, b, own), scale, gap)
+        assert pair_reaches(*projected(a, b, own), scale, gap)
+
+
+@given(normals_and_pieces(), st.fractions(min_value=Fraction(1, 60), max_value=4, max_denominator=60))
+@settings(max_examples=300)
+def test_two_piece_gap_reaches_matches_the_pair_bound(case, best):
+    # the r = 2 case, run with h and -h, is the pair bound it replaced,
+    # and with no best it asks for strict separation
+    a, b, normals, scale = case
+    for h in normals:
+        proj = projected(a, b, h)
+        assert pair_reaches(*proj, scale, best) == pair_gap_reaches(*proj, scale, best)
+        assert pair_reaches(*proj, scale, None) == separates(a, b, h)
 
 
 @given(normals_and_pieces(), st.fractions(min_value=Fraction(1, 60), max_value=4, max_denominator=60))
@@ -500,18 +540,106 @@ def test_pair_gap_reaches_never_exceeds_the_pair_gap(case):
 def test_settled_tests_separation_then_the_dual_bound(case, best):
     a, b, normals, scale = case
     points = a + b
-    separators = [([sum(map(operator.mul, h, p)) for p in points], max(h), min(h)) for h in normals]
+    separators = stored(points, normals)
     ia, ib = range(len(a)), range(len(a), len(points))
     # with no least gap, a stored normal rules the pair out iff it strictly separates it
     kept = list(separators)
-    assert solver._settled(kept, ia, ib, scale) == any(separates(a, b, h) for h in normals)
+    assert solver._settled(kept, ia, ib, (0, 1), scale) == any(separates(a, b, h) for h in normals)
     # given one, iff some normal's dual bound reaches it; that normal moves to the front
     kept = list(separators)
-    settled = solver._settled(kept, ia, ib, scale, best)
+    settled = solver._settled(kept, ia, ib, (0, 1), scale, best)
     assert settled == any(pair_gap_reaches(*projected(a, b, h), scale, best) for h in normals)
     if settled:
         front = normals[separators.index(kept[0])]
         assert separates(a, b, front) and pair_gap_reaches(*projected(a, b, front), scale, best)
+
+
+@given(
+    normals_and_pieces(),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from([None, Fraction(1, 4), 1])), max_size=12),
+)
+@settings(max_examples=200)
+def test_cached_extremes_decide_as_a_recomputation_does(case, calls):
+    # pieces are keyed by support, the set of their distinct points, as
+    # in the search; over a run of calls whose caches fill up, each call
+    # decides as separation and the pair bound recomputed from every
+    # point's projection do, and moves the same normal to the front
+    a, b, normals, scale = case
+    points = a + b
+    pool = [piece for n in (1, 2) for piece in itertools.combinations(range(len(points)), n)][:6]
+    sid = {}
+    support = lambda piece: sid.setdefault(frozenset(points[i] for i in piece), len(sid))
+    cached = stored(points, normals)
+    order = list(normals)
+    for i, j, best in calls:
+        pa, pb = pool[i % len(pool)], pool[j % len(pool)]
+        pts_a, pts_b = [points[i] for i in pa], [points[i] for i in pb]
+        decides = [
+            h for h in order
+            if separates(pts_a, pts_b, h)
+            and (best is None or pair_gap_reaches(*projected(pts_a, pts_b, h), scale, best))
+        ]
+        assert solver._settled(cached, pa, pb, (support(pa), support(pb)), scale, best) == bool(decides)
+        if decides:
+            order.remove(decides[0])
+            order.insert(0, decides[0])
+        assert [entry[0] for entry in cached] == [entry[0] for entry in stored(points, order)]
+    # every cached entry holds its support's extremes
+    for proj, cache, _, _ in cached:
+        for piece in pool:
+            if support(piece) in cache:
+                vals = [proj[i] for i in piece]
+                assert cache[support(piece)] == (min(vals), max(vals))
+
+
+def dual_directions(h, d):
+    """A full-LP dual's directions per piece: -(h_1 + ... + h_{r-1}), then each h_j."""
+    hs = [h[j:j + d] for j in range(0, len(h), d)]
+    return [tuple(-sum(c) for c in zip(*hs)), *hs]
+
+
+@tverberg_examples
+@given(tverberg_cases())
+def test_every_full_lp_skipped_by_a_dual_is_justified(case):
+    # a stored full-LP dual skips a tuple only if its weak-duality bound,
+    # computed independently from the dual, is at most the skipped LP's
+    # gap, and above 0 in the walk or at least the least gap afterwards
+    cfg, r = case
+    ints, scale = integer_points(cfg.points)
+    duals = []  # h of every missed full LP
+    skips = []
+
+    def recording_lp(pieces, scale, dual=False):
+        out = lp_solve_eq(pieces, scale, dual)
+        if out[2] is not None:
+            duals.append(out[2])
+        return out
+
+    def recording_bounded(kept, pieces, pids, scale, best=None):
+        decided = bounded(kept, pieces, pids, scale, best)
+        if decided:
+            skips.append((kept[0], [[ints[i] for i in piece] for piece in pieces], best))
+        return decided
+
+    bounded = solver._bounded
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "lp_solve_eq", recording_lp)
+        mp.setattr(solver, "_bounded", recording_bounded)
+        report = solver.solve_tverberg(cfg, r)
+    assert report.stats["lps"] == len(duals) + report.certified
+    dot = lambda g, p: sum(map(operator.mul, g, p))
+    for (top, directions), pieces, best in skips:
+        projections = [proj for proj, _ in directions]
+        # the deciding dual is a missed full LP's h: top is its largest
+        # entry, and piece j reads -(h_1 + ... + h_{r-1}) at j = 0, h_j after
+        h = next(
+            h for h in duals
+            if projections == [[dot(g, p) for p in ints] for g in dual_directions(h, cfg.dim)]
+        )
+        assert top == max(h)
+        bound = dual_bound(pieces, h, scale)
+        assert lp_solve_eq(pieces, scale)[1] >= bound
+        assert bound > 0 if best is None else bound >= best
 
 
 @given(st.sampled_from(((2, 2), (2, 3))), st.data())

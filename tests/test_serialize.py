@@ -438,3 +438,47 @@ def test_atomic_write_gives_the_umask_mode(tmp_path, umask, mode):
 def test_canonical_bytes_sorted_and_compact():
     payload = serialize.canonical_bytes({"b": 1, "a": [1, 2]})
     assert payload == b'{"a":[1,2],"b":1}\n'
+
+
+HUGE = 10**5000  # repr and str refuse ints past 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "read, field, value",
+    [
+        (serialize.instance_from_json, "d", [HUGE]),
+        (serialize.instance_from_json, "version", HUGE),
+        (serialize.instance_from_json, "points", [[[HUGE]]]),
+        (serialize.instance_from_json, "classes", [[[HUGE]]]),
+        (serialize.instance_from_json, "classes", [[-HUGE]]),
+        (serialize.certificate_from_json, "kind", [HUGE]),
+        (serialize.certificate_from_json, "point", [[HUGE]]),
+    ],
+    ids=["d", "version", "points", "classes", "negative-index", "kind", "point"],
+)
+def test_a_huge_int_in_a_bad_field_is_a_parse_error(read, field, value):
+    # the message describes the value without its repr, which would raise
+    if read is serialize.instance_from_json:
+        data = serialize.instance_to_json(tightness_instance(2, 0, (3,), 0))
+        node = data["collections"][0] if field in ("points", "classes") else data
+    else:
+        data = serialize.certificate_to_json(_tverberg_cert()[1])
+        node = data
+    node[field] = value
+    with pytest.raises(ParseError) as info:
+        read(data)
+    assert "array" in str(info.value) or "bits" in str(info.value)
+
+
+def test_a_number_too_long_to_write_is_a_parse_error(tmp_path):
+    # the reader refuses an int past 4,300 digits, and the writer refuses
+    # to write one, as an int or inside "p/q", leaving no file behind
+    for coord in (HUGE, Fraction(HUGE + 1, 3)):
+        cfg = ColoredConfig(dim=1, points=[(coord,), (0,), (1,)], classes=[(0,), (1,), (2,)])
+        inst = ProblemInstance(d=1, k=0, rs=(2,), collections=(cfg,))
+        path = tmp_path / "inst.json"
+        with pytest.raises(ParseError, match="number too long to write"):
+            serialize.save_instance(str(path), inst)
+        assert not list(tmp_path.iterdir())
+    with pytest.raises(ParseError, match="number too long to write"):
+        serialize.canonical_bytes({"gap": -HUGE})

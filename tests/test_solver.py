@@ -44,6 +44,7 @@ from oracles import (
     first_met_flags,
     orbit_key,
     ordered_nonempty_partitions,
+    pair_gap_reaches,
     pair_snap_quotients,
     support_points,
     verify_common_point_witness,
@@ -189,11 +190,12 @@ def test_solve_tverberg_five_pieces_by_piece_pairs():
 
 
 def test_solve_tverberg_seven_pieces_in_the_plane():
-    # the walk covers 168,130 representatives for 25 full and 98 pair
-    # LPs; the pieces' recorded misses rule out most of the rest
+    # the walk covers 168,130 representatives for 4 full and 98 pair
+    # LPs; the pieces' recorded misses rule out most of the rest, and
+    # stored full-LP duals 21 of the 25 that pass the pair tests
     cfg = random_instance(2, 0, (7,), seed=1).collections[0]
     report = solve_tverberg(cfg, 7)
-    assert report.stats == {"partitions": 847375200, "lps": 25, "pair_lps": 98}
+    assert report.stats == {"partitions": 847375200, "lps": 4, "pair_lps": 98}
     assert verify_tverberg(cfg, 7, report.certificate)
     assert report.certificate.partition.pieces == (
         (0, 6, 12), (1, 7, 13), (2, 8, 15), (3, 9, 17), (4, 14), (5, 11, 18), (10, 16)
@@ -209,7 +211,7 @@ def test_solve_tverberg_refutes_the_five_piece_set_one_point_short():
     report = solve_tverberg(short, 5)
     assert report.status == "infeasible-exhausted"
     assert report.gap == Fraction(99313, 112577)
-    assert report.stats == {"partitions": 1658880, "lps": 3236, "pair_lps": 491}
+    assert report.stats == {"partitions": 1658880, "lps": 263, "pair_lps": 491}
 
 
 def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
@@ -221,10 +223,10 @@ def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
         seen.append((a, b, scale, gap, normal, support))
         return gap, normal, support
 
-    def recording_settled(separators, a, b, scale, best=None):
+    def recording_settled(separators, a, b, key, scale, best=None):
         # the stored normals a least-gap test saw, and whether one reached best
         normals = list(separators)
-        reached = settled(separators, a, b, scale, best)
+        reached = settled(separators, a, b, key, scale, best)
         if best is not None:
             bounds.append((cfg, a, b, best, normals, reached))
         return reached
@@ -245,10 +247,11 @@ def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
     for cfg, a, b, best, normals, reached in bounds:
         ints, scale = integer_points(cfg.points)
         gap = geometry.lp_solve_eq([[ints[i] for i in a], [ints[i] for i in b]], scale)[1]
-        each = [([proj[i] for i in a], [proj[i] for i in b], hmax, hmin) for proj, hmax, hmin in normals]
+        # recomputed from each normal's projections, with no cached extremes
+        each = [([proj[i] for i in a], [proj[i] for i in b], hmax, hmin) for proj, _, hmax, hmin in normals]
         for h in each:
-            assert not geometry.pair_gap_reaches(*h, scale, gap + bound_step(*h, scale, gap))
-        assert reached == any(geometry.pair_gap_reaches(*h, scale, best) for h in each)
+            assert not pair_gap_reaches(*h, scale, gap + bound_step(*h, scale, gap))
+        assert reached == any(pair_gap_reaches(*h, scale, best) for h in each)
         if reached:
             skips += 1
             assert gap >= best
@@ -273,11 +276,12 @@ def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
 def test_no_lp_tests_run_on_every_pair_before_a_pair_lp():
     # the memo and stored normals try every pair of a partition before
     # any pair LP, and every (0, j) pair's memoised gap or dual bound
-    # before a refutation's pair LPs: the full LPs are the same, and
-    # fewer pair LPs run (1,900 and 191 when a pair LP could come first)
+    # before a refutation's pair LPs: the same tuples pass the pair
+    # tests, and fewer pair LPs run (1,900 and 191 when a pair LP could
+    # come first); stored full-LP duals spare 35 and 8 of their full LPs
     reports = [solve_tverberg(random_instance(3, 0, (3,), seed=s).collections[0], 3) for s in range(40)]
     assert all(report.certified for report in reports)
-    assert sum(report.stats["lps"] for report in reports) == 152
+    assert sum(report.stats["lps"] for report in reports) == 117
     assert sum(report.stats["pair_lps"] for report in reports) == 1016
     # eight points in general position in R^3 have no Tverberg 3-partition
     points = random_instance(3, 0, (3,), seed=0).collections[0].points[:8]
@@ -285,7 +289,7 @@ def test_no_lp_tests_run_on_every_pair_before_a_pair_lp():
     report = solve_tverberg(cfg, 3)
     assert report.status == "infeasible-exhausted"
     assert report.gap == Fraction(77787356454051190, 689811825741856777)
-    assert report.stats == {"partitions": 5796, "lps": 20, "pair_lps": 81}
+    assert report.stats == {"partitions": 5796, "lps": 12, "pair_lps": 81}
 
 
 def test_solve_tverberg_segment_case():
@@ -321,7 +325,7 @@ def test_solve_tverberg_refutes_in_one_walk(monkeypatch):
     report = solve_tverberg(tightness_instance(2, 0, (4,), 0).collections[0], 4)
     assert report.status == "infeasible-exhausted"
     assert report.gap == Fraction(1, 3)
-    assert report.stats == {"partitions": 98_304, "lps": 216, "pair_lps": 5}
+    assert report.stats == {"partitions": 98_304, "lps": 26, "pair_lps": 5}
 
 
 def test_solve_tverberg_holds_no_representative(monkeypatch):
@@ -372,12 +376,12 @@ def test_witness_memo_spares_one_lp_per_decided_pair(monkeypatch):
     witnessed = solver._witnessed
     monkeypatch.setattr(solver, "_witnessed", lambda witnesses, ca, cb: False)
     report = solve_tverberg(cfg, 3)
-    assert report.stats == {"partitions": 39_366, "lps": 1194, "pair_lps": 725}
+    assert report.stats == {"partitions": 39_366, "lps": 227, "pair_lps": 725}
     monkeypatch.setattr(solver, "_witnessed", recording)
     report = solve_tverberg(cfg, 3)
     assert report.status == "infeasible-exhausted"
     assert report.gap == Fraction(1, 5)
-    assert report.stats == {"partitions": 39_366, "lps": 1194, "pair_lps": 13}
+    assert report.stats == {"partitions": 39_366, "lps": 227, "pair_lps": 13}
     assert len(decided) == 725 - 13
     # a piece's hull is the hull of the distinct points its code names
     ints, scale = integer_points(cfg.points)
