@@ -4,7 +4,8 @@ Exit codes are script-friendly: 0 on success (certificate found, report
 printed, or an asserted infeasibility confirmed), 1 when no certificate could
 be produced or verified (candidate directions exhausted or proven infeasible
 where one was requested), 2 on usage or hypothesis violations, 3 on a file
-that cannot be read, parsed or written, and 4 when an internal cap was hit.
+that cannot be read, parsed or written or a number too long to print, and 4
+when an internal cap was hit.
 Any unreadable input file exits 3 with one line, whatever is wrong with it:
 missing, not UTF-8 or JSON, nested too deep, an integer too long to convert,
 or a malformed field.
@@ -78,7 +79,12 @@ def _board(args):
 
 
 def _point_str(point) -> str:
-    return "(" + ", ".join(str(c) for c in point) + ")"
+    return "(" + ", ".join(map(serialize.rational_text, point)) + ")"
+
+
+def _gap_str(gap) -> str:
+    """A report's gap as text; "None" when the search measured none."""
+    return "None" if gap is None else serialize.rational_text(gap)
 
 
 def _verified(instance, cert) -> bool:
@@ -148,7 +154,7 @@ def cmd_partition(args) -> int:
     if report.status == "infeasible-exhausted":
         print(
             f"infeasible: {report.stats['partitions']} partition tuples "
-            f"exhausted (best gap {report.gap}; {work})"
+            f"exhausted (best gap {_gap_str(report.gap)}; {work})"
         )
     else:
         print("infeasible: no colorful partition shape exists")
@@ -175,10 +181,10 @@ def cmd_transversal(args) -> int:
         print(work)
         return _save_and_verify(args, instance, cert)
     if report.status == "infeasible-exhausted":
-        print(f"infeasible: search space exhausted ({work}, best gap {report.gap})")
+        print(f"infeasible: search space exhausted ({work}, best gap {_gap_str(report.gap)})")
     elif report.status == "budget-exhausted":
         print(
-            f"budget exhausted: best gap {report.gap} "
+            f"budget exhausted: best gap {_gap_str(report.gap)} "
             f"({report.stats['lps']} subproblems, "
             f"{report.stats['directions']} candidate directions)"
         )
@@ -283,7 +289,7 @@ def cmd_tightness(args) -> int:
     report = solve(instance)
     checked = report.stats.get("partitions", report.stats.get("combos"))
     if report.status in ("infeasible-exhausted", "no-valid-partition"):
-        print(f"verified infeasible: {checked} cases exhausted (gap {report.gap})")
+        print(f"verified infeasible: {checked} cases exhausted (gap {_gap_str(report.gap)})")
         return EXIT_OK
     print("verification FAILED: a certificate exists", file=sys.stderr)
     return EXIT_NO_CERTIFICATE

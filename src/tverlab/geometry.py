@@ -4,17 +4,18 @@ Points are tuples of Fraction at the API; nothing in this module ever
 touches a float.  The workhorse is the common-point LP: given finitely
 many point sets ("pieces"), decide whether their convex hulls share a
 point and produce either an exact convex-combination witness or the
-exact phase-1 violation gap.  An LP that misses can also return the
-coordinate part of its Farkas dual; for two pieces it is the integer
-normal of a hyperplane strictly between them (`pair_gap_normal`), and
-for two that meet, the support of the solution is a witness for every
-pair that contains it.  Any stored dual, scaled into a feasible dual
-point of another tuple's LP, decides in integers with no LP whether
-that gap exceeds 0 or reaches a bound (`gap_reaches`).  A
-search scales its points to integers once (`linalg.integer_points`),
-builds each LP's rows as plain ints (`_common_point_lp`) for the
-fraction-free integer simplex kernel, and makes Fractions only for the
-returned weights and gap.
+exact phase-1 violation gap.  `lp_solve_eq` is the one reader of that
+LP's result, for full, pair and projected LPs.  An LP that misses can
+also return the coordinate part of its Farkas dual; for two pieces it
+is the integer normal of a hyperplane strictly between them, and for
+two that meet, the support of the solution is a witness for every pair
+that contains it.  Any stored dual, scaled into a feasible dual point
+of another tuple's LP, decides in integers with no LP whether that gap
+exceeds 0 or reaches a bound (`gap_reaches`).  A search scales its
+points to integers once (`linalg.integer_points`), builds each LP's
+rows as plain ints (`_common_point_lp`) for the fraction-free integer
+simplex kernel, and makes Fractions only for gaps and, by `weights_of`,
+for the weights a certificate needs.
 """
 from __future__ import annotations
 
@@ -113,55 +114,46 @@ def _coordinate_dual(obj, gapden, first):
 
 
 def lp_solve_eq(pieces, scale, dual=False):
-    """Common-point LP on integer pieces: (weights per piece, 0) or (None, gap).
+    """Common-point LP on integer pieces: (x, 0, None) on a hit, else (None, gap, h).
 
     `pieces` hold points of `integer_points` with their `scale`; the
     rows (`_common_point_lp`) go to the kernel as ints, and gap is in
     the original units.  A positive scale on a row changes no Bland
-    choice, so weights and gap equal those of the rational system.
-    With dual, a third entry is None on a hit and h on a miss: the
-    coordinate-row part of the LP's Farkas dual (`_coordinate_dual`),
-    d ints for each piece after the first, in row order, the normal h_j
-    paired with piece j.  `gap_reaches` bounds another tuple's gap with
-    it.  h costs a gcd over big ints, so callers that keep no dual do
-    not ask for it.
+    choice, so weights and gap equal those of the rational system.  On
+    a hit, x = (nums, den): one list of weight numerators per piece,
+    over one den > 0, left as ints until a certificate needs them
+    (`weights_of`).  On a miss, h is None unless dual is set; then it
+    is the coordinate-row part of the LP's Farkas dual
+    (`_coordinate_dual`), d ints for each piece after the first, in row
+    order, the normal h_j paired with piece j.  `gap_reaches` bounds
+    another tuple's gap with it.  h costs a gcd over big ints, so
+    callers that keep no dual do not ask for it.
+
+    Two pieces a and b are the case r = 2.  On a hit, the points with a
+    nonzero numerator number at most d+2 (Caratheodory: a basic
+    solution), and any two point sets that contain them have hulls
+    meeting at the same point.  On a miss, h is an integer normal with
+    max h.p over a < min h.q over b: with y_a, y_b the dual of the two
+    weight rows, its column inequalities give h.p <= -y_a and
+    h.q >= y_b, and y_a + y_b is the positive optimum.
     """
     feasible, xnum, xden, gapnum, gapden, _ = _common_point_lp(pieces, scale)
     if feasible:
-        weights = []
+        nums = []
         off = 0
         for piece in pieces:
-            weights.append(tuple(Fraction(v, xden) for v in xnum[off:off + len(piece)]))
+            nums.append(xnum[off:off + len(piece)])
             off += len(piece)
-        out = tuple(weights), ZERO, None
-    else:
-        first = sum(map(len, pieces)) + len(pieces)  # the first coordinate row's artificial
-        h = _coordinate_dual(xnum, gapden, first) if dual else None
-        out = None, Fraction(gapnum, gapden * scale), h
-    return out if dual else out[:2]
+        return (nums, xden), ZERO, None
+    first = sum(map(len, pieces)) + len(pieces)  # the first coordinate row's artificial
+    h = _coordinate_dual(xnum, gapden, first) if dual else None
+    return None, Fraction(gapnum, gapden * scale), h
 
 
-def pair_gap_normal(a, b, scale):
-    """Two-piece common-point LP: (0, None, support) if the hulls meet, else (gap, h, None).
-
-    On a meet, support = (sa, sb) holds the positions in `a` and in `b`
-    of the points with a nonzero weight in the LP's basic solution: at
-    most d+2 in all (Caratheodory), and any two point sets that contain
-    them have hulls meeting at the same point.  On a miss, h is the
-    LP's coordinate dual (`_coordinate_dual`), an integer normal with
-    max h.p over `a` < min h.q over `b`: with y_a, y_b the dual of the
-    two weight rows, its column inequalities give h.p <= -y_a and
-    h.q >= y_b, and y_a + y_b is the positive optimum.  The LP, its
-    pivots, its gap and h are those of `lp_solve_eq([a, b], scale, dual=True)`.
-    """
-    feasible, x, _, gapnum, gapden, _ = _common_point_lp([a, b], scale)
-    if feasible:
-        n = len(a)
-        sa = tuple(i for i in range(n) if x[i])
-        sb = tuple(i - n for i in range(n, len(x)) if x[i])
-        return ZERO, None, (sa, sb)
-    h = _coordinate_dual(x, gapden, len(a) + len(b) + 2)
-    return Fraction(gapnum, gapden * scale), h, None
+def weights_of(x):
+    """The convex weights of a hit's x = (nums, den), as Fractions, one tuple per piece."""
+    nums, den = x
+    return tuple(tuple(Fraction(v, den) for v in num) for num in nums)
 
 
 def gap_reaches(lows, top, scale, best=None):
@@ -209,9 +201,10 @@ def common_point_gap(pieces):
     dim = len(pcs[0][0])
     if any(len(p) != dim for piece in pcs for p in piece):
         raise ValueError("mismatched point dimensions")
-    weights, gap = lp_solve_eq(*integer_point_lists(pcs))
-    if weights is None:
+    x, gap, _ = lp_solve_eq(*integer_point_lists(pcs))
+    if x is None:
         return None, gap
+    weights = weights_of(x)
     point = convex_combination(weights[0], pcs[0])
     return CommonPointWitness(point=point, weights=weights), ZERO
 

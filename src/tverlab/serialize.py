@@ -50,16 +50,21 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 
 
 def fraction_to_json(x: Fraction):
-    """Canonical JSON form: int when exact, else the string "p/q".
+    """Canonical JSON form: int when exact, else the string "p/q" of `rational_text`."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return int(x)
+    return rational_text(x)
+
+
+def rational_text(x) -> str:
+    """A rational as text: "p", or "p/q" in lowest terms with q > 1.
 
     Raises ParseError when a part has more digits than Python converts
     to text, as `canonical_bytes` does for such an int.
     """
-    x = Fraction(x)
-    if x.denominator == 1:
-        return int(x)
     try:
-        return f"{x.numerator}/{x.denominator}"
+        return str(Fraction(x))
     except ValueError as exc:
         raise _unwritable(exc) from None
 

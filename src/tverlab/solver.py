@@ -57,7 +57,7 @@ from .geometry import (
     convex_combination_fault,
     gap_reaches,
     lp_solve_eq,
-    pair_gap_normal,
+    weights_of,
 )
 from .linalg import integer_point_lists, integer_points
 from .model import (
@@ -72,7 +72,6 @@ from .model import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _SNAP_CAP = 4096  # candidate directions `solve_transversal` may try
 CHOICE_CAP = 5_000_000  # plane checks the complete hyperplane scan may make
@@ -282,7 +281,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     For r >= 3, two pieces whose hulls miss rule a partition out, so
     two-piece LPs, memoised by the pair's ids, defer its full LP.  One
     that misses also yields an integer normal strictly separating its
-    pieces (`pair_gap_normal`, from the LP's Farkas dual); the last
+    pieces (`lp_solve_eq`'s Farkas dual at r = 2); the last
     `_SEPARATORS` of them, most recently useful first, are kept.  One
     that meets instead yields the supports of its basic solution, at
     most d+2 points, kept once as a pair of bitmasks; a later pair whose
@@ -351,15 +350,16 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     duals = []  # (max entry, (g_j.p for every point p, extremes cache) per piece j) per stored dual
     index_pairs = list(itertools.combinations(range(r), 2))  # (0, j) first
     project = lambda g: ([sum(map(operator.mul, g, p)) for p in ints], {})
+    solve_lp = lambda pieces: lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale, dual=True)
 
     def lp(pieces):
-        weights, gap, h = lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale, dual=True)
+        x, gap, h = solve_lp(pieces)
         if h is not None:
             normals = [h[j:j + d] for j in range(0, len(h), d)]
             g0 = [-sum(c) for c in zip(*normals)]
             duals.insert(0, (max(h), [project(g) for g in (g0, *normals)]))
             del duals[_DUALS:]
-        return weights, gap
+        return x, gap
 
     def pair_gap(a, b, key):
         if key not in pair_gaps:
@@ -367,15 +367,14 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
                 pair_gaps[key] = ZERO
                 return ZERO
             stats["pair_lps"] += 1
-            pair_gaps[key], normal, support = pair_gap_normal(
-                [ints[i] for i in a], [ints[i] for i in b], scale
-            )
-            if normal is not None:
+            x, pair_gaps[key], h = solve_lp((a, b))
+            if h is not None:
                 misses[key[0]] |= 1 << key[1]
-                separators.insert(0, (*project(normal), max(normal), min(normal)))
+                separators.insert(0, (*project(h), max(h), min(h)))
                 del separators[_SEPARATORS:]
             else:
-                witnesses.append(tuple(code(p[i] for i in s) for p, s in zip((a, b), support)))
+                # the solution's support: at most d+2 points
+                witnesses.append(tuple(code(i for i, v in zip(p, num) if v) for p, num in zip((a, b), x[0])))
         return pair_gaps[key]
 
     def apart(pairs, best=None):
@@ -414,10 +413,11 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
             continue
         seen[pids] = None
         stats["lps"] += 1
-        weights, gap = lp(pieces)
-        if weights is not None:
+        x, gap = lp(pieces)
+        if x is not None:
             # each representative decides its r! ordered tuples
             stats["partitions"] = n * factorial(r)
+            weights = weights_of(x)
             point = convex_combination(weights[0], [config.points[i] for i in pieces[0]])
             cert = TverbergCertificate(point, PartitionTuple(pieces), weights)
             return SolveReport("certified", cert, ZERO, stats)
@@ -536,9 +536,9 @@ def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats):
         good = []
         gmin = None
         for pieces in plist:
-            weights, gap = lp_solve_eq([[iproj[ell][i] for i in piece] for piece in pieces], scale)
+            x, gap, _ = lp_solve_eq([[iproj[ell][i] for i in piece] for piece in pieces], scale)
             stats["lps"] += 1
-            if weights is not None:
+            if x is not None:
                 good.append(pieces)
             else:
                 gmin = _least(gmin, gap)
@@ -549,42 +549,22 @@ def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats):
         return None, sum(misses, ZERO)
     best = None
     for combo in itertools.product(*survivors):
-        weights, gap = lp_solve_eq(_combo_pieces(iproj, combo), scale)
+        x, gap, _ = lp_solve_eq(_combo_pieces(iproj, combo), scale)
         stats["lps"] += 1
-        if weights is not None:
-            return (combo, weights), ZERO
+        if x is not None:
+            return (combo, weights_of(x)), ZERO
         best = _least(best, gap)
     return None, best
 
 
-def _build_certificate(instance, q_rows, combo, weights) -> TransversalCertificate:
-    """Certificate for a hit on quotient `q_rows`: weights per piece of `combo`.
-
-    Piece 0's witness is the convex combination of its original points,
-    and the plane is {x : q_rows x = q_rows witness} (all of R^d at k = d).
-    Both the direction scan and the hyperplane scan build their plane here.
-    """
-    d, k = instance.d, instance.k
-    if d - k == 0:
-        base = tuple(ZERO for _ in range(d))
-        dirs = tuple(
-            tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d)
-        )
-    else:
-        first = [instance.collections[0].points[i] for i in combo[0][0]]
-        point = convex_combination(weights[0], first)
-        particular, null = linalg.solve(q_rows, [_dot(row, point) for row in q_rows])
-        base = tuple(particular)
-        dirs = tuple(tuple(v) for v in null)
-    plane = KPlane(base=base, directions=dirs)
-    return _certificate(instance, plane, combo, weights)
-
-
-def _certificate(instance, plane, combo, piece_weights) -> TransversalCertificate:
-    """Certificate for `plane` from one weight vector per piece of `combo`.
+def _build_certificate(instance, q_rows, combo, piece_weights) -> TransversalCertificate:
+    """Certificate for a hit on quotient `q_rows`: one weight vector per piece of `combo`.
 
     piece_weights runs over the pieces collection by collection; each
-    witness point is the convex combination of its piece's points.
+    witness point is the convex combination of its piece's points.  The
+    plane is {x : q_rows x = q_rows w}, w piece 0's witness (all of R^d
+    at k = d).  Both the direction scan and the hyperplane scan build
+    their plane here.
     """
     point_lists = [cfg.points for cfg in instance.collections]
     flat = iter(zip(piece_weights, _combo_pieces(point_lists, combo)))
@@ -594,8 +574,13 @@ def _certificate(instance, plane, combo, piece_weights) -> TransversalCertificat
         col = [next(flat) for _ in pieces]
         weights.append(tuple(tuple(w) for w, _ in col))
         points.append(tuple(convex_combination(w, pts) for w, pts in col))
+    d = instance.d
+    if instance.k == d:
+        base, dirs = (ZERO,) * d, [[int(i == j) for j in range(d)] for i in range(d)]
+    else:
+        base, dirs = linalg.solve(q_rows, [_dot(row, points[0][0]) for row in q_rows])
     return TransversalCertificate(
-        plane=plane,
+        plane=KPlane(base=base, directions=dirs),
         partitions=tuple(map(PartitionTuple, combo)),
         weights=tuple(weights),
         witness_points=tuple(points),

@@ -74,7 +74,7 @@ projected points.
 """
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from tverlab import kernels, linalg, solver, topology
@@ -86,6 +86,7 @@ from tverlab.geometry import (
     convex_combination,
     convex_combination_fault,
     lp_solve_eq,
+    weights_of,
 )
 from tverlab.linalg import integer_points, is_prime
 from tverlab.model import PartitionTuple, enumerate_colorful_partitions
@@ -627,15 +628,16 @@ def unfiltered_tverberg(config, r):
     for pieces in enumerate_colorful_partitions(config, r):
         lps += 1
         lp_pieces.append(pieces)
-        weights, gap = lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale)
-        if weights is not None:
+        x, gap, _ = lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale)
+        if x is not None:
             break
         best = gap if best is None or gap < best else best
     stats = {"partitions": lps * math.factorial(r), "lps": lps, "lp_pieces": lp_pieces}
     if lps == 0:
         return solver.SolveReport("no-valid-partition", None, None, stats)
-    if weights is None:
+    if x is None:
         return solver.SolveReport("infeasible-exhausted", None, best, stats)
+    weights = weights_of(x)
     point = convex_combination(weights[0], [config.points[i] for i in pieces[0]])
     cert = solver.TverbergCertificate(point, PartitionTuple(pieces), weights)
     return solver.SolveReport("certified", cert, ZERO, stats)
@@ -684,9 +686,9 @@ def pair_filtered_tverberg(config, r):
             if any(map(pair_gaps.get, keys)) or any(pair_gap(part, *kp) for kp in by_size):
                 deferred += 1
                 continue
-        weights, gap = full_lp(part)
-        if weights is not None:
-            hit = part, weights
+        x, gap, _ = full_lp(part)
+        if x is not None:
+            hit = part, weights_of(x)
             break
         best = gap if best is None or gap < best else best
     if hit is None and deferred:
@@ -901,7 +903,8 @@ def fraction_projected_transversal(instance):
             else:
                 base, dirs = linalg.solve(q_rows, list(witness.point))
             plane = solver.KPlane(base=base, directions=dirs)
-            cert = solver._certificate(instance, plane, combo, witness.weights)
+            # the solver's certificate, on the plane through the projected witness
+            cert = replace(solver._build_certificate(instance, q_rows, combo, witness.weights), plane=plane)
             return solver.SolveReport("certified", cert, ZERO, stats)
         best = gap if best is None or gap < best else best
     return solver.SolveReport("budget-exhausted", None, best, stats)
@@ -921,9 +924,9 @@ def fraction_projected_direction(q_rows, collections, plists, stats):
     for ell, plist in enumerate(plists):
         good, gmin = [], None
         for part in plist:
-            weights, gap = lp_solve_eq([[iproj[ell][i] for i in piece] for piece in part], scale)
+            x, gap, _ = lp_solve_eq([[iproj[ell][i] for i in piece] for piece in part], scale)
             stats["lps"] += 1
-            if weights is not None:
+            if x is not None:
                 good.append(part)
             else:
                 gmin = gap if gmin is None or gap < gmin else gmin
@@ -934,9 +937,10 @@ def fraction_projected_direction(q_rows, collections, plists, stats):
         return None, sum(misses, ZERO)
     best = None
     for combo in itertools.product(*survivors):
-        weights, gap = lp_solve_eq(solver._combo_pieces(iproj, combo), scale)
+        x, gap, _ = lp_solve_eq(solver._combo_pieces(iproj, combo), scale)
         stats["lps"] += 1
-        if weights is not None:
+        if x is not None:
+            weights = weights_of(x)
             point = convex_combination(weights[0], solver._combo_pieces(proj, combo)[0])
             return (combo, CommonPointWitness(point=point, weights=weights)), ZERO
         best = gap if best is None or gap < best else best

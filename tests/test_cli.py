@@ -336,6 +336,19 @@ def test_topology_free(capsys):
     assert "free: yes" in out
 
 
+def test_topology_free_on_joined_copies(capsys):
+    # two copies of the 3x2 board joined: 6 * 6 = 36 facets
+    code, out, _ = run(capsys, "topology", "free", "--r", "3", "--n", "2", "--copies", "2")
+    assert code == 0
+    assert out == "cyclic row action free: yes\n"
+    code, out, err = run(
+        capsys, "topology", "free", "--r", "3", "--n", "2", "--copies", "2", "--cap", "10"
+    )
+    assert code == 4
+    assert out == ""
+    assert "facet count 36 exceeds cap 10" in err
+
+
 def test_topology_degree(capsys):
     code, out, _ = run(capsys, "topology", "degree", "--r", "3", "--d", "1")
     assert code == 0
@@ -664,3 +677,18 @@ def test_certificate_too_long_to_write_is_a_file_error(capsys, tmp_path):
     assert stdout.startswith("certified: common point")
     assert err.startswith("error: number too long to write") and err.count("\n") == 1
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
+def test_common_point_too_long_to_print_is_a_file_error(capsys, tmp_path):
+    # every coordinate reads (about 2,500 digits), but the diagonals cross
+    # at a point whose coordinates need about 5,000, past what Python
+    # writes as text: exit 3 with one error line, not the usage code
+    n = 10**2500
+    points = [(0, 0), (n + 7, n // 10 + 3), (n + 7, 0), (0, n // 10 + 4)]
+    cfg = ColoredConfig(dim=2, points=points, classes=[(0,), (1,), (2,), (3,)])
+    path = tmp_path / "cross.json"
+    serialize.save_instance(str(path), ProblemInstance(d=2, k=0, rs=(2,), collections=(cfg,)))
+    code, stdout, err = run(capsys, "partition", str(path))
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("error: number too long to write") and err.count("\n") == 1

@@ -19,7 +19,7 @@ def run_both(kernel, nrows, ncols, data, rhs, costs=None):
         assert x == ref[1]
     else:
         assert Fraction(got[3], got[4]) == ref[2]
-        # the objective row pair_gap_normal reads the Farkas dual from
+        # the objective row lp_solve_eq reads the Farkas dual from
         assert [Fraction(v, got[4]) for v in got[1]] == ref[4]
     assert got[5] == ref[3], "pivot sequences diverged"
     return got

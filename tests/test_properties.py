@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from tverlab import linalg, serialize, solver, svg
 from tverlab.errors import CapExceeded, ParseError
-from tverlab.geometry import common_point_gap, gap_reaches, lp_solve_eq, pair_gap_normal
+from tverlab.geometry import common_point_gap, gap_reaches, lp_solve_eq, weights_of
 from tverlab.linalg import integer_point_lists, integer_points
 from tverlab.model import ColoredConfig, ProblemInstance, random_instance, tightness_instance
 from tverlab.solver import KPlane
@@ -151,14 +151,19 @@ def test_integer_common_point_lp_matches_rational_rows(pieces):
     assert scale > 0
     assert all(a == c * scale for p, q in zip(flat, ints) for c, a in zip(p, q))
     it = iter(ints)
-    weights, gap = lp_solve_eq([[next(it) for _ in piece] for piece in pieces], scale)
+    hit, gap, h = lp_solve_eq([[next(it) for _ in piece] for piece in pieces], scale)
+    assert h is None  # no dual was asked for
 
     rows, rhs, offs = common_point_rows(pieces)
     x, ref_gap = rational_lp_solve_eq(rows, rhs)
     assert gap == ref_gap
     if x is None:
-        assert weights is None and gap > 0
+        assert hit is None and gap > 0
     else:
+        # integer numerators, one list per piece, over one positive denominator
+        nums, den = hit
+        assert den > 0 and all(type(v) is int for num in nums for v in num)
+        weights = weights_of(hit)
         assert weights == tuple(tuple(x[offs[j]:offs[j + 1]]) for j in range(len(pieces)))
 
     witness, api_gap = common_point_gap(pieces)
@@ -479,7 +484,7 @@ def normals_and_pieces(draw):
     piece = st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=1, max_size=4)
     a, b = draw(piece), draw(piece)
     scale = draw(st.integers(1, 6))
-    drawn = (pair_gap_normal(draw(piece), draw(piece), scale)[1] for _ in range(draw(st.integers(1, 3))))
+    drawn = (lp_solve_eq([draw(piece), draw(piece)], scale, dual=True)[2] for _ in range(draw(st.integers(1, 3))))
     normals = [h for h in drawn if h is not None]
     assume(normals)
     return a, b, normals, scale
@@ -518,7 +523,7 @@ def test_pair_gap_reaches_never_exceeds_the_pair_gap(case):
         proj = projected(a, b, normal)
         assert not pair_reaches(*proj, scale, gap + bound_step(*proj, scale, gap))
     # a pair's own dual normal bounds its gap exactly
-    own = pair_gap_normal(a, b, scale)[1]
+    own = lp_solve_eq([a, b], scale, dual=True)[2]
     if own is not None:
         assert pair_reaches(*projected(a, b, own), scale, gap)
 
@@ -611,7 +616,7 @@ def test_every_full_lp_skipped_by_a_dual_is_justified(case):
 
     def recording_lp(pieces, scale, dual=False):
         out = lp_solve_eq(pieces, scale, dual)
-        if out[2] is not None:
+        if out[2] is not None and len(pieces) == r:  # a missed full LP, not a pair LP
             duals.append(out[2])
         return out
 

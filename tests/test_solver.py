@@ -218,10 +218,11 @@ def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
     seen = []
     bounds = []
 
-    def recording(a, b, scale):
-        gap, normal, support = geometry.pair_gap_normal(a, b, scale)
-        seen.append((a, b, scale, gap, normal, support))
-        return gap, normal, support
+    def recording(pieces, scale, dual=False):
+        out = geometry.lp_solve_eq(pieces, scale, dual)
+        if len(pieces) == 2:  # a pair LP: every case has r >= 3
+            seen.append((*pieces, scale, *out))
+        return out
 
     def recording_settled(separators, a, b, key, scale, best=None):
         # the stored normals a least-gap test saw, and whether one reached best
@@ -232,7 +233,7 @@ def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
         return reached
 
     settled = solver._settled
-    monkeypatch.setattr(solver, "pair_gap_normal", recording)
+    monkeypatch.setattr(solver, "lp_solve_eq", recording)
     monkeypatch.setattr(solver, "_settled", recording_settled)
     cases = [(tightness_instance(d, 0, (3,), 0).collections[0], 3) for d in (2, 3)]
     cases += [(random_instance(3, 0, (3,), seed=s).collections[0], 3) for s in range(8)]
@@ -257,12 +258,12 @@ def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
             assert gap >= best
     assert skips > 100
     stored = 0
-    for a, b, scale, gap, normal, support in seen:
+    for a, b, scale, x, gap, normal in seen:
         assert gap == geometry.lp_solve_eq([a, b], scale)[1]
-        assert (normal is None) == (gap == 0) == (support is not None)
-        if support is not None:
+        assert (normal is None) == (gap == 0) == (x is not None)
+        if x is not None:
             # the points carrying weight already meet, on at most d + 2 points
-            sa, sb = ([piece[i] for i in s] for piece, s in zip((a, b), support))
+            sa, sb = ([p for p, v in zip(piece, num) if v] for piece, num in zip((a, b), x[0]))
             assert len(sa) + len(sb) <= len(a[0]) + 2
             assert geometry.lp_solve_eq([sa, sb], scale)[1] == 0
         if normal is not None:
@@ -271,6 +272,31 @@ def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
                 sum(map(operator.mul, normal, q)) for q in b
             )
     assert stored > 100
+
+
+def test_every_lp_is_read_by_lp_solve_eq(monkeypatch):
+    # full and pair LPs alike reach the kernel through lp_solve_eq, once each
+    calls = {"lp_solve_eq": 0, "phase1": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(solver, "lp_solve_eq", counting("lp_solve_eq", geometry.lp_solve_eq))
+    monkeypatch.setattr(kernels, "phase1", counting("phase1", kernels.phase1))
+    cases = [(tightness_instance(d, 0, (r,), 0).collections[0], r) for d, r in ((2, 4), (4, 3))]
+    cfg = random_instance(2, 0, (5,), seed=0).collections[0]
+    cases.append((ColoredConfig(dim=2, points=cfg.points[:12], classes=cfg.classes[:3]), 5))
+    cases += [(random_instance(3, 0, (3,), seed=s).collections[0], 3) for s in range(5)]
+    for cfg, r in cases:
+        for name in calls:
+            calls[name] = 0
+        stats = solve_tverberg(cfg, r).stats
+        assert stats["pair_lps"] > 0
+        assert calls == {"lp_solve_eq": stats["lps"] + stats["pair_lps"], "phase1": calls["lp_solve_eq"]}
 
 
 def test_no_lp_tests_run_on_every_pair_before_a_pair_lp():
@@ -785,6 +811,20 @@ def test_verify_tverberg_accepts_and_rejects():
         .reason == "weight-sum"
     assert verify_tverberg(cfg, 3, object()).reason == "malformed"
     assert verify_tverberg(cfg, 2, cert).reason == "bad-partition"
+
+
+def test_verify_rejects_a_piece_with_two_points_of_one_class():
+    # points 0 and 1 (at 0 and 2) share a class, so piece (0, 1) is not
+    # colorful, though each piece's weights combine its points into 1
+    cfg = ColoredConfig(dim=1, points=[(0,), (2,), (1,), (1,)], classes=[(0, 1), (2,), (3,)])
+    partition = PartitionTuple(((0, 1), (2, 3)))
+    half = Fraction(1, 2)
+    weights = ((half, half), (half, half))
+    point = (Fraction(1),)
+    assert verify_tverberg(cfg, 2, TverbergCertificate(point, partition, weights)).reason == "bad-partition"
+    inst = ProblemInstance(d=1, k=0, rs=(2,), collections=(cfg,))
+    cert = TransversalCertificate(KPlane(base=point, directions=()), (partition,), (weights,), ((point, point),))
+    assert verify_transversal(inst, cert).reason == "bad-partition"
 
 
 # ---------------------------------------------------------------------------
