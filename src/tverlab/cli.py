@@ -244,9 +244,7 @@ def cmd_top_free(args) -> int:
 
 
 def cmd_top_degree(args) -> int:
-    if args.attempts < 1:
-        return _usage("--attempts must be at least 1")
-    report = test_map_degree(args.r, args.d, max_attempts=args.attempts)
+    report = test_map_degree(args.r, args.d)
     print(f"degree magnitude: {abs(report.degree)}")
     print(
         f"residue mod {report.modulus}: {report.residue} "
@@ -254,7 +252,6 @@ def cmd_top_degree(args) -> int:
     )
     print(f"facets: {report.facets}")
     print(f"crossings: {report.crossings}")
-    print(f"regular value attempts: {report.regular_value_attempts}")
     return EXIT_OK
 
 
@@ -394,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = tsub.add_parser("degree", help="signed crossing count of the canonical map")
     q.add_argument("--r", type=int, required=True, help="pieces")
     q.add_argument("--d", type=int, required=True, help="ambient dimension")
-    q.add_argument("--attempts", type=int, default=64, help="regular-value attempts")
     q.set_defaults(func=cmd_top_degree)
 
     q = tsub.add_parser("dims", help="dimension and rank bookkeeping")

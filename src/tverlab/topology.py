@@ -20,6 +20,7 @@ from . import linalg
 from .errors import CapExceeded, PreconditionError
 
 FACET_CAP = 10**7
+GROUP_CAP = 10**6
 
 
 def _check_cap(count: int, cap: int) -> None:
@@ -348,8 +349,9 @@ class PermutationAction:
             if sorted(g) != list(range(self.n_vertices)):
                 raise ValueError("generator is not a permutation of the vertices")
 
-    def elements(self, cap: int = 10**6):
-        """All group elements as permutation tuples (identity included)."""
+    def elements(self):
+        """All group elements as permutation tuples (identity included);
+        CapExceeded past `GROUP_CAP` elements."""
         ident = tuple(range(self.n_vertices))
         seen = {ident}
         frontier = [ident]
@@ -361,8 +363,8 @@ class PermutationAction:
                     if gh not in seen:
                         seen.add(gh)
                         nxt.append(gh)
-                        if len(seen) > cap:
-                            raise CapExceeded("group closure exceeds cap")
+                        if len(seen) > GROUP_CAP:
+                            raise CapExceeded(f"group closure exceeds cap {GROUP_CAP}")
             frontier = nxt
         return sorted(seen)
 
@@ -426,7 +428,6 @@ class DegreeReport:
     modulus: int
     crossings: int
     facets: int
-    regular_value_attempts: int
 
     @property
     def residue(self) -> int:
@@ -435,14 +436,6 @@ class DegreeReport:
     @property
     def residue_is_plus_minus_one(self) -> bool:
         return self.residue in (1 % self.modulus, (-1) % self.modulus)
-
-
-def _primes_from(start: int):
-    n = start
-    while True:
-        if linalg.is_prime(n):
-            yield n
-        n += 1
 
 
 def _board_outcome(block, w):
@@ -503,7 +496,7 @@ def _signed_crossings(board: SimplicialComplex, signs, value):
     return degree, crossings
 
 
-def test_map_degree(r: int, d: int, max_attempts: int = 64) -> DegreeReport:
+def test_map_degree(r: int, d: int) -> DegreeReport:
     """Exact degree of the weight map on the (d+1)-fold join of the r x (r-1)
     chessboard complex, counted on one oriented board; no join is built.
 
@@ -517,25 +510,32 @@ def test_map_degree(r: int, d: int, max_attempts: int = 64) -> DegreeReport:
     M mu = value splits into B_ell mu_ell = w_ell and sign det M =
     prod sign det B_ell.  The join map is thus the join of the board maps
     composed with an orientation-preserving isomorphism, and its degree
-    is the product of the board degrees.  A value that is not regular
-    moves: attempt t >= 1 adds 1/q to coordinate (t-1) mod (r-1)(d+1), q
-    the t-th prime from 1009 upward; CapExceeded after `max_attempts`.
+    is the product of the board degrees.
+
+    It is counted once, at the clean value v = (1, ..., 1, 0, ..., 0) with
+    r-1 ones, which is regular for every r >= 2 and d >= 0:
+      1. Row 0 of C is all ones and row c >= 1 says w_c = w_0, so
+         (C (x) I) w = v gives w_ell = 1/(d+1) for every factor ell.
+      2. Every board block is invertible: the r weight vectors span the
+         sum-zero hyperplane and sum to 0, so any r-1 of them are
+         independent.
+      3. The row set without row r-1 solves at mu = (r/(d+1), ..., r/(d+1))
+         > 0, so it crosses.
+      4. A row set without a row x < r-1 has mu's last entry equal to
+         -r/(d+1) and its other entries 0, which `_board_outcome` reads as
+         "negative" before "zero".
+      5. So no factor has a singular or a zero board, and v is regular.
     `facets` is the join's r!^(d+1).
     """
     if r < 2 or d < 0:
         raise ValueError("need r >= 2 and d >= 0")
     board = chessboard_complex(r, r - 1)
-    signs = orient(board).signs
     value = [Fraction(1)] * (r - 1) + [Fraction(0)] * ((r - 1) * d)
-    primes = _primes_from(1009)
-    for t in range(max_attempts):
-        if t:
-            value[(t - 1) % len(value)] += Fraction(1, next(primes))
-        counted = _signed_crossings(board, signs, value)
-        if counted is not None:
-            degree, crossings = counted
-            return DegreeReport(degree, r, crossings, math.factorial(r) ** (d + 1), t + 1)
-    raise CapExceeded("no regular value found within the perturbation budget")
+    counted = _signed_crossings(board, orient(board).signs, value)
+    if counted is None:
+        raise AssertionError(f"the clean value is not regular at r={r}, d={d}")
+    degree, crossings = counted
+    return DegreeReport(degree, r, crossings, math.factorial(r) ** (d + 1))
 
 
 @dataclass(frozen=True)

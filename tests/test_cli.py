@@ -354,6 +354,7 @@ def test_topology_degree(capsys):
     assert code == 0
     assert "degree magnitude: 4" in out
     assert "residue mod 3: 1 (is +-1)" in out
+    assert "attempts" not in out
 
 
 @pytest.mark.parametrize(
@@ -361,8 +362,8 @@ def test_topology_degree(capsys):
     [
         (("topology", "free", "--r", "3", "--n", "2", "--copies", "0"), "--copies"),
         (("topology", "free", "--r", "3", "--n", "2", "--copies", "-1"), "--copies"),
-        (("topology", "degree", "--r", "3", "--d", "1", "--attempts", "0"), "--attempts"),
-        (("topology", "degree", "--r", "3", "--d", "1", "--attempts", "-2"), "--attempts"),
+        (("topology", "degree", "--r", "0", "--d", "1"), "r >= 2"),
+        (("topology", "degree", "--r", "3", "--d", "-1"), "d >= 0"),
         (("sweep", "--d", "2", "--k", "0", "--rs", "3", "--trials", "0"), "--trials"),
         (("sweep", "--d", "2", "--k", "0", "--rs", "3", "--trials", "-1"), "--trials"),
         (("sweep", "--d", "2", "--k", "0", "--rs", "3", "--trials", "1", "--jitter-q", "0"),

@@ -438,6 +438,14 @@ def test_cyclic_row_action_closure():
     assert len(act.elements()) == 3
 
 
+def test_group_closure_cap(monkeypatch):
+    act = tp.PermutationAction(3, ((1, 0, 2), (1, 2, 0)))  # generates S_3
+    assert len(act.elements()) == 6
+    monkeypatch.setattr(tp, "GROUP_CAP", 5)
+    with pytest.raises(CapExceeded, match="group closure exceeds cap 5"):
+        act.elements()
+
+
 def test_row_shift_acts_freely_on_boards():
     assert tp.is_free_action(tp.chessboard_complex(3, 2), tp.cyclic_row_action(3, 2))
     assert tp.is_free_action(tp.chessboard_complex(2, 2), tp.cyclic_row_action(2, 2))
@@ -492,7 +500,8 @@ def test_map_images_have_zero_row_sums():
 
 @pytest.mark.parametrize(
     "r,d",
-    [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 3)],
+    [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 3),
+     (6, 4), (7, 2), (7, 4)],
 )
 def test_degree_values(r, d):
     rep = tp.test_map_degree(r, d)
@@ -502,9 +511,25 @@ def test_degree_values(r, d):
     assert rep.facets == math.factorial(r) ** (d + 1)
     # Wilson: (r-1)! is -1 mod r exactly when r is prime
     assert rep.residue_is_plus_minus_one == linalg.is_prime(r)
-    # the clean value is regular and meets exactly the expected sheets
-    assert rep.regular_value_attempts == 1
+    # the clean value meets exactly the expected sheets
     assert rep.crossings == expected
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_clean_value_is_regular_on_every_board_block(r):
+    """The facts `test_map_degree`'s docstring proves regularity from: every
+    (r-1)-row block is invertible, and at w = 1/(d+1) only the row set
+    without row r-1 crosses, every other one reading "negative"."""
+    coords = [tp._weight_coords(r, i) for i in range(r)]
+    for rows in itertools.combinations(range(r), r - 1):
+        block = [[coords[i][k] for i in rows] for k in range(r - 1)]
+        assert linalg.det(block) != 0
+        for d in range(5):
+            outcome = tp._board_outcome(block, [Fraction(1, d + 1)] * (r - 1))
+            if r - 1 in rows:
+                assert outcome == "negative", (rows, d)
+            else:
+                assert outcome in (1, -1), d
 
 
 def clean_value(r, d):
@@ -649,25 +674,10 @@ def test_factored_count_refuses_other_maps(plm):
         join_signed_crossings(plm, signs, clean_value(3, 1))
 
 
-def test_non_regular_values_are_nudged_on_the_prime_schedule(monkeypatch):
-    seen = []
-
-    def regular_on_fourth(board, signs, value):
-        seen.append(list(value))
-        return (7, 9) if len(seen) == 4 else None
-
-    monkeypatch.setattr(tp, "_signed_crossings", regular_on_fourth)
-    rep = tp.test_map_degree(3, 1)
-    expected = [clean_value(3, 1)]
-    for axis, q in enumerate((1009, 1013, 1019)):
-        expected.append(list(expected[-1]))
-        expected[-1][axis] += Fraction(1, q)
-    assert seen == expected
-    assert (rep.degree, rep.crossings, rep.regular_value_attempts) == (7, 9, 4)
-    seen.clear()
-    with pytest.raises(CapExceeded):
-        tp.test_map_degree(3, 1, max_attempts=3)
-    assert len(seen) == 3
+def test_degree_refuses_a_non_regular_clean_value(monkeypatch):
+    monkeypatch.setattr(tp, "_signed_crossings", lambda board, signs, value: None)
+    with pytest.raises(AssertionError, match="clean value is not regular at r=3, d=1"):
+        tp.test_map_degree(3, 1)
 
 
 def test_degree_deterministic():
