@@ -68,14 +68,9 @@ def _usage(message: str) -> int:
     return EXIT_HYPOTHESIS
 
 
-def _given(**flags) -> dict:
-    """The flags that were set, as keyword arguments; callees default the rest."""
-    return {name: value for name, value in flags.items() if value is not None}
-
-
 def _board(args):
-    """The chessboard complex named by a board subcommand's --r, --n and --cap."""
-    return chessboard_complex(args.r, args.n, **_given(cap=args.cap))
+    """The chessboard complex named by a board subcommand's --r and --n."""
+    return chessboard_complex(args.r, args.n)
 
 
 def _point_str(point) -> str:
@@ -165,11 +160,8 @@ def cmd_transversal(args) -> int:
     instance = serialize.load_instance(args.instance)
     if instance.k < 1:
         return _usage("transversal requires k >= 1 (use partition for k = 0)")
-    exact = instance.k == instance.d - 1
-    if args.cap is not None and not exact:
-        return _usage("--cap only applies when k = d-1")
-    report = solve(instance, **_given(choice_cap=args.cap))
-    if exact:
+    report = solve(instance)
+    if instance.k == instance.d - 1:
         work = f"candidate planes checked: {report.stats['planes']}"
     else:
         work = f"subproblems solved: {report.stats['lps']}"
@@ -236,7 +228,7 @@ def cmd_top_free(args) -> int:
         return _usage("--copies must be at least 1")
     complex_ = board = _board(args)
     for _ in range(args.copies - 1):
-        complex_ = join(complex_, board, **_given(cap=args.cap))
+        complex_ = join(complex_, board)
     action = cyclic_row_action(args.r, args.n, copies=args.copies)
     free = is_free_action(complex_, action)
     print(f"cyclic row action free: {'yes' if free else 'no'}")
@@ -341,7 +333,6 @@ def _board_parser(tsub, name: str, help_text: str, func):
     q = tsub.add_parser(name, help=help_text)
     q.add_argument("--r", type=int, required=True, help="rows")
     q.add_argument("--n", type=int, required=True, help="columns")
-    q.add_argument("--cap", type=int, help="facet cap override")
     q.set_defaults(func=func)
     return q
 
@@ -368,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transversal", help="search for a k-plane transversal")
     p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--cap", type=int, help="plane check cap (k = d-1 only)")
     p.add_argument("--out", metavar="FILE", help="write the certificate as JSON")
     p.add_argument(
         "--verify", action="store_true", help="re-load and re-check the certificate"

@@ -272,11 +272,11 @@ def certificate_from_json(data):
 # sweep reports (emit-only; replay runs the sweep again from its seeds)
 
 
-def sweep_report_to_json(report: SweepReport, params: dict | None = None) -> dict:
+def sweep_report_to_json(report: SweepReport, params: dict) -> dict:
     return {
         "format": SWEEP_FORMAT,
         "version": FORMAT_VERSION,
-        "params": dict(params or {}),
+        "params": dict(params),
         "counts": dict(sorted(report.counts.items())),
         "certified": report.certified,
         "outcomes": [

@@ -333,7 +333,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     if r < 2:
         raise ValueError("need at least two pieces")
     stats = {"partitions": 0, "lps": 0, "pair_lps": 0}
-    if r > config.size:
+    if r > config.size:  # the walk yields nothing, but the pair list and r! below grow with r
         return SolveReport("no-valid-partition", None, None, stats)
     ints, scale = integer_points(config.points)
     d = config.dim
@@ -622,9 +622,7 @@ def solve_transversal(
 # complete search for codimension-one planes
 
 
-def solve_hyperplane_transversal_exact(
-    instance: ProblemInstance, choice_cap: int = CHOICE_CAP
-) -> SolveReport:
+def solve_hyperplane_transversal_exact(instance: ProblemInstance) -> SolveReport:
     """Complete hyperplane-transversal search over arrangement vertices.
 
     {a.x = b} meets a hull iff a.v - b over its points is not all of one
@@ -637,7 +635,7 @@ def solve_hyperplane_transversal_exact(
     representative whose pieces all have points on both closed sides.
     Raises CapExceeded when the C(N, d) candidates through N input
     points times the representatives of all collections would pass
-    `choice_cap`.  The refutation gap is the least
+    `CHOICE_CAP`, read at call time.  The refutation gap is the least
     total miss over candidates, normals scaled to max |a_i| = 1.
     """
     d, k = instance.d, instance.k
@@ -652,9 +650,9 @@ def solve_hyperplane_transversal_exact(
     points = [cfg.points for cfg in instance.collections]
     # each candidate plane may check every representative of every collection
     total = comb(sum(map(len, points)), d) * sum(counts)
-    if total > choice_cap:
+    if total > CHOICE_CAP:
         raise CapExceeded(
-            f"hyperplane search needs {total} plane checks, cap is {choice_cap}"
+            f"hyperplane search needs {total} plane checks, cap is {CHOICE_CAP}"
         )
     partitions_per_col = _partition_lists(instance)
     # in units of 1/scale, sides a.v - b and misses are ints
@@ -729,16 +727,16 @@ def _hyperplane_certificate(instance, combo, sides, normal):
     return _build_certificate(instance, [list(normal)], combo, piece_weights)
 
 
-def solve(instance: ProblemInstance, choice_cap: int = CHOICE_CAP) -> SolveReport:
+def solve(instance: ProblemInstance) -> SolveReport:
     """The search for the instance's k: complete for k = 0 and k = d-1.
 
     k = 0 runs `solve_tverberg`, k = d-1 the arrangement scan (capped by
-    choice_cap), and any other k the candidate-direction scan.
+    `CHOICE_CAP`), and any other k the candidate-direction scan.
     """
     if instance.k == 0:
         return solve_tverberg(instance.collections[0], instance.rs[0])
     if instance.k == instance.d - 1:
-        return solve_hyperplane_transversal_exact(instance, choice_cap)
+        return solve_hyperplane_transversal_exact(instance)
     return solve_transversal(instance)
 
 

@@ -23,9 +23,10 @@ FACET_CAP = 10**7
 GROUP_CAP = 10**6
 
 
-def _check_cap(count: int, cap: int) -> None:
-    if count > cap:
-        raise CapExceeded(f"facet count {count} exceeds cap {cap}")
+def _check_cap(count: int) -> None:
+    """CapExceeded past `FACET_CAP`, read at call time so that assigning it takes effect."""
+    if count > FACET_CAP:
+        raise CapExceeded(f"facet count {count} exceeds cap {FACET_CAP}")
 
 
 def _is_inclusion_maximal(canon) -> bool:
@@ -101,25 +102,20 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * n for d, n in enumerate(self.f_vector()))
 
-    def all_faces(self):
-        faces = self.faces_by_dim()
-        for d in range(self.dim + 1):
-            yield from faces.get(d, ())
-
     def __repr__(self):
         return f"SimplicialComplex(n={self.n_vertices}, facets={len(self.facets)}, dim={self.dim})"
 
 
-def chessboard_complex(rows: int, cols: int, cap: int = FACET_CAP) -> SimplicialComplex:
+def chessboard_complex(rows: int, cols: int) -> SimplicialComplex:
     """Complex of non-attacking rook placements on a rows x cols board.
 
     Vertex (i, j) gets id i*cols + j.  Faces are partial matchings; the
     facets are the placements of min(rows, cols) rooks.  The facet count
-    is checked against `cap` before any facet is generated.
+    is checked against `FACET_CAP` before any facet is generated.
     """
     if rows < 1 or cols < 1:
         raise ValueError("board sides must be positive")
-    _check_cap(math.perm(max(rows, cols), min(rows, cols)), cap)
+    _check_cap(math.perm(max(rows, cols), min(rows, cols)))
     facets = []
     if cols <= rows:
         for perm in itertools.permutations(range(rows), cols):
@@ -130,9 +126,9 @@ def chessboard_complex(rows: int, cols: int, cap: int = FACET_CAP) -> Simplicial
     return SimplicialComplex(rows * cols, facets)
 
 
-def join(a: SimplicialComplex, b: SimplicialComplex, cap: int = FACET_CAP) -> SimplicialComplex:
-    """Simplicial join; b's vertices are shifted past a's."""
-    _check_cap(len(a.facets) * len(b.facets), cap)
+def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
+    """Simplicial join; b's vertices are shifted past a's, after a `FACET_CAP` check."""
+    _check_cap(len(a.facets) * len(b.facets))
     off = a.n_vertices
     facets = [
         fa + tuple(v + off for v in fb)
@@ -384,6 +380,12 @@ def cyclic_row_action(rows: int, cols: int, copies: int = 1) -> PermutationActio
 def is_free_action(complex_: SimplicialComplex, action: PermutationAction) -> bool:
     """True iff no nonempty face is fixed setwise by a nontrivial element.
 
+    g fixes a nonempty face s iff s is a union of <g>-orbits.  So if g
+    fixes s, the orbit of any vertex of s lies in s, hence in a facet,
+    and an orbit inside a facet is a face that g fixes.  The action is
+    thus free iff no orbit <g>.v with g != e lies in a facet: no face is
+    listed.
+
     Raises PreconditionError if some generator fails to map facets to
     facets (i.e. does not act simplicially on the complex).
     """
@@ -395,12 +397,16 @@ def is_free_action(complex_: SimplicialComplex, action: PermutationAction) -> bo
             if tuple(sorted(g[v] for v in f)) not in facet_set:
                 raise PreconditionError("generator does not preserve the complex")
     ident = tuple(range(action.n_vertices))
-    faces = list(complex_.all_faces())
     for g in action.elements():
         if g == ident:
             continue
-        for f in faces:
-            if tuple(sorted(g[v] for v in f)) == f:
+        powers = [g]  # g, g^2, ..., e
+        while powers[-1] != ident:
+            powers.append(tuple(g[v] for v in powers[-1]))
+        orbits = [frozenset(p[v] for p in powers) for v in ident]
+        for f in complex_.facets:
+            members = set(f)
+            if any(orbits[v] <= members for v in f):
                 return False
     return True
 

@@ -17,6 +17,8 @@ boundary of a boundary vanishes, and takes its primality test from
 pseudo-manifold check and orientation before they shared one facet
 walk: a ridge map and DFS each, with orientation checking the complex
 first and stopping at the first sign conflict.
+`free_action_reference` is `topology.is_free_action` before it decided
+from vertex orbits: every nontrivial element against every face.
 `chessboard_join` is the package's former `test_map_complex`: it builds
 the whole (d+1)-fold chessboard join that `topology.test_map_degree`
 once counted on, and `PLMap`, `weight_map` and `weight_images` the
@@ -458,6 +460,18 @@ def orient_reference(complex_):
             elif signs[other] != want:
                 return None
     return topology.Orientation(signs=tuple(signs))
+
+
+def free_action_reference(complex_, action) -> bool:
+    """Whether no nontrivial element fixes a nonempty face setwise, face by face.
+
+    Assumes the action preserves the complex; `is_free_action` checks that.
+    """
+    ident = tuple(range(action.n_vertices))
+    faces = [f for by_dim in complex_.faces_by_dim().values() for f in by_dim]
+    return not any(
+        tuple(sorted(g[v] for v in f)) == f for g in action.elements() if g != ident for f in faces
+    )
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tverlab import cli, kernels, serialize
+from tverlab import cli, kernels, serialize, solver, topology
 from tverlab.errors import CapExceeded
 from tverlab.model import (
     ColoredConfig,
@@ -87,21 +87,47 @@ def _long_coordinate() -> bytes:
     return json.dumps(data).encode()
 
 
+def _broken_invariant(mutate):
+    """An instance file that parses, but whose fields break a model invariant."""
+
+    def payload() -> bytes:
+        data = serialize.instance_to_json(random_instance(2, 1, (2, 2), seed=0))
+        mutate(data)
+        return json.dumps(data).encode()
+
+    return payload
+
+
 @pytest.mark.parametrize(
-    "payload",
+    "payload, named",
     [
-        lambda: b"[" * 100_000 + b"]" * 100_000,
-        lambda: b'{"d": ' + b"7" * (sys.get_int_max_str_digits() + 1) + b"}",
-        _long_coordinate,
+        (lambda: b"[" * 100_000 + b"]" * 100_000, "invalid JSON"),
+        (lambda: b'{"d": ' + b"7" * (sys.get_int_max_str_digits() + 1) + b"}", "invalid JSON"),
+        (_long_coordinate, "rational literal too long"),
+        (_broken_invariant(lambda data: data.update(k=3)), "need 0 <= k <= d"),
+        (
+            _broken_invariant(lambda data: data["collections"][0].update(r=1)),
+            "piece counts must be at least 2",
+        ),
+        (_broken_invariant(lambda data: data.update(d=0)), "dimension must be positive"),
     ],
-    ids=["deep-nesting", "too-long-integer", "too-long-rational-string"],
+    ids=[
+        "deep-nesting",
+        "too-long-integer",
+        "too-long-rational-string",
+        "k-above-d",
+        "one-piece",
+        "zero-dimension",
+    ],
 )
-def test_validate_unreadable_file_exits_3(capsys, tmp_path, payload):
+def test_validate_unreadable_file_exits_3(capsys, tmp_path, payload, named):
     path = tmp_path / "bad.json"
     path.write_bytes(payload())
-    code, _, err = run(capsys, "validate", str(path))
+    code, out, err = run(capsys, "validate", str(path))
     assert code == 3
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 # ---------------------------------------------------------------------------
@@ -251,25 +277,37 @@ def test_transversal_refutes_three_piece_tightness(capsys, tmp_path):
     )
 
 
-def test_transversal_flag_conflicts(capsys, tmp_path):
-    # the plane check cap is for k = d-1 only
+def test_transversal_flag_conflicts(singleton_line_instance, tmp_path):
+    # the plane check cap is the module constant solver.CHOICE_CAP: no flag sets it, at any k
     path = tmp_path / "d3k1.json"
     serialize.save_instance(str(path), random_instance(3, 1, (2, 2), seed=0))
-    code, _, err = run(capsys, "transversal", str(path), "--cap", "10")
-    assert code == 2
-    assert "--cap" in err
+    for instance in (str(path), singleton_line_instance):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["transversal", instance, "--cap", "10"])
+        assert exc.value.code == 2
 
 
-def test_transversal_cap_exceeded(capsys, singleton_line_instance):
-    code, _, err = run(
-        capsys,
-        "transversal",
-        singleton_line_instance,
-        "--cap",
-        "10",
-    )
+def test_transversal_cap_exceeded(capsys, monkeypatch, singleton_line_instance):
+    # C(6, 2) candidate planes times 3 representatives in each of 2 collections
+    monkeypatch.setattr(solver, "CHOICE_CAP", 10)
+    code, out, err = run(capsys, "transversal", singleton_line_instance)
     assert code == 4
-    assert "cap" in err
+    assert out == ""
+    assert err == "error: hyperplane search needs 90 plane checks, cap is 10\n"
+
+
+@pytest.mark.parametrize("d", [2, 3], ids=["hyperplane-scan", "direction-scan"])
+def test_transversal_without_a_colorful_partition(capsys, tmp_path, d):
+    # three points of one class cannot lie in distinct pieces of a 2-partition
+    first = random_instance(d, 1, (2, 2), seed=0).collections[0]
+    one_class = ColoredConfig(dim=d, points=first.points[:3], classes=[(0, 1, 2)])
+    path = tmp_path / "one_class.json"
+    serialize.save_instance(
+        str(path), ProblemInstance(d=d, k=1, rs=(2, 2), collections=(first, one_class))
+    )
+    code, out, _ = run(capsys, "transversal", str(path))
+    assert code == 1
+    assert out == "infeasible: no colorful partition shape exists\n"
 
 
 def test_transversal_rejects_k_zero(capsys, radon_square):
@@ -336,14 +374,13 @@ def test_topology_free(capsys):
     assert "free: yes" in out
 
 
-def test_topology_free_on_joined_copies(capsys):
+def test_topology_free_on_joined_copies(capsys, monkeypatch):
     # two copies of the 3x2 board joined: 6 * 6 = 36 facets
     code, out, _ = run(capsys, "topology", "free", "--r", "3", "--n", "2", "--copies", "2")
     assert code == 0
     assert out == "cyclic row action free: yes\n"
-    code, out, err = run(
-        capsys, "topology", "free", "--r", "3", "--n", "2", "--copies", "2", "--cap", "10"
-    )
+    monkeypatch.setattr(topology, "FACET_CAP", 10)
+    code, out, err = run(capsys, "topology", "free", "--r", "3", "--n", "2", "--copies", "2")
     assert code == 4
     assert out == ""
     assert "facet count 36 exceeds cap 10" in err
@@ -390,12 +427,17 @@ def test_topology_degree_cap(capsys):
     assert exc.value.code == 2
 
 
-def test_topology_cap_zero_is_honoured(capsys):
-    code, _, err = run(
-        capsys, "topology", "fvector", "--r", "3", "--n", "2", "--cap", "0"
-    )
+def test_topology_cap_zero_is_honoured(capsys, monkeypatch):
+    # the facet cap is the module constant topology.FACET_CAP, read when a
+    # complex is built: no flag sets it, and 0 rejects every complex
+    for board in (("fvector",), ("homology", "--p", "2"), ("pseudo",), ("orient",), ("free",)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["topology", *board, "--r", "3", "--n", "2", "--cap", "0"])
+        assert exc.value.code == 2
+    monkeypatch.setattr(topology, "FACET_CAP", 0)
+    code, _, err = run(capsys, "topology", "fvector", "--r", "3", "--n", "2")
     assert code == 4
-    assert "cap 0" in err
+    assert "facet count 6 exceeds cap 0" in err
 
 
 def test_topology_dims(capsys):
@@ -594,6 +636,37 @@ def test_plot_rejects_a_common_point_certificate_for_a_line_instance(capsys, tmp
     code, out, err = run(capsys, "plot", str(inst_path), str(cert), "--out", str(fig))
     assert code == 1
     assert (out, err) == ("", "verification FAILED: bad-plane\n")
+    assert not fig.exists()
+
+
+@pytest.mark.parametrize(
+    "instance, mutate",
+    [
+        ("square", lambda cert: cert["weights"].pop()),
+        ("square", lambda cert: cert["weights"][0].append(0)),
+        ("square", lambda cert: cert["point"].append(0)),
+        ("line", lambda cert: cert["witness_points"][0][0].append(0)),
+        ("line", lambda cert: cert["partitions"].pop()),
+    ],
+    ids=[
+        "weight-row-missing",
+        "weight-row-too-long",
+        "point-in-3d",
+        "witness-in-3d",
+        "one-partition-for-two-collections",
+    ],
+)
+def test_plot_rejects_a_certificate_of_the_wrong_shape(
+    capsys, radon_square, singleton_line_instance, tmp_path, instance, mutate
+):
+    path = {"square": radon_square, "line": singleton_line_instance}[instance]
+    data = serialize.certificate_to_json(solve(serialize.load_instance(path)).certificate)
+    mutate(data)
+    cert, fig = tmp_path / "cert.json", tmp_path / "fig.svg"
+    cert.write_text(json.dumps(data))
+    code, out, err = run(capsys, "plot", path, str(cert), "--out", str(fig))
+    assert code == 1
+    assert (out, err) == ("", "verification FAILED: shape-mismatch\n")
     assert not fig.exists()
 
 

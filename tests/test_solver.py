@@ -598,10 +598,12 @@ def test_hyperplane_requires_codimension_one():
         solve_hyperplane_transversal_exact(inst)
 
 
-def test_hyperplane_choice_cap():
+def test_hyperplane_choice_cap(monkeypatch):
+    # the cap is read when the search runs, so assigning the constant reaches it
     inst = singleton_transversal_instance(3)
-    with pytest.raises(CapExceeded):
-        solve_hyperplane_transversal_exact(inst, choice_cap=10)
+    monkeypatch.setattr(solver, "CHOICE_CAP", 10)
+    with pytest.raises(CapExceeded, match="cap is 10"):
+        solve_hyperplane_transversal_exact(inst)
 
 
 def test_hyperplane_cap_fires_before_enumerating(monkeypatch):
@@ -618,7 +620,8 @@ def test_hyperplane_cap_fires_before_enumerating(monkeypatch):
     # a collection with no partition at all is reported before the cap
     one_class = ColoredConfig(dim=2, points=points[:3], classes=[(0, 1, 2)])
     inst = ProblemInstance(d=2, k=1, rs=(5, 2), collections=(collection, one_class))
-    report = solve_hyperplane_transversal_exact(inst, choice_cap=0)
+    monkeypatch.setattr(solver, "CHOICE_CAP", 0)
+    report = solve_hyperplane_transversal_exact(inst)
     assert report.status == "no-valid-partition"
 
 
@@ -788,8 +791,10 @@ def test_verify_rejects_invalid_partition():
 
 
 def test_verify_rejects_non_certificate():
-    inst, _ = good_cert()
+    inst, cert = good_cert()
     assert verify_transversal(inst, object()).reason == "malformed"
+    for plane in (None, (0, 0), "plane"):  # a certificate whose plane is no KPlane
+        assert verify_transversal(inst, dataclasses.replace(cert, plane=plane)).reason == "malformed"
 
 
 def good_tverberg_cert():

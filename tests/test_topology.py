@@ -18,6 +18,7 @@ from oracles import (
     PLMap,
     chain_complex_mod_p,
     chessboard_join,
+    free_action_reference,
     join_signed_crossings,
     orient_reference,
     pseudo_manifold_reference,
@@ -447,19 +448,47 @@ def test_group_closure_cap(monkeypatch):
 
 
 def test_row_shift_acts_freely_on_boards():
-    assert tp.is_free_action(tp.chessboard_complex(3, 2), tp.cyclic_row_action(3, 2))
-    assert tp.is_free_action(tp.chessboard_complex(2, 2), tp.cyclic_row_action(2, 2))
+    for rows, cols in ((3, 2), (2, 2)):
+        board, shift = tp.chessboard_complex(rows, cols), tp.cyclic_row_action(rows, cols)
+        assert tp.is_free_action(board, shift)
+        assert free_action_reference(board, shift)
 
 
 def test_row_shift_acts_freely_on_join():
     km, _info = chessboard_join(3, 1)
-    assert tp.is_free_action(km, tp.cyclic_row_action(3, 2, copies=2))
+    shift = tp.cyclic_row_action(3, 2, copies=2)
+    assert tp.is_free_action(km, shift)
+    assert free_action_reference(km, shift)
 
 
 def test_fixed_face_means_not_free():
     c = tp.SimplicialComplex(2, [(0, 1)])
     swap = tp.PermutationAction(2, ((1, 0),))
     assert not tp.is_free_action(c, swap)
+    assert not free_action_reference(c, swap)
+
+
+@st.composite
+def invariant_complexes(draw):
+    """(complex, action): the inclusion-maximal images of a few vertex sets
+    under a group of one or two random permutations of up to 7 vertices."""
+    n = draw(st.integers(1, 7))
+    generators = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))
+    action = tp.PermutationAction(n, tuple(map(tuple, generators)))
+    seeds = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=4))
+    faces = {frozenset(g[v] for v in s) for s in seeds for g in action.elements()}
+    return tp.SimplicialComplex(n, [f for f in faces if not any(f < h for h in faces)]), action
+
+
+@settings(max_examples=300, deadline=None)
+@given(invariant_complexes())
+@example((tp.chessboard_complex(3, 2), tp.cyclic_row_action(3, 2)))  # free
+@example((tp.SimplicialComplex(4, [(0, 1), (2, 3)]), tp.PermutationAction(4, ((1, 0, 3, 2),))))  # not
+@example((tp.SimplicialComplex(4, [(0, 2), (1, 3)]), tp.PermutationAction(4, ((1, 0, 3, 2),))))  # free
+def test_free_action_matches_face_enumeration(case):
+    # each nontrivial element's orbits against the facets, against every face
+    complex_, action = case
+    assert tp.is_free_action(complex_, action) == free_action_reference(complex_, action)
 
 
 def test_action_must_preserve_complex():
@@ -748,13 +777,17 @@ def test_mixed_size_facet_check_needs_no_face_enumeration():
         tp.SimplicialComplex(45, [tuple(range(30)), tuple(range(15))])
 
 
-def test_caps_are_enforced():
-    with pytest.raises(CapExceeded):
-        tp.chessboard_complex(5, 4, cap=10)
+def test_caps_are_enforced(monkeypatch):
+    # FACET_CAP is read at call time, so assigning it reaches every check
     board = tp.chessboard_complex(3, 2)
-    with pytest.raises(CapExceeded):
-        tp.join(board, board, cap=35)
-    assert len(tp.join(board, board, cap=36).facets) == 36
+    monkeypatch.setattr(tp, "FACET_CAP", 10)
+    with pytest.raises(CapExceeded, match="facet count 120 exceeds cap 10"):
+        tp.chessboard_complex(5, 4)
+    monkeypatch.setattr(tp, "FACET_CAP", 35)
+    with pytest.raises(CapExceeded, match="facet count 36 exceeds cap 35"):
+        tp.join(board, board)
+    monkeypatch.setattr(tp, "FACET_CAP", 36)
+    assert len(tp.join(board, board).facets) == 36
 
 
 def test_default_cap_fires_before_facets_are_generated(monkeypatch):
