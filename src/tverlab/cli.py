@@ -35,7 +35,6 @@ from .topology import (
     homology_mod_p,
     is_free_action,
     is_pseudo_manifold,
-    join,
     orient,
     test_map_degree,
 )
@@ -224,13 +223,8 @@ def cmd_top_orient(args) -> int:
 
 
 def cmd_top_free(args) -> int:
-    if args.copies < 1:
-        return _usage("--copies must be at least 1")
-    complex_ = board = _board(args)
-    for _ in range(args.copies - 1):
-        complex_ = join(complex_, board)
-    action = cyclic_row_action(args.r, args.n, copies=args.copies)
-    free = is_free_action(complex_, action)
+    # joined copies under the diagonal row shift are free iff one board is
+    free = is_free_action(_board(args), cyclic_row_action(args.r, args.n))
     print(f"cyclic row action free: {'yes' if free else 'no'}")
     return EXIT_OK
 
@@ -375,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--p", type=int, required=True, help="coefficient prime")
     _board_parser(tsub, "pseudo", "pseudo-manifold check", cmd_top_pseudo)
     _board_parser(tsub, "orient", "orient a pseudo-manifold", cmd_top_orient)
-    q = _board_parser(tsub, "free", "check the cyclic row action is free", cmd_top_free)
-    q.add_argument("--copies", type=int, default=1, help="join copies")
+    _board_parser(tsub, "free", "check the cyclic row action is free", cmd_top_free)
 
     q = tsub.add_parser("degree", help="signed crossing count of the canonical map")
     q.add_argument("--r", type=int, required=True, help="pieces")

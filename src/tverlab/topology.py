@@ -6,8 +6,10 @@ alternating-sign convention on sorted vertices.  The degree computation
 at the end certifies the piecewise-linear weight map from the (d+1)-fold
 join of the r x (r-1) chessboard complex onto a sphere by exact signed
 counting of the preimages of one regular value.  It is counted on one
-oriented board: the join is never built, and its degree is the product
-of the board degrees.  No floating point, no normalisation.
+oriented board: the join is never built, and its degree is the (d+1)-th
+power of the board degree.  Whether the cyclic row action on such a
+join is free is likewise decided on one board (see `is_free_action`).
+No floating point, no normalisation.
 """
 from __future__ import annotations
 
@@ -386,6 +388,11 @@ def is_free_action(complex_: SimplicialComplex, action: PermutationAction) -> bo
     thus free iff no orbit <g>.v with g != e lies in a facet: no face is
     listed.
 
+    On a join of copies of one complex, with the same permutation on
+    every copy, a face is one face per copy and g fixes it iff g fixes
+    every part, so the join is free iff one copy is: a join question is
+    answered on one board, and `topology free` builds no join.
+
     Raises PreconditionError if some generator fails to map facets to
     facets (i.e. does not act simplicially on the complex).
     """
@@ -423,11 +430,6 @@ def _weight_coords(r: int, row: int):
     ]
 
 
-def _factor_vector(d: int, ell: int):
-    """c_ell = (1, f_ell), with f_0 = -(e_1+...+e_d) and f_ell = e_ell."""
-    return [Fraction(1)] + [Fraction(-1 if ell == 0 else int(c == ell - 1)) for c in range(d)]
-
-
 @dataclass(frozen=True)
 class DegreeReport:
     degree: int
@@ -458,70 +460,28 @@ def _board_outcome(block, w):
     return 1 if linalg.det(block) > 0 else -1
 
 
-def _signed_crossings(board: SimplicialComplex, signs, value):
-    """(degree, crossings) at value on the join of len(value)/(r-1) copies
-    of the r x (r-1) board with board signs `signs`, or None if value is
-    not regular; see `test_map_degree`.
-
-    Per factor, each row set's block is solved once (its boards share it).
-    A join facet is skipped at an inconsistent block, non-regular at a
-    singular one, skipped at a negative mu_ell and non-regular at a zero
-    entry, in that order.  So value is non-regular iff every factor has a
-    board that is not inconsistent and one a singular one, or every factor
-    a zero or crossing board and one a zero one.  Otherwise the degree is
-    prod_ell sum_beta sign(beta) sign det B_beta and the crossings prod_ell
-    their number, over the crossing boards beta.
-    """
-    m = len(board.facets[0])
-    r, d = m + 1, len(value) // m - 1
-    cs = [_factor_vector(d, ell) for ell in range(d + 1)]
-    kron = [[cs[ell][c] * (k == k2) for ell in range(d + 1) for k2 in range(m)]
-            for c in range(d + 1) for k in range(m)]
-    w = linalg.solve(kron, value)[0]
-    tallies: dict[tuple, list[int]] = {}  # row set -> [sum of board signs, board count]
-    for sign, facet in zip(signs, board.facets):
-        tally = tallies.setdefault(tuple(v // m for v in facet), [0, 0])
-        tally[0] += sign
-        tally[1] += 1
-    coords = [_weight_coords(r, i) for i in range(r)]
-    blocks = {rows: [[coords[i][k] for i in rows] for k in range(m)] for rows in tallies}
-    factors = [
-        {rows: _board_outcome(block, w[ell * m:ell * m + m]) for rows, block in blocks.items()}
-        for ell in range(d + 1)
-    ]
-    kinds = [set(outcomes.values()) for outcomes in factors]
-    if all(k - {"inconsistent"} for k in kinds) and any("singular" in k for k in kinds):
-        return None
-    if all(k & {"zero", 1, -1} for k in kinds) and any("zero" in k for k in kinds):
-        return None
-    degree = crossings = 1
-    for outcomes in factors:
-        crossing = [(o, tallies[rows]) for rows, o in outcomes.items() if o in (1, -1)]
-        degree *= sum(o * tally[0] for o, tally in crossing)
-        crossings *= sum(tally[1] for _o, tally in crossing)
-    return degree, crossings
-
-
 def test_map_degree(r: int, d: int) -> DegreeReport:
     """Exact degree of the weight map on the (d+1)-fold join of the r x (r-1)
     chessboard complex, counted on one oriented board; no join is built.
 
-    Vertex (ell, i, j) maps to c_ell (x) b_i (`_factor_vector`,
-    `_weight_coords`).  A join ridge through factor ell's part keeps the
-    board's two incidence signs times one common (-1)^(ell(r-1)), so the
-    product of the board signs is coherent, and it is `orient`'s own
-    choice on the join, whose facet 0 is (beta_0, ..., beta_0).  A join
-    facet's matrix is M = (C (x) I) blockdiag(B_0, ..., B_d), C with
-    columns c_ell and det C = d+1 > 0, so with (C (x) I) w = value,
-    M mu = value splits into B_ell mu_ell = w_ell and sign det M =
-    prod sign det B_ell.  The join map is thus the join of the board maps
-    composed with an orientation-preserving isomorphism, and its degree
-    is the product of the board degrees.
+    Vertex (ell, i, j) maps to c_ell (x) b_i, with b_i from `_weight_coords`,
+    c_ell = (1, f_ell), f_0 = -(e_1+...+e_d) and f_ell = e_ell.  A join
+    ridge through factor ell's part keeps the board's two incidence signs
+    times one common (-1)^(ell(r-1)), so the product of the board signs is
+    coherent, and it is `orient`'s own choice on the join, whose facet 0 is
+    (beta_0, ..., beta_0).  A join facet's matrix is M = (C (x) I)
+    blockdiag(B_0, ..., B_d), C with columns c_ell and det C = d+1 > 0, so
+    with (C (x) I) w = value, M mu = value splits into B_ell mu_ell = w_ell
+    and sign det M = prod sign det B_ell.  The join map is thus the join of
+    the board maps composed with an orientation-preserving isomorphism, and
+    its degree is the product of the board degrees.
 
     It is counted once, at the clean value v = (1, ..., 1, 0, ..., 0) with
     r-1 ones, which is regular for every r >= 2 and d >= 0:
       1. Row 0 of C is all ones and row c >= 1 says w_c = w_0, so
-         (C (x) I) w = v gives w_ell = 1/(d+1) for every factor ell.
+         (C (x) I) w = v gives w_ell = 1/(d+1) for every factor ell.  All
+         factors thus read the same r row-set blocks against one w, and
+         each block is solved once.
       2. Every board block is invertible: the r weight vectors span the
          sum-zero hyperplane and sum to 0, so any r-1 of them are
          independent.
@@ -530,18 +490,32 @@ def test_map_degree(r: int, d: int) -> DegreeReport:
       4. A row set without a row x < r-1 has mu's last entry equal to
          -r/(d+1) and its other entries 0, which `_board_outcome` reads as
          "negative" before "zero".
-      5. So no factor has a singular or a zero board, and v is regular.
-    `facets` is the join's r!^(d+1).
+      5. So no block is singular or zero, and v is regular.  With identical
+         factors that is also the test: the join facet taking one board in
+         every factor reads that board's outcome alone, so any singular or
+         zero block would make v non-regular, and raises AssertionError.
+    The degree and the crossings are the (d+1)-th powers of the board's
+    signed sum and crossing count; `facets` is the join's r!^(d+1).
     """
     if r < 2 or d < 0:
         raise ValueError("need r >= 2 and d >= 0")
-    board = chessboard_complex(r, r - 1)
-    value = [Fraction(1)] * (r - 1) + [Fraction(0)] * ((r - 1) * d)
-    counted = _signed_crossings(board, orient(board).signs, value)
-    if counted is None:
-        raise AssertionError(f"the clean value is not regular at r={r}, d={d}")
-    degree, crossings = counted
-    return DegreeReport(degree, r, crossings, math.factorial(r) ** (d + 1))
+    board, m = chessboard_complex(r, r - 1), r - 1
+    tallies: dict[tuple, list[int]] = {}  # row set -> [sum of board signs, board count]
+    for sign, facet in zip(orient(board).signs, board.facets):
+        tally = tallies.setdefault(tuple(v // m for v in facet), [0, 0])
+        tally[0] += sign
+        tally[1] += 1
+    coords = [_weight_coords(r, i) for i in range(r)]
+    w = [Fraction(1, d + 1)] * m
+    degree = crossings = 0
+    for rows, (signed, count) in tallies.items():
+        outcome = _board_outcome([[coords[i][k] for i in rows] for k in range(m)], w)
+        if outcome in ("singular", "zero"):
+            raise AssertionError(f"the clean value is not regular at r={r}, d={d}")
+        if outcome in (1, -1):
+            degree += outcome * signed
+            crossings += count
+    return DegreeReport(degree ** (d + 1), r, crossings ** (d + 1), math.factorial(r) ** (d + 1))
 
 
 @dataclass(frozen=True)

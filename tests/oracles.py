@@ -26,9 +26,11 @@ weight map on it.  `signed_crossings_reference` is that count before it was
 factored into board blocks: one `linalg.solve` of each join facet's full
 matrix, and `linalg.det` on each crossing facet.
 `join_signed_crossings` is the count factored into board blocks but
-still read facet by facet over the join, with its check that the map is
-the weight map; `topology._signed_crossings` reads the same blocks off
-one board.
+still read facet by facet over the join, at any value, with its check
+that the map is the weight map; `topology.test_map_degree` reads the
+same blocks off one board, at the clean value only, so the factor
+vectors c_ell (`factor_vector`) and the Kronecker solve for the factor
+weights live here alone.
 `ordered_colorful_partitions` is the product-order
 enumeration of every ordered colorful tuple, empty pieces included, that
 the searches ran over before they were quotiented by relabelling
@@ -505,11 +507,16 @@ def vertex_info(r: int, d: int):
     return tuple(itertools.product(range(d + 1), range(r), range(r - 1)))
 
 
+def factor_vector(d: int, ell: int):
+    """c_ell = (1, f_ell), with f_0 = -(e_1+...+e_d) and f_ell = e_ell."""
+    return [Fraction(1)] + [Fraction(-1 if ell == 0 else int(c == ell - 1)) for c in range(d)]
+
+
 def weight_images(r: int, d: int):
     """c_ell (x) b_i for each vertex (ell, i, j): block c is c_ell[c] b_i,
     where b_i = topology._weight_coords(r, i)."""
     return tuple(
-        tuple(c * b for c in topology._factor_vector(d, ell) for b in topology._weight_coords(r, i))
+        tuple(c * b for c in factor_vector(d, ell) for b in topology._weight_coords(r, i))
         for ell, i, _j in vertex_info(r, d)
     )
 
@@ -536,7 +543,7 @@ def join_signed_crossings(plm, signs, value):
     if d < 0 or plm.images != weight_images(r, d):
         raise PreconditionError("the factored count needs the weight map's images")
     m, info = r - 1, vertex_info(r, d)
-    cs = [topology._factor_vector(d, ell) for ell in range(d + 1)]
+    cs = [factor_vector(d, ell) for ell in range(d + 1)]
     kron = [[cs[ell][c] * (k == k2) for ell in range(d + 1) for k2 in range(m)]
             for c in range(d + 1) for k in range(m)]
     w = linalg.solve(kron, value)[0]

@@ -375,15 +375,16 @@ def test_topology_free(capsys):
 
 
 def test_topology_free_on_joined_copies(capsys, monkeypatch):
-    # two copies of the 3x2 board joined: 6 * 6 = 36 facets
-    code, out, _ = run(capsys, "topology", "free", "--r", "3", "--n", "2", "--copies", "2")
-    assert code == 0
-    assert out == "cyclic row action free: yes\n"
-    monkeypatch.setattr(topology, "FACET_CAP", 10)
-    code, out, err = run(capsys, "topology", "free", "--r", "3", "--n", "2", "--copies", "2")
+    # joined copies are free iff one board is, so free builds one board and
+    # takes no --copies
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["topology", "free", "--r", "3", "--n", "2", "--copies", "2"])
+    assert exc.value.code == 2
+    monkeypatch.setattr(topology, "FACET_CAP", 5)
+    code, out, err = run(capsys, "topology", "free", "--r", "3", "--n", "2")
     assert code == 4
     assert out == ""
-    assert "facet count 36 exceeds cap 10" in err
+    assert "facet count 6 exceeds cap 5" in err
 
 
 def test_topology_degree(capsys):
@@ -397,8 +398,8 @@ def test_topology_degree(capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (("topology", "free", "--r", "3", "--n", "2", "--copies", "0"), "--copies"),
-        (("topology", "free", "--r", "3", "--n", "2", "--copies", "-1"), "--copies"),
+        (("topology", "free", "--r", "0", "--n", "2"), "positive"),
+        (("topology", "free", "--r", "3", "--n", "-1"), "positive"),
         (("topology", "degree", "--r", "0", "--d", "1"), "r >= 2"),
         (("topology", "degree", "--r", "3", "--d", "-1"), "d >= 0"),
         (("sweep", "--d", "2", "--k", "0", "--rs", "3", "--trials", "0"), "--trials"),
@@ -422,6 +423,11 @@ def test_topology_degree_cap(capsys):
     assert code == 0
     assert "degree magnitude: 331776" in out
     assert "facets: 207360000" in out
+    # but it builds the r x (r-1) board, under the cap: 11! placements for r = 11
+    code, out, err = run(capsys, "topology", "degree", "--r", "11", "--d", "0")
+    assert code == 4
+    assert out == ""
+    assert "facet count 39916800 exceeds cap 10000000" in err
     with pytest.raises(SystemExit) as exc:
         cli.main(["topology", "degree", "--r", "3", "--d", "2", "--cap", "10"])
     assert exc.value.code == 2

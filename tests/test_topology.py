@@ -18,12 +18,12 @@ from oracles import (
     PLMap,
     chain_complex_mod_p,
     chessboard_join,
+    factor_vector,
     free_action_reference,
     join_signed_crossings,
     orient_reference,
     pseudo_manifold_reference,
     signed_crossings_reference,
-    weight_images,
     weight_map,
 )
 
@@ -469,11 +469,12 @@ def test_fixed_face_means_not_free():
 
 
 @st.composite
-def invariant_complexes(draw):
+def invariant_complexes(draw, max_generators=2):
     """(complex, action): the inclusion-maximal images of a few vertex sets
-    under a group of one or two random permutations of up to 7 vertices."""
+    under a group of one to max_generators random permutations of up to 7
+    vertices."""
     n = draw(st.integers(1, 7))
-    generators = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))
+    generators = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=max_generators))
     action = tp.PermutationAction(n, tuple(map(tuple, generators)))
     seeds = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=4))
     faces = {frozenset(g[v] for v in s) for s in seeds for g in action.elements()}
@@ -489,6 +490,25 @@ def test_free_action_matches_face_enumeration(case):
     # each nontrivial element's orbits against the facets, against every face
     complex_, action = case
     assert tp.is_free_action(complex_, action) == free_action_reference(complex_, action)
+
+
+@settings(max_examples=200, deadline=None)
+@given(invariant_complexes(max_generators=1))
+@example((tp.chessboard_complex(3, 2), tp.cyclic_row_action(3, 2)))  # free
+@example((tp.chessboard_complex(2, 2), tp.cyclic_row_action(2, 2)))  # free
+@example((tp.SimplicialComplex(4, [(0, 1), (2, 3)]), tp.PermutationAction(4, ((1, 0, 3, 2),))))  # not
+@example((tp.SimplicialComplex(3, [(0, 1, 2)]), tp.PermutationAction(3, ((1, 2, 0),))))  # not
+def test_joined_copies_are_free_iff_one_copy_is(case):
+    """The lemma `topology free` decides on one board by: a face of a join is
+    one face per copy, and the diagonal <g> fixes it iff it fixes every part."""
+    base, action = case
+    (g,), n = action.generators, base.n_vertices
+    joined = base
+    for copies in (2, 3):
+        joined = tp.join(joined, base)
+        diagonal = tuple((v // n) * n + g[v % n] for v in range(copies * n))
+        free = tp.is_free_action(joined, tp.PermutationAction(copies * n, (diagonal,)))
+        assert free == tp.is_free_action(base, action), copies
 
 
 def test_action_must_preserve_complex():
@@ -566,14 +586,18 @@ def clean_value(r, d):
 
 
 def test_degree_invariant_under_value_perturbation():
-    for (r, d) in [(2, 1), (3, 0), (3, 1)]:
-        board = tp.chessboard_complex(r, r - 1)
-        value = clean_value(r, d)
-        for axis, q in enumerate((1009, 1013, 1019)):
-            value[axis % len(value)] += Fraction(1, q)
-        counted = tp._signed_crossings(board, tp.orient(board).signs, value)
-        assert counted is not None
-        assert counted[0] == tp.test_map_degree(r, d).degree
+    """The join-facet count at every regular nudged value gives the degree
+    `test_map_degree` counts at the clean value."""
+    for r, d in [(2, 1), (3, 0), (3, 1), (3, 2)]:
+        plm = weight_map(r, d)
+        signs = tp.orient(plm.complex_).signs
+        degree, regular = tp.test_map_degree(r, d).degree, 0
+        for value in nudged_values(r, d, 40, seed=r * 10 + d)[1:]:
+            counted = join_signed_crossings(plm, signs, value)
+            if counted is not None:
+                assert counted[0] == degree, value
+                regular += 1
+        assert regular > 0
 
 
 # perfbench's DEGREE_PAIRS and the one-factor maps
@@ -618,17 +642,11 @@ def test_join_orientation_is_the_product_of_board_orientations(r, d):
 
 @pytest.mark.parametrize("r,d", FACTORED_PAIRS + [(4, 2)])
 def test_board_count_matches_join_count(r, d):
-    board = tp.chessboard_complex(r, r - 1)
-    board_signs = tp.orient(board).signs
+    rep = tp.test_map_degree(r, d)
     plm = weight_map(r, d)
     signs = tp.orient(plm.complex_).signs
-    values = nudged_values(r, d, 8 if r == 4 else 40, seed=r * 10 + d)
-    non_regular = 0
-    for value in values:
-        counted = tp._signed_crossings(board, board_signs, value)
-        assert counted == join_signed_crossings(plm, signs, value), value
-        non_regular += counted is None
-    assert 0 < non_regular < len(values)
+    assert (rep.degree, rep.crossings) == join_signed_crossings(plm, signs, clean_value(r, d))
+    assert rep.facets == len(plm.complex_.facets)
 
 
 @pytest.mark.parametrize(
@@ -653,27 +671,9 @@ def test_factored_count_matches_on_complexes_that_are_not_boards(r, d, keep):
         assert counted == signed_crossings_reference(loose, signs, value), value
 
 
-@pytest.mark.parametrize("r,d,keep", [(3, 0, 15), (3, 1, 6), (3, 2, 4), (4, 1, 10), (4, 1, 30)])
-def test_board_count_matches_join_count_on_complexes_that_are_not_boards(r, d, keep):
-    """A seeded "board" of any r-1 vertices, rows repeated, with random
-    signs: its singular and inconsistent blocks meet negative and zero
-    ones, which is where the board count's regularity rule is read."""
-    rng = random.Random(keep)
-    subsets = list(itertools.combinations(range(r * (r - 1)), r - 1))
-    board = tp.SimplicialComplex(r * (r - 1), rng.sample(subsets, keep))
-    signs = [rng.choice((1, -1)) for _ in board.facets]
-    joined = board
-    for _ in range(d):
-        joined = tp.join(joined, board)
-    plm = PLMap(joined, weight_images(r, d), (r - 1) * (d + 1))
-    join_signs = [math.prod(p) for p in itertools.product(signs, repeat=d + 1)]
-    for value in nudged_values(r, d, 40, seed=r * 10 + d):
-        assert tp._signed_crossings(board, signs, value) == join_signed_crossings(plm, join_signs, value), value
-
-
 def test_factor_matrix_determinant_is_d_plus_one():
     for d in range(6):
-        c = [[tp._factor_vector(d, ell)[row] for ell in range(d + 1)] for row in range(d + 1)]
+        c = [[factor_vector(d, ell)[row] for ell in range(d + 1)] for row in range(d + 1)]
         assert linalg.det(c) == d + 1
 
 
@@ -704,9 +704,10 @@ def test_factored_count_refuses_other_maps(plm):
 
 
 def test_degree_refuses_a_non_regular_clean_value(monkeypatch):
-    monkeypatch.setattr(tp, "_signed_crossings", lambda board, signs, value: None)
-    with pytest.raises(AssertionError, match="clean value is not regular at r=3, d=1"):
-        tp.test_map_degree(3, 1)
+    for outcome in ("singular", "zero"):
+        monkeypatch.setattr(tp, "_board_outcome", lambda block, w, outcome=outcome: outcome)
+        with pytest.raises(AssertionError, match="clean value is not regular at r=3, d=1"):
+            tp.test_map_degree(3, 1)
 
 
 def test_degree_deterministic():
