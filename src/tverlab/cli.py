@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import serialize, svg
-from .errors import CapExceeded, DegenerateIntersection, ParseError, PreconditionError
+from .errors import CapExceeded, ParseError, PreconditionError
 from .geometry import Verdict
 from .model import default_profile, tightness_instance, validate
 from .solver import (
@@ -429,7 +429,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (PreconditionError, DegenerateIntersection, ValueError) as exc:
+    except (PreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
 

@@ -11,7 +11,3 @@ class CapExceeded(RuntimeError):
 
 class PreconditionError(ValueError):
     """An operation was called on input violating its stated precondition."""
-
-
-class DegenerateIntersection(ValueError):
-    """A restriction produced a lower-dimensional or empty intersection."""

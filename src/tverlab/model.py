@@ -293,43 +293,6 @@ def tightness_instance(d: int, k: int, rs, ell_star: int) -> ProblemInstance:
     return ProblemInstance(d=d, k=k, rs=rs, collections=tuple(collections))
 
 
-def lift_instance(instance: ProblemInstance, r_new: int | None = None) -> ProblemInstance:
-    """Embed a (d-1, k-1)-instance into (d, k) by adding a clustered collection.
-
-    Existing points gain a trailing 0 coordinate.  The new collection
-    sits near (0,...,0,1): point i is offset by (i*eps, 0,...,0, i^2*eps^2)
-    with eps = 1/1000, every point its own color, so its hull misses the
-    hyperplane x_d = 0 and any produced plane restricts to a solution of
-    the input (see solver.restrict_solution).
-    """
-    if r_new is None:
-        r_new = instance.rs[-1]
-    if r_new < 2:
-        raise ValueError("piece count must be at least 2")
-    d = instance.d + 1
-    k = instance.k + 1
-    eps = Fraction(1, 1000)
-    lifted = []
-    for cfg in instance.collections:
-        pts = tuple(p + (ZERO,) for p in cfg.points)
-        lifted.append(ColoredConfig(dim=d, points=pts, classes=cfg.classes))
-    size = required_size(d, k, r_new)
-    cluster = []
-    for i in range(size):
-        p = [ZERO] * d
-        p[0] = i * eps
-        p[-1] = 1 + i * i * eps * eps
-        cluster.append(tuple(p))
-    new_cfg = ColoredConfig(
-        dim=d,
-        points=tuple(cluster),
-        classes=tuple((i,) for i in range(size)),
-    )
-    return ProblemInstance(
-        d=d, k=k, rs=instance.rs + (r_new,), collections=tuple(lifted) + (new_cfg,)
-    )
-
-
 def random_instance(
     d: int,
     k: int,

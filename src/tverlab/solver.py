@@ -21,7 +21,13 @@ Three search modes, all exact; `solve` picks one from the plane dimension:
   subspaces for a k-plane (each the intersection of d-k hyperplanes
   through one k-subset of the input points), then certifies membership
   per direction with one joint LP per partition combination.
-  Incomplete, but every returned certificate is exact.
+  Incomplete, but every returned certificate is exact.  Each
+  collection's prefilter and the joint loop keep the Farkas duals of
+  their last missed LPs for the whole scan: a dual's normals bound a
+  tuple's gap at any direction, so a tuple whose bound is above 0 is
+  deferred with no LP.  The survivors, the first hit and its weights
+  are those of the scan without them; with no hit, deferred tuples are
+  revisited against the least gap, which stays exact.
 * `solve_hyperplane_transversal_exact` — complete search when the plane
   has codimension one: a scan of the hyperplanes through d input points
   (the arrangement vertices), each checked per collection with no LP.
@@ -48,7 +54,7 @@ from functools import cache, reduce
 from math import comb, factorial, gcd, prod
 
 from . import linalg
-from .errors import CapExceeded, DegenerateIntersection, PreconditionError
+from .errors import CapExceeded, PreconditionError
 from .geometry import (
     Point,
     Verdict,
@@ -76,7 +82,7 @@ ZERO = Fraction(0)
 _SNAP_CAP = 4096  # candidate directions `solve_transversal` may try
 CHOICE_CAP = 5_000_000  # plane checks the complete hyperplane scan may make
 _SEPARATORS = 8  # pair-LP dual normals `solve_tverberg` keeps
-_DUALS = 8  # full-LP Farkas duals `solve_tverberg` keeps
+_DUALS = 8  # Farkas duals of missed LPs kept per store: full LPs, and each direction-scan loop
 
 
 @dataclass(frozen=True)
@@ -258,6 +264,12 @@ def _bounded(duals, pieces, pids, scale, best=None):
     return False
 
 
+def _dual_directions(h, m):
+    """The directions g_0..g_{r-1} of `gap_reaches` for a Farkas dual h, m entries per normal."""
+    normals = [h[j:j + m] for j in range(0, len(h), m)]
+    return [[-sum(c) for c in zip(*normals)], *normals]
+
+
 def _partition_lists(instance: ProblemInstance):
     """Partition representatives per collection; None if one has none."""
     lists = [
@@ -355,9 +367,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     def lp(pieces):
         x, gap, h = solve_lp(pieces)
         if h is not None:
-            normals = [h[j:j + d] for j in range(0, len(h), d)]
-            g0 = [-sum(c) for c in zip(*normals)]
-            duals.insert(0, (max(h), [project(g) for g in (g0, *normals)]))
+            duals.insert(0, (max(h), [project(g) for g in _dual_directions(h, d)]))
             del duals[_DUALS:]
         return x, gap
 
@@ -519,7 +529,46 @@ def _combo_pieces(point_lists, combo):
     ]
 
 
-def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats):
+def _kept_bounds(duals, pieces, points, scale, best=None):
+    """Whether a kept dual bounds the gap of pieces above 0, or at or above best; moves it to the front.
+
+    Each dual is [top, directions, projections]: its largest coordinate
+    dual, the directions g_j of `gap_reaches` per piece position, and
+    g_j.p for every point p of points[j], made on the dual's first use
+    at a direction and None before it.  Unlike `_bounded`, it keeps no
+    minima per piece: at each direction the pieces are new, and a cache
+    of them made two-piece scans slower than their LPs.
+    """
+    for k, dual in enumerate(duals):
+        top, directions, projs = dual
+        if projs is None:
+            projs = dual[2] = [[sum(map(operator.mul, g, p)) for p in pts] for g, pts in zip(directions, points)]
+        lows = [min(map(proj.__getitem__, piece)) for proj, piece in zip(projs, pieces)]
+        if gap_reaches(lows, top, scale, best):
+            duals.insert(0, duals.pop(k))
+            return True
+    return False
+
+
+def _direction_lp(pieces, points, duals, scale, stats):
+    """(x, gap) of the LP on pieces, piece j drawn from points[j]; a miss's dual is kept."""
+    stats["lps"] += 1
+    x, gap, h = lp_solve_eq([[pts[i] for i in piece] for pts, piece in zip(points, pieces)], scale, dual=True)
+    if h is not None:
+        duals.insert(0, [max(h), _dual_directions(h, len(points[0][0])), None])
+        del duals[_DUALS:]
+    return x, gap
+
+
+def _least_deferred(deferred, best, points, duals, scale, stats):
+    """The least of best and the deferred tuples' gaps: an LP only where no dual reaches best."""
+    for pieces in deferred:
+        if best is None or not _kept_bounds(duals, pieces, points, scale, best):
+            best = _least(best, _direction_lp(pieces, points, duals, scale, stats)[1])
+    return best
+
+
+def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, duals):
     """((combination, weights per piece), 0) for one quotient, else (None, gap).
 
     Projects the search's integer points, one list per collection, by
@@ -528,33 +577,63 @@ def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats):
     then runs one joint LP per combination of surviving partitions.  The
     returned gap is the sum of per-collection minima when the prefilter
     rules the direction out, else the smallest joint violation.
+
+    duals holds one store per collection, for its prefilter, and one
+    for the joint loop; they live for a whole scan.  Each keeps the
+    Farkas duals of its last `_DUALS` missed LPs, most recently useful
+    first.  A dual's normals are fixed vectors in the quotient space,
+    and `gap_reaches` holds for any fixed normals, so a dual found at
+    one direction bounds gaps at every later one: only its projections
+    change, and they are made on the dual's first use at a direction
+    (`_kept_bounds`).  A tuple that a kept dual bounds above 0, with
+    the same piece positions, is a proven miss: it gets no LP and is
+    deferred.  So the prefilter keeps the same survivors in the same
+    order, and the joint loop meets the same first hit with the same LP
+    and weights.  When a collection has no survivor, or no combination
+    hits, the deferred tuples are revisited in order with the least gap
+    so far as best, and an LP runs only where no dual bounds the gap at
+    or above best.  Every skipped gap is then at or above the best of
+    its step, and best only falls, so the least gap is that of running
+    every LP, as in `solve_tverberg`'s revisit.
     """
     iproj = [[tuple(_dot(row, p) for row in q_rows) for p in pts] for pts in int_points]
+    for store in duals:
+        for dual in store:
+            dual[2] = None  # projections of the last direction
+    *stores, joint = duals
     survivors = []
     misses = []  # least gap of each collection with no surviving partition
-    for ell, plist in enumerate(partitions_per_col):
-        good = []
+    for pts, plist, store in zip(iproj, partitions_per_col, stores):
+        points = [pts] * len(plist[0])
+        good, deferred = [], []
         gmin = None
         for pieces in plist:
-            x, gap, _ = lp_solve_eq([[iproj[ell][i] for i in piece] for piece in pieces], scale)
-            stats["lps"] += 1
+            if _kept_bounds(store, pieces, points, scale):
+                deferred.append(pieces)
+                continue
+            x, gap = _direction_lp(pieces, points, store, scale, stats)
             if x is not None:
                 good.append(pieces)
             else:
                 gmin = _least(gmin, gap)
         survivors.append(good)
         if not good:
-            misses.append(gmin)
+            misses.append(_least_deferred(deferred, gmin, points, store, scale, stats))
     if misses:
         return None, sum(misses, ZERO)
+    points = [pts for pts, plist in zip(iproj, partitions_per_col) for _ in plist[0]]
     best = None
+    deferred = []
     for combo in itertools.product(*survivors):
-        x, gap, _ = lp_solve_eq(_combo_pieces(iproj, combo), scale)
-        stats["lps"] += 1
+        pieces = [piece for part in combo for piece in part]
+        if _kept_bounds(joint, pieces, points, scale):
+            deferred.append(pieces)
+            continue
+        x, gap = _direction_lp(pieces, points, joint, scale, stats)
         if x is not None:
             return (combo, weights_of(x)), ZERO
         best = _least(best, gap)
-    return None, best
+    return None, _least_deferred(deferred, best, points, joint, scale, stats)
 
 
 def _build_certificate(instance, q_rows, combo, piece_weights) -> TransversalCertificate:
@@ -607,10 +686,11 @@ def solve_transversal(
     # one scale for all collections: joint LPs pool their pieces
     int_points, scale = integer_point_lists([cfg.points for cfg in instance.collections])
 
+    duals = [[] for _ in range(len(partitions_per_col) + 1)]  # per collection, then joint
     best_gap = None
     for q_rows in _candidate_quotients(instance):
         stats["directions"] += 1
-        hit, gap = _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats)
+        hit, gap = _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, duals)
         if hit is not None:
             cert = _build_certificate(instance, q_rows, *hit)
             return SolveReport("certified", cert, ZERO, stats)
@@ -804,71 +884,6 @@ def verify_transversal(instance: ProblemInstance, cert) -> Verdict:
         if not all(map(plane.contains, pts)):
             return Verdict(False, "witness-off-plane")
     return Verdict(True)
-
-
-# ---------------------------------------------------------------------------
-# restriction to a coordinate hyperplane
-
-
-def restrict_solution(instance: ProblemInstance, cert: TransversalCertificate):
-    """Intersect a certified plane with {last coordinate = 0}.
-
-    The input certifies a lifted instance whose final collection is the
-    off-hyperplane cluster; dropping that collection and cutting the
-    plane yields a certificate one dimension down: a TverbergCertificate
-    when the cut plane is a single point, else a TransversalCertificate.
-    Raises DegenerateIntersection when the plane misses the hyperplane
-    or lies inside it.
-    """
-    if not isinstance(cert, TransversalCertificate):
-        raise PreconditionError("restriction needs a transversal certificate")
-    d, k = instance.d, instance.k
-    plane = cert.plane
-    last = [v[d - 1] for v in plane.directions]
-    if all(v == 0 for v in last):
-        if plane.base[d - 1] == 0:
-            raise DegenerateIntersection("plane lies inside the hyperplane")
-        raise DegenerateIntersection("plane misses the hyperplane")
-    sol = linalg.solve([last], [-plane.base[d - 1]])
-    t0, null = sol
-    new_base = tuple(
-        plane.base[c] + sum(t * v[c] for t, v in zip(t0, plane.directions))
-        for c in range(d - 1)
-    )
-    new_dirs = tuple(
-        tuple(
-            sum(n[a] * plane.directions[a][c] for a in range(len(t0)))
-            for c in range(d - 1)
-        )
-        for n in null
-    )
-    kept = len(cert.partitions) - 1
-    for ell in range(kept):
-        for x in cert.witness_points[ell]:
-            if x[d - 1] != 0:
-                raise PreconditionError(
-                    "witness of a kept collection is off the hyperplane"
-                )
-    dropped_pts = tuple(
-        tuple(tuple(x[:-1]) for x in col) for col in cert.witness_points[:kept]
-    )
-    if kept == 1 and k - 1 == 0:
-        points = {p for col in dropped_pts for p in col}
-        if len(points) != 1:
-            raise DegenerateIntersection(
-                "witnesses do not meet in a single point"
-            )
-        return TverbergCertificate(
-            point=next(iter(points)),
-            partition=cert.partitions[0],
-            weights=cert.weights[0],
-        )
-    return TransversalCertificate(
-        plane=KPlane(base=new_base, directions=new_dirs),
-        partitions=cert.partitions[:kept],
-        weights=cert.weights[:kept],
-        witness_points=dropped_pts,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,20 @@ comparison with it checks the scan's order and deduplication.
 its points once per search: a Fraction projection and a fresh integer
 scale per direction, and the witness and plane base taken from the
 projected points.
+`affine_image`, `affine_certificate` and `relabelled` are the maps the
+equivariance tests apply: an invertible affine map of every point, of
+a certificate's witness points and plane with its weights kept, and a
+renumbering of one configuration's points.
+`lift_instance` and `restrict_solution` embed an instance one dimension
+up and cut a certified plane back down; acceptance criterion 7 and the
+solver tests use them, and nothing in the package does.
 """
 import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from tverlab import kernels, linalg, solver, topology
+from tverlab import kernels, linalg, model, solver, topology
 from tverlab.errors import PreconditionError
 from tverlab.geometry import (
     CommonPointWitness,
@@ -1053,3 +1060,141 @@ def _hyperplane_disjunct_feasible(pieces, pairs, unit):
         rows.append(row)
         rhs.append(vhi[unit] - sum(vhi[c] for c in other))
     return rational_lp_solve_eq(rows, rhs)[0] is not None
+
+
+class DegenerateIntersection(ValueError):
+    """A restriction produced a lower-dimensional or empty intersection."""
+
+
+def lift_instance(instance, r_new=None):
+    """Embed a (d-1, k-1)-instance into (d, k) by adding a clustered collection.
+
+    Existing points gain a trailing 0 coordinate.  The new collection
+    sits near (0,...,0,1): point i is offset by (i*eps, 0,...,0, i^2*eps^2)
+    with eps = 1/1000, every point its own color, so its hull misses the
+    hyperplane x_d = 0 and any produced plane restricts to a solution of
+    the input (see `restrict_solution`).
+    """
+    if r_new is None:
+        r_new = instance.rs[-1]
+    if r_new < 2:
+        raise ValueError("piece count must be at least 2")
+    d = instance.d + 1
+    k = instance.k + 1
+    eps = Fraction(1, 1000)
+    lifted = []
+    for cfg in instance.collections:
+        pts = tuple(p + (ZERO,) for p in cfg.points)
+        lifted.append(model.ColoredConfig(dim=d, points=pts, classes=cfg.classes))
+    size = model.required_size(d, k, r_new)
+    cluster = []
+    for i in range(size):
+        p = [ZERO] * d
+        p[0] = i * eps
+        p[-1] = 1 + i * i * eps * eps
+        cluster.append(tuple(p))
+    new_cfg = model.ColoredConfig(
+        dim=d,
+        points=tuple(cluster),
+        classes=tuple((i,) for i in range(size)),
+    )
+    return model.ProblemInstance(
+        d=d, k=k, rs=instance.rs + (r_new,), collections=tuple(lifted) + (new_cfg,)
+    )
+
+
+def restrict_solution(instance, cert):
+    """Intersect a certified plane with {last coordinate = 0}.
+
+    The input certifies a lifted instance whose final collection is the
+    off-hyperplane cluster; dropping that collection and cutting the
+    plane yields a certificate one dimension down: a TverbergCertificate
+    when the cut plane is a single point, else a TransversalCertificate.
+    Raises DegenerateIntersection when the plane misses the hyperplane
+    or lies inside it.
+    """
+    if not isinstance(cert, solver.TransversalCertificate):
+        raise PreconditionError("restriction needs a transversal certificate")
+    d, k = instance.d, instance.k
+    plane = cert.plane
+    last = [v[d - 1] for v in plane.directions]
+    if all(v == 0 for v in last):
+        if plane.base[d - 1] == 0:
+            raise DegenerateIntersection("plane lies inside the hyperplane")
+        raise DegenerateIntersection("plane misses the hyperplane")
+    sol = linalg.solve([last], [-plane.base[d - 1]])
+    t0, null = sol
+    new_base = tuple(
+        plane.base[c] + sum(t * v[c] for t, v in zip(t0, plane.directions))
+        for c in range(d - 1)
+    )
+    new_dirs = tuple(
+        tuple(
+            sum(n[a] * plane.directions[a][c] for a in range(len(t0)))
+            for c in range(d - 1)
+        )
+        for n in null
+    )
+    kept = len(cert.partitions) - 1
+    for ell in range(kept):
+        for x in cert.witness_points[ell]:
+            if x[d - 1] != 0:
+                raise PreconditionError(
+                    "witness of a kept collection is off the hyperplane"
+                )
+    dropped_pts = tuple(
+        tuple(tuple(x[:-1]) for x in col) for col in cert.witness_points[:kept]
+    )
+    if kept == 1 and k - 1 == 0:
+        points = {p for col in dropped_pts for p in col}
+        if len(points) != 1:
+            raise DegenerateIntersection(
+                "witnesses do not meet in a single point"
+            )
+        return solver.TverbergCertificate(
+            point=next(iter(points)),
+            partition=cert.partitions[0],
+            weights=cert.weights[0],
+        )
+    return solver.TransversalCertificate(
+        plane=solver.KPlane(base=new_base, directions=new_dirs),
+        partitions=cert.partitions[:kept],
+        weights=cert.weights[:kept],
+        witness_points=dropped_pts,
+    )
+
+
+def _affine(matrix, shift, point):
+    return tuple(sum((a * c for a, c in zip(row, point)), b) for row, b in zip(matrix, shift))
+
+
+def affine_image(instance, matrix, shift):
+    """The instance under x -> matrix x + shift, every class and piece count kept."""
+    collections = tuple(
+        model.ColoredConfig(cfg.dim, [_affine(matrix, shift, p) for p in cfg.points], cfg.classes)
+        for cfg in instance.collections
+    )
+    return model.ProblemInstance(instance.d, instance.k, instance.rs, collections)
+
+
+def affine_certificate(cert, matrix, shift):
+    """A certificate's image under x -> matrix x + shift: points and plane mapped, weights kept."""
+    if isinstance(cert, solver.TverbergCertificate):
+        return replace(cert, point=_affine(matrix, shift, cert.point))
+    zero = (ZERO,) * len(shift)
+    plane = solver.KPlane(
+        base=_affine(matrix, shift, cert.plane.base),
+        directions=[_affine(matrix, zero, v) for v in cert.plane.directions],
+    )
+    points = tuple(tuple(_affine(matrix, shift, x) for x in col) for col in cert.witness_points)
+    return replace(cert, plane=plane, witness_points=points)
+
+
+def relabelled(config, order):
+    """config with point i renumbered order[i]; classes carried along, listed by least point."""
+    points = [None] * config.size
+    for i, p in enumerate(config.points):
+        points[order[i]] = p
+    classes = sorted(sorted(order[i] for i in cls) for cls in config.classes)
+    return model.ColoredConfig(config.dim, points, classes)
+

@@ -13,12 +13,11 @@ from math import factorial
 
 import pytest
 
-from oracles import caratheodory_feasible, verify_common_point_witness
+from oracles import caratheodory_feasible, lift_instance, restrict_solution, verify_common_point_witness
 from tverlab.geometry import common_point_gap
-from tverlab.model import lift_instance, random_instance, tightness_instance
+from tverlab.model import random_instance, tightness_instance
 from tverlab.solver import (
     TverbergCertificate,
-    restrict_solution,
     solve_hyperplane_transversal_exact,
     solve_transversal,
     solve_tverberg,

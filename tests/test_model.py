@@ -15,7 +15,6 @@ from tverlab.model import (
     default_profile,
     enumerate_colorful_partitions,
     is_colorful,
-    lift_instance,
     partition_is_valid,
     random_instance,
     required_size,
@@ -24,6 +23,7 @@ from tverlab.model import (
 )
 
 from oracles import (
+    lift_instance,
     ordered_colorful_count,
     ordered_colorful_partitions,
     rational_lp_solve_eq,

@@ -4,6 +4,7 @@ import copy
 import functools
 import itertools
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from tverlab.solver import KPlane
 from tverlab.topology import SimplicialComplex
 
 from oracles import (
+    affine_certificate,
+    affine_image,
     bound_step,
     common_point_rows,
     dual_bound,
@@ -32,6 +35,7 @@ from oracles import (
     rational_echelon,
     rational_lp_solve_eq,
     rational_solve,
+    relabelled,
     snap_quotients,
     support_points,
     trial_division_is_prime,
@@ -755,11 +759,17 @@ def halved_and_shifted(inst):
 @given(rational_transversal_instances())
 @settings(max_examples=100)
 def test_candidate_scan_matches_fraction_projected_reference(inst):
+    # the Farkas duals the scan keeps across directions only spare LPs:
+    # without them it solves exactly the reference's LPs
     report = solver.solve_transversal(inst)
     expected = fraction_projected_transversal(inst)
     assert report.status == expected.status
     assert report.gap == expected.gap
-    assert report.stats == expected.stats
+    assert report.stats["directions"] == expected.stats["directions"]
+    assert report.stats["lps"] <= expected.stats["lps"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_DUALS", 0)
+        assert solver.solve_transversal(inst).stats == expected.stats
     assert report.certificate == expected.certificate
     cert_bytes = [
         rep.certificate and serialize.canonical_bytes(serialize.certificate_to_json(rep.certificate))
@@ -768,15 +778,144 @@ def test_candidate_scan_matches_fraction_projected_reference(inst):
     assert cert_bytes[0] == cert_bytes[1]
     if report.certified:
         assert solver.verify_transversal(inst, report.certificate)
-    # every direction's hit or gap, not only the first hit or least gap
+    # every direction's hit or gap, not only the first hit or least gap,
+    # with the duals of every earlier direction kept
     plists = solver._partition_lists(inst)
     if plists is None:
         return
     int_points, scale = integer_point_lists([cfg.points for cfg in inst.collections])
+    duals = [[] for _ in range(len(plists) + 1)]
     for rows in solver._candidate_quotients(inst):
-        hit, gap = solver._evaluate_direction(rows, int_points, scale, plists, {"lps": 0})
+        stats, ref_stats = {"lps": 0}, {"lps": 0}
+        hit, gap = solver._evaluate_direction(rows, int_points, scale, plists, stats, duals)
         ref_hit, ref_gap = fraction_projected_direction(
-            [[Fraction(v) for v in row] for row in rows], inst.collections, plists, {"lps": 0}
+            [[Fraction(v) for v in row] for row in rows], inst.collections, plists, ref_stats
         )
         assert gap == ref_gap
         assert hit == (ref_hit and (ref_hit[0], ref_hit[1].weights))
+        assert stats["lps"] <= ref_stats["lps"]
+
+
+@example(random_instance(3, 1, (2, 2), seed=0), 0, 1)
+@example(random_instance(2, 1, (3, 3), seed=0), 3, 5)
+@given(rational_transversal_instances(), st.integers(0, 5), st.integers(0, 5))
+@settings(max_examples=40)
+def test_a_dual_kept_from_one_direction_bounds_gaps_at_another(inst, first, then):
+    # the Farkas dual of an LP missed at one direction, read at another
+    # with the same piece positions, bounds every tuple's exact gap
+    # there: never at or above a best the gap is below, and above 0
+    # only on a miss
+    plists = solver._partition_lists(inst)
+    directions = list(itertools.islice(solver._candidate_quotients(inst), 6))
+    if plists is None or not directions or not directions[0]:  # k = d: every hull meets the one point
+        return
+    int_points, scale = integer_point_lists([cfg.points for cfg in inst.collections])
+    project = lambda rows: [[tuple(sum(map(operator.mul, row, p)) for row in rows) for p in pts] for pts in int_points]
+    at_first = project(directions[first % len(directions)])
+    at_then = project(directions[then % len(directions)])
+    m = len(directions[0])
+    # tuples as (collection, piece) per position: each collection's
+    # partitions, then the joint combinations, at most 16 of each shape
+    shapes = [[[(ell, piece) for piece in part] for part in plist] for ell, plist in enumerate(plists)]
+    shapes.append([[(ell, piece) for ell, part in enumerate(combo) for piece in part] for combo in itertools.product(*plists)])
+    points_of = lambda proj, tup: [[proj[ell][i] for i in piece] for ell, piece in tup]
+    for tuples in shapes:
+        tuples = tuples[::-(-len(tuples) // 16)]
+        gaps = [lp_solve_eq(points_of(at_then, tup), scale)[1] for tup in tuples]
+        for tup in tuples:
+            h = lp_solve_eq(points_of(at_first, tup), scale, dual=True)[2]
+            if h is None:
+                continue
+            points = [at_then[ell] for ell, _ in tup]
+            kept = [[max(h), solver._dual_directions(h, m), None]]
+            for other, gap in zip(tuples, gaps):
+                pieces = points_of(at_then, other)
+                assert dual_bound(pieces, h, scale) <= gap
+                lows = [min(sum(map(operator.mul, g, p)) for p in piece) for g, piece in zip(dual_directions(h, m), pieces)]
+                for best in (None, gap + Fraction(1, 10**9), gap):
+                    reaches = gap_reaches(lows, max(h), scale, best)
+                    assert solver._kept_bounds(kept, [piece for _, piece in other], points, scale, best) == reaches
+                    if reaches:
+                        assert gap > 0 if best is None else gap >= best
+
+
+@st.composite
+def affinely_mapped_instances(draw):
+    """(instance, matrix, shift): an invertible map of R^d, entries p/q with |p| <= 5, q <= 4."""
+    inst = draw(rational_transversal_instances())
+    d = inst.d
+    entry = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    matrix = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+                  .filter(lambda rows: linalg.det(rows) != 0))
+    return inst, matrix, draw(st.lists(entry, min_size=d, max_size=d))
+
+
+def found_partitions(cert):
+    return (cert.partition,) if isinstance(cert, solver.TverbergCertificate) else cert.partitions
+
+
+def sheared(inst):
+    """inst with the map x -> (x_0 + x_1/2, -x_1/3, ...) + (1/4, ..., 1/4): det -1/3."""
+    d = inst.d
+    matrix = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    matrix[0][1], matrix[1][1] = Fraction(1, 2), Fraction(-1, 3)
+    return inst, matrix, [Fraction(1, 4)] * d
+
+
+@example(sheared(random_instance(3, 1, (2, 2), seed=1)))
+@example(sheared(tightness_instance(2, 0, (4,), 0)))
+@example(sheared(tightness_instance(2, 1, (3, 3), 0)))
+@given(affinely_mapped_instances())
+@settings(max_examples=40)
+def test_solve_is_invariant_under_invertible_affine_maps(case):
+    # whether hulls meet, or a plane meets them, survives an invertible
+    # affine map, and no search's order reads coordinates: candidates
+    # come from index subsets, so status, first hit and the counters of
+    # tuples and directions tried stay; LP counts may move with the duals
+    inst, matrix, shift = case
+    image = affine_image(inst, matrix, shift)
+    report, moved = solver.solve(inst), solver.solve(image)
+    assert moved.status == report.status
+    for key in ("partitions", "combos", "directions"):
+        assert moved.stats.get(key) == report.stats.get(key)
+    if report.certified:
+        assert found_partitions(moved.certificate) == found_partitions(report.certificate)
+        mapped = affine_certificate(report.certificate, matrix, shift)
+        if inst.k == 0:
+            assert solver.verify_tverberg(image.collections[0], image.rs[0], mapped)
+        else:
+            assert solver.verify_transversal(image, mapped)
+
+
+@example((tightness_instance(2, 0, (4,), 0).collections[0], 4), 1)
+@example((tightness_instance(3, 0, (3,), 0).collections[0], 3), 2)
+@given(tverberg_cases(), st.integers(0, 2**32))
+def test_tverberg_search_is_invariant_under_relabelling_points(case, seed):
+    # renumbering the points changes which piece a representative puts
+    # first, so the least gap, which weighs piece 0's coordinates apart
+    # from the others', may move (two points at distance 1 in the plane
+    # give 2 one way and 1 the other); whether the hulls meet may not
+    cfg, r = case
+    moved = relabelled(cfg, random.Random(seed).sample(range(cfg.size), cfg.size))
+    report, other = solver.solve_tverberg(cfg, r), solver.solve_tverberg(moved, r)
+    assert other.status == report.status
+    if report.status == "infeasible-exhausted":
+        assert other.stats["partitions"] == report.stats["partitions"]
+
+
+@given(st.integers(2, 5), st.booleans(), st.data())
+@settings(max_examples=80)
+def test_walk_and_hyperplane_scan_agree_on_the_line(r, short, data):
+    # at d = 1, k = 0 a common point is a hyperplane {x = v} meeting every
+    # piece, so the partition walk and the complete hyperplane scan both apply
+    n = 2 * r - 1 - short  # (r-1)(d+1)+1 points, or one short
+    points = data.draw(st.lists(st.tuples(st.integers(0, 6)), min_size=n, max_size=n))
+    classes, start = [], 0
+    while start < n:
+        size = data.draw(st.integers(1, min(r - 1, n - start)))
+        classes.append(range(start, start + size))
+        start += size
+    cfg = ColoredConfig(dim=1, points=points, classes=classes)
+    inst = ProblemInstance(d=1, k=0, rs=(r,), collections=(cfg,))
+    assert solver.solve_tverberg(cfg, r).status == solver.solve_hyperplane_transversal_exact(inst).status
+

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tverlab import geometry, kernels, solver
-from tverlab.errors import CapExceeded, DegenerateIntersection, PreconditionError
+from tverlab.errors import CapExceeded, PreconditionError
 from tverlab.geometry import CommonPointWitness
 from tverlab.linalg import integer_points
 from tverlab.model import (
@@ -20,7 +20,6 @@ from tverlab.model import (
     count_colorful_partitions,
     default_profile,
     enumerate_colorful_partitions,
-    lift_instance,
     random_instance,
     tightness_instance,
 )
@@ -29,7 +28,6 @@ from tverlab.solver import (
     SearchBudget,
     TransversalCertificate,
     TverbergCertificate,
-    restrict_solution,
     solve,
     solve_hyperplane_transversal_exact,
     solve_transversal,
@@ -40,12 +38,15 @@ from tverlab.solver import (
 )
 
 from oracles import (
+    DegenerateIntersection,
     bound_step,
     first_met_flags,
+    lift_instance,
     orbit_key,
     ordered_nonempty_partitions,
     pair_gap_reaches,
     pair_snap_quotients,
+    restrict_solution,
     support_points,
     verify_common_point_witness,
 )
@@ -524,6 +525,24 @@ def test_transversal_budget_exhausted_on_tight_configuration():
         assert report.status == "budget-exhausted"
         assert report.gap is not None and report.gap > 0
         assert report.stats["directions"] == 528
+
+
+def test_transversal_kept_duals_spare_lps_on_named_seeds(monkeypatch):
+    # Farkas duals kept across directions skip LPs they prove missed;
+    # with none kept (`_DUALS` = 0) every prefilter and joint LP runs
+    cases = [
+        (random_instance(2, 1, (3, 3), seed=0), 153, 949),
+        (random_instance(3, 1, (2, 2), seed=1), 320, 948),
+        (tightness_instance(3, 1, (2, 2), 0), 1964, 5921),
+    ]
+    for inst, kept, without in cases:
+        report = solve_transversal(inst)
+        monkeypatch.setattr(solver, "_DUALS", 0)
+        plain = solve_transversal(inst)
+        monkeypatch.undo()
+        assert (report.stats["lps"], plain.stats["lps"]) == (kept, without)
+        assert (report.status, report.gap, report.certificate) == (plain.status, plain.gap, plain.certificate)
+        assert report.stats["directions"] == plain.stats["directions"]
 
 
 def test_transversal_deterministic():
