@@ -27,7 +27,8 @@ Three search modes, all exact; `solve` picks one from the plane dimension:
   tuple's gap at any direction, so a tuple whose bound is above 0 is
   deferred with no LP.  The survivors, the first hit and its weights
   are those of the scan without them; with no hit, deferred tuples are
-  revisited against the least gap, which stays exact.
+  revisited against the least gap of the whole scan so far, so the
+  scan's least gap stays exact while a direction's own may not.
 * `solve_hyperplane_transversal_exact` — complete search when the plane
   has codimension one: a scan of the hyperplanes through d input points
   (the arrangement vertices), each checked per collection with no LP.
@@ -188,8 +189,8 @@ class SolveReport:
 
 
 def _least(best, gap):
-    """The smaller of two gaps, where a best of None means none seen yet."""
-    return gap if best is None or gap < best else best
+    """The smaller of two gaps, where None on either side means none seen."""
+    return best if gap is None or best is not None and best <= gap else gap
 
 
 def _witnessed(witnesses, ca, cb):
@@ -460,22 +461,38 @@ def _dot(normal, point):
     return sum(a * c for a, c in zip(normal, point))
 
 
-def _primitive(row):
-    """Integer multiple of a nonzero rational vector: coprime, first nonzero > 0."""
-    (ints,), _ = integer_points([row])
+def _primitive(ints):
+    """ints divided by their gcd, signed so that the first nonzero entry is positive."""
     g = gcd(*ints)
-    sign = 1 if next(v for v in ints if v) > 0 else -1
-    return tuple(sign * v // g for v in ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
-def _flat_normals(points, d):
-    """(index d-subset, primitive normal) per d-subset spanning a hyperplane, in order."""
-    for subset in itertools.combinations(range(len(points)), d):
-        first, *rest = (points[i] for i in subset)
-        diffs = [[a - b for a, b in zip(p, first)] for p in rest]
-        null = linalg.nullspace(diffs or [[ZERO] * d])  # d = 1: the plane {x = v}
-        if len(null) == 1:
-            yield subset, _primitive(null[0])
+def _kernel_normal(rows, width):
+    """(rank, normal) of integer rows: the primitive nullspace vector at the first free column, None at full rank.
+
+    `linalg._echelon` eliminates fraction-free (Bareiss 1968): rows/D is
+    the reduced echelon form, so D on the free column and -rows[r][free]
+    on each pivot (r, c) solve rows x = 0 in integers.
+    """
+    ech, pivots, D, _ = linalg._echelon(rows, width)
+    cols = {c for _, c in pivots}
+    free = next((c for c in range(width) if c not in cols), None)
+    if free is None:
+        return len(pivots), None
+    normal = [0] * width
+    normal[free] = D
+    for r, c in pivots:
+        normal[c] = -ech[r][free]
+    return len(pivots), _primitive(normal)
+
+
+def _flat_normal(points, subset):
+    """Primitive normal of the hyperplane through d integer points, picked by index; None if they span less."""
+    first, *rest = (points[i] for i in subset)
+    rank, normal = _kernel_normal([[a - b for a, b in zip(p, first)] for p in rest], len(first))
+    return normal if rank == len(rest) else None
 
 
 def _candidate_quotients(instance: ProblemInstance):
@@ -492,6 +509,12 @@ def _candidate_quotients(instance: ProblemInstance):
     normals through d input points.  Extremal transversals are pinned by
     input points, so their directions have measure zero; a pinned one
     with an irrational direction is not on the list.
+
+    The normals are integer (`_flat_normal`, on the points scaled to
+    integers) and made lazily: each d-subset's once, when the first base
+    inside it comes up, so a scan that hits early builds few.  A row
+    space is keyed by its reduced echelon form, each row made primitive;
+    at d-k = 1 that is the normal itself.
     """
     d, k = instance.d, instance.k
     if k == 0:
@@ -500,19 +523,18 @@ def _candidate_quotients(instance: ProblemInstance):
     if k == d:
         yield []
         return
-    pts = [p for cfg in instance.collections for p in cfg.points]
-    normals = dict(_flat_normals(pts, d))
+    pts, _ = integer_points([p for cfg in instance.collections for p in cfg.points])
+    normal = cache(lambda subset: _flat_normal(pts, subset))
     seen = set()
     for base in itertools.combinations(range(len(pts)), k):
         rest = [i for i in range(len(pts)) if i not in base]
         subsets = (tuple(sorted(base + extra)) for extra in itertools.combinations(rest, d - k))
-        through = dict.fromkeys(normals[s] for s in subsets if s in normals)
+        through = dict.fromkeys(filter(None, map(normal, subsets)))
         for rows in itertools.combinations(through, d - k):
             q_rows = [list(row) for row in rows]
-            # the nullspace basis comes from the reduced echelon form,
-            # so it names the row space
-            key = tuple(map(tuple, linalg.nullspace(q_rows)))
-            if len(key) != k or key in seen:
+            ech, pivots, _, _ = linalg._echelon(q_rows, d)
+            key = tuple(_primitive(ech[r]) for r, _ in pivots)
+            if len(key) != d - k or key in seen:
                 continue
             seen.add(key)
             yield q_rows
@@ -568,15 +590,19 @@ def _least_deferred(deferred, best, points, duals, scale, stats):
     return best
 
 
-def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, duals):
+def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, duals, bound=None):
     """((combination, weights per piece), 0) for one quotient, else (None, gap).
 
     Projects the search's integer points, one list per collection, by
     the integer quotient rows, and gives every LP the search's `scale`,
     so gaps are in the input's units.  Prefilters each collection alone,
     then runs one joint LP per combination of surviving partitions.  The
-    returned gap is the sum of per-collection minima when the prefilter
-    rules the direction out, else the smallest joint violation.
+    direction's gap is the sum of per-collection minima when the
+    prefilter rules it out, else the smallest joint violation.  With
+    bound None the returned gap is that gap, exactly; otherwise it is
+    the least of that gap and bound, which is all a scan keeping its
+    least gap needs: each revisit below starts from bound, and a
+    per-collection minimum at or above bound puts the sum there too.
 
     duals holds one store per collection, for its prefilter, and one
     for the joint loop; they live for a whole scan.  Each keeps the
@@ -594,7 +620,9 @@ def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, du
     so far as best, and an LP runs only where no dual bounds the gap at
     or above best.  Every skipped gap is then at or above the best of
     its step, and best only falls, so the least gap is that of running
-    every LP, as in `solve_tverberg`'s revisit.
+    every LP, as in `solve_tverberg`'s revisit.  A bound lowers each
+    revisit's first best and so spares more LPs; the survivors and the
+    first hit do not depend on it.
     """
     iproj = [[tuple(_dot(row, p) for row in q_rows) for p in pts] for pts in int_points]
     for store in duals:
@@ -618,9 +646,9 @@ def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, du
                 gmin = _least(gmin, gap)
         survivors.append(good)
         if not good:
-            misses.append(_least_deferred(deferred, gmin, points, store, scale, stats))
+            misses.append(_least_deferred(deferred, _least(gmin, bound), points, store, scale, stats))
     if misses:
-        return None, sum(misses, ZERO)
+        return None, _least(bound, sum(misses, ZERO))
     points = [pts for pts, plist in zip(iproj, partitions_per_col) for _ in plist[0]]
     best = None
     deferred = []
@@ -633,7 +661,7 @@ def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, du
         if x is not None:
             return (combo, weights_of(x)), ZERO
         best = _least(best, gap)
-    return None, _least_deferred(deferred, best, points, joint, scale, stats)
+    return None, _least_deferred(deferred, _least(best, bound), points, joint, scale, stats)
 
 
 def _build_certificate(instance, q_rows, combo, piece_weights) -> TransversalCertificate:
@@ -674,7 +702,10 @@ def solve_transversal(
     The candidates are `_candidate_quotients`, a finite, deterministic
     list of integer quotient rows.  The points of all collections are
     scaled to integers once, with one scale, and each direction projects
-    those (`_evaluate_direction`).  A returned certificate is exact;
+    those (`_evaluate_direction`), with the least gap of the earlier
+    directions as its bound: a direction's gap is only read when it is
+    below that, so the least gap reported is the exact least over all
+    directions.  A returned certificate is exact;
     "budget-exhausted" means the list ran out, not that no plane exists.
     budget is ignored: it is kept so that callers passing a
     `SearchBudget` still work.
@@ -690,7 +721,7 @@ def solve_transversal(
     best_gap = None
     for q_rows in _candidate_quotients(instance):
         stats["directions"] += 1
-        hit, gap = _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, duals)
+        hit, gap = _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, duals, best_gap)
         if hit is not None:
             cert = _build_certificate(instance, q_rows, *hit)
             return SolveReport("certified", cert, ZERO, stats)
@@ -755,14 +786,16 @@ def solve_hyperplane_transversal_exact(instance: ProblemInstance) -> SolveReport
 
 
 def _candidate_planes(points, d):
-    """(primitive normal, offset) of each distinct candidate hyperplane."""
-    null = linalg.nullspace([[a - b for a, b in zip(p, points[0])] for p in points])
-    if null:  # the points do not span R^d: one plane holds them all
-        normal = _primitive(null[0])
+    """(primitive normal, offset) of each distinct candidate hyperplane through integer points."""
+    _, normal = _kernel_normal([[a - b for a, b in zip(p, points[0])] for p in points], d)
+    if normal is not None:  # the points do not span R^d: one plane holds them all
         yield normal, _dot(normal, points[0])
         return
     seen = set()
-    for subset, normal in _flat_normals(points, d):
+    for subset in itertools.combinations(range(len(points)), d):
+        normal = _flat_normal(points, subset)
+        if normal is None:
+            continue
         plane = (normal, _dot(normal, points[subset[0]]))
         if plane not in seen:
             seen.add(plane)

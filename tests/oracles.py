@@ -67,10 +67,14 @@ bitmasks, and every representative that reaches a full LP solves it, so
 a comparison with it checks the separator test, the dual bounds and
 the support memos.  Both list the pieces of every full LP they
 solve, so a comparison can count the distinct support tuples among
-them.  `snap_quotients` is the codimension-one
-direction list the candidate scan generalised: the distinct normals
-through d input points, from the solver's own `_flat_normals`, so a
-comparison with it checks the scan's order and deduplication.
+them.  `fraction_flat_normal` is the hyperplane
+normal both candidate scans took before `solver._flat_normal` read it
+off fraction-free elimination: a Fraction nullspace by
+`rational_solve`, scaled to coprime integers.  `snap_quotients` is the
+codimension-one direction list the candidate scan generalised: the
+distinct normals through d input points, from `fraction_flat_normal`,
+so a comparison with it checks the scan's normals, order and
+deduplication.
 `fraction_projected_transversal` is the candidate scan before it scaled
 its points once per search: a Fraction projection and a fresh integer
 scale per direction, and the witness and plane base taken from the
@@ -858,6 +862,28 @@ def orbit_key(config, pieces):
     return tuple(first.setdefault(label[i], len(first)) for cls in config.classes for i in cls)
 
 
+def fraction_flat_normal(points, subset):
+    """Primitive normal of the hyperplane through the points of an index subset of size d.
+
+    The one basis vector of the Fraction nullspace of the differences to
+    the subset's first point, times the lcm of its denominators, divided
+    by the gcd and signed so that its first nonzero entry is positive;
+    None unless that nullspace is a line.  At d = 1 the subset is one
+    point v and the plane {x = v}.
+    """
+    first, *rest = (points[i] for i in subset)
+    d = len(first)
+    diffs = [[a - b for a, b in zip(p, first)] for p in rest] or [[ZERO] * d]
+    null = rational_solve(diffs, [0] * len(diffs))[1]
+    if len(null) != 1:
+        return None
+    (normal,) = null
+    scale = math.lcm(*(c.denominator for c in normal))
+    ints = [int(c * scale) for c in normal]
+    g = math.gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
+    return tuple(v // g for v in ints)
+
+
 def snap_quotients(instance):
     """Exact hyperplane normals through d input points (codimension one).
 
@@ -870,8 +896,9 @@ def snap_quotients(instance):
     pts = [p for cfg in instance.collections for p in cfg.points]
     seen = set()
     out = []
-    for _, key in solver._flat_normals(pts, d):
-        if key in seen:
+    for subset in itertools.combinations(range(len(pts)), d):
+        key = fraction_flat_normal(pts, subset)
+        if key is None or key in seen:
             continue
         seen.add(key)
         out.append([[Fraction(v) for v in key]])

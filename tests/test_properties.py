@@ -24,6 +24,7 @@ from oracles import (
     bound_step,
     common_point_rows,
     dual_bound,
+    fraction_flat_normal,
     fraction_projected_direction,
     fraction_projected_transversal,
     hyperplane_disjunct_search,
@@ -715,6 +716,18 @@ def test_candidate_quotients_match_the_snap_reference(inst):
     assert list(solver._candidate_quotients(inst)) == snap_quotients(inst)
 
 
+# coincident points; three on a line in space; one point on the line;
+# a plane through the origin
+@example([(1, -2), (1, -2)])
+@example([(0, 0, 0), (1, 2, 3), (2, 4, 6)])
+@example([(3,)])
+@example([(0, 0, 0), (2, -3, 1), (-1, 1, 0)])
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d, max_size=d)))
+def test_flat_normal_matches_the_fraction_nullspace_reference(points):
+    subset = tuple(range(len(points)))
+    assert solver._flat_normal(points, subset) == fraction_flat_normal(points, subset)
+
+
 @st.composite
 def rational_transversal_instances(draw):
     """k in {0, 1, d-1, d}, d <= 3, with coordinates of denominator up to 6.
@@ -794,6 +807,45 @@ def test_candidate_scan_matches_fraction_projected_reference(inst):
         assert gap == ref_gap
         assert hit == (ref_hit and (ref_hit[0], ref_hit[1].weights))
         assert stats["lps"] <= ref_stats["lps"]
+
+
+@example(tightness_instance(3, 1, (2, 2), 0))
+@example(random_instance(2, 1, (3, 3), seed=0))
+@given(rational_transversal_instances())
+@settings(max_examples=60)
+def test_scan_wide_bound_keeps_the_unbounded_scan(inst):
+    # each direction, given the least gap of the earlier ones as bound,
+    # returns the least of its exact gap and that bound, so the scan ends
+    # as a loop over unbounded directions does, on fewer LPs
+    report = solver.solve_transversal(inst)
+    plists = solver._partition_lists(inst)
+    if plists is None:
+        assert report.status == "no-valid-partition"
+        return
+    int_points, scale = integer_point_lists([cfg.points for cfg in inst.collections])
+    duals, ref_duals = ([[] for _ in range(len(plists) + 1)] for _ in range(2))
+    stats, ref_stats = {"lps": 0}, {"lps": 0}
+    best = cert = None
+    directions = 0
+    for rows in solver._candidate_quotients(inst):
+        directions += 1
+        hit, gap = solver._evaluate_direction(rows, int_points, scale, plists, stats, duals, best)
+        ref_hit, ref_gap = solver._evaluate_direction(rows, int_points, scale, plists, ref_stats, ref_duals)
+        assert hit == ref_hit
+        if hit is not None:
+            cert = solver._build_certificate(inst, rows, *hit)
+            break
+        assert gap == (ref_gap if best is None else min(ref_gap, best))
+        best = gap
+    assert report.status == ("certified" if cert else "budget-exhausted")
+    assert report.gap == (0 if cert else best)
+    assert report.stats == {**stats, "directions": directions}
+    assert report.stats["lps"] <= ref_stats["lps"]
+    if cert is None:
+        assert report.certificate is None
+    else:
+        cert_bytes = lambda c: serialize.canonical_bytes(serialize.certificate_to_json(c))
+        assert cert_bytes(report.certificate) == cert_bytes(cert)
 
 
 @example(random_instance(3, 1, (2, 2), seed=0), 0, 1)
@@ -901,6 +953,26 @@ def test_tverberg_search_is_invariant_under_relabelling_points(case, seed):
     assert other.status == report.status
     if report.status == "infeasible-exhausted":
         assert other.stats["partitions"] == report.stats["partitions"]
+
+
+@example(tightness_instance(2, 1, (3, 3), 0), 1)
+# the points span a line, so one plane holds them all
+@example(singleton_classes(2, [(0, 0), (1, 1), (2, 2)], [(3, 3), (-1, -1)]), 2)
+@given(hyperplane_instances(), st.integers(0, 2**32))
+@settings(max_examples=40)
+def test_hyperplane_scan_is_invariant_under_relabelling_points(inst, seed):
+    # the candidate planes are those through input points, kept once
+    # each, and a piece's miss reads its points as a set, so renumbering
+    # points within each collection keeps the answer, and on a refutation
+    # the planes checked, the combinations covered and the least gap
+    rng = random.Random(seed)
+    moved = ProblemInstance(inst.d, inst.k, inst.rs, tuple(
+        relabelled(cfg, rng.sample(range(cfg.size), cfg.size)) for cfg in inst.collections
+    ))
+    report, other = solver.solve_hyperplane_transversal_exact(inst), solver.solve_hyperplane_transversal_exact(moved)
+    assert other.status == report.status
+    if report.status == "infeasible-exhausted":
+        assert (other.stats, other.gap) == (report.stats, report.gap)
 
 
 @given(st.integers(2, 5), st.booleans(), st.data())

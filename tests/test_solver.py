@@ -528,12 +528,13 @@ def test_transversal_budget_exhausted_on_tight_configuration():
 
 
 def test_transversal_kept_duals_spare_lps_on_named_seeds(monkeypatch):
-    # Farkas duals kept across directions skip LPs they prove missed;
-    # with none kept (`_DUALS` = 0) every prefilter and joint LP runs
+    # Farkas duals kept across directions skip LPs they prove missed, and
+    # revisits against the scan's least gap skip those a dual bounds at or
+    # above it; with none kept (`_DUALS` = 0) every prefilter and joint LP runs
     cases = [
-        (random_instance(2, 1, (3, 3), seed=0), 153, 949),
-        (random_instance(3, 1, (2, 2), seed=1), 320, 948),
-        (tightness_instance(3, 1, (2, 2), 0), 1964, 5921),
+        (random_instance(2, 1, (3, 3), seed=0), 125, 949),
+        (random_instance(3, 1, (2, 2), seed=1), 273, 948),
+        (tightness_instance(3, 1, (2, 2), 0), 1236, 5921),
     ]
     for inst, kept, without in cases:
         report = solve_transversal(inst)
