@@ -21,14 +21,18 @@ Three search modes, all exact; `solve` picks one from the plane dimension:
   subspaces for a k-plane (each the intersection of d-k hyperplanes
   through one k-subset of the input points), then certifies membership
   per direction with one joint LP per partition combination.
-  Incomplete, but every returned certificate is exact.  Each
-  collection's prefilter and the joint loop keep the Farkas duals of
-  their last missed LPs for the whole scan: a dual's normals bound a
-  tuple's gap at any direction, so a tuple whose bound is above 0 is
-  deferred with no LP.  The survivors, the first hit and its weights
-  are those of the scan without them; with no hit, deferred tuples are
-  revisited against the least gap of the whole scan so far, so the
-  scan's least gap stays exact while a direction's own may not.
+  Incomplete, but every returned certificate is exact.  A tuple is
+  first read off its pieces' projected intervals, one per quotient
+  row: intervals that share no point on some row prove a miss, and on
+  a line (d-k = 1) intervals that meet prove a prefilter hit, both
+  with no LP.  Each collection's prefilter and the joint loop keep the
+  Farkas duals of their last missed LPs for the whole scan: a dual's
+  normals bound a tuple's gap at any direction, so a tuple whose bound
+  is above 0 is deferred with no LP.  The survivors, the first hit and
+  its weights are those of the scan without either rule; with no hit,
+  deferred tuples are revisited against the least gap of the whole
+  scan so far, so the scan's least gap stays exact while a direction's
+  own may not.
 * `solve_hyperplane_transversal_exact` — complete search when the plane
   has codimension one: a scan of the hyperplanes through d input points
   (the arrangement vertices), each checked per collection with no LP.
@@ -572,6 +576,27 @@ def _kept_bounds(duals, pieces, points, scale, best=None):
     return False
 
 
+def _spans(pts, piece):
+    """Per quotient row, (min, max) of a piece's projected points: its hull's interval on that row."""
+    return [(min(c), max(c)) for c in zip(*map(pts.__getitem__, piece))]
+
+
+def _common(spans):
+    """Per quotient row, (max low, min high) of intervals given as spans per piece; None if some row's is empty.
+
+    The common part of common parts is the common part of all, so this
+    also combines the results of earlier calls.
+    """
+    common = []
+    for row in zip(*spans):
+        lows, highs = zip(*row)
+        lo, hi = max(lows), min(highs)
+        if lo > hi:
+            return None
+        common.append((lo, hi))
+    return common
+
+
 def _direction_lp(pieces, points, duals, scale, stats):
     """(x, gap) of the LP on pieces, piece j drawn from points[j]; a miss's dual is kept."""
     stats["lps"] += 1
@@ -623,27 +648,50 @@ def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, du
     every LP, as in `solve_tverberg`'s revisit.  A bound lowers each
     revisit's first best and so spares more LPs; the survivors and the
     first hit do not depend on it.
+
+    Before any kept dual or LP, each tuple is read off its pieces'
+    projected intervals, one per quotient row (`_spans`, `_common`).  A
+    hull's projection on a row is its interval [min, max] there, so
+    hulls that meet have intervals with a common point on every row: a
+    row where they share none proves a miss, which is deferred with no
+    LP, as a kept dual's bound defers it.  On a line (d-k = 1) the
+    projected hulls are the intervals themselves, and intervals meet
+    exactly when the greatest low is at most the least high (Helly on
+    the line), so a prefilter tuple whose intervals meet survives with
+    no LP.  A joint tuple still gets its LP when its intervals meet, so
+    a hit keeps the LP's weights.  The rule is exact where it decides:
+    the survivors, their order and the first hit are those of running
+    every LP, and deferred tuples are revisited as above, so the least
+    gap stays exact.  Only which duals are kept, and so how many LPs
+    run, can change.
     """
     iproj = [[tuple(_dot(row, p) for row in q_rows) for p in pts] for pts in int_points]
     for store in duals:
         for dual in store:
             dual[2] = None  # projections of the last direction
     *stores, joint = duals
-    survivors = []
+    line = len(q_rows) == 1
+    survivors = []  # per collection, each surviving partition's common part
     misses = []  # least gap of each collection with no surviving partition
     for pts, plist, store in zip(iproj, partitions_per_col, stores):
         points = [pts] * len(plist[0])
-        good, deferred = [], []
+        spans = {}
+        good, deferred = {}, []
         gmin = None
         for pieces in plist:
-            if _kept_bounds(store, pieces, points, scale):
+            common = _common([spans.get(p) or spans.setdefault(p, _spans(pts, p)) for p in pieces])
+            if common is None:
+                deferred.append(pieces)  # the intervals miss on a row
+            elif line:
+                good[pieces] = common  # the intervals meet on the line
+            elif _kept_bounds(store, pieces, points, scale):
                 deferred.append(pieces)
-                continue
-            x, gap = _direction_lp(pieces, points, store, scale, stats)
-            if x is not None:
-                good.append(pieces)
             else:
-                gmin = _least(gmin, gap)
+                x, gap = _direction_lp(pieces, points, store, scale, stats)
+                if x is not None:
+                    good[pieces] = common
+                else:
+                    gmin = _least(gmin, gap)
         survivors.append(good)
         if not good:
             misses.append(_least_deferred(deferred, _least(gmin, bound), points, store, scale, stats))
@@ -654,7 +702,8 @@ def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, du
     deferred = []
     for combo in itertools.product(*survivors):
         pieces = [piece for part in combo for piece in part]
-        if _kept_bounds(joint, pieces, points, scale):
+        common = _common([good[part] for good, part in zip(survivors, combo)])
+        if common is None or _kept_bounds(joint, pieces, points, scale):
             deferred.append(pieces)
             continue
         x, gap = _direction_lp(pieces, points, joint, scale, stats)

@@ -772,8 +772,9 @@ def halved_and_shifted(inst):
 @given(rational_transversal_instances())
 @settings(max_examples=100)
 def test_candidate_scan_matches_fraction_projected_reference(inst):
-    # the Farkas duals the scan keeps across directions only spare LPs:
-    # without them it solves exactly the reference's LPs
+    # the Farkas duals the scan keeps across directions and its
+    # projected-interval rule only spare LPs: without the duals it still
+    # tries the reference's directions, on at most its LPs
     report = solver.solve_transversal(inst)
     expected = fraction_projected_transversal(inst)
     assert report.status == expected.status
@@ -782,7 +783,9 @@ def test_candidate_scan_matches_fraction_projected_reference(inst):
     assert report.stats["lps"] <= expected.stats["lps"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_DUALS", 0)
-        assert solver.solve_transversal(inst).stats == expected.stats
+        plain = solver.solve_transversal(inst).stats
+        assert plain["directions"] == expected.stats["directions"]
+        assert plain["lps"] <= expected.stats["lps"]
     assert report.certificate == expected.certificate
     cert_bytes = [
         rep.certificate and serialize.canonical_bytes(serialize.certificate_to_json(rep.certificate))
@@ -807,6 +810,50 @@ def test_candidate_scan_matches_fraction_projected_reference(inst):
         assert gap == ref_gap
         assert hit == (ref_hit and (ref_hit[0], ref_hit[1].weights))
         assert stats["lps"] <= ref_stats["lps"]
+
+
+@st.composite
+def projected_tuples(draw):
+    """Integer points in R^m, m = 1..3, and 2-4 pieces of them, as a direction projects a tuple.
+
+    Coordinates are small, so coincident and collinear points are common.
+    """
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 8))
+    pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * m), min_size=n, max_size=n))
+    piece = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True).map(tuple)
+    return pts, draw(st.lists(piece, min_size=2, max_size=4))
+
+
+# coincident points: the pieces share a point
+@example(([(1,), (1,), (2,)], [(0,), (1, 2)]))
+# touching intervals on a line meet at one point
+@example(([(0,), (2,), (2,), (5,)], [(0, 1), (2, 3)]))
+# a crossing of two segments in the plane: every row's intervals meet
+@example(([(0, 0), (2, 2), (0, 2), (2, 0)], [(0, 1), (2, 3)]))
+# parallel segments: the intervals meet on the first row only, so the
+# rule proves the miss
+@example(([(0, 0), (2, 0), (1, 1), (3, 1)], [(0, 1), (2, 3)]))
+# overlapping segments on one line meet
+@example(([(0, 0), (2, 2), (1, 1), (3, 3)], [(0, 1), (2, 3)]))
+# skew diagonals: every row's intervals meet, yet the hulls miss
+@example(([(0, 0), (1, 1), (2, 0), (3, 1)], [(0, 3), (2,)]))
+@given(projected_tuples())
+def test_projected_intervals_decide_only_what_the_lp_decides(case):
+    # the direction scan's fast path: intervals that miss on a row prove
+    # the hulls miss, and on one row intervals that meet prove they meet;
+    # the common part of common parts is that of all the intervals
+    pts, pieces = case
+    spans = [solver._spans(pts, piece) for piece in pieces]
+    common = solver._common(spans)
+    hit = lp_solve_eq([[pts[i] for i in piece] for piece in pieces], 1)[0] is not None
+    if common is None:
+        assert not hit
+    if len(pts[0]) == 1:
+        assert hit == (common is not None)
+    for j in range(1, len(spans)):
+        parts = [solver._common(spans[:j]), solver._common(spans[j:])]
+        assert (None if None in parts else solver._common(parts)) == common
 
 
 @example(tightness_instance(3, 1, (2, 2), 0))
@@ -973,6 +1020,29 @@ def test_hyperplane_scan_is_invariant_under_relabelling_points(inst, seed):
     assert other.status == report.status
     if report.status == "infeasible-exhausted":
         assert (other.stats, other.gap) == (report.stats, report.gap)
+
+
+@pytest.mark.parametrize("inst", [
+    *(random_instance(3, 1, (2, 2), seed=seed) for seed in range(6)),
+    tightness_instance(3, 1, (2, 2), 0),
+    tightness_instance(3, 1, (2, 2), 1),
+], ids=[*(f"random-{seed}" for seed in range(6)), "tightness-0", "tightness-1"])
+def test_direction_scan_is_invariant_under_relabelling_points(inst):
+    # the candidate directions are the row spaces through input points,
+    # kept once each, and whether a direction has a hit reads each piece
+    # as a point set; renumbering points reorders the list but keeps the
+    # set, so the status, and on a scan that runs out the directions
+    # tried; the gap can move, since the LP weighs piece 0 apart
+    report = solver.solve_transversal(inst)
+    for seed in range(3):
+        rng = random.Random(seed)
+        moved = ProblemInstance(inst.d, inst.k, inst.rs, tuple(
+            relabelled(cfg, rng.sample(range(cfg.size), cfg.size)) for cfg in inst.collections
+        ))
+        other = solver.solve_transversal(moved)
+        assert other.status == report.status
+        if report.status == "budget-exhausted":
+            assert other.stats["directions"] == report.stats["directions"]
 
 
 @given(st.integers(2, 5), st.booleans(), st.data())
