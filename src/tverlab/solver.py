@@ -11,12 +11,14 @@ Three search modes, all exact; `solve` picks one from the plane dimension:
   memo, then by the kept dual normals of missed pair LPs (`_settled`),
   and only then by pair LPs.  The solution support of a two-piece LP
   that met decides every later pair that contains it, with no LP.
-  After the pair tests, the kept Farkas duals of missed full LPs
-  (`_bounded`) bound a partition's gap by weak duality, and a bound
-  above 0, or at or above the least gap, spares its full LP.  They
-  only ever skip full LPs: the first hit, the least gap and the pair
-  LPs are those of the search without them.  Every kept direction
-  caches its projections' extremes per support id.
+  After the pair tests, the kept Farkas duals of missed full LPs bound
+  a partition's gap by weak duality (`_kept_bounds`), and a bound above
+  0, or at or above the least gap, spares its full LP.  They only ever
+  skip full LPs, and with no hit the tuples they deferred are revisited
+  first (`_least_deferred`), so the pair pass sees the same least gap
+  at every step: the first hit, the least gap and the pair LPs are
+  those of the search without them.  Every kept pair normal caches its
+  projections' extremes per support id.
 * `solve_transversal` — scans a finite list of exact candidate direction
   subspaces for a k-plane (each the intersection of d-k hyperplanes
   through one k-subset of the input points), then certifies membership
@@ -26,9 +28,11 @@ Three search modes, all exact; `solve` picks one from the plane dimension:
   row: intervals that share no point on some row prove a miss, and on
   a line (d-k = 1) intervals that meet prove a prefilter hit, both
   with no LP.  Each collection's prefilter and the joint loop keep the
-  Farkas duals of their last missed LPs for the whole scan: a dual's
-  normals bound a tuple's gap at any direction, so a tuple whose bound
-  is above 0 is deferred with no LP.  The survivors, the first hit and
+  Farkas duals of their last missed LPs for the whole scan, kept,
+  tested and revisited as the walk's full-LP duals are (`_kept_lp`,
+  `_kept_bounds`, `_least_deferred`): a dual's normals bound a tuple's
+  gap at any direction, so a tuple whose bound is above 0 is deferred
+  with no LP.  The survivors, the first hit and
   its weights are those of the scan without either rule; with no hit,
   deferred tuples are revisited against the least gap of the whole
   scan so far, so the scan's least gap stays exact while a direction's
@@ -249,30 +253,49 @@ def _settled(separators, a, b, key, scale, best=None):
     return False
 
 
-def _bounded(duals, pieces, pids, scale, best=None):
-    """Whether a stored full-LP dual puts the gap of pieces above 0, or at or above best.
+def _dual_directions(h, m):
+    """The directions g_0..g_{r-1} of `gap_reaches` for a Farkas dual h, m entries per normal."""
+    normals = [h[j:j + m] for j in range(0, len(h), m)]
+    return [[-sum(c) for c in zip(*normals)], *normals]
 
-    pids holds the pieces' support ids.  Each dual is (top, directions):
-    its largest coordinate dual and, per piece position j, (g_j.p for
-    every point p, cache of `_extremes`), with g_j the direction of
-    `gap_reaches`, applied with the same piece labels.  The dual that
-    decides moves to the front.
+
+def _kept_bounds(duals, pieces, points, scale, best=None):
+    """Whether a kept dual bounds the gap of pieces above 0, or at or above best; moves it to the front.
+
+    Each dual is [top, directions, projections]: its largest coordinate
+    dual, the directions g_j of `gap_reaches` per piece position, and
+    g_j.p for every point p of points[j], made on the dual's first use
+    and None before it.  The partition walk's points never change, so
+    its projections are made once; the direction scan resets them at
+    each direction.
     """
-    for k, (top, directions) in enumerate(duals):
-        lows = [
-            (cache.get(sid) or _extremes(proj, cache, sid, piece))[0]
-            for (proj, cache), sid, piece in zip(directions, pids, pieces)
-        ]
+    for k, dual in enumerate(duals):
+        top, directions, projs = dual
+        if projs is None:
+            projs = dual[2] = [[sum(map(operator.mul, g, p)) for p in pts] for g, pts in zip(directions, points)]
+        lows = [min(map(proj.__getitem__, piece)) for proj, piece in zip(projs, pieces)]
         if gap_reaches(lows, top, scale, best):
             duals.insert(0, duals.pop(k))
             return True
     return False
 
 
-def _dual_directions(h, m):
-    """The directions g_0..g_{r-1} of `gap_reaches` for a Farkas dual h, m entries per normal."""
-    normals = [h[j:j + m] for j in range(0, len(h), m)]
-    return [[-sum(c) for c in zip(*normals)], *normals]
+def _kept_lp(pieces, points, duals, scale, stats):
+    """(x, gap) of the LP on pieces, piece j drawn from points[j]; a miss's dual is kept."""
+    stats["lps"] += 1
+    x, gap, h = lp_solve_eq([[pts[i] for i in piece] for pts, piece in zip(points, pieces)], scale, dual=True)
+    if h is not None:
+        duals.insert(0, [max(h), _dual_directions(h, len(points[0][0])), None])
+        del duals[_DUALS:]
+    return x, gap
+
+
+def _least_deferred(deferred, best, points, duals, scale, stats):
+    """The least of best and the deferred tuples' gaps: an LP only where no dual reaches best."""
+    for pieces in deferred:
+        if best is None or not _kept_bounds(duals, pieces, points, scale, best):
+            best = _least(best, _kept_lp(pieces, points, duals, scale, stats)[1])
+    return best
 
 
 def _partition_lists(instance: ProblemInstance):
@@ -315,14 +338,17 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     pass the pair tests as with pair LPs alone.
 
     A full LP that misses yields its Farkas dual (`lp_solve_eq`); the
-    last `_DUALS` of them, most recently useful first, are kept.  On a
-    tuple that passes the pair tests, a dual whose weak-duality bound
+    last `_DUALS` of them, most recently useful first, are kept in the
+    direction scan's store: `_kept_lp` solves and keeps, `_kept_bounds`
+    tests.  Every piece draws from the one point list, so a dual's
+    projections are made on its first use and kept.  On a tuple that
+    passes the pair tests, a dual whose weak-duality bound
     (`gap_reaches`, same piece labels) is positive proves a miss with
     no LP, so the walk defers the tuple, as a pair miss does.  The
     dual test comes after every pair test, so the walk runs the same
     pair LPs and meets the same first hit, with the same weights.
-    Every stored direction, pair normal or dual, caches the extremes
-    of its projections per support id (`_extremes`).
+    Every stored pair normal caches the extremes of its projections
+    per support id (`_extremes`).
 
     One walk decides each tuple at its first representative, and `seen`
     keeps, per tuple, None if its full LP ran, else what deferred it.
@@ -336,8 +362,9 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     gap, and no stored dual bounds its gap at or above it: `apart` takes
     those pairs with that best, where a memoised gap counts if it
     reaches best and a stored normal if its dual bound does; then
-    `_bounded` takes the tuple.  Dual-deferred tuples are revisited
-    first.  Each of their pairs met in the walk, so they need no pair
+    `_kept_bounds` takes the tuple.  Dual-deferred tuples are revisited
+    first, by `_least_deferred`, as the direction scan revisits its
+    own.  Each of their pairs met in the walk, so they need no pair
     test, and once they are done best is the least gap over every tuple
     that passed the pair tests, as when all their full LPs ran.  The
     pair-deferred tuples then see the same best at every step as with
@@ -353,7 +380,6 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     if r > config.size:  # the walk yields nothing, but the pair list and r! below grow with r
         return SolveReport("no-valid-partition", None, None, stats)
     ints, scale = integer_points(config.points)
-    d = config.dim
     # one bit per distinct point, in first-index order
     bit = {}
     unit = [1 << bit.setdefault(p, len(bit)) for p in ints]
@@ -364,17 +390,9 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     misses = defaultdict(int)  # pid(a) -> OR of 1 << pid(b) over pairs (a, b) known to miss
     witnesses = []  # (code(sa), code(sb)) per meeting pair LP's solution support
     separators = []  # (h.p for every point p, extremes cache, max(h), min(h)) per stored normal h
-    duals = []  # (max entry, (g_j.p for every point p, extremes cache) per piece j) per stored dual
+    duals = []  # kept full-LP duals, as `_kept_bounds` reads them
+    points = [ints] * r  # every piece draws from the one point list
     index_pairs = list(itertools.combinations(range(r), 2))  # (0, j) first
-    project = lambda g: ([sum(map(operator.mul, g, p)) for p in ints], {})
-    solve_lp = lambda pieces: lp_solve_eq([[ints[i] for i in piece] for piece in pieces], scale, dual=True)
-
-    def lp(pieces):
-        x, gap, h = solve_lp(pieces)
-        if h is not None:
-            duals.insert(0, (max(h), [project(g) for g in _dual_directions(h, d)]))
-            del duals[_DUALS:]
-        return x, gap
 
     def pair_gap(a, b, key):
         if key not in pair_gaps:
@@ -382,10 +400,10 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
                 pair_gaps[key] = ZERO
                 return ZERO
             stats["pair_lps"] += 1
-            x, pair_gaps[key], h = solve_lp((a, b))
+            x, pair_gaps[key], h = lp_solve_eq([[ints[i] for i in piece] for piece in (a, b)], scale, dual=True)
             if h is not None:
                 misses[key[0]] |= 1 << key[1]
-                separators.insert(0, (*project(h), max(h), min(h)))
+                separators.insert(0, ([sum(map(operator.mul, h, p)) for p in ints], {}, max(h), min(h)))
                 del separators[_SEPARATORS:]
             else:
                 # the solution's support: at most d+2 points
@@ -423,12 +441,11 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
         if r > 2 and ruled_out(pieces, pids):
             seen[pids] = "pair"
             continue
-        if _bounded(duals, pieces, pids, scale):
+        if _kept_bounds(duals, pieces, points, scale):
             seen[pids] = "dual"
             continue
         seen[pids] = None
-        stats["lps"] += 1
-        x, gap = lp(pieces)
+        x, gap = _kept_lp(pieces, points, duals, scale, stats)
         if x is not None:
             # each representative decides its r! ordered tuples
             stats["partitions"] = n * factorial(r)
@@ -440,17 +457,17 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
     first = [piece for _, piece in supports.values()]  # support id -> its first piece
     # dual-deferred tuples first: then the pair tests see the best they
     # would see with no stored duals, and run the same pair LPs
-    for cause in ("dual", "pair"):
-        for pids, why in seen.items():
-            if why != cause:
-                continue
-            pieces = [first[i] for i in pids]
-            if best is None or not (
-                why == "pair" and apart([(pieces[0], pieces[j], (pids[0], pids[j])) for j in range(1, r)], best)
-                or _bounded(duals, pieces, pids, scale, best)
-            ):
-                stats["lps"] += 1
-                best = _least(best, lp(pieces)[1])
+    dual_deferred = ([first[i] for i in pids] for pids, why in seen.items() if why == "dual")
+    best = _least_deferred(dual_deferred, best, points, duals, scale, stats)
+    for pids, why in seen.items():
+        if why != "pair":
+            continue
+        pieces = [first[i] for i in pids]
+        if best is None or not (
+            apart([(pieces[0], pieces[j], (pids[0], pids[j])) for j in range(1, r)], best)
+            or _kept_bounds(duals, pieces, points, scale, best)
+        ):
+            best = _least(best, _kept_lp(pieces, points, duals, scale, stats)[1])
     stats["partitions"] = n * factorial(r)
     if best is None:
         return SolveReport("no-valid-partition", None, None, stats)
@@ -473,30 +490,37 @@ def _primitive(ints):
     return tuple(v // g for v in ints)
 
 
-def _kernel_normal(rows, width):
-    """(rank, normal) of integer rows: the primitive nullspace vector at the first free column, None at full rank.
+def _kernel_normals(rows, width):
+    """Primitive integer basis of the nullspace of integer rows, one vector per free column in column order.
 
     `linalg._echelon` eliminates fraction-free (Bareiss 1968): rows/D is
-    the reduced echelon form, so D on the free column and -rows[r][free]
-    on each pivot (r, c) solve rows x = 0 in integers.
+    the reduced echelon form, so D on a free column, 0 on the other free
+    columns and -rows[r][free] on each pivot (r, c) solve rows x = 0 in
+    integers.
     """
     ech, pivots, D, _ = linalg._echelon(rows, width)
     cols = {c for _, c in pivots}
-    free = next((c for c in range(width) if c not in cols), None)
-    if free is None:
-        return len(pivots), None
-    normal = [0] * width
-    normal[free] = D
-    for r, c in pivots:
-        normal[c] = -ech[r][free]
-    return len(pivots), _primitive(normal)
+    normals = []
+    for free in (c for c in range(width) if c not in cols):
+        normal = [0] * width
+        normal[free] = D
+        for r, c in pivots:
+            normal[c] = -ech[r][free]
+        normals.append(_primitive(normal))
+    return normals
 
 
-def _flat_normal(points, subset):
-    """Primitive normal of the hyperplane through d integer points, picked by index; None if they span less."""
+def _flat_normal(points, subset, hull=()):
+    """Primitive normal of the hyperplane through integer points, picked by index, inside a flat; None if they span less.
+
+    hull holds normals of a flat that holds the points, and the subset
+    has as many points as the flat has dimensions: with no hull, d
+    points and a hyperplane of R^d.  The normal is orthogonal to the
+    hull's normals, so with them it cuts out the subset's flat.
+    """
     first, *rest = (points[i] for i in subset)
-    rank, normal = _kernel_normal([[a - b for a, b in zip(p, first)] for p in rest], len(first))
-    return normal if rank == len(rest) else None
+    normals = _kernel_normals([[a - b for a, b in zip(p, first)] for p in rest] + list(hull), len(first))
+    return normals[0] if len(normals) == 1 else None
 
 
 def _candidate_quotients(instance: ProblemInstance):
@@ -504,18 +528,23 @@ def _candidate_quotients(instance: ProblemInstance):
 
     A k-plane's direction subspace is the nullspace of its d-k quotient
     rows.  k = 0 has the one candidate with the identity rows, and k = d
-    the one with no rows.  Otherwise, for each k-subset A of the pooled
-    points (in `combinations` order), the candidates are the planes
-    through A cut out by d-k independent hyperplanes, each through A and
-    d-k further input points: every (d-k)-combination of rank d-k of the
-    distinct normals through A, in subset order.  Each row space is kept
-    once, at most _SNAP_CAP in all.  At k = d-1 these are the distinct
-    normals through d input points.  Extremal transversals are pinned by
-    input points, so their directions have measure zero; a pinned one
-    with an irrational direction is not on the list.
+    the one with no rows.  Otherwise the pooled points span an m-flat,
+    cut out by the d-m primitive integer normals of their affine hull
+    (`_kernel_normals`); in general position m = d and there are none.
+    If k >= m, the one candidate is the first d-k hull normals: that
+    k-plane holds every point.  Otherwise, for each k-subset A of the
+    pooled points (in `combinations` order), the candidates are the
+    planes through A cut out by the hull normals and m-k independent
+    hyperplanes of the hull, each through A and m-k further input
+    points: the hull normals, then every (m-k)-combination of rank m-k
+    of the distinct normals through A, in subset order.  Each row space
+    is kept once, at most _SNAP_CAP in all.  At k = d-1 = m-1 these are
+    the distinct normals through d input points.  Extremal transversals
+    are pinned by input points, so their directions have measure zero; a
+    pinned one with an irrational direction is not on the list.
 
     The normals are integer (`_flat_normal`, on the points scaled to
-    integers) and made lazily: each d-subset's once, when the first base
+    integers) and made lazily: each m-subset's once, when the first base
     inside it comes up, so a scan that hits early builds few.  A row
     space is keyed by its reduced echelon form, each row made primitive;
     at d-k = 1 that is the normal itself.
@@ -528,14 +557,19 @@ def _candidate_quotients(instance: ProblemInstance):
         yield []
         return
     pts, _ = integer_points([p for cfg in instance.collections for p in cfg.points])
-    normal = cache(lambda subset: _flat_normal(pts, subset))
+    hull = _kernel_normals([[a - b for a, b in zip(p, pts[0])] for p in pts], d)
+    m = d - len(hull)  # the dimension of the points' affine hull
+    if k >= m:  # one k-plane holds every point
+        yield [list(row) for row in hull[:d - k]]
+        return
+    normal = cache(lambda subset: _flat_normal(pts, subset, hull))
     seen = set()
     for base in itertools.combinations(range(len(pts)), k):
         rest = [i for i in range(len(pts)) if i not in base]
-        subsets = (tuple(sorted(base + extra)) for extra in itertools.combinations(rest, d - k))
+        subsets = (tuple(sorted(base + extra)) for extra in itertools.combinations(rest, m - k))
         through = dict.fromkeys(filter(None, map(normal, subsets)))
-        for rows in itertools.combinations(through, d - k):
-            q_rows = [list(row) for row in rows]
+        for rows in itertools.combinations(through, m - k):
+            q_rows = [list(row) for row in (*hull, *rows)]
             ech, pivots, _, _ = linalg._echelon(q_rows, d)
             key = tuple(_primitive(ech[r]) for r, _ in pivots)
             if len(key) != d - k or key in seen:
@@ -553,27 +587,6 @@ def _combo_pieces(point_lists, combo):
         for pts, pieces in zip(point_lists, combo)
         for piece in pieces
     ]
-
-
-def _kept_bounds(duals, pieces, points, scale, best=None):
-    """Whether a kept dual bounds the gap of pieces above 0, or at or above best; moves it to the front.
-
-    Each dual is [top, directions, projections]: its largest coordinate
-    dual, the directions g_j of `gap_reaches` per piece position, and
-    g_j.p for every point p of points[j], made on the dual's first use
-    at a direction and None before it.  Unlike `_bounded`, it keeps no
-    minima per piece: at each direction the pieces are new, and a cache
-    of them made two-piece scans slower than their LPs.
-    """
-    for k, dual in enumerate(duals):
-        top, directions, projs = dual
-        if projs is None:
-            projs = dual[2] = [[sum(map(operator.mul, g, p)) for p in pts] for g, pts in zip(directions, points)]
-        lows = [min(map(proj.__getitem__, piece)) for proj, piece in zip(projs, pieces)]
-        if gap_reaches(lows, top, scale, best):
-            duals.insert(0, duals.pop(k))
-            return True
-    return False
 
 
 def _spans(pts, piece):
@@ -595,24 +608,6 @@ def _common(spans):
             return None
         common.append((lo, hi))
     return common
-
-
-def _direction_lp(pieces, points, duals, scale, stats):
-    """(x, gap) of the LP on pieces, piece j drawn from points[j]; a miss's dual is kept."""
-    stats["lps"] += 1
-    x, gap, h = lp_solve_eq([[pts[i] for i in piece] for pts, piece in zip(points, pieces)], scale, dual=True)
-    if h is not None:
-        duals.insert(0, [max(h), _dual_directions(h, len(points[0][0])), None])
-        del duals[_DUALS:]
-    return x, gap
-
-
-def _least_deferred(deferred, best, points, duals, scale, stats):
-    """The least of best and the deferred tuples' gaps: an LP only where no dual reaches best."""
-    for pieces in deferred:
-        if best is None or not _kept_bounds(duals, pieces, points, scale, best):
-            best = _least(best, _direction_lp(pieces, points, duals, scale, stats)[1])
-    return best
 
 
 def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, duals, bound=None):
@@ -687,7 +682,7 @@ def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, du
             elif _kept_bounds(store, pieces, points, scale):
                 deferred.append(pieces)
             else:
-                x, gap = _direction_lp(pieces, points, store, scale, stats)
+                x, gap = _kept_lp(pieces, points, store, scale, stats)
                 if x is not None:
                     good[pieces] = common
                 else:
@@ -706,7 +701,7 @@ def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, du
         if common is None or _kept_bounds(joint, pieces, points, scale):
             deferred.append(pieces)
             continue
-        x, gap = _direction_lp(pieces, points, joint, scale, stats)
+        x, gap = _kept_lp(pieces, points, joint, scale, stats)
         if x is not None:
             return (combo, weights_of(x)), ZERO
         best = _least(best, gap)
@@ -836,9 +831,9 @@ def solve_hyperplane_transversal_exact(instance: ProblemInstance) -> SolveReport
 
 def _candidate_planes(points, d):
     """(primitive normal, offset) of each distinct candidate hyperplane through integer points."""
-    _, normal = _kernel_normal([[a - b for a, b in zip(p, points[0])] for p in points], d)
-    if normal is not None:  # the points do not span R^d: one plane holds them all
-        yield normal, _dot(normal, points[0])
+    hull = _kernel_normals([[a - b for a, b in zip(p, points[0])] for p in points], d)
+    if hull:  # the points do not span R^d: one plane holds them all
+        yield hull[0], _dot(hull[0], points[0])
         return
     seen = set()
     for subset in itertools.combinations(range(len(points)), d):

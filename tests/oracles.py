@@ -73,8 +73,9 @@ off fraction-free elimination: a Fraction nullspace by
 `rational_solve`, scaled to coprime integers.  `snap_quotients` is the
 codimension-one direction list the candidate scan generalised: the
 distinct normals through d input points, from `fraction_flat_normal`,
-so a comparison with it checks the scan's normals, order and
-deduplication.
+or the first normal of their affine hull when the points span less
+than a hyperplane, so a comparison with it checks the scan's normals,
+order and deduplication.
 `fraction_projected_transversal` is the candidate scan before it scaled
 its points once per search: a Fraction projection and a fresh integer
 scale per direction, and the witness and plane base taken from the
@@ -875,9 +876,11 @@ def fraction_flat_normal(points, subset):
     d = len(first)
     diffs = [[a - b for a, b in zip(p, first)] for p in rest] or [[ZERO] * d]
     null = rational_solve(diffs, [0] * len(diffs))[1]
-    if len(null) != 1:
-        return None
-    (normal,) = null
+    return coprime_normal(null[0]) if len(null) == 1 else None
+
+
+def coprime_normal(normal):
+    """A Fraction vector times the lcm of its denominators, divided by the gcd, first nonzero entry positive."""
     scale = math.lcm(*(c.denominator for c in normal))
     ints = [int(c * scale) for c in normal]
     g = math.gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
@@ -888,12 +891,19 @@ def snap_quotients(instance):
     """Exact hyperplane normals through d input points (codimension one).
 
     Only for k = d-1 >= 1: each distinct normal once, in d-subset order,
-    as the one quotient row, at most `solver._SNAP_CAP` of them.
+    as the one quotient row, at most `solver._SNAP_CAP` of them.  Points
+    that span less than a hyperplane have no d that cut one out; every
+    hyperplane holding their affine hull is then a transversal, and the
+    list is the hull's first normal: the Fraction nullspace vector of
+    their differences at its first free column.
     """
     d = instance.d
     if d < 2 or instance.k != d - 1:
         return []
     pts = [p for cfg in instance.collections for p in cfg.points]
+    null = rational_solve([[a - b for a, b in zip(p, pts[0])] for p in pts], [0] * len(pts))[1]
+    if len(null) > 1:
+        return [[[Fraction(v) for v in coprime_normal(null[0])]]]
     seen = set()
     out = []
     for subset in itertools.combinations(range(len(pts)), d):

@@ -615,7 +615,7 @@ def test_every_full_lp_skipped_by_a_dual_is_justified(case):
     # computed independently from the dual, is at most the skipped LP's
     # gap, and above 0 in the walk or at least the least gap afterwards
     cfg, r = case
-    ints, scale = integer_points(cfg.points)
+    _, scale = integer_points(cfg.points)
     duals = []  # h of every missed full LP
     skips = []
 
@@ -625,31 +625,44 @@ def test_every_full_lp_skipped_by_a_dual_is_justified(case):
             duals.append(out[2])
         return out
 
-    def recording_bounded(kept, pieces, pids, scale, best=None):
-        decided = bounded(kept, pieces, pids, scale, best)
+    def recording_bounds(kept, pieces, points, scale, best=None):
+        decided = kept_bounds(kept, pieces, points, scale, best)
         if decided:
-            skips.append((kept[0], [[ints[i] for i in piece] for piece in pieces], best))
+            top, directions, _ = kept[0]
+            skips.append((top, directions, [[pts[i] for i in piece] for pts, piece in zip(points, pieces)], best))
         return decided
 
-    bounded = solver._bounded
+    kept_bounds = solver._kept_bounds
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "lp_solve_eq", recording_lp)
-        mp.setattr(solver, "_bounded", recording_bounded)
+        mp.setattr(solver, "_kept_bounds", recording_bounds)
         report = solver.solve_tverberg(cfg, r)
     assert report.stats["lps"] == len(duals) + report.certified
-    dot = lambda g, p: sum(map(operator.mul, g, p))
-    for (top, directions), pieces, best in skips:
-        projections = [proj for proj, _ in directions]
+    for top, directions, pieces, best in skips:
         # the deciding dual is a missed full LP's h: top is its largest
         # entry, and piece j reads -(h_1 + ... + h_{r-1}) at j = 0, h_j after
-        h = next(
-            h for h in duals
-            if projections == [[dot(g, p) for p in ints] for g in dual_directions(h, cfg.dim)]
-        )
+        h = next(h for h in duals if list(map(tuple, directions)) == dual_directions(h, cfg.dim))
         assert top == max(h)
         bound = dual_bound(pieces, h, scale)
         assert lp_solve_eq(pieces, scale)[1] >= bound
         assert bound > 0 if best is None else bound >= best
+
+
+@tverberg_examples
+@given(tverberg_cases())
+def test_direction_scan_at_k0_matches_the_partition_walk(case):
+    # at k = 0 the scan has one direction, the identity, and decides the
+    # walk's question with the same kept-dual store: the same gap, the
+    # same status (the scan's "budget-exhausted" is the walk's complete
+    # refutation) and, on a hit, the same first partition and weights
+    cfg, r = case
+    scan = solver.solve_transversal(ProblemInstance(cfg.dim, 0, (r,), (cfg,)))
+    walk = solver.solve_tverberg(cfg, r)
+    assert scan.gap == walk.gap
+    assert {"budget-exhausted": "infeasible-exhausted"}.get(scan.status, scan.status) == walk.status
+    if walk.certified:
+        assert scan.certificate.partitions[0].pieces == walk.certificate.partition.pieces
+        assert scan.certificate.weights[0] == walk.certificate.weights
 
 
 @given(st.sampled_from(((2, 2), (2, 3))), st.data())

@@ -22,6 +22,7 @@ from tverlab.model import (
     enumerate_colorful_partitions,
     random_instance,
     tightness_instance,
+    validate,
 )
 from tverlab.solver import (
     KPlane,
@@ -73,6 +74,24 @@ def crossing_instance():
 
 def singleton_transversal_instance(seed):
     return random_instance(2, 1, (2, 2), [(1, 1, 1), (1, 1, 1)], seed=seed)
+
+
+def singleton_classes_instance(d, k, *point_lists):
+    """One collection per point list, r = 2 each, one class per point."""
+    collections = tuple(
+        ColoredConfig(dim=d, points=pts, classes=[(i,) for i in range(len(pts))])
+        for pts in point_lists
+    )
+    return ProblemInstance(d=d, k=k, rs=(2,) * len(collections), collections=collections)
+
+
+def coplanar_line_instance():
+    """Lines in space through two collections whose points all lie on z = 0."""
+    return singleton_classes_instance(
+        3, 1,
+        [(0, 0, 0), (4, 0, 0), (0, 4, 0), (4, 4, 0)],
+        [(1, 3, 0), (7, 2, 0), (2, 9, 0), (5, 5, 0)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +583,34 @@ def test_transversal_whole_space_plane():
     cert = report.certificate
     assert cert.plane.dim == 1
     assert verify_transversal(inst, cert)
+
+
+def test_transversal_scans_lines_inside_the_plane_of_coplanar_points():
+    # every three of these points span only their plane, so no two
+    # distinct normals of R^3 pass through one base point; the candidates
+    # pair the plane's normal with the normals, inside it, through two points
+    inst = coplanar_line_instance()
+    assert validate(inst).all_ok
+    quotients = list(solver._candidate_quotients(inst))
+    assert quotients and all(rows[0] == [0, 0, 1] and rows[1][2] == 0 for rows in quotients)
+    report = solve_transversal(inst)
+    assert report.certified
+    assert verify_transversal(inst, report.certificate)
+    assert (report.stats["directions"], report.stats["lps"]) == (1, 11)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_transversal_on_collinear_points_is_the_one_plane_holding_them(k):
+    # points on one line: a k-plane holding the line meets every hull, and
+    # it is the only candidate
+    line = [(t, 2 * t, -t) for t in range(6)]
+    inst = singleton_classes_instance(3, k, *[line[i:i + 3] for i in range(k + 1)])
+    assert list(solver._candidate_quotients(inst)) == [[[2, -1, 0], [1, 0, 1]][:3 - k]]
+    report = solve_transversal(inst)
+    assert report.certified
+    assert report.stats["directions"] == 1
+    assert verify_transversal(inst, report.certificate)
+    assert all(map(report.certificate.plane.contains, line))
 
 
 def test_transversal_k0_matches_exhaustive():
