@@ -23,20 +23,13 @@ Three search modes, all exact; `solve` picks one from the plane dimension:
   subspaces for a k-plane (each the intersection of d-k hyperplanes
   through one k-subset of the input points), then certifies membership
   per direction with one joint LP per partition combination.
-  Incomplete, but every returned certificate is exact.  A tuple is
-  first read off its pieces' projected intervals, one per quotient
-  row: intervals that share no point on some row prove a miss, and on
-  a line (d-k = 1) intervals that meet prove a prefilter hit, both
-  with no LP.  Each collection's prefilter and the joint loop keep the
-  Farkas duals of their last missed LPs for the whole scan, kept,
-  tested and revisited as the walk's full-LP duals are (`_kept_lp`,
-  `_kept_bounds`, `_least_deferred`): a dual's normals bound a tuple's
-  gap at any direction, so a tuple whose bound is above 0 is deferred
-  with no LP.  The survivors, the first hit and
-  its weights are those of the scan without either rule; with no hit,
-  deferred tuples are revisited against the least gap of the whole
-  scan so far, so the scan's least gap stays exact while a direction's
-  own may not.
+  Incomplete, but every returned certificate is exact.  Projected
+  intervals and Farkas duals kept for the whole scan (`_kept_lp`,
+  `_kept_bounds`) defer proven misses with no LP, and a first pass
+  looks only for a hit: the deferred tuples are revisited
+  (`_least_deferred`) only once every direction has missed, each
+  direction against the least gap of those before it (`_revisit`), so
+  the least gap stays exact while a direction's own may not.
 * `solve_hyperplane_transversal_exact` — complete search when the plane
   has codimension one: a scan of the hyperplanes through d input points
   (the arrangement vertices), each checked per collection with no LP.
@@ -610,102 +603,133 @@ def _common(spans):
     return common
 
 
-def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, duals, bound=None):
-    """((combination, weights per piece), 0) for one quotient, else (None, gap).
+def _project(q_rows, int_points, duals):
+    """The search's integer points projected by q_rows, one list per collection; resets every kept dual's projections."""
+    for store in duals:
+        for dual in store:
+            dual[2] = None  # projections of the last direction
+    return [[tuple(_dot(row, p) for row in q_rows) for p in pts] for pts in int_points]
+
+
+def _picked(items, mask):
+    """The items whose bits are set in mask, bit i for the i-th item, in order."""
+    return itertools.compress(items, map(int, bin(mask)[:1:-1]))
+
+
+def _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, duals):
+    """((combination, weights per piece), None) for one quotient, else (None, record).
 
     Projects the search's integer points, one list per collection, by
     the integer quotient rows, and gives every LP the search's `scale`,
     so gaps are in the input's units.  Prefilters each collection alone,
-    then runs one joint LP per combination of surviving partitions.  The
-    direction's gap is the sum of per-collection minima when the
-    prefilter rules it out, else the smallest joint violation.  With
-    bound None the returned gap is that gap, exactly; otherwise it is
-    the least of that gap and bound, which is all a scan keeping its
-    least gap needs: each revisit below starts from bound, and a
-    per-collection minimum at or above bound puts the sum there too.
+    then runs one joint LP per combination of surviving partitions.  A
+    miss's gap is left to `_revisit`, so a scan that hits later runs no
+    LP for it; the record is (q_rows, kept, loops): per collection a bit
+    mask of its survivors, then per loop to revisit (each collection
+    with no survivor, else the joint loop) a bit mask of its deferred
+    tuples, over its partitions or the product of the survivors, and
+    its least LP gap, None if no LP missed.
 
     duals holds one store per collection, for its prefilter, and one
-    for the joint loop; they live for a whole scan.  Each keeps the
-    Farkas duals of its last `_DUALS` missed LPs, most recently useful
-    first.  A dual's normals are fixed vectors in the quotient space,
-    and `gap_reaches` holds for any fixed normals, so a dual found at
-    one direction bounds gaps at every later one: only its projections
-    change, and they are made on the dual's first use at a direction
-    (`_kept_bounds`).  A tuple that a kept dual bounds above 0, with
-    the same piece positions, is a proven miss: it gets no LP and is
-    deferred.  So the prefilter keeps the same survivors in the same
-    order, and the joint loop meets the same first hit with the same LP
-    and weights.  When a collection has no survivor, or no combination
-    hits, the deferred tuples are revisited in order with the least gap
-    so far as best, and an LP runs only where no dual bounds the gap at
-    or above best.  Every skipped gap is then at or above the best of
-    its step, and best only falls, so the least gap is that of running
-    every LP, as in `solve_tverberg`'s revisit.  A bound lowers each
-    revisit's first best and so spares more LPs; the survivors and the
-    first hit do not depend on it.
+    for the joint loop, for the whole scan, each the Farkas duals of its
+    last `_DUALS` missed LPs, most recently useful first.  A dual's
+    normals are fixed vectors in the quotient space, and `gap_reaches`
+    holds for any fixed normals, so a dual found at one direction bounds
+    gaps at every later one once its projections are remade
+    (`_kept_bounds`).  A tuple that a kept dual bounds above 0, with the
+    same piece positions, is a proven miss and is deferred with no LP.
 
-    Before any kept dual or LP, each tuple is read off its pieces'
-    projected intervals, one per quotient row (`_spans`, `_common`).  A
-    hull's projection on a row is its interval [min, max] there, so
-    hulls that meet have intervals with a common point on every row: a
-    row where they share none proves a miss, which is deferred with no
-    LP, as a kept dual's bound defers it.  On a line (d-k = 1) the
-    projected hulls are the intervals themselves, and intervals meet
+    Before any kept dual or LP, a tuple is read off its pieces'
+    projected intervals, one per quotient row (`_spans`, `_common`).
+    Hulls that meet have intervals with a common point on every row, so
+    a row where they share none proves a miss, deferred with no LP.  On
+    a line (d-k = 1) the projected hulls are the intervals, which meet
     exactly when the greatest low is at most the least high (Helly on
     the line), so a prefilter tuple whose intervals meet survives with
-    no LP.  A joint tuple still gets its LP when its intervals meet, so
-    a hit keeps the LP's weights.  The rule is exact where it decides:
-    the survivors, their order and the first hit are those of running
-    every LP, and deferred tuples are revisited as above, so the least
-    gap stays exact.  Only which duals are kept, and so how many LPs
-    run, can change.
+    no LP; a joint tuple still gets its LP, so a hit keeps the LP's
+    weights.  Both rules are exact where they decide: the survivors,
+    their order and the first hit are those of running every LP, and
+    only how many LPs run can change.
     """
-    iproj = [[tuple(_dot(row, p) for row in q_rows) for p in pts] for pts in int_points]
-    for store in duals:
-        for dual in store:
-            dual[2] = None  # projections of the last direction
+    iproj = _project(q_rows, int_points, duals)
     *stores, joint = duals
     line = len(q_rows) == 1
     survivors = []  # per collection, each surviving partition's common part
-    misses = []  # least gap of each collection with no surviving partition
+    kept, loops = [], []
     for pts, plist, store in zip(iproj, partitions_per_col, stores):
         points = [pts] * len(plist[0])
         spans = {}
-        good, deferred = {}, []
+        good = {}
+        survived = deferred = 0
         gmin = None
-        for pieces in plist:
+        for i, pieces in enumerate(plist):
             common = _common([spans.get(p) or spans.setdefault(p, _spans(pts, p)) for p in pieces])
             if common is None:
-                deferred.append(pieces)  # the intervals miss on a row
+                deferred |= 1 << i  # the intervals miss on a row
             elif line:
                 good[pieces] = common  # the intervals meet on the line
+                survived |= 1 << i
             elif _kept_bounds(store, pieces, points, scale):
-                deferred.append(pieces)
+                deferred |= 1 << i
             else:
                 x, gap = _kept_lp(pieces, points, store, scale, stats)
                 if x is not None:
                     good[pieces] = common
+                    survived |= 1 << i
                 else:
                     gmin = _least(gmin, gap)
         survivors.append(good)
+        kept.append(survived)
         if not good:
-            misses.append(_least_deferred(deferred, _least(gmin, bound), points, store, scale, stats))
-    if misses:
-        return None, _least(bound, sum(misses, ZERO))
+            loops.append((deferred, gmin))
+    if loops:
+        return None, (q_rows, tuple(kept), tuple(loops))
     points = [pts for pts, plist in zip(iproj, partitions_per_col) for _ in plist[0]]
     best = None
-    deferred = []
-    for combo in itertools.product(*survivors):
+    deferred = 0
+    for j, combo in enumerate(itertools.product(*survivors)):
         pieces = [piece for part in combo for piece in part]
         common = _common([good[part] for good, part in zip(survivors, combo)])
         if common is None or _kept_bounds(joint, pieces, points, scale):
-            deferred.append(pieces)
+            deferred |= 1 << j
             continue
         x, gap = _kept_lp(pieces, points, joint, scale, stats)
         if x is not None:
-            return (combo, weights_of(x)), ZERO
+            return (combo, weights_of(x)), None
         best = _least(best, gap)
-    return None, _least_deferred(deferred, _least(best, bound), points, joint, scale, stats)
+    return None, (q_rows, tuple(kept), ((deferred, best),))
+
+
+def _revisit(record, int_points, scale, partitions_per_col, stats, duals, bound):
+    """The least of bound and the exact gap of a direction `_evaluate_direction` missed, from its record.
+
+    That gap is the sum of the least gaps of the collections with no
+    survivor, else the least joint gap.  Each loop starts from its least
+    LP gap, and `_least_deferred` revisits its deferred tuples in order,
+    with an LP only where no kept dual bounds the gap at or above the
+    least so far: a skipped gap is at or above the best of its step, and
+    best only falls, so the least is exact, as in `solve_tverberg`.  A
+    bound only lowers each loop's first best, so the result is exact
+    below it: a per-collection least at or above bound puts the sum
+    there too.
+    """
+    q_rows, kept, loops = record
+    iproj = _project(q_rows, int_points, duals)
+    *stores, joint = duals
+    if all(kept):
+        (deferred, least), = loops
+        combos = itertools.product(*map(_picked, partitions_per_col, kept))
+        tuples = ([piece for part in combo for piece in part] for combo in _picked(combos, deferred))
+        points = [pts for pts, plist in zip(iproj, partitions_per_col) for _ in plist[0]]
+        return _least_deferred(tuples, _least(least, bound), points, joint, scale, stats)
+    loops = iter(loops)
+    total = ZERO
+    for pts, plist, store, survived in zip(iproj, partitions_per_col, stores, kept):
+        if not survived:
+            deferred, least = next(loops)
+            points = [pts] * len(plist[0])
+            total += _least_deferred(_picked(plist, deferred), _least(least, bound), points, store, scale, stats)
+    return _least(bound, total)
 
 
 def _build_certificate(instance, q_rows, combo, piece_weights) -> TransversalCertificate:
@@ -745,14 +769,18 @@ def solve_transversal(
 
     The candidates are `_candidate_quotients`, a finite, deterministic
     list of integer quotient rows.  The points of all collections are
-    scaled to integers once, with one scale, and each direction projects
-    those (`_evaluate_direction`), with the least gap of the earlier
-    directions as its bound: a direction's gap is only read when it is
-    below that, so the least gap reported is the exact least over all
-    directions.  A returned certificate is exact;
-    "budget-exhausted" means the list ran out, not that no plane exists.
-    budget is ignored: it is kept so that callers passing a
-    `SearchBudget` still work.
+    scaled to integers once, with one scale.  A first pass looks only
+    for a hit (`_evaluate_direction`) and keeps a small record of each
+    missed direction; only once every direction has missed are the
+    records revisited in scan order (`_revisit`), each with the least
+    gap of those before it as its bound.  These are the bounds of a scan
+    that measures each direction as it goes, and a direction's gap is
+    read only below its bound, so the least gap is the exact least over
+    all directions; only the LP count moves, as the kept duals fill in
+    another order.  A returned certificate is exact; "budget-exhausted"
+    means the list ran out, not that no plane exists.  budget is
+    ignored: it is kept so that callers passing a `SearchBudget` still
+    work.
     """
     stats = {"lps": 0, "directions": 0}
     partitions_per_col = _partition_lists(instance)
@@ -762,14 +790,17 @@ def solve_transversal(
     int_points, scale = integer_point_lists([cfg.points for cfg in instance.collections])
 
     duals = [[] for _ in range(len(partitions_per_col) + 1)]  # per collection, then joint
-    best_gap = None
+    records = []
     for q_rows in _candidate_quotients(instance):
         stats["directions"] += 1
-        hit, gap = _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, duals, best_gap)
+        hit, record = _evaluate_direction(q_rows, int_points, scale, partitions_per_col, stats, duals)
         if hit is not None:
             cert = _build_certificate(instance, q_rows, *hit)
             return SolveReport("certified", cert, ZERO, stats)
-        best_gap = _least(best_gap, gap)
+        records.append(record)
+    best_gap = None
+    for record in records:
+        best_gap = _revisit(record, int_points, scale, partitions_per_col, stats, duals, best_gap)
     return SolveReport("budget-exhausted", None, best_gap, stats)
 
 

@@ -807,8 +807,9 @@ def test_candidate_scan_matches_fraction_projected_reference(inst):
     assert cert_bytes[0] == cert_bytes[1]
     if report.certified:
         assert solver.verify_transversal(inst, report.certificate)
-    # every direction's hit or gap, not only the first hit or least gap,
-    # with the duals of every earlier direction kept
+    # every direction's hit or exact gap, not only the first hit or least
+    # gap, with the duals of every earlier direction kept: a miss's
+    # record is revisited at once, with no bound
     plists = solver._partition_lists(inst)
     if plists is None:
         return
@@ -816,7 +817,8 @@ def test_candidate_scan_matches_fraction_projected_reference(inst):
     duals = [[] for _ in range(len(plists) + 1)]
     for rows in solver._candidate_quotients(inst):
         stats, ref_stats = {"lps": 0}, {"lps": 0}
-        hit, gap = solver._evaluate_direction(rows, int_points, scale, plists, stats, duals)
+        hit, record = solver._evaluate_direction(rows, int_points, scale, plists, stats, duals)
+        gap = 0 if record is None else solver._revisit(record, int_points, scale, plists, stats, duals, None)
         ref_hit, ref_gap = fraction_projected_direction(
             [[Fraction(v) for v in row] for row in rows], inst.collections, plists, ref_stats
         )
@@ -874,9 +876,10 @@ def test_projected_intervals_decide_only_what_the_lp_decides(case):
 @given(rational_transversal_instances())
 @settings(max_examples=60)
 def test_scan_wide_bound_keeps_the_unbounded_scan(inst):
-    # each direction, given the least gap of the earlier ones as bound,
-    # returns the least of its exact gap and that bound, so the scan ends
-    # as a loop over unbounded directions does, on fewer LPs
+    # the first pass meets the hit a scan measuring each direction as it
+    # goes meets; with none, each record revisited with the least gap of
+    # the earlier ones as bound gives the least of its exact gap and that
+    # bound, so the scan ends as a loop over unbounded directions does
     report = solver.solve_transversal(inst)
     plists = solver._partition_lists(inst)
     if plists is None:
@@ -885,18 +888,25 @@ def test_scan_wide_bound_keeps_the_unbounded_scan(inst):
     int_points, scale = integer_point_lists([cfg.points for cfg in inst.collections])
     duals, ref_duals = ([[] for _ in range(len(plists) + 1)] for _ in range(2))
     stats, ref_stats = {"lps": 0}, {"lps": 0}
-    best = cert = None
+    records, ref_gaps = [], []
+    cert = None
     directions = 0
     for rows in solver._candidate_quotients(inst):
         directions += 1
-        hit, gap = solver._evaluate_direction(rows, int_points, scale, plists, stats, duals, best)
-        ref_hit, ref_gap = solver._evaluate_direction(rows, int_points, scale, plists, ref_stats, ref_duals)
+        hit, record = solver._evaluate_direction(rows, int_points, scale, plists, stats, duals)
+        ref_hit, ref_record = solver._evaluate_direction(rows, int_points, scale, plists, ref_stats, ref_duals)
         assert hit == ref_hit
         if hit is not None:
             cert = solver._build_certificate(inst, rows, *hit)
             break
-        assert gap == (ref_gap if best is None else min(ref_gap, best))
-        best = gap
+        records.append(record)
+        ref_gaps.append(solver._revisit(ref_record, int_points, scale, plists, ref_stats, ref_duals, None))
+    best = None
+    if cert is None:
+        for record, ref_gap in zip(records, ref_gaps):
+            gap = solver._revisit(record, int_points, scale, plists, stats, duals, best)
+            assert gap == (ref_gap if best is None else min(ref_gap, best))
+            best = gap
     assert report.status == ("certified" if cert else "budget-exhausted")
     assert report.gap == (0 if cert else best)
     assert report.stats == {**stats, "directions": directions}

@@ -547,15 +547,18 @@ def test_transversal_budget_exhausted_on_tight_configuration():
 
 
 def test_transversal_kept_duals_spare_lps_on_named_seeds(monkeypatch):
-    # Farkas duals kept across directions skip LPs they prove missed, and
-    # revisits against the scan's least gap skip those a dual bounds at or
-    # above it; with none kept (`_DUALS` = 0) only the projected-interval
-    # rule spares LPs: tuples whose intervals miss on a row are deferred,
-    # and on a line prefilter tuples whose intervals meet survive
+    # Farkas duals kept across directions skip LPs they prove missed;
+    # with none kept (`_DUALS` = 0) only the projected-interval rule
+    # spares LPs: tuples whose intervals miss on a row are deferred, and
+    # on a line prefilter tuples whose intervals meet survive.  Missed
+    # directions are measured only once every direction has missed, so
+    # the certifying scans run no revisit LP (on the line, only the hit's
+    # LP), while the tightness file's revisits, each against the least
+    # gap of the directions before it, fill the duals in scan order
     cases = [
-        (random_instance(2, 1, (3, 3), seed=0), 13, 81),
-        (random_instance(3, 1, (2, 2), seed=1), 262, 463),
-        (tightness_instance(3, 1, (2, 2), 0), 1184, 3890),
+        (random_instance(2, 1, (3, 3), seed=0), 1, 1),
+        (random_instance(3, 1, (2, 2), seed=1), 238, 388),
+        (tightness_instance(3, 1, (2, 2), 0), 1258, 3890),
     ]
     for inst, kept, without in cases:
         report = solve_transversal(inst)
@@ -565,6 +568,57 @@ def test_transversal_kept_duals_spare_lps_on_named_seeds(monkeypatch):
         assert (report.stats["lps"], plain.stats["lps"]) == (kept, without)
         assert (report.status, report.gap, report.certificate) == (plain.status, plain.gap, plain.certificate)
         assert report.stats["directions"] == plain.stats["directions"]
+
+
+def test_certifying_line_scan_solves_only_its_hit(monkeypatch):
+    # on a line (d-k = 1) intervals decide every prefilter tuple and the
+    # joint tuples whose intervals miss, so the first joint LP is the
+    # hit, and no missed direction is ever revisited
+    def no_revisit(*args):
+        raise AssertionError("a certifying scan revisited a missed direction")
+
+    monkeypatch.setattr(solver, "_least_deferred", no_revisit)
+    cases = [random_instance(2, 1, (2, 2), [(1, 1, 1), (1, 1, 1)], seed=s) for s in range(12)]
+    cases += [random_instance(2, 1, (3, 3), seed=s) for s in range(3)]
+    cases += [random_instance(3, 2, (2, 2, 2), seed=s) for s in range(2)]
+    for inst in cases:
+        report = solve_transversal(inst)
+        assert report.certified
+        assert report.stats["lps"] == 1
+        assert verify_transversal(inst, report.certificate)
+
+
+def test_missed_direction_record_holds_only_small_values(monkeypatch):
+    # a missed direction's record keeps bit masks and least gaps, never
+    # the pieces it deferred: its rows, then only ints, Fractions, and
+    # None where no LP missed
+    records = []
+    revisit = solver._revisit
+
+    def recording(record, *args):
+        records.append(record)
+        return revisit(record, *args)
+
+    monkeypatch.setattr(solver, "_revisit", recording)
+
+    def leaves(value):
+        if isinstance(value, tuple):
+            for item in value:
+                yield from leaves(item)
+        else:
+            yield value
+
+    kinds = set()
+    for inst in (tightness_instance(2, 1, (3, 3), 0), tightness_instance(3, 1, (2, 2), 0)):
+        records.clear()
+        rows = list(solver._candidate_quotients(inst))
+        report = solve_transversal(inst)
+        assert report.status == "budget-exhausted"
+        assert [record[0] for record in records] == rows
+        # both kinds: some collection with no survivor, and a joint miss
+        assert {all(record[1]) for record in records} == {False, True}
+        kinds |= {type(v) for record in records for v in leaves(record[1:])}
+    assert kinds == {int, Fraction, type(None)}
 
 
 def test_transversal_deterministic():
