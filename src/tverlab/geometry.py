@@ -5,8 +5,8 @@ touches a float.  The workhorse is the common-point LP: given finitely
 many point sets ("pieces"), decide whether their convex hulls share a
 point and produce either an exact convex-combination witness or the
 exact phase-1 violation gap.  `lp_solve_eq` is the one reader of that
-LP's result, for full, pair and projected LPs.  An LP that misses can
-also return the coordinate part of its Farkas dual; for two pieces it
+LP's result, for full, pair and projected LPs.  An LP that misses also
+returns the coordinate part of its Farkas dual; for two pieces it
 is the integer normal of a hyperplane strictly between them, and for
 two that meet, the support of the solution is a witness for every pair
 that contains it.  Any stored dual, scaled into a feasible dual point
@@ -113,7 +113,7 @@ def _coordinate_dual(obj, gapden, first):
     return tuple(v // g for v in h)
 
 
-def lp_solve_eq(pieces, scale, dual=False):
+def lp_solve_eq(pieces, scale):
     """Common-point LP on integer pieces: (x, 0, None) on a hit, else (None, gap, h).
 
     `pieces` hold points of `integer_points` with their `scale`; the
@@ -122,12 +122,10 @@ def lp_solve_eq(pieces, scale, dual=False):
     choice, so weights and gap equal those of the rational system.  On
     a hit, x = (nums, den): one list of weight numerators per piece,
     over one den > 0, left as ints until a certificate needs them
-    (`weights_of`).  On a miss, h is None unless dual is set; then it
-    is the coordinate-row part of the LP's Farkas dual
-    (`_coordinate_dual`), d ints for each piece after the first, in row
-    order, the normal h_j paired with piece j.  `gap_reaches` bounds
-    another tuple's gap with it.  h costs a gcd over big ints, so
-    callers that keep no dual do not ask for it.
+    (`weights_of`).  On a miss, h is the coordinate-row part of the LP's
+    Farkas dual (`_coordinate_dual`), d ints for each piece after the
+    first, in row order, the normal h_j paired with piece j.
+    `gap_reaches` bounds another tuple's gap with it.
 
     Two pieces a and b are the case r = 2.  On a hit, the points with a
     nonzero numerator number at most d+2 (Caratheodory: a basic
@@ -146,8 +144,7 @@ def lp_solve_eq(pieces, scale, dual=False):
             off += len(piece)
         return (nums, xden), ZERO, None
     first = sum(map(len, pieces)) + len(pieces)  # the first coordinate row's artificial
-    h = _coordinate_dual(xnum, gapden, first) if dual else None
-    return None, Fraction(gapnum, gapden * scale), h
+    return None, Fraction(gapnum, gapden * scale), _coordinate_dual(xnum, gapden, first)
 
 
 def weights_of(x):

@@ -6,13 +6,12 @@ once and row-reduced with the kernel's fraction-free `pivot`; the pivot
 row is the first nonzero one, so results are deterministic.
 """
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import CapExceeded
 from .kernels import pivot
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def integer_points(points):
@@ -64,36 +63,58 @@ def rank(matrix):
     return len(_echelon(matrix, len(matrix[0]))[1]) if matrix else 0
 
 
+def _kernel(rows, pivots, D, width):
+    """Integer nullspace basis from one `_echelon` result, one vector per free column in column order.
+
+    rows/D is the reduced echelon form (Bareiss 1968), so D on a free
+    column, 0 on the other free columns and -rows[r][free] on each pivot
+    (r, c) solve the first `width` columns times x = 0 in integers.
+    """
+    cols = {c for _, c in pivots}
+    basis = []
+    for free in (c for c in range(width) if c not in cols):
+        v = [0] * width
+        v[free] = D
+        for r, c in pivots:
+            v[c] = -rows[r][free]
+        basis.append(v)
+    return basis
+
+
 def solve(matrix, rhs):
     """Solve M x = rhs.  Returns (particular, nullspace_basis) or None.
 
     None means inconsistent.  nullspace_basis is empty iff the solution
-    is unique.
+    is unique; it is `_kernel`'s basis over D.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
     rows, pivots, D, _ = _echelon([list(matrix[i]) + [rhs[i]] for i in range(m)], n)
     if any(rows[i][n] for i in range(len(pivots), m)):
         return None
-    pivot_cols = {c for _, c in pivots}
     x = [ZERO] * n
     for r, c in pivots:
         x[c] = Fraction(rows[r][n], D)
+    return x, [[Fraction(v, D) for v in vec] for vec in _kernel(rows, pivots, D, n)]
+
+
+def nullspace(matrix, width):
+    """Primitive integer basis of {x in Q^width : M x = 0}, one vector per free column.
+
+    Each of `_kernel`'s vectors is divided by its gcd and signed so that
+    its first nonzero entry is positive.  The basis is then a function of
+    the row space alone: two matrices of one width have equal nullspaces
+    iff their rows span the same space.  width serves a matrix with no
+    rows, whose basis is the unit vectors.
+    """
+    rows, pivots, D, _ = _echelon(matrix, width)
     basis = []
-    for free in range(n):
-        if free in pivot_cols:
-            continue
-        v = [ZERO] * n
-        v[free] = ONE
-        for r, c in pivots:
-            v[c] = Fraction(-rows[r][free], D)
-        basis.append(v)
-    return x, basis
-
-
-def nullspace(matrix):
-    """Basis of {x : M x = 0}."""
-    return solve(matrix, [0] * len(matrix))[1] if matrix else []
+    for vec in _kernel(rows, pivots, D, width):
+        g = gcd(*vec)
+        if next(v for v in vec if v) < 0:
+            g = -g
+        basis.append(tuple(v // g for v in vec))
+    return basis
 
 
 def det(matrix):

@@ -53,7 +53,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, prod
 
 from . import linalg
 from .errors import CapExceeded, PreconditionError
@@ -276,7 +276,7 @@ def _kept_bounds(duals, pieces, points, scale, best=None):
 def _kept_lp(pieces, points, duals, scale, stats):
     """(x, gap) of the LP on pieces, piece j drawn from points[j]; a miss's dual is kept."""
     stats["lps"] += 1
-    x, gap, h = lp_solve_eq([[pts[i] for i in piece] for pts, piece in zip(points, pieces)], scale, dual=True)
+    x, gap, h = lp_solve_eq([[pts[i] for i in piece] for pts, piece in zip(points, pieces)], scale)
     if h is not None:
         duals.insert(0, [max(h), _dual_directions(h, len(points[0][0])), None])
         del duals[_DUALS:]
@@ -393,7 +393,7 @@ def solve_tverberg(config: ColoredConfig, r: int) -> SolveReport:
                 pair_gaps[key] = ZERO
                 return ZERO
             stats["pair_lps"] += 1
-            x, pair_gaps[key], h = lp_solve_eq([[ints[i] for i in piece] for piece in (a, b)], scale, dual=True)
+            x, pair_gaps[key], h = lp_solve_eq([[ints[i] for i in piece] for piece in (a, b)], scale)
             if h is not None:
                 misses[key[0]] |= 1 << key[1]
                 separators.insert(0, ([sum(map(operator.mul, h, p)) for p in ints], {}, max(h), min(h)))
@@ -475,44 +475,18 @@ def _dot(normal, point):
     return sum(a * c for a, c in zip(normal, point))
 
 
-def _primitive(ints):
-    """ints divided by their gcd, signed so that the first nonzero entry is positive."""
-    g = gcd(*ints)
-    if next(v for v in ints if v) < 0:
-        g = -g
-    return tuple(v // g for v in ints)
-
-
-def _kernel_normals(rows, width):
-    """Primitive integer basis of the nullspace of integer rows, one vector per free column in column order.
-
-    `linalg._echelon` eliminates fraction-free (Bareiss 1968): rows/D is
-    the reduced echelon form, so D on a free column, 0 on the other free
-    columns and -rows[r][free] on each pivot (r, c) solve rows x = 0 in
-    integers.
-    """
-    ech, pivots, D, _ = linalg._echelon(rows, width)
-    cols = {c for _, c in pivots}
-    normals = []
-    for free in (c for c in range(width) if c not in cols):
-        normal = [0] * width
-        normal[free] = D
-        for r, c in pivots:
-            normal[c] = -ech[r][free]
-        normals.append(_primitive(normal))
-    return normals
-
-
 def _flat_normal(points, subset, hull=()):
     """Primitive normal of the hyperplane through integer points, picked by index, inside a flat; None if they span less.
 
     hull holds normals of a flat that holds the points, and the subset
     has as many points as the flat has dimensions: with no hull, d
     points and a hyperplane of R^d.  The normal is orthogonal to the
-    hull's normals, so with them it cuts out the subset's flat.
+    hull's normals, so with them it cuts out the subset's flat: the one
+    vector of `linalg.nullspace` of the differences to the first point
+    and the hull's normals.
     """
     first, *rest = (points[i] for i in subset)
-    normals = _kernel_normals([[a - b for a, b in zip(p, first)] for p in rest] + list(hull), len(first))
+    normals = linalg.nullspace([[a - b for a, b in zip(p, first)] for p in rest] + list(hull), len(first))
     return normals[0] if len(normals) == 1 else None
 
 
@@ -520,17 +494,18 @@ def _candidate_quotients(instance: ProblemInstance):
     """Integer quotient rows of every candidate direction subspace, in scan order.
 
     A k-plane's direction subspace is the nullspace of its d-k quotient
-    rows.  k = 0 has the one candidate with the identity rows, and k = d
-    the one with no rows.  Otherwise the pooled points span an m-flat,
-    cut out by the d-m primitive integer normals of their affine hull
-    (`_kernel_normals`); in general position m = d and there are none.
-    If k >= m, the one candidate is the first d-k hull normals: that
-    k-plane holds every point.  Otherwise, for each k-subset A of the
-    pooled points (in `combinations` order), the candidates are the
-    planes through A cut out by the hull normals and m-k independent
-    hyperplanes of the hull, each through A and m-k further input
-    points: the hull normals, then every (m-k)-combination of rank m-k
-    of the distinct normals through A, in subset order.  Each row space
+    rows.  k = 0 has the one candidate with the identity rows.
+    Otherwise the pooled points span an m-flat, cut out by the d-m
+    primitive integer normals of their affine hull (`linalg.nullspace`);
+    in general position m = d and there are none.  If k >= m, the one
+    candidate is the first d-k hull normals: that k-plane holds every
+    point, and at k = d it is the one with no rows.  Otherwise, for each
+    k-subset A of the pooled points (in `combinations` order), the
+    candidates are the planes through A cut out by the hull normals and
+    m-k independent hyperplanes of the hull, each through A and m-k
+    further input points: the hull normals, then every
+    (m-k)-combination of rank m-k of the distinct normals through A, in
+    subset order.  Each row space
     is kept once, at most _SNAP_CAP in all.  At k = d-1 = m-1 these are
     the distinct normals through d input points.  Extremal transversals
     are pinned by input points, so their directions have measure zero; a
@@ -539,18 +514,15 @@ def _candidate_quotients(instance: ProblemInstance):
     The normals are integer (`_flat_normal`, on the points scaled to
     integers) and made lazily: each m-subset's once, when the first base
     inside it comes up, so a scan that hits early builds few.  A row
-    space is keyed by its reduced echelon form, each row made primitive;
-    at d-k = 1 that is the normal itself.
+    space is keyed by its `linalg.nullspace`, which is canonical for it,
+    and kept when that has k vectors: when the rows have rank d-k.
     """
     d, k = instance.d, instance.k
     if k == 0:
         yield [[int(i == j) for j in range(d)] for i in range(d)]
         return
-    if k == d:
-        yield []
-        return
     pts, _ = integer_points([p for cfg in instance.collections for p in cfg.points])
-    hull = _kernel_normals([[a - b for a, b in zip(p, pts[0])] for p in pts], d)
+    hull = linalg.nullspace([[a - b for a, b in zip(p, pts[0])] for p in pts], d)
     m = d - len(hull)  # the dimension of the points' affine hull
     if k >= m:  # one k-plane holds every point
         yield [list(row) for row in hull[:d - k]]
@@ -563,9 +535,8 @@ def _candidate_quotients(instance: ProblemInstance):
         through = dict.fromkeys(filter(None, map(normal, subsets)))
         for rows in itertools.combinations(through, m - k):
             q_rows = [list(row) for row in (*hull, *rows)]
-            ech, pivots, _, _ = linalg._echelon(q_rows, d)
-            key = tuple(_primitive(ech[r]) for r, _ in pivots)
-            if len(key) != d - k or key in seen:
+            key = tuple(linalg.nullspace(q_rows, d))
+            if len(key) != k or key in seen:
                 continue
             seen.add(key)
             yield q_rows
@@ -862,7 +833,7 @@ def solve_hyperplane_transversal_exact(instance: ProblemInstance) -> SolveReport
 
 def _candidate_planes(points, d):
     """(primitive normal, offset) of each distinct candidate hyperplane through integer points."""
-    hull = _kernel_normals([[a - b for a, b in zip(p, points[0])] for p in points], d)
+    hull = linalg.nullspace([[a - b for a, b in zip(p, points[0])] for p in points], d)
     if hull:  # the points do not span R^d: one plane holds them all
         yield hull[0], _dot(hull[0], points[0])
         return

@@ -827,7 +827,7 @@ def pair_gap_reaches(ha, hb, hmax, hmin, scale, best):
 def dual_bound(pieces, h, scale):
     """The best weak-duality bound on the gap of `lp_solve_eq(pieces, scale)` from h.
 
-    h is a coordinate dual as `lp_solve_eq(..., dual=True)` returns it:
+    h is a coordinate dual as `lp_solve_eq` returns it on a miss:
     d ints per piece after the first.  With y_c = t*h, the weight duals
     y_0 = min(scale, -t * max (h_1 + ... + h_{r-1}).p over piece 0) and
     y_j = min(scale, t * min h_j.q over piece j) are dual feasible while

@@ -38,15 +38,15 @@ class TestCommonPoint:
     def test_pair_normal_separates_a_miss(self):
         a = [(0, 0), (2, 0)]
         b = [(0, 3), (3, 1)]
-        x, gap, normal = geometry.lp_solve_eq([a, b], 1, dual=True)
-        assert geometry.lp_solve_eq([a, b], 1) == (None, gap, None)
+        x, gap, normal = geometry.lp_solve_eq([a, b], 1)
+        assert geometry.lp_solve_eq([a, b], 1) == (None, gap, normal)
         assert gap > 0
         assert max(normal[0] * x + normal[1] * y for x, y in a) < min(
             normal[0] * x + normal[1] * y for x, y in b
         )
         assert x is None
         # the diagonals meet at (1, 1), with weight 1/2 on every point
-        x, gap, normal = geometry.lp_solve_eq([[(0, 0), (2, 2)], [(2, 0), (0, 2)]], 1, dual=True)
+        x, gap, normal = geometry.lp_solve_eq([[(0, 0), (2, 2)], [(2, 0), (0, 2)]], 1)
         assert (gap, normal) == (0, None)
         assert geometry.weights_of(x) == ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
 

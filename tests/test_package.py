@@ -46,3 +46,27 @@ def test_every_top_level_name_in_the_package_has_a_user():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used |= {(module, node.value) for module in modules}
     assert {f"{m}.{n}" for m, n in defined - used} == set(ALLOWED)
+
+
+def test_no_package_module_reads_another_modules_private_name():
+    # a read is `from .module import _name`, or `module._name` on a package
+    # module bound by `from . import module`; dunder names are public
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        imported = {
+            a.asname or a.name
+            for node in nodes
+            if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+            for a in node.names
+        }
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                reads += [f"{path.stem}: {node.module}.{a.name}" for a in node.names if private(a.name)]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in imported:
+                if private(node.attr):
+                    reads.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    assert reads == []

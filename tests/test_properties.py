@@ -23,6 +23,7 @@ from oracles import (
     affine_image,
     bound_step,
     common_point_rows,
+    coprime_normal,
     dual_bound,
     fraction_flat_normal,
     fraction_projected_direction,
@@ -157,7 +158,7 @@ def test_integer_common_point_lp_matches_rational_rows(pieces):
     assert all(a == c * scale for p, q in zip(flat, ints) for c, a in zip(p, q))
     it = iter(ints)
     hit, gap, h = lp_solve_eq([[next(it) for _ in piece] for piece in pieces], scale)
-    assert h is None  # no dual was asked for
+    assert (h is None) == (hit is not None)  # a miss always returns its dual
 
     rows, rhs, offs = common_point_rows(pieces)
     x, ref_gap = rational_lp_solve_eq(rows, rhs)
@@ -204,10 +205,45 @@ def test_integer_linalg_matches_fraction_reference(system):
     rows = [[Fraction(v) for v in row] for row in matrix]
     assert linalg.rank(matrix) == len(rational_echelon(rows, n))
     assert linalg.solve(matrix, rhs) == rational_solve(matrix, rhs)
-    assert linalg.nullspace(matrix) == rational_solve(matrix, [0] * len(matrix))[1]
+    assert linalg.nullspace(matrix, n) == [coprime_normal(v) for v in rational_solve(matrix, [0] * len(matrix))[1]]
     k = min(len(matrix), n)
     square = [row[:k] for row in matrix[:k]]
     assert linalg.det(square) == rational_det(square)
+
+
+@st.composite
+def integer_row_list_pairs(draw):
+    """Two 0-4 row lists of one width 1-4 with entries in -2..2; the second is
+    often integer combinations of the first, so their row spaces often agree."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    first = draw(st.lists(row, max_size=4))
+    if first and draw(st.booleans()):
+        coeffs = st.lists(st.integers(-2, 2), min_size=len(first), max_size=len(first))
+        second = [
+            [sum(c * r[j] for c, r in zip(cs, first)) for j in range(n)]
+            for cs in draw(st.lists(coeffs, max_size=4))
+        ]
+    else:
+        second = draw(st.lists(row, max_size=4))
+    return n, first, second
+
+
+@example((2, [[1, 2]], [[-2, -4], [0, 0]]))
+@example((3, [], [[0, 0, 0]]))
+@given(integer_row_list_pairs())
+@settings(max_examples=200)
+def test_nullspace_is_a_row_space_key(pair):
+    # `_candidate_quotients` keeps a row space once by its nullspace, so that
+    # key must agree exactly when the reduced echelon forms do
+    n, first, second = pair
+
+    def reduced(rows):
+        rows = [[Fraction(v) for v in row] for row in rows]
+        return rows[:len(rational_echelon(rows, n))]
+
+    same_key = linalg.nullspace(first, n) == linalg.nullspace(second, n)
+    assert same_key == (reduced(first) == reduced(second))
 
 
 def test_is_prime_matches_trial_division():
@@ -489,7 +525,7 @@ def normals_and_pieces(draw):
     piece = st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=1, max_size=4)
     a, b = draw(piece), draw(piece)
     scale = draw(st.integers(1, 6))
-    drawn = (lp_solve_eq([draw(piece), draw(piece)], scale, dual=True)[2] for _ in range(draw(st.integers(1, 3))))
+    drawn = (lp_solve_eq([draw(piece), draw(piece)], scale)[2] for _ in range(draw(st.integers(1, 3))))
     normals = [h for h in drawn if h is not None]
     assume(normals)
     return a, b, normals, scale
@@ -528,7 +564,7 @@ def test_pair_gap_reaches_never_exceeds_the_pair_gap(case):
         proj = projected(a, b, normal)
         assert not pair_reaches(*proj, scale, gap + bound_step(*proj, scale, gap))
     # a pair's own dual normal bounds its gap exactly
-    own = lp_solve_eq([a, b], scale, dual=True)[2]
+    own = lp_solve_eq([a, b], scale)[2]
     if own is not None:
         assert pair_reaches(*projected(a, b, own), scale, gap)
 
@@ -619,8 +655,8 @@ def test_every_full_lp_skipped_by_a_dual_is_justified(case):
     duals = []  # h of every missed full LP
     skips = []
 
-    def recording_lp(pieces, scale, dual=False):
-        out = lp_solve_eq(pieces, scale, dual)
+    def recording_lp(pieces, scale):
+        out = lp_solve_eq(pieces, scale)
         if out[2] is not None and len(pieces) == r:  # a missed full LP, not a pair LP
             duals.append(out[2])
         return out
@@ -945,7 +981,7 @@ def test_a_dual_kept_from_one_direction_bounds_gaps_at_another(inst, first, then
         tuples = tuples[::-(-len(tuples) // 16)]
         gaps = [lp_solve_eq(points_of(at_then, tup), scale)[1] for tup in tuples]
         for tup in tuples:
-            h = lp_solve_eq(points_of(at_first, tup), scale, dual=True)[2]
+            h = lp_solve_eq(points_of(at_first, tup), scale)[2]
             if h is None:
                 continue
             points = [at_then[ell] for ell, _ in tup]

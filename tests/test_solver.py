@@ -238,8 +238,8 @@ def test_stored_separators_strictly_separate_their_pieces(monkeypatch):
     seen = []
     bounds = []
 
-    def recording(pieces, scale, dual=False):
-        out = geometry.lp_solve_eq(pieces, scale, dual)
+    def recording(pieces, scale):
+        out = geometry.lp_solve_eq(pieces, scale)
         if len(pieces) == 2:  # a pair LP: every case has r >= 3
             seen.append((*pieces, scale, *out))
         return out
